@@ -18,6 +18,7 @@ from stochsqp import (
     compute_reference,
     load_bundled_instance,
     run,
+    running_averages,
 )
 
 instance = load_bundled_instance()
@@ -41,8 +42,7 @@ iters = len(trace)
 dist_x = np.linalg.norm(trace.x - reference.x, axis=1)
 dist_y = np.linalg.norm(trace.y - reference.y, axis=1)
 dist_y_true = np.linalg.norm(trace.y_true - reference.y, axis=1)
-averages = np.cumsum(trace.y, axis=0) / np.arange(1, iters + 1)[:, None]
-dist_avg = np.linalg.norm(averages - reference.y, axis=1)
+dist_avg = np.linalg.norm(running_averages(trace.y) - reference.y, axis=1)
 
 print(f"\n{'k':>6s} {'||x_k - x*||':>13s} {'||y_k - y*||':>13s} "
       f"{'||y_k_exact - y*||':>18s} {'||y_avg_k - y*||':>16s}")

@@ -19,6 +19,7 @@ from .averaging import (
     check_true_multiplier_bound,
     kappa_y,
     running_average,
+    running_averages,
     windowed_average,
 )
 from .errors import (
@@ -79,12 +80,14 @@ from .problem import (
 )
 from .solver import (
     BetaSchedule,
-    IterationRecord,
+    Iteration,
     RunResult,
     SolverConfig,
     Trace,
     ValidationSummary,
     derive_kuv,
+    iterate,
+    kkt_residual,
     run,
     stationarity_residual,
     stationarity_residual_squared,

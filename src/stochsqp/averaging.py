@@ -2,10 +2,16 @@
 
 The raw per-iteration multiplier inherits the gradient noise and does
 not converge; averaging suppresses that noise.  Two estimators are
-provided: the running average from a fixed start index, and a windowed
+provided: the running average ``mean(y_1..y_k)``, and a windowed
 average over the trailing iterations whose primal points stay within a
 ball of the current iterate (so stale multipliers from far-away points
 are dropped as the run converges).
+
+:func:`running_averages` is the one store of running averages: a single
+prefix-sum pass gives every ``k`` at once, and the trace CSV writer,
+the replicate summaries and :class:`MultiplierTrace` all read from it.
+:func:`running_average` is the defining slice mean it is tested
+against.
 
 Iteration numbers ``k`` are 1-based throughout, matching the solver's
 records; sample positions inside arrays remain 0-based.
@@ -14,6 +20,7 @@ records; sample positions inside arrays remain 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +33,12 @@ def running_average(ys: Array, k: int, kbar: int = 1) -> Array:
     if not 1 <= kbar <= k <= ys.shape[0]:
         raise ValueError(f"need 1 <= kbar <= k <= {ys.shape[0]}")
     return ys[kbar - 1 : k].mean(axis=0)
+
+
+def running_averages(ys: Array) -> Array:
+    """Every running average at once: row ``k - 1`` is ``mean(y_1..y_k)``."""
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    return np.cumsum(ys, axis=0) / np.arange(1, ys.shape[0] + 1)[:, None]
 
 
 def windowed_average(xs: Array, ys: Array, k: int, eps: float):
@@ -51,72 +64,40 @@ def windowed_average(xs: Array, ys: Array, k: int, eps: float):
 
 
 class MultiplierTrace:
-    """Accumulated multiplier history with incremental running sums.
+    """Read-only view of a run's iterate and multiplier arrays.
 
-    ``append`` maintains prefix sums so that any running average is an
-    O(1) query; the from-scratch :func:`running_average` over the raw
-    history is the oracle the incremental path is tested against.
-    Windowed averages are always recomputed by the defining scan.
-
-    Accumulation is single-writer; once a run is complete, read-only
-    queries may be issued concurrently.
+    Holds the arrays it is given, without copying them.  Running
+    averages are read from one :func:`running_averages` pass, made on
+    the first query; windowed averages are recomputed by the defining
+    scan.  Queries may be issued concurrently.
     """
 
-    def __init__(self, kbar: int = 1):
-        if kbar < 1:
-            raise ValueError("kbar must be >= 1")
-        self.kbar = kbar
-        self._xs: list[Array] = []
-        self._ys: list[Array] = []
-        self._ys_true: list[Array] = []
-        self._prefix: list[Array] = []
+    def __init__(self, xs: Array, ys: Array, ys_true: Array | None = None):
+        self.xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        self.ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        self.ys_true = None if ys_true is None else np.atleast_2d(np.asarray(ys_true, dtype=float))
+        if self.xs.shape[0] != self.ys.shape[0]:
+            raise ValueError("iterate and multiplier histories must align")
 
     @classmethod
-    def from_run(cls, trace, kbar: int = 1) -> "MultiplierTrace":
-        """Build from a solver trace (uses exact multipliers when stored)."""
-        out = cls(kbar=kbar)
-        y_true = getattr(trace, "y_true", None)
-        for i in range(len(trace)):
-            out.append(trace.x[i], trace.y[i], None if y_true is None else y_true[i])
-        return out
+    def from_run(cls, trace) -> "MultiplierTrace":
+        """View of a solver trace (with its exact multipliers when stored)."""
+        return cls(trace.x, trace.y, trace.y_true)
 
     def __len__(self) -> int:
-        return len(self._ys)
+        return self.ys.shape[0]
 
-    def append(self, x: Array, y: Array, y_true: Array | None = None):
-        x = np.asarray(x, dtype=float).copy()
-        y = np.asarray(y, dtype=float).copy()
-        self._xs.append(x)
-        self._ys.append(y)
-        if y_true is not None:
-            self._ys_true.append(np.asarray(y_true, dtype=float).copy())
-        total = y if not self._prefix else self._prefix[-1] + y
-        self._prefix.append(total)
+    @cached_property
+    def averages(self) -> Array:
+        """All running averages; row ``k - 1`` is ``mean(y_1..y_k)``."""
+        return running_averages(self.ys)
 
-    @property
-    def xs(self) -> Array:
-        return np.asarray(self._xs)
-
-    @property
-    def ys(self) -> Array:
-        return np.asarray(self._ys)
-
-    @property
-    def ys_true(self) -> Array | None:
-        if len(self._ys_true) != len(self._ys):
-            return None
-        return np.asarray(self._ys_true)
-
-    def running_average(self, k: int | None = None, kbar: int | None = None) -> Array:
-        """Incremental running average for iterations ``kbar .. k``."""
+    def running_average(self, k: int | None = None) -> Array:
+        """Running average ``mean(y_1..y_k)``, by default over the whole run."""
         k = len(self) if k is None else k
-        kbar = self.kbar if kbar is None else kbar
-        if not 1 <= kbar <= k <= len(self):
-            raise ValueError("need 1 <= kbar <= k <= len(trace)")
-        total = self._prefix[k - 1]
-        if kbar > 1:
-            total = total - self._prefix[kbar - 2]
-        return total / (k - kbar + 1)
+        if not 1 <= k <= len(self):
+            raise ValueError("need 1 <= k <= len(trace)")
+        return self.averages[k - 1]
 
     def windowed_average(self, eps: float, k: int | None = None):
         k = len(self) if k is None else k

@@ -30,13 +30,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaging import MultiplierTrace, windowed_average
-from .errors import ConfigError, ReferenceSolveError
-from .kkt import KktInputs, null_space_basis, solve_kkt
+from .averaging import MultiplierTrace, running_averages, windowed_average
+from .errors import ConfigError, ReferenceSolveError, StochSqpError
+from .kkt import null_space_basis
 from .logreg import ConstrainedLogRegInstance, build_instance, load_bundled_dataset, load_libsvm_file
 from .merit import MeritParams, phi
-from .problem import Array, Problem
-from .solver import BetaSchedule, SolverConfig, run, step_size
+from .problem import Array, Problem, exact_oracle
+from .solver import BetaSchedule, SolverConfig, iterate, kkt_residual, run
+
+# The benchmark's traced mode (perfbench/spans.py) looks these names up
+# in this module's namespace to wrap them, so they stay bound here
+# although nothing in this module calls them.
+from .kkt import solve_kkt  # noqa: F401
+from .solver import step_size  # noqa: F401
 
 #: Seed used to draw the constraint data (A, b, x1); replicate seeds
 #: only drive gradient noise, so every replicate sees the same geometry.
@@ -71,30 +77,27 @@ def compute_reference(
 ) -> ReferenceSolution:
     """Exact-gradient solve to high accuracy, with stationarity probes.
 
-    Runs the undamped iteration (constant unit damping, which is valid
-    without gradient noise) until the first-order residual drops below
-    ``tol``.  The candidate is then probed along random tangential
-    directions: the Lagrangian using the candidate multiplier must not
-    decrease, which screens out saddle-like candidates without needing
-    second derivatives.
+    Runs :func:`stochsqp.solver.iterate` with the exact gradient and
+    constant unit damping (valid without gradient noise) until the
+    first-order residual drops below ``tol``.  The candidate is then
+    probed along random tangential directions: the Lagrangian using the
+    candidate multiplier must not decrease, which screens out
+    saddle-like candidates without needing second derivatives.
     """
-    if problem.x0 is None:
-        raise ConfigError("problem must supply an initial point x0")
-    alpha = step_size(merit.tau, merit.xi, lip_gradf, lip_jac, 1.0)
-    x = np.array(problem.x0, dtype=float)
-    hess = np.eye(problem.n)
+    config = SolverConfig(
+        merit=merit,
+        lip_gradf=lip_gradf,
+        lip_jac=lip_jac,
+        beta=BetaSchedule("constant"),
+        max_iters=max_iters,
+    )
     best = math.inf
-    for iteration in range(1, max_iters + 1):
-        grad = np.asarray(problem.gradient(x), dtype=float)
-        jac = np.asarray(problem.jacobian(x), dtype=float)
-        c = np.asarray(problem.constraints(x), dtype=float)
-        sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c))
-        residual = float(np.linalg.norm(grad + jac.T @ sol.y) + np.linalg.norm(c))
+    for step in iterate(problem, exact_oracle(problem), config):
+        residual = kkt_residual(step.g, step.jac, step.c, step.sol.y)
         best = min(best, residual)
         if residual <= tol:
-            _probe_tangential_floor(problem, x, sol.y, probes, probe_step, probe_seed)
-            return ReferenceSolution(x=x, y=sol.y, residual=residual, iterations=iteration)
-        x = x + alpha * sol.d
+            _probe_tangential_floor(problem, step.x, step.sol.y, probes, probe_step, probe_seed)
+            return ReferenceSolution(x=step.x, y=step.sol.y, residual=residual, iterations=step.k)
     raise ReferenceSolveError(
         f"reference solve did not reach {tol:g} in {max_iters} iterations "
         f"(best residual {best:.3e})"
@@ -161,7 +164,6 @@ class ExperimentConfig:
     lip_jac: float | None = None
     ref_tol: float = 1e-8
     ref_max_iters: int = 50_000
-    kbar: int = 1
     instance_seed: int = INSTANCE_SEED
 
     def __post_init__(self):
@@ -171,11 +173,21 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if self.iters < 1:
             raise ConfigError("iters must be >= 1")
+        if self.batch < 1:
+            raise ConfigError("batch must be >= 1")
+        if self.mlin < 1:
+            raise ConfigError("mlin must be >= 1")
         if any(eps <= 0 for eps in self.eps_grid):
             raise ConfigError("eps values must be > 0")
+        # Built here only to reject bad values before any solve runs.
+        self.merit()
+        self.beta_schedule()
 
     def merit(self) -> MeritParams:
         return MeritParams(tau=self.tau, xi=self.xi, nu=self.nu)
+
+    def beta_schedule(self) -> BetaSchedule:
+        return BetaSchedule(family="power", beta1=self.beta1, p=self.beta_p)
 
 
 @dataclass
@@ -215,7 +227,7 @@ def csv_columns(eps_grid) -> list[str]:
     )
 
 
-def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: int, kbar: int = 1):
+def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: int):
     """Write the thinned per-iteration trace (rows at k = thin, 2*thin, ...)."""
     x_star, y_star = reference.x, reference.y
     iters = len(trace)
@@ -226,18 +238,14 @@ def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: i
         dist_y_true = np.linalg.norm(trace.y_true - y_star, axis=1)
     else:
         dist_y_true = np.full(iters, np.nan)
-    prefix = np.cumsum(trace.y, axis=0)
+    averages = running_averages(trace.y)
 
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(csv_columns(eps_grid))
         for k in ks:
             i = k - 1
-            if k >= kbar:
-                avg = (prefix[i] - (prefix[kbar - 2] if kbar > 1 else 0.0)) / (k - kbar + 1)
-                d_avg = float(np.linalg.norm(avg - y_star))
-            else:
-                d_avg = math.nan
+            d_avg = float(np.linalg.norm(averages[i] - y_star))
             row = [k, dist_x[i], dist_y[i], dist_y_true[i], d_avg]
             for eps in eps_grid:
                 w_avg, _ = windowed_average(trace.x, trace.y, k, eps)
@@ -259,7 +267,7 @@ _COLUMN_NOTES = {
     "dist_x": "||x_k - x*||_2, primal distance to the reference solution",
     "dist_y": "||y_k - y*||_2, per-iteration multiplier error",
     "dist_y_true": "||y_k_exact - y*||_2, multiplier error of the exact-gradient shadow solve (nan unless --validate)",
-    "dist_y_avg": "||mean(y_kbar..y_k) - y*||_2, running-average multiplier error",
+    "dist_y_avg": "||mean(y_1..y_k) - y*||_2, running-average multiplier error",
     "resid_true": "||grad f + jac' y_exact||_2 + ||c||_2 at x_k (nan unless --validate)",
     "norm_c": "||c(x_k)||_2, constraint violation",
     "alpha": "step size used at iteration k",
@@ -382,7 +390,7 @@ def _run_replicate(config, instance, problem, reference, lip_gradf, lip_jac, see
         merit=config.merit(),
         lip_gradf=lip_gradf,
         lip_jac=lip_jac,
-        beta=BetaSchedule(family="power", beta1=config.beta1, p=config.beta_p),
+        beta=config.beta_schedule(),
         hessian="identity",
         batch_size=config.batch,
         max_iters=config.iters,
@@ -395,10 +403,10 @@ def _run_replicate(config, instance, problem, reference, lip_gradf, lip_jac, see
     wall = time.perf_counter() - started
 
     path = out_dir / f"trace_seed{seed}.csv"
-    write_trace_csv(path, result.trace, reference, config.eps_grid, config.thin, config.kbar)
+    write_trace_csv(path, result.trace, reference, config.eps_grid, config.thin)
 
     trace = result.trace
-    mult = MultiplierTrace.from_run(trace, kbar=config.kbar)
+    mult = MultiplierTrace.from_run(trace)
     final_k = len(trace)
     final_eps = {}
     for eps in config.eps_grid:
@@ -598,17 +606,13 @@ def config_from_args(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     parser = build_arg_parser()
     pre, _ = parser.parse_known_args(argv)
-    if pre.config is not None:
-        file_values = parse_config_file(pre.config)
-        if "seed" in file_values:
-            file_values["seed"] = file_values.pop("seed")
-        parser.set_defaults(**file_values)
-    args = parser.parse_args(argv)
-
     try:
+        if pre.config is not None:
+            parser.set_defaults(**parse_config_file(pre.config))
+        args = parser.parse_args(argv)
         config = config_from_args(args)
         result = run_experiment(config)
-    except (ConfigError, ReferenceSolveError, OSError) as exc:
+    except (StochSqpError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 1
 

@@ -10,6 +10,10 @@ only with an exact (zero-variance) oracle, where the square-summability
 requirement plays no role and the fixed step gives plain linear
 convergence for reference solves.
 
+:func:`iterate` is the iteration itself.  :func:`run` records a trace
+from it, and the reference solve in :mod:`stochsqp.harness` runs it with
+exact gradients until the first-order residual is small.
+
 In validation mode the loop additionally solves the subproblem with the
 exact gradient (the "shadow" solve), records the trial values and the
 guaranteed-reduction slack, and tallies violations in a summary.
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -58,7 +62,7 @@ class BetaSchedule:
     family "power": ``beta_k = beta1 * k**-p`` with ``1/2 < p <= 1``
     (unsummable, square-summable).  family "constant": ``beta_k =
     beta1``; valid only for exact-gradient runs and rejected by
-    :func:`run` when the oracle declares nonzero variance.
+    :func:`iterate` when the oracle declares nonzero variance.
     """
 
     family: str = "power"
@@ -143,47 +147,14 @@ def _resolve_hessian(spec: HessianSpec, n: int):
     raise ConfigError("hessian must be 'identity', an array, or a callable")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One iteration of a run; vector fields are ``None`` in light traces.
-
-    ``x`` is the iterate the step was computed at, so consecutive
-    records satisfy ``x_{k+1} = x_k + alpha_k * d_k`` exactly as stored.
-    """
-
-    k: int
-    alpha: float
-    beta: float
-    phi: float
-    norm_c: float
-    dq_stoch: float
-    xi_trial: float
-    y: Array
-    hessian_id: str
-    x: Array | None = None
-    g: Array | None = None
-    d: Array | None = None
-    u: Array | None = None
-    v: Array | None = None
-    d_true: Array | None = None
-    y_true: Array | None = None
-    dq_true: float = math.nan
-    tau_trial_true: float = math.nan
-    lbnd_slack: float = math.nan
-    resid_true: float = math.nan
-    kuv_slack: float = math.nan
-    kuv_slack_true: float = math.nan
-
-
 class Trace:
     """Struct-of-arrays iteration history.
 
-    Behaves as a sequence of :class:`IterationRecord`: ``len(trace)`` is
-    the iteration count and ``trace[i]`` builds the record for position
-    ``i`` (0-based, so ``trace[i].k == i + 1``).  ``trace.record(k)``
-    looks up by 1-based iteration number.  The underlying arrays are
-    exposed directly (``trace.x``, ``trace.y``, ...) for vectorized
-    post-processing.
+    ``len(trace)`` is the iteration count; row ``i`` of every array
+    (``trace.x``, ``trace.y``, ``trace.alpha``, ...) belongs to iteration
+    ``k = i + 1``, and ``trace.x[i]`` is the iterate that step was
+    computed at.  Vector arrays a store mode or validation setting does
+    not keep are ``None``.
     """
 
     _SCALARS = (
@@ -220,45 +191,6 @@ class Trace:
 
     def __len__(self) -> int:
         return self.iters
-
-    def __getitem__(self, i: int) -> IterationRecord:
-        if i < 0:
-            i += self.iters
-        if not 0 <= i < self.iters:
-            raise IndexError("trace index out of range")
-
-        def vec(name):
-            arr = getattr(self, name)
-            return None if arr is None else arr[i]
-
-        return IterationRecord(
-            k=i + 1,
-            alpha=float(self.alpha[i]),
-            beta=float(self.beta[i]),
-            phi=float(self.phi[i]),
-            norm_c=float(self.norm_c[i]),
-            dq_stoch=float(self.dq_stoch[i]),
-            xi_trial=float(self.xi_trial[i]),
-            y=self.y[i],
-            hessian_id=self.hessian_id,
-            x=self.x[i],
-            g=vec("g"),
-            d=vec("d"),
-            u=vec("u"),
-            v=vec("v"),
-            d_true=vec("d_true"),
-            y_true=vec("y_true"),
-            dq_true=float(self.dq_true[i]),
-            tau_trial_true=float(self.tau_trial_true[i]),
-            lbnd_slack=float(self.lbnd_slack[i]),
-            resid_true=float(self.resid_true[i]),
-            kuv_slack=float(self.kuv_slack[i]),
-            kuv_slack_true=float(self.kuv_slack_true[i]),
-        )
-
-    def record(self, k: int) -> IterationRecord:
-        """Record for 1-based iteration number ``k``."""
-        return self[k - 1]
 
 
 @dataclass
@@ -306,12 +238,33 @@ def _kuv_slack(sol: kkt.KktSolution, hess: Array, kappa_uv: float, zeta: float) 
     return float(sol.d @ (hess @ sol.d)) - 0.5 * zeta * nu2
 
 
-def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig) -> RunResult:
-    """Run the full iteration budget and return the trace.
+class Iteration(NamedTuple):
+    """One iteration's data, yielded before the iterate moves to ``x_next``."""
 
-    Deterministic given the config seed.  Rank or curvature failures in
-    the subproblem abort with the iterate index attached; a non-finite
-    iterate aborts with :class:`EvaluationError`.
+    k: int
+    x: Array
+    c: Array
+    jac: Array
+    g: Array
+    hess: Array
+    factors: kkt.JacobianFactors
+    sol: kkt.KktSolution
+    beta: float
+    alpha: float
+    x_next: Array
+
+
+def iterate(
+    problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
+) -> Iterator[Iteration]:
+    """The SQP iteration: one :class:`Iteration` per step, up to ``max_iters``.
+
+    Shared by :func:`run` and the reference solve, which stops pulling
+    once its residual is small.  The objective is never evaluated here;
+    consumers that record it evaluate it themselves.  Rank or curvature
+    failures in the subproblem abort with the iterate index attached; a
+    non-finite constraint, Jacobian, gradient or iterate aborts with
+    :class:`EvaluationError`.
     """
     if problem.x0 is None:
         raise ConfigError("problem must supply an initial point x0")
@@ -321,24 +274,14 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
         )
 
     merit = config.merit
-    hess_map, hess_id = _resolve_hessian(config.hessian, problem.n)
+    hess_map, _ = _resolve_hessian(config.hessian, problem.n)
     rng = np.random.default_rng(config.seed)
-    trace = Trace(problem.n, problem.m, config.max_iters, config.store, config.validate, hess_id)
-    summary = ValidationSummary(iterations=config.max_iters) if config.validate else None
-
-    kappa_uv = None
-    if config.constants is not None:
-        kappa_uv = derive_kuv(config.constants.zeta, config.constants.kappa_h)
-
-    start = time.perf_counter()
     x = np.array(problem.x0, dtype=float)
     for k in range(1, config.max_iters + 1):
-        i = k - 1
         try:
-            f = float(problem.objective(x))
             c = np.asarray(problem.constraints(x), dtype=float)
             jac = np.asarray(problem.jacobian(x), dtype=float)
-            if not (math.isfinite(f) and np.all(np.isfinite(c)) and np.all(np.isfinite(jac))):
+            if not (np.all(np.isfinite(c)) and np.all(np.isfinite(jac))):
                 raise EvaluationError("problem evaluator returned a non-finite value")
             g = sample_gradient(oracle, x, config.batch_size, rng)
             hess = np.asarray(hess_map(x), dtype=float)
@@ -349,6 +292,37 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
 
         beta_k = config.beta(k)
         alpha_k = step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, beta_k)
+        x_next = x + alpha_k * sol.d
+        yield Iteration(k, x, c, jac, g, hess, factors, sol, beta_k, alpha_k, x_next)
+        if not np.all(np.isfinite(x_next)):
+            raise EvaluationError(f"iteration {k}: iterate became non-finite")
+        x = x_next
+
+
+def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig) -> RunResult:
+    """Run the full iteration budget of :func:`iterate` and return the trace.
+
+    Deterministic given the config seed.  Errors from :func:`iterate`
+    propagate; a non-finite objective value aborts with
+    :class:`EvaluationError`.
+    """
+    merit = config.merit
+    _, hess_id = _resolve_hessian(config.hessian, problem.n)
+    trace = Trace(problem.n, problem.m, config.max_iters, config.store, config.validate, hess_id)
+    summary = ValidationSummary(iterations=config.max_iters) if config.validate else None
+
+    kappa_uv = None
+    if config.constants is not None:
+        kappa_uv = derive_kuv(config.constants.zeta, config.constants.kappa_h)
+
+    start = time.perf_counter()
+    for k, x, c, jac, g, hess, factors, sol, beta_k, alpha_k, x_next in iterate(
+        problem, oracle, config
+    ):
+        i = k - 1
+        f = float(problem.objective(x))
+        if not math.isfinite(f):
+            raise EvaluationError(f"iteration {k}: problem evaluator returned a non-finite value")
         dq_s = reduction_delta_q(merit.tau, c, g, hess, sol.d)
 
         trace.alpha[i] = alpha_k
@@ -381,9 +355,7 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
             trace.tau_trial_true[i] = tau_tr
             holds, slack = check_reduction_lbnd(merit.tau, merit.nu, c, grad, hess, shadow.d)
             trace.lbnd_slack[i] = slack
-            trace.resid_true[i] = float(
-                np.linalg.norm(grad + jac.T @ shadow.y) + np.linalg.norm(c)
-            )
+            trace.resid_true[i] = kkt_residual(grad, jac, c, shadow.y)
             if kappa_uv is not None:
                 trace.kuv_slack_true[i] = _kuv_slack(
                     shadow, hess, kappa_uv, config.constants.zeta
@@ -406,12 +378,8 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
             if alpha_k > 1.0:
                 summary.alpha_above_one += 1
 
-        x = x + alpha_k * sol.d
-        if not np.all(np.isfinite(x)):
-            raise EvaluationError(f"iteration {k}: iterate became non-finite")
-
     wall = time.perf_counter() - start
-    return RunResult(trace=trace, x_final=x, summary=summary, wall_time=wall, config=config)
+    return RunResult(trace=trace, x_final=x_next, summary=summary, wall_time=wall, config=config)
 
 
 def true_shadow(problem: Problem, x: Array, hess: Array):
@@ -431,23 +399,38 @@ def true_shadow(problem: Problem, x: Array, hess: Array):
     return sol.d, sol.y
 
 
-def stationarity_residual(problem: Problem, x: Array, y: Array) -> float:
-    """First-order violation ``||grad f + jac' y||_2 + ||c||_2``."""
+def _residual_terms(grad: Array, jac: Array, c: Array, y: Array):
+    """``(||grad + jac' y||_2, ||c||_2)`` from already-evaluated arrays."""
+    return np.linalg.norm(grad + jac.T @ np.asarray(y)), np.linalg.norm(c)
+
+
+def kkt_residual(grad: Array, jac: Array, c: Array, y: Array) -> float:
+    """First-order violation ``||grad + jac' y||_2 + ||c||_2`` from
+    already-evaluated gradient, Jacobian and constraint arrays."""
+    gradient_term, constraint_term = _residual_terms(grad, jac, c, y)
+    return float(gradient_term + constraint_term)
+
+
+def _evaluate(problem: Problem, x: Array):
+    """``(grad, jac, c)`` at ``x`` as float arrays."""
     x = np.asarray(x, dtype=float)
-    grad = np.asarray(problem.gradient(x), dtype=float)
-    jac = np.asarray(problem.jacobian(x), dtype=float)
-    c = np.asarray(problem.constraints(x), dtype=float)
-    return float(np.linalg.norm(grad + jac.T @ np.asarray(y)) + np.linalg.norm(c))
+    return (
+        np.asarray(problem.gradient(x), dtype=float),
+        np.asarray(problem.jacobian(x), dtype=float),
+        np.asarray(problem.constraints(x), dtype=float),
+    )
+
+
+def stationarity_residual(problem: Problem, x: Array, y: Array) -> float:
+    """First-order violation ``||grad f + jac' y||_2 + ||c||_2`` at ``x``."""
+    return kkt_residual(*_evaluate(problem, x), y)
 
 
 def stationarity_residual_squared(problem: Problem, x: Array, y: Array) -> float:
     """Companion measure with the gradient term squared,
     ``||grad f + jac' y||_2^2 + ||c||_2``."""
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(problem.gradient(x), dtype=float)
-    jac = np.asarray(problem.jacobian(x), dtype=float)
-    c = np.asarray(problem.constraints(x), dtype=float)
-    return float(np.linalg.norm(grad + jac.T @ np.asarray(y)) ** 2 + np.linalg.norm(c))
+    gradient_term, constraint_term = _residual_terms(*_evaluate(problem, x), y)
+    return float(gradient_term**2 + constraint_term)
 
 
 def derive_kuv(zeta: float, kappa_h: float) -> float:

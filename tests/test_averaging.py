@@ -9,6 +9,7 @@ from stochsqp import (
     check_true_multiplier_bound,
     kappa_y,
     running_average,
+    running_averages,
     windowed_average,
 )
 
@@ -27,17 +28,14 @@ class TestRunningAverage:
         with pytest.raises(ValueError):
             running_average(ys, k=2, kbar=3)
 
-    def test_incremental_matches_recomputation_on_long_trace(self):
+    def test_prefix_sums_match_slice_means_on_long_trace(self):
         rng = np.random.default_rng(0)
-        trace = MultiplierTrace()
         ys = rng.standard_normal((100_000, 2))
-        for row in ys:
-            trace.append(np.zeros(1), row)
+        averages = running_averages(ys)
+        assert averages.shape == ys.shape
         for k in (1, 10, 999, 50_000, 100_000):
             direct = running_average(ys, k)
-            incremental = trace.running_average(k)
-            denom = np.maximum(np.abs(direct), 1e-30)
-            assert np.max(np.abs(incremental - direct) / denom) <= 1e-12
+            np.testing.assert_allclose(averages[k - 1], direct, rtol=1e-12, atol=0)
 
     def test_commutes_with_affine_maps(self):
         rng = np.random.default_rng(1)
@@ -78,6 +76,8 @@ class TestWindowedAverage:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             windowed_average(np.zeros((3, 1)), np.zeros((3, 1)), 3, 0.0)
+        with pytest.raises(ValueError):
+            windowed_average(np.zeros((3, 1)), np.zeros((3, 1)), 3, -1.0)
 
 
 class TestMultiplierTrace:
@@ -93,12 +93,13 @@ class TestMultiplierTrace:
         assert len(trace) == 40
         assert np.array_equal(trace.ys, result.trace.y)
         assert np.array_equal(trace.ys_true, result.trace.y_true)
+        assert trace.ys is result.trace.y  # a view, not a copy
         avg, kprime = trace.windowed_average(eps=1e9)
         assert kprime == 1
+        assert np.array_equal(trace.running_average(), running_averages(result.trace.y)[-1])
 
     def test_missing_true_multipliers(self):
-        trace = MultiplierTrace()
-        trace.append(np.zeros(2), np.ones(1))
+        trace = MultiplierTrace(np.zeros((1, 2)), np.ones((1, 1)))
         assert trace.ys_true is None
         with pytest.raises(ValueError):
             check_true_multiplier_bound(trace, np.zeros(2), np.ones(1), 1.0, 1)
@@ -141,20 +142,19 @@ class TestKappaY:
 
 class TestMultiplierBound:
     def test_exact_match_gives_zero_ratio(self):
-        trace = MultiplierTrace()
         x_star = np.array([1.0, 2.0])
         y_star = np.array([0.5])
-        trace.append(x_star, y_star + 0.3, y_true=y_star)
+        trace = MultiplierTrace([x_star], [y_star + 0.3], ys_true=[y_star])
         report = check_true_multiplier_bound(trace, x_star, y_star, 2.0, 1)
         assert report.ratios[0] == 0.0
         assert report.tail_bounded
 
     def test_exceeding_iterations_reported(self):
-        trace = MultiplierTrace()
         x_star = np.zeros(1)
         y_star = np.zeros(1)
-        trace.append(np.array([1.0]), np.zeros(1), y_true=np.array([0.5]))
-        trace.append(np.array([1.0]), np.zeros(1), y_true=np.array([3.0]))
+        trace = MultiplierTrace(
+            np.array([[1.0], [1.0]]), np.zeros((2, 1)), ys_true=np.array([[0.5], [3.0]])
+        )
         report = check_true_multiplier_bound(trace, x_star, y_star, 1.0, 1)
         assert list(report.exceeded) == [2]
         assert report.tail_max == pytest.approx(3.0)

@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from stochsqp import (
+    BetaSchedule,
     ConfigError,
     ExperimentConfig,
     MeritParams,
     Problem,
     ReferenceSolveError,
+    SolverConfig,
     compute_reference,
+    exact_oracle,
     pl_diagnostic,
+    run,
     run_experiment,
 )
 from stochsqp.harness import csv_columns, main, parse_config_file
@@ -47,6 +51,21 @@ class TestComputeReference:
         with pytest.raises(ReferenceSolveError, match="best residual"):
             compute_reference(sphere_problem(), MeritParams(), 0.5, 2.0,
                               tol=1e-16, max_iters=5)
+
+    @pytest.mark.parametrize("which", ["bundled", "sphere"])
+    def test_is_the_solver_loop_cut_short(self, which, bundled_instance):
+        if which == "bundled":
+            problem = bundled_instance.problem()
+            lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        else:
+            problem, lip_gradf, lip_jac = sphere_problem(), 0.5, 2.0
+        merit = MeritParams()
+        ref = compute_reference(problem, merit, lip_gradf, lip_jac)
+        config = SolverConfig(merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
+                              beta=BetaSchedule("constant"), max_iters=ref.iterations)
+        trace = run(problem, exact_oracle(problem), config).trace
+        assert np.array_equal(trace.x[-1], ref.x)
+        assert np.array_equal(trace.y[-1], ref.y)
 
 
 def _read_csv(path):
@@ -169,6 +188,14 @@ class TestRunExperiment:
             ExperimentConfig(seeds=[])
         with pytest.raises(ConfigError):
             ExperimentConfig(eps_grid=[0.0])
+        with pytest.raises(ConfigError):
+            ExperimentConfig(batch=0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(mlin=0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(beta_p=2.0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(tau=0.0)
 
 
 class TestCli:
@@ -205,6 +232,30 @@ class TestCli:
 
     def test_errors_return_nonzero(self, tmp_path):
         assert main(["--dataset", str(tmp_path / "missing.libsvm")]) == 1
+
+    @pytest.mark.parametrize(
+        "case", ["config-value", "libsvm-parse", "too-many-constraints", "zero-tau"]
+    )
+    def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("iters = abc\n")
+        data = tmp_path / "bad.libsvm"
+        data.write_text("+1 1:0.5 oops\n")
+        args = {
+            "config-value": ["--config", str(cfg)],
+            "libsvm-parse": ["--dataset", str(data)],
+            "too-many-constraints": ["--mlin", "40"],
+            "zero-tau": ["--tau", "0"],
+        }[case]
+        assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("flags", [["--batch", "0"], ["--beta-p", "2"]])
+    def test_bad_config_fails_before_reference_solve(self, tmp_path, flags):
+        out = tmp_path / "out"
+        assert main(flags + ["--iters", "5", "--out", str(out)]) != 0
+        assert not (out / "reference.json").exists()
 
     @pytest.mark.parametrize(
         "text", ["mystery = 3\n", "validate = maybe\n", "just a line\n"]

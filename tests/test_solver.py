@@ -105,11 +105,11 @@ class TestRun:
         assert np.array_equal(
             result.x_final, problem.x0 + alpha * np.array([-0.5, -1.0])
         )
-        rec = result.trace.record(1)
-        assert rec.alpha == alpha
-        assert rec.dq_stoch == pytest.approx(0.5875, abs=1e-15)
-        assert rec.xi_trial == pytest.approx(4.7, abs=1e-14)
-        assert rec.tau_trial_true == math.inf
+        trace = result.trace
+        assert trace.alpha[0] == alpha
+        assert trace.dq_stoch[0] == pytest.approx(0.5875, abs=1e-15)
+        assert trace.xi_trial[0] == pytest.approx(4.7, abs=1e-14)
+        assert trace.tau_trial_true[0] == math.inf
 
     def test_deterministic_convergence_on_toy_qp(self):
         rng = np.random.default_rng(0)
@@ -164,9 +164,8 @@ class TestRun:
         config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0,
                               max_iters=3, store="light")
         trace = run(problem, exact_oracle(problem), config).trace
-        rec = trace.record(2)
-        assert rec.g is None and rec.d is None and rec.u is None and rec.v is None
-        assert rec.x is not None and rec.y is not None
+        assert trace.g is None and trace.d is None and trace.u is None and trace.v is None
+        assert trace.x is not None and trace.y is not None
 
     def test_protocol_regime_run_has_no_violations(self, bundled_instance):
         # Damping 1/k with unit start: iterates stay pre-asymptotic and the
