@@ -21,6 +21,7 @@ from .averaging import (
     running_average,
     running_averages,
     windowed_average,
+    windowed_averages,
 )
 from .errors import (
     ConfigError,

@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaging import MultiplierTrace, running_averages, windowed_average
+from .averaging import MultiplierTrace, running_averages, windowed_averages
 from .errors import ConfigError, ReferenceSolveError, StochSqpError
 from .kkt import null_space_basis
 from .logreg import ConstrainedLogRegInstance, build_instance, load_bundled_dataset, load_libsvm_file
@@ -41,6 +42,7 @@ from .solver import BetaSchedule, SolverConfig, iterate, kkt_residual, run
 # The benchmark's traced mode (perfbench/spans.py) looks these names up
 # in this module's namespace to wrap them, so they stay bound here
 # although nothing in this module calls them.
+from .averaging import windowed_average  # noqa: F401
 from .kkt import solve_kkt  # noqa: F401
 from .solver import step_size  # noqa: F401
 
@@ -177,8 +179,9 @@ class ExperimentConfig:
             raise ConfigError("batch must be >= 1")
         if self.mlin < 1:
             raise ConfigError("mlin must be >= 1")
-        if any(eps <= 0 for eps in self.eps_grid):
-            raise ConfigError("eps values must be > 0")
+        for eps in self.eps_grid:
+            if not eps > 0:
+                raise ConfigError(f"eps values must be > 0, got {eps}")
         # Built here only to reject bad values before any solve runs.
         self.merit()
         self.beta_schedule()
@@ -192,7 +195,11 @@ class ExperimentConfig:
 
 @dataclass
 class RunSummary:
-    """Final distances and violation tallies for one replicate."""
+    """Final distances and violation tallies for one replicate.
+
+    ``wall_time`` is the solver run and ``emit_time`` the trace CSV
+    writing, both in seconds.
+    """
 
     seed: int
     iterations: int
@@ -207,6 +214,7 @@ class RunSummary:
     curvature_violations: int | None
     alpha_above_one: int | None
     wall_time: float
+    emit_time: float
 
     def __post_init__(self):
         distances = [self.final_dist_x, self.final_dist_y, self.final_dist_y_avg]
@@ -228,7 +236,11 @@ def csv_columns(eps_grid) -> list[str]:
 
 
 def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: int):
-    """Write the thinned per-iteration trace (rows at k = thin, 2*thin, ...)."""
+    """Write the thinned per-iteration trace (rows at k = thin, 2*thin, ...).
+
+    The file appears complete or not at all: rows go to a temporary
+    file in the same directory, which replaces ``path`` once written.
+    """
     x_star, y_star = reference.x, reference.y
     iters = len(trace)
     ks = range(thin, iters + 1, thin)
@@ -239,27 +251,33 @@ def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: i
     else:
         dist_y_true = np.full(iters, np.nan)
     averages = running_averages(trace.y)
+    windows = [windowed_averages(trace.x, trace.y, eps, ks)[0] for eps in eps_grid]
 
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(csv_columns(eps_grid))
-        for k in ks:
-            i = k - 1
-            d_avg = float(np.linalg.norm(averages[i] - y_star))
-            row = [k, dist_x[i], dist_y[i], dist_y_true[i], d_avg]
-            for eps in eps_grid:
-                w_avg, _ = windowed_average(trace.x, trace.y, k, eps)
-                row.append(float(np.linalg.norm(w_avg - y_star)))
-            row += [
-                trace.resid_true[i],
-                trace.norm_c[i],
-                trace.alpha[i],
-                trace.beta[i],
-                trace.xi_trial[i],
-                trace.tau_trial_true[i],
-                trace.lbnd_slack[i],
-            ]
-            writer.writerow([row[0]] + [CSV_FLOAT_FMT % v for v in row[1:]])
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(csv_columns(eps_grid))
+            for row_index, k in enumerate(ks):
+                i = k - 1
+                d_avg = float(np.linalg.norm(averages[i] - y_star))
+                row = [k, dist_x[i], dist_y[i], dist_y_true[i], d_avg]
+                row += [float(np.linalg.norm(w[row_index] - y_star)) for w in windows]
+                row += [
+                    trace.resid_true[i],
+                    trace.norm_c[i],
+                    trace.alpha[i],
+                    trace.beta[i],
+                    trace.xi_trial[i],
+                    trace.tau_trial_true[i],
+                    trace.lbnd_slack[i],
+                ]
+                writer.writerow([row[0]] + [CSV_FLOAT_FMT % v for v in row[1:]])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _COLUMN_NOTES = {
@@ -403,7 +421,9 @@ def _run_replicate(config, instance, problem, reference, lip_gradf, lip_jac, see
     wall = time.perf_counter() - started
 
     path = out_dir / f"trace_seed{seed}.csv"
+    started = time.perf_counter()
     write_trace_csv(path, result.trace, reference, config.eps_grid, config.thin)
+    emit = time.perf_counter() - started
 
     trace = result.trace
     mult = MultiplierTrace.from_run(trace)
@@ -431,6 +451,7 @@ def _run_replicate(config, instance, problem, reference, lip_gradf, lip_jac, see
         curvature_violations=None if vs is None else vs.curvature_violations,
         alpha_above_one=None if vs is None else vs.alpha_above_one,
         wall_time=wall,
+        emit_time=emit,
     )
     return summary, path
 
@@ -509,6 +530,10 @@ def pl_diagnostic(
 
 _LIST_KEYS = {"seed", "eps"}
 _FLAG_KEYS = {"validate", "reference_only", "exact"}
+_CASTS = {
+    "seed": int, "mlin": int, "batch": int, "iters": int, "thin": int,
+    "eps": float, "tau": float, "xi": float, "nu": float, "beta1": float, "beta_p": float,
+}
 
 
 def parse_config_file(path) -> dict:
@@ -518,10 +543,7 @@ def parse_config_file(path) -> dict:
     accept comma-separated lists; booleans accept true/false/1/0.
     Unknown keys are rejected.
     """
-    known = {
-        "dataset", "mlin", "batch", "iters", "tau", "xi", "nu", "beta1", "beta_p",
-        "seed", "eps", "out", "thin", "validate", "reference_only", "exact",
-    }
+    known = {"dataset", "out"} | _FLAG_KEYS | _CASTS.keys()
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -538,14 +560,17 @@ def parse_config_file(path) -> dict:
             if value.lower() not in ("true", "false", "1", "0"):
                 raise ConfigError(f"{path}:{lineno}: boolean expected for {key}")
             values[key] = value.lower() in ("true", "1")
-        elif key in _LIST_KEYS:
-            parts = [p.strip() for p in value.split(",") if p.strip()]
-            cast = int if key == "seed" else float
-            values[key] = [cast(p) for p in parts]
-        elif key in ("mlin", "batch", "iters", "thin"):
-            values[key] = int(value)
-        elif key in ("tau", "xi", "nu", "beta1", "beta_p"):
-            values[key] = float(value)
+        elif key in _CASTS:
+            cast = _CASTS[key]
+            try:
+                if key in _LIST_KEYS:
+                    values[key] = [cast(p.strip()) for p in value.split(",") if p.strip()]
+                else:
+                    values[key] = cast(value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: bad {cast.__name__} value for {key}: {value!r}"
+                ) from None
         else:
             values[key] = value
     return values

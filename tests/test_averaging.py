@@ -6,12 +6,16 @@ from scipy.stats import linregress
 
 from stochsqp import (
     MultiplierTrace,
+    averaging,
     check_true_multiplier_bound,
     kappa_y,
     running_average,
     running_averages,
     windowed_average,
+    windowed_averages,
 )
+
+BLOCK = averaging._BLOCK_SIZE
 
 
 class TestRunningAverage:
@@ -78,6 +82,159 @@ class TestWindowedAverage:
             windowed_average(np.zeros((3, 1)), np.zeros((3, 1)), 3, 0.0)
         with pytest.raises(ValueError):
             windowed_average(np.zeros((3, 1)), np.zeros((3, 1)), 3, -1.0)
+        with pytest.raises(ValueError):
+            windowed_average(np.zeros((3, 1)), np.zeros((3, 1)), 3, float("nan"))
+
+
+def _assert_matches_scan(xs, ys, eps, ks=None):
+    """Every row of the one-pass path against the defining scan."""
+    ks = list(range(1, len(xs) + 1)) if ks is None else list(ks)
+    means, starts = windowed_averages(xs, ys, eps, ks)
+    assert means.shape == (len(ks), ys.shape[1])
+    assert starts.shape == (len(ks),)
+    for mean, start, k in zip(means, starts, ks):
+        want, want_start = windowed_average(xs, ys, k, eps)
+        assert start == want_start, f"k={k}"
+        assert np.linalg.norm(mean - want) <= 1e-12 * np.linalg.norm(want), f"k={k}"
+    return starts
+
+
+class TestWindowedAverages:
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0, 4.0])
+    def test_random_walk(self, eps):
+        rng = np.random.default_rng(10)
+        xs = np.cumsum(rng.standard_normal((5 * BLOCK + 17, 3)) * 0.2, axis=0)
+        ys = rng.standard_normal((len(xs), 2))
+        _assert_matches_scan(xs, ys, eps)
+
+    @pytest.mark.parametrize("eps", [0.9, 0.99, 1.0, 1.01, 1.2])
+    def test_zig_zag_path(self, eps):
+        # Path length about one per step, displacement about 0.3 in all:
+        # length bounds say nothing, every block straddles the sphere.
+        rng = np.random.default_rng(11)
+        count = 6 * BLOCK + 5
+        sign = (-1.0) ** np.arange(count)
+        xs = np.column_stack([
+            0.5 * sign + 0.3 * np.arange(count) / count,
+            0.05 * rng.standard_normal(count),
+        ])
+        ys = rng.standard_normal((count, 3))
+        _assert_matches_scan(xs, ys, eps)
+
+    @pytest.mark.parametrize("eps", [1.0, 2.0, 5.0])
+    def test_points_exactly_eps_apart_are_inside(self, eps):
+        # Integer lattice walk: many distances equal eps exactly, where
+        # only the strict test ``norm > eps`` decides.
+        rng = np.random.default_rng(12)
+        steps = rng.integers(-1, 2, size=(4 * BLOCK + 9, 2)).astype(float)
+        steps[::7] = [3.0, -4.0]
+        xs = np.cumsum(steps, axis=0)
+        ys = rng.standard_normal((len(xs), 1))
+        ties = sum(
+            int(np.sum(np.linalg.norm(xs[:k] - xs[k - 1], axis=1) == eps))
+            for k in range(1, len(xs) + 1)
+        )
+        assert ties > 0
+        _assert_matches_scan(xs, ys, eps)
+
+    @pytest.mark.parametrize("eps", [1e-12, 0.5, 3.0])
+    def test_repeated_points(self, eps):
+        rng = np.random.default_rng(13)
+        walk = np.cumsum(rng.standard_normal((9, 4)), axis=0)
+        xs = np.repeat(walk, 37, axis=0)
+        ys = rng.standard_normal((len(xs), 2))
+        _assert_matches_scan(xs, ys, eps)
+        _assert_matches_scan(np.zeros_like(xs), ys, eps)
+
+    def test_block_clusters_exactly_eps_apart(self):
+        # Whole blocks of one repeated point, 5 apart: the ball tests
+        # decide on their own, except within the margin of the sphere.
+        rng = np.random.default_rng(16)
+        xs = np.repeat([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [6.0, 8.0]], BLOCK, axis=0)
+        ys = rng.standard_normal((len(xs), 2))
+        for eps in (4.9, 5.0 * (1 - 1e-12), 5.0, 5.0 * (1 + 1e-12), 5.1, 10.0):
+            _assert_matches_scan(xs, ys, eps)
+            _assert_matches_scan(xs, ys, eps, range(BLOCK, len(xs) + 1, BLOCK))
+
+    @pytest.mark.parametrize("side", ["inside", "outside"])
+    def test_ball_bound_rounding_is_not_trusted(self, side):
+        # One block of two points, then x_k alone in the next block.  The
+        # ball bounds ||x_k - centre|| -+ radius, as computed in floating
+        # point, put the whole block on one side of the sphere, but the
+        # exact test puts a point on the other: only the margin sends
+        # the block to the exact test.
+        rng = np.random.default_rng(17)
+        hits = 0
+        for _ in range(2000):
+            low, high, x = np.sort(rng.uniform(-2.0, 2.0, 3))
+            xs = np.repeat([[low], [high], [x]], [BLOCK // 2, BLOCK // 2, 1], axis=0)
+            block = xs[:BLOCK]
+            centre = block.reshape(1, BLOCK, 1).mean(axis=1)[0]  # as the blocks are summarised
+            radius = np.linalg.norm(block - centre, axis=1).max()
+            dist = float(np.linalg.norm(xs[-1] - centre))
+            exact = np.linalg.norm(block - xs[-1], axis=1)
+            if side == "inside":
+                eps = dist + radius
+                fooled = exact.max() > eps
+            else:
+                eps = np.nextafter(dist - radius, 0.0)
+                fooled = exact.min() <= eps
+            if fooled:
+                hits += 1
+                _assert_matches_scan(xs, np.ones((len(xs), 1)), eps, [BLOCK + 1])
+        assert hits >= 10
+
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_lengths_around_the_block_size(self, count):
+        rng = np.random.default_rng(count)
+        xs = np.cumsum(rng.standard_normal((count, 2)) * 0.3, axis=0)
+        ys = rng.standard_normal((count, 3))
+        for eps in (0.1, 0.5, 2.0):
+            _assert_matches_scan(xs, ys, eps)
+
+    def test_thinned_and_unordered_rows(self):
+        rng = np.random.default_rng(14)
+        xs = np.cumsum(rng.standard_normal((7 * BLOCK, 3)) * 0.2, axis=0)
+        ys = rng.standard_normal((len(xs), 2))
+        for eps in (0.2, 1.0):
+            _assert_matches_scan(xs, ys, eps, range(7, len(xs) + 1, 7))
+            _assert_matches_scan(xs, ys, eps, range(100, len(xs) + 1, 100))
+            _assert_matches_scan(xs, ys, eps, [len(xs), 1, 3 * BLOCK, 3 * BLOCK, 5])
+        means, starts = windowed_averages(xs, ys, 1.0, [])
+        assert means.shape == (0, 2) and starts.shape == (0,)
+
+    def test_tiny_and_huge_eps(self):
+        rng = np.random.default_rng(15)
+        xs = np.cumsum(rng.standard_normal((3 * BLOCK + 1, 2)), axis=0)
+        ys = rng.standard_normal((len(xs), 2))
+        ks = np.arange(1, len(xs) + 1)
+        starts = _assert_matches_scan(xs, ys, 1e-9)
+        assert np.array_equal(starts, ks)
+        for eps in (1e9, np.inf):
+            starts = _assert_matches_scan(xs, ys, eps)
+            assert np.all(starts == 1)
+
+    def test_solver_trajectory(self, bundled_instance):
+        from stochsqp import MeritParams, SolverConfig, run
+
+        problem = bundled_instance.problem()
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+                              batch_size=16, max_iters=600, seed=4, store="light")
+        trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
+        for eps in (0.01, 0.1, 1.0):
+            _assert_matches_scan(trace.x, trace.y, eps)
+
+    def test_validation(self):
+        xs, ys = np.zeros((4, 2)), np.zeros((4, 1))
+        for eps in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                windowed_averages(xs, ys, eps, [1])
+        for ks in ([0], [5], [1, 5]):
+            with pytest.raises(ValueError):
+                windowed_averages(xs, ys, 1.0, ks)
+        with pytest.raises(ValueError):
+            windowed_averages(xs, ys[:3], 1.0, [1])
 
 
 class TestMultiplierTrace:

@@ -21,7 +21,8 @@ from stochsqp import (
     run,
     run_experiment,
 )
-from stochsqp.harness import csv_columns, main, parse_config_file
+from stochsqp import averaging, harness
+from stochsqp.harness import ReferenceSolution, csv_columns, main, parse_config_file, write_trace_csv
 
 from conftest import constrained_quadratic, sphere_problem
 
@@ -157,6 +158,13 @@ class TestRunExperiment:
                 float(np.linalg.norm(avg - reference.y)), rel=1e-12
             )
 
+    def test_summary_reports_emit_time(self, small_run):
+        _, result = small_run
+        entries = json.loads((result.out_dir / "summary.json").read_text())
+        for entry, summary in zip(entries, result.summaries):
+            assert entry["emit_time"] == summary.emit_time
+            assert summary.emit_time > 0
+
     def test_triangle_consistency_of_distance_columns(self, small_run):
         _, result = small_run
         header, rows = _read_csv(result.trace_paths[0])
@@ -189,6 +197,8 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             ExperimentConfig(eps_grid=[0.0])
         with pytest.raises(ConfigError):
+            ExperimentConfig(eps_grid=[0.1, float("nan")])
+        with pytest.raises(ConfigError):
             ExperimentConfig(batch=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(mlin=0)
@@ -196,6 +206,52 @@ class TestRunExperiment:
             ExperimentConfig(beta_p=2.0)
         with pytest.raises(ValueError):
             ExperimentConfig(tau=0.0)
+
+
+@pytest.fixture(scope="module")
+def short_trace(bundled_instance):
+    problem = bundled_instance.problem()
+    lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+    config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+                          batch_size=16, max_iters=200, seed=0, store="light")
+    trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
+    return trace, ReferenceSolution(x=trace.x[-1], y=trace.y[-1], residual=0.0, iterations=0)
+
+
+class TestWriteTraceCsv:
+    def test_makes_no_per_row_scan(self, tmp_path, monkeypatch, short_trace):
+        calls = []
+        scan = averaging.windowed_average
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(averaging, "windowed_average", counted)
+        monkeypatch.setattr(harness, "windowed_average", counted)
+        write_trace_csv(tmp_path / "trace.csv", *short_trace, [0.01, 0.1, 1.0], 1)
+        assert calls == []
+        _, rows = _read_csv(tmp_path / "trace.csv")
+        assert len(rows) == 200
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, short_trace):
+        real_writer = csv.writer
+
+        class FailingWriter:
+            def __init__(self, handle):
+                self.inner = real_writer(handle)
+                self.rows = 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows > 50:
+                    raise OSError("disk full")
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(harness.csv, "writer", FailingWriter)
+        with pytest.raises(OSError, match="disk full"):
+            write_trace_csv(tmp_path / "trace_seed0.csv", *short_trace, [0.1], 1)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCli:
@@ -234,7 +290,7 @@ class TestCli:
         assert main(["--dataset", str(tmp_path / "missing.libsvm")]) == 1
 
     @pytest.mark.parametrize(
-        "case", ["config-value", "libsvm-parse", "too-many-constraints", "zero-tau"]
+        "case", ["config-value", "libsvm-parse", "too-many-constraints", "zero-tau", "nan-eps"]
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -246,6 +302,7 @@ class TestCli:
             "libsvm-parse": ["--dataset", str(data)],
             "too-many-constraints": ["--mlin", "40"],
             "zero-tau": ["--tau", "0"],
+            "nan-eps": ["--eps", "nan"],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -256,6 +313,17 @@ class TestCli:
         out = tmp_path / "out"
         assert main(flags + ["--iters", "5", "--out", str(out)]) != 0
         assert not (out / "reference.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("iters", "abc"), ("tau", "0.1x"), ("seed", "1, two"), ("eps", "0.1,,big")]
+    )
+    def test_bad_number_names_file_line_and_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# settings\n{key} = {value}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {cfg}:2: ") and key in lines[0]
 
     @pytest.mark.parametrize(
         "text", ["mystery = 3\n", "validate = maybe\n", "just a line\n"]
