@@ -4,7 +4,7 @@ The package is organized as a small numpy/scipy library:
 
 * :mod:`stochsqp.problem` - problem abstraction and gradient oracles
 * :mod:`stochsqp.logreg` - constrained logistic-regression instances
-* :mod:`stochsqp.kkt` - null-space subproblem solves and multiplier formulas
+* :mod:`stochsqp.kkt` - null-space and range-space subproblem solves, multiplier formulas
 * :mod:`stochsqp.merit` - merit function, model reduction, trial values
 * :mod:`stochsqp.solver` - the iteration loop and per-iterate diagnostics
 * :mod:`stochsqp.averaging` - running and windowed multiplier averages

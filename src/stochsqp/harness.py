@@ -20,11 +20,11 @@ Also available as a console entry point::
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -51,6 +51,7 @@ from .solver import step_size  # noqa: F401
 INSTANCE_SEED = 0
 
 CSV_FLOAT_FMT = "%.17g"
+_CSV_CHUNK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -227,57 +228,77 @@ class RunSummary:
 # ---------------------------------------------------------------------------
 
 
+#: Trace scalars written as-is, in column order after the distances.
+_SCALAR_COLUMNS = (
+    "resid_true", "norm_c", "alpha", "beta", "xi_trial", "tau_trial_true", "lbnd_slack",
+)
+
+
 def csv_columns(eps_grid) -> list[str]:
     return (
         ["k", "dist_x", "dist_y", "dist_y_true", "dist_y_avg"]
         + [f"dist_y_avg_eps_{eps:g}" for eps in eps_grid]
-        + ["resid_true", "norm_c", "alpha", "beta", "xi_trial", "tau_trial_true", "lbnd_slack"]
+        + list(_SCALAR_COLUMNS)
     )
+
+
+@contextmanager
+def _atomic_writer(path):
+    """Text handle on a temporary file that replaces ``path`` on success.
+
+    The file appears complete or not at all: the temporary file sits in
+    the same directory and is removed if the block raises.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path, obj, **options):
+    with _atomic_writer(path) as handle:
+        json.dump(obj, handle, indent=2, **options)
+        handle.write("\n")
 
 
 def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: int):
     """Write the thinned per-iteration trace (rows at k = thin, 2*thin, ...).
 
-    The file appears complete or not at all: rows go to a temporary
-    file in the same directory, which replaces ``path`` once written.
+    Written atomically (see :func:`_atomic_writer`).  Lines end in CRLF,
+    as the :mod:`csv` module writes them; floats use ``CSV_FLOAT_FMT``.
     """
     x_star, y_star = reference.x, reference.y
-    iters = len(trace)
-    ks = range(thin, iters + 1, thin)
-    dist_x = np.linalg.norm(trace.x - x_star, axis=1)
-    dist_y = np.linalg.norm(trace.y - y_star, axis=1)
-    if trace.y_true is not None:
-        dist_y_true = np.linalg.norm(trace.y_true - y_star, axis=1)
-    else:
-        dist_y_true = np.full(iters, np.nan)
-    averages = running_averages(trace.y)
-    windows = [windowed_averages(trace.x, trace.y, eps, ks)[0] for eps in eps_grid]
+    ks = np.arange(thin, len(trace) + 1, thin)
+    rows = slice(thin - 1, None, thin)  # views: no copy of the trace
 
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(csv_columns(eps_grid))
-            for row_index, k in enumerate(ks):
-                i = k - 1
-                d_avg = float(np.linalg.norm(averages[i] - y_star))
-                row = [k, dist_x[i], dist_y[i], dist_y_true[i], d_avg]
-                row += [float(np.linalg.norm(w[row_index] - y_star)) for w in windows]
-                row += [
-                    trace.resid_true[i],
-                    trace.norm_c[i],
-                    trace.alpha[i],
-                    trace.beta[i],
-                    trace.xi_trial[i],
-                    trace.tau_trial_true[i],
-                    trace.lbnd_slack[i],
-                ]
-                writer.writerow([row[0]] + [CSV_FLOAT_FMT % v for v in row[1:]])
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    def dist(points, centre):
+        return np.linalg.norm(points - centre, axis=1)
+
+    # Each column is reduced to its norms before the next is built, so
+    # at most one full-length temporary is alive at a time.
+    columns = [
+        dist(trace.x[rows], x_star),
+        dist(trace.y[rows], y_star),
+        np.full(len(ks), np.nan) if trace.y_true is None else dist(trace.y_true[rows], y_star),
+        dist(running_averages(trace.y)[rows], y_star),
+        *(dist(windowed_averages(trace.x, trace.y, eps, ks)[0], y_star) for eps in eps_grid),
+        *(getattr(trace, name)[rows] for name in _SCALAR_COLUMNS),
+    ]
+    table = np.column_stack(columns)
+    template = ",".join(["%d"] + [CSV_FLOAT_FMT] * len(columns)) + "\r\n"
+    with _atomic_writer(path) as handle:
+        handle.write(",".join(csv_columns(eps_grid)) + "\r\n")
+        # Rows become Python floats a chunk at a time, which bounds the
+        # memory the text formatting needs on long traces.
+        for start in range(0, len(ks), _CSV_CHUNK_ROWS):
+            chunk = slice(start, start + _CSV_CHUNK_ROWS)
+            rows_text = zip(ks[chunk].tolist(), table[chunk].tolist())
+            handle.writelines(template % (k, *row) for k, row in rows_text)
 
 
 _COLUMN_NOTES = {
@@ -308,7 +329,8 @@ def write_column_notes(path, eps_grid):
         index += 1
     lines.append("")
     lines.append("# example: gnuplot> set logscale y; plot 'trace_seed0.csv' u 1:2 w l")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _atomic_writer(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +392,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "package_version": __version__,
         }
     )
-    (out_dir / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
-    (out_dir / "reference.json").write_text(
-        json.dumps(
-            {
-                "x": reference.x.tolist(),
-                "y": reference.y.tolist(),
-                "residual": reference.residual,
-                "iterations": reference.iterations,
-            },
-            indent=2,
-        )
-        + "\n"
+    _write_json(out_dir / "config.json", echo, sort_keys=True)
+    _write_json(
+        out_dir / "reference.json",
+        {
+            "x": reference.x.tolist(),
+            "y": reference.y.tolist(),
+            "residual": reference.residual,
+            "iterations": reference.iterations,
+        },
     )
     write_column_notes(out_dir / "columns.txt", config.eps_grid)
 
@@ -394,9 +413,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
             summaries.append(summary)
             trace_paths.append(path)
-        (out_dir / "summary.json").write_text(
-            json.dumps([asdict(s) for s in summaries], indent=2) + "\n"
-        )
+        _write_json(out_dir / "summary.json", [asdict(s) for s in summaries])
     return ExperimentResult(
         reference=reference, summaries=summaries, out_dir=out_dir, trace_paths=trace_paths
     )
@@ -649,6 +666,12 @@ def main(argv=None) -> int:
             f"dist_y {summary.final_dist_y:.3e} dist_y_avg {summary.final_dist_y_avg:.3e} "
             f"({summary.wall_time:.1f}s)"
         )
+        if config.validate:
+            print(
+                f"  violations: xi {summary.xi_violations}, tau {summary.tau_violations}, "
+                f"lbnd {summary.lbnd_violations}, curvature {summary.curvature_violations}, "
+                f"alpha > 1 {summary.alpha_above_one}"
+            )
     print(f"wrote {result.out_dir}")
     return 0
 

@@ -97,7 +97,10 @@ class SolverConfig:
     ``hessian`` selects the quadratic-model matrix: the string
     "identity", a fixed symmetric matrix, or a deterministic map
     ``x -> H(x)``.  The map receives only the iterate, never multiplier
-    state, so it cannot depend on the noisy dual sequence.
+    state, so it cannot depend on the noisy dual sequence.  Only the
+    string "identity" selects the range-space subproblem solve; a
+    matrix or map, even one equal to the identity, takes the null-space
+    route.
 
     ``store`` controls trace memory: "full" keeps every per-iterate
     vector, "light" keeps only iterates, multipliers and scalars (what
@@ -274,7 +277,8 @@ def iterate(
         )
 
     merit = config.merit
-    hess_map, _ = _resolve_hessian(config.hessian, problem.n)
+    hess_map, hess_id = _resolve_hessian(config.hessian, problem.n)
+    range_space = hess_id == "identity"
     rng = np.random.default_rng(config.seed)
     x = np.array(problem.x0, dtype=float)
     for k in range(1, config.max_iters + 1):
@@ -285,8 +289,8 @@ def iterate(
                 raise EvaluationError("problem evaluator returned a non-finite value")
             g = sample_gradient(oracle, x, config.batch_size, rng)
             hess = np.asarray(hess_map(x), dtype=float)
-            factors = kkt.factor_jacobian(jac)
-            sol = kkt.solve_with_factors(hess, factors, g, c)
+            factors = kkt.factor_jacobian(jac, null_space=not range_space)
+            sol = kkt.solve_with_factors(None if range_space else hess, factors, g, c)
         except (kkt.RankError, kkt.CurvatureError, EvaluationError) as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
 
@@ -308,6 +312,7 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     """
     merit = config.merit
     _, hess_id = _resolve_hessian(config.hessian, problem.n)
+    range_space = hess_id == "identity"
     trace = Trace(problem.n, problem.m, config.max_iters, config.store, config.validate, hess_id)
     summary = ValidationSummary(iterations=config.max_iters) if config.validate else None
 
@@ -344,7 +349,7 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
         if config.validate:
             grad = np.asarray(problem.gradient(x), dtype=float)
             try:
-                shadow = kkt.solve_with_factors(hess, factors, grad, c)
+                shadow = kkt.solve_with_factors(None if range_space else hess, factors, grad, c)
             except (kkt.RankError, kkt.CurvatureError) as exc:
                 raise type(exc)(f"iteration {k} (shadow solve): {exc}") from exc
             trace.y_true[i] = shadow.y

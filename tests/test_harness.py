@@ -235,23 +235,71 @@ class TestWriteTraceCsv:
         assert len(rows) == 200
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, short_trace):
-        real_writer = csv.writer
+        real_open = open
 
-        class FailingWriter:
-            def __init__(self, handle):
-                self.inner = real_writer(handle)
-                self.rows = 0
+        class FailingHandle:
+            """Writes the header and 50 rows, then fails."""
 
-            def writerow(self, row):
-                self.rows += 1
-                if self.rows > 50:
-                    raise OSError("disk full")
-                self.inner.writerow(row)
+            def __init__(self, *args, **kwargs):
+                self.inner = real_open(*args, **kwargs)
 
-        monkeypatch.setattr(harness.csv, "writer", FailingWriter)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.inner.close()
+
+            def write(self, text):
+                self.inner.write(text)
+
+            def writelines(self, lines):
+                for count, line in enumerate(lines):
+                    if count == 50:
+                        raise OSError("disk full")
+                    self.inner.write(line)
+
+        monkeypatch.setattr(harness, "open", FailingHandle, raising=False)
         with pytest.raises(OSError, match="disk full"):
             write_trace_csv(tmp_path / "trace_seed0.csv", *short_trace, [0.1], 1)
         assert list(tmp_path.iterdir()) == []
+
+    def test_rows_keep_the_csv_layout_and_text(self, tmp_path, short_trace):
+        trace, reference = short_trace
+        write_trace_csv(tmp_path / "trace.csv", trace, reference, [0.1, 1.0], 7)
+        text = (tmp_path / "trace.csv").read_bytes().decode()
+        header, rows = _read_csv(tmp_path / "trace.csv")
+        assert text.count("\r\n") == len(rows) + 1 and "\n" not in text.replace("\r\n", "")
+        assert [int(r[0]) for r in rows] == list(range(7, 201, 7))
+        ix, ia = header.index("dist_x"), header.index("alpha")
+        dist_x = np.linalg.norm(trace.x - reference.x, axis=1)
+        for row in rows:
+            i = int(row[0]) - 1
+            assert row[ix] == "%.17g" % dist_x[i]
+            assert row[ia] == "%.17g" % trace.alpha[i]
+            assert row[header.index("dist_y_true")] == "nan"
+
+
+class TestAtomicJson:
+    @pytest.mark.parametrize("name", ["config.json", "reference.json", "summary.json"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_serialisation_leaves_no_file(self, tmp_path, name, existing):
+        target = tmp_path / name
+        if existing:
+            target.write_text("old\n")
+        # The first keys serialise, so part of the object reaches the
+        # temporary file before the failure.
+        with pytest.raises(TypeError):
+            harness._write_json(target, {"a": list(range(50)), "b": object()})
+        if existing:
+            assert target.read_text() == "old\n"
+            assert list(tmp_path.iterdir()) == [target]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_output_matches_json_dumps(self, tmp_path):
+        obj = {"b": [1.5, float("nan")], "a": {"x": 1}}
+        harness._write_json(tmp_path / "out.json", obj, sort_keys=True)
+        assert (tmp_path / "out.json").read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 class TestCli:
@@ -285,6 +333,28 @@ class TestCli:
         assert echo["iters"] == 50  # from file
         assert echo["tau"] == 0.1  # flag overrides file
         assert echo["seeds"] == [5, 6]
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_footer_prints_violations_with_validate(self, tmp_path, capsys, validate):
+        flags = ["--validate"] if validate else []
+        code = main(["--iters", "40", "--thin", "10", "--seed", "3", "--seed", "4",
+                     "--out", str(tmp_path)] + flags)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        counts = [line for line in lines if line.startswith("  violations: ")]
+        if not validate:
+            assert counts == []
+            return
+        summaries = json.loads((tmp_path / "summary.json").read_text())
+        assert len(counts) == 2
+        for line, entry in zip(counts, summaries):
+            assert line == (
+                f"  violations: xi {entry['xi_violations']}, tau {entry['tau_violations']}, "
+                f"lbnd {entry['lbnd_violations']}, curvature {entry['curvature_violations']}, "
+                f"alpha > 1 {entry['alpha_above_one']}"
+            )
+        seed_lines = [line for line in lines if line.startswith("seed ")]
+        assert lines.index(counts[0]) == lines.index(seed_lines[0]) + 1
 
     def test_errors_return_nonzero(self, tmp_path):
         assert main(["--dataset", str(tmp_path / "missing.libsvm")]) == 1

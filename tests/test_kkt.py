@@ -1,21 +1,29 @@
-"""Null-space subproblem solves against hand values and the dense oracle."""
+"""Subproblem solves (null-space and range-space routes) against hand
+values, each other and the dense oracle."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from stochsqp import (
+    BetaSchedule,
     CurvatureError,
     InconsistentStepError,
     KktInputs,
+    MeritParams,
     RankError,
+    SolverConfig,
     decompose_step,
+    factor_jacobian,
+    iterate,
     least_squares_multiplier,
     multiplier_operator,
     multiplier_via_operator,
     null_space_basis,
     solve_kkt,
+    solve_with_factors,
 )
+from stochsqp.kkt import RANK_RTOL
 
 from conftest import dense_kkt_solve, random_kkt_instance
 
@@ -235,3 +243,132 @@ class TestBasisInvariance:
         inputs = KktInputs(**WORKED)
         with pytest.raises(ValueError):
             solve_kkt(inputs, basis=np.array([[1.0], [0.0]]))  # not in the null space
+
+
+def _jacobian_with_spectrum(rng, n, svals):
+    """``(m, n)`` Jacobian with the given singular values, random singular vectors."""
+    m = len(svals)
+    left = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :m]
+    return left @ np.diag(svals) @ right.T
+
+
+def _gate_today(jac):
+    """The rank gate's definition on the singular values of ``jac`` itself."""
+    svals = np.linalg.svd(jac, compute_uv=False)
+    return svals[-1] < RANK_RTOL * max(1.0, svals[0])
+
+
+class TestRangeSpaceRoute:
+    """The identity-model route (``hess=None``) against the dense oracle
+    and the null-space route on the same data."""
+
+    @staticmethod
+    def _check(jac, grad, c):
+        n = jac.shape[1]
+        eye = np.eye(n)
+        fast = solve_with_factors(None, factor_jacobian(jac, null_space=False), grad, c)
+        slow = solve_with_factors(eye, factor_jacobian(jac), grad, c)
+        d_ref, y_ref = dense_kkt_solve(eye, jac, grad, c)
+        assert fast.basis is None
+        rtol = 1e-12
+        # Step errors scale with the data (||g||) and the normal step;
+        # multiplier errors with the multiplier.
+        step_scale = np.linalg.norm(grad) + np.linalg.norm(slow.v)
+        y_scale = np.linalg.norm(slow.y)
+        for name in ("d", "u", "v"):
+            gap = np.linalg.norm(getattr(fast, name) - getattr(slow, name))
+            assert gap <= rtol * step_scale, name
+        assert np.linalg.norm(fast.y - slow.y) <= rtol * y_scale
+        assert np.linalg.norm(fast.d - d_ref) <= rtol * step_scale
+        assert np.linalg.norm(fast.y - y_ref) <= rtol * y_scale
+        assert abs(fast.u @ fast.v) <= rtol * np.linalg.norm(fast.v) * step_scale
+        assert np.linalg.norm(jac @ fast.u) <= rtol * np.linalg.norm(jac) * step_scale
+        return fast
+
+    def test_random_sizes(self):
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            n = int(rng.integers(1, 31))
+            m = int(rng.integers(1, n + 1))
+            _, jac, grad, c = random_kkt_instance(rng, n, m)
+            self._check(jac, grad * 10.0 ** rng.uniform(-3, 3), c)
+
+    def test_square_jacobian_has_empty_null_space(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 31):
+            _, jac, grad, c = random_kkt_instance(rng, n, n)
+            sol = self._check(jac, grad, c)
+            assert np.array_equal(sol.u, np.zeros(n))
+
+    def test_row_scales_from_1e_minus_6_to_1e6(self):
+        rng = np.random.default_rng(32)
+        for exponent in range(-6, 7):
+            for _ in range(20):
+                n = int(rng.integers(2, 31))
+                m = int(rng.integers(1, n + 1))
+                _, jac, grad, c = random_kkt_instance(rng, n, m)
+                # A common scale 10**exponent, and rows spread over three
+                # more decades (kept inside the rank gate).
+                rows = 10.0**exponent * 10.0 ** rng.uniform(0, 3, size=m)
+                self._check(jac * rows[:, None], grad, c)
+
+    @pytest.mark.parametrize("sigma_max", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("margin", [1e3, 1e-3])
+    def test_rank_gate_side_unchanged(self, sigma_max, margin):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            n = int(rng.integers(3, 31))
+            m = int(rng.integers(2, n + 1))
+            sigma_min = margin * RANK_RTOL * max(1.0, sigma_max)
+            svals = np.concatenate(
+                [[sigma_max], rng.uniform(sigma_min, sigma_max, m - 2), [sigma_min]]
+            )
+            jac = _jacobian_with_spectrum(rng, n, svals)
+            deficient = _gate_today(jac)
+            assert deficient == (margin < 1)
+            for null_space in (False, True):
+                if deficient:
+                    with pytest.raises(RankError):
+                        factor_jacobian(jac, null_space=null_space)
+                else:
+                    factor_jacobian(jac, null_space=null_space)
+            if not deficient:
+                grad, c = rng.standard_normal(n), rng.standard_normal(m)
+                fast = solve_with_factors(None, factor_jacobian(jac, null_space=False), grad, c)
+                slow = solve_with_factors(np.eye(n), factor_jacobian(jac), grad, c)
+                assert np.allclose(fast.d, slow.d, rtol=0.0, atol=1e-9 * np.linalg.norm(slow.d))
+
+    def test_more_rows_than_columns_rejected(self):
+        with pytest.raises(RankError):
+            factor_jacobian(np.ones((3, 2)), null_space=False)
+
+    def test_bundled_solver_trajectory(self, bundled_instance):
+        problem = bundled_instance.problem()
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+                              beta=BetaSchedule(p=0.51), max_iters=300, seed=4)
+        for step in iterate(problem, bundled_instance.minibatch_oracle(), config):
+            assert step.factors.null_basis is None
+            sol = self._check(step.jac, step.g, step.c)
+            assert np.array_equal(step.sol.d, sol.d)
+            assert np.array_equal(step.sol.y, sol.y)
+
+    def test_basis_is_rejected_without_a_model_matrix(self):
+        factors = factor_jacobian(WORKED["jac"])
+        with pytest.raises(ValueError, match="null-space route"):
+            solve_with_factors(None, factors, WORKED["grad"], WORKED["c"],
+                               basis=np.array([[0.0], [1.0]]))
+
+    def test_null_space_route_needs_a_basis(self):
+        factors = factor_jacobian(WORKED["jac"], null_space=False)
+        with pytest.raises(ValueError, match="null_space=True"):
+            solve_with_factors(np.eye(2), factors, WORKED["grad"], WORKED["c"])
+
+    def test_worked_example(self):
+        factors = factor_jacobian(WORKED["jac"], null_space=False)
+        sol = solve_with_factors(None, factors, WORKED["grad"], WORKED["c"])
+        assert np.allclose(sol.d, [-0.5, -1.0], atol=1e-14)
+        assert np.allclose(sol.y, [-0.5], atol=1e-14)
+        assert np.allclose(sol.v, [-0.5, 0.0], atol=1e-14)
+        assert np.allclose(sol.u, [0.0, -1.0], atol=1e-14)

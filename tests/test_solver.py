@@ -16,6 +16,7 @@ from stochsqp import (
     derive_kuv,
     exact_oracle,
     gaussian_oracle,
+    iterate,
     run,
     sample_gradient,
     stationarity_residual,
@@ -25,7 +26,9 @@ from stochsqp import (
     least_squares_multiplier,
 )
 
-from conftest import constrained_quadratic, sphere_problem
+from stochsqp import kkt
+
+from conftest import constrained_quadratic, dense_kkt_solve, sphere_problem
 
 
 class TestStepSize:
@@ -230,6 +233,91 @@ class TestRun:
         config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0, max_iters=2)
         with pytest.raises(ConfigError):
             run(problem, exact_oracle(problem), config)
+
+
+class TestModelMatrixRoutes:
+    """Fixed and callable Hessians take the null-space route through the
+    loop; only the "identity" spec takes the range-space route."""
+
+    @staticmethod
+    def _toy(seed):
+        problem, p_mat, _, _ = constrained_quadratic(np.random.default_rng(seed))
+
+        def curved(x):
+            return p_mat + np.diag(x * x)
+
+        return problem, p_mat, curved
+
+    @pytest.mark.parametrize("kind", ["array", "callable"])
+    def test_steps_match_dense_oracle(self, kind):
+        problem, p_mat, curved = self._toy(21)
+        spec = p_mat if kind == "array" else curved
+        config = SolverConfig(
+            merit=MeritParams(), lip_gradf=float(np.linalg.norm(p_mat, 2)), lip_jac=1e-6,
+            hessian=spec, max_iters=60, seed=3, validate=True, store="full",
+        )
+        trace = run(problem, gaussian_oracle(problem, sigma=0.5), config).trace
+        for i in range(len(trace)):
+            x = trace.x[i]
+            hess = p_mat if kind == "array" else curved(x)
+            jac, c = problem.jacobian(x), problem.constraints(x)
+            d_ref, y_ref = dense_kkt_solve(hess, jac, trace.g[i], c)
+            assert np.linalg.norm(trace.d[i] - d_ref) <= 1e-9 * (1.0 + np.linalg.norm(d_ref))
+            assert np.linalg.norm(trace.y[i] - y_ref) <= 1e-9 * (1.0 + np.linalg.norm(y_ref))
+            d_true, y_true = dense_kkt_solve(hess, jac, problem.gradient(x), c)
+            assert np.linalg.norm(trace.d_true[i] - d_true) <= 1e-9 * (1.0 + np.linalg.norm(d_true))
+            assert np.linalg.norm(trace.y_true[i] - y_true) <= 1e-9 * (1.0 + np.linalg.norm(y_true))
+
+    @pytest.mark.parametrize("kind", ["identity", "eye-array", "eye-callable", "array"])
+    def test_route_follows_the_spec_not_the_matrix(self, kind, monkeypatch):
+        problem, p_mat, _ = self._toy(22)
+        eye = np.eye(problem.n)
+
+        def eye_map(x):
+            return eye
+
+        spec = {"identity": "identity", "eye-array": eye, "eye-callable": eye_map,
+                "array": p_mat}[kind]
+        models = []
+        solve = kkt.solve_with_factors
+
+        def spy(hess, *args, **kwargs):
+            models.append(hess)
+            return solve(hess, *args, **kwargs)
+
+        monkeypatch.setattr(kkt, "solve_with_factors", spy)
+        config = SolverConfig(merit=MeritParams(), lip_gradf=3.0, lip_jac=1e-6,
+                              hessian=spec, max_iters=20, validate=True)
+        run(problem, gaussian_oracle(problem, sigma=0.5), config)
+        assert len(models) == 40  # one stochastic and one shadow solve per iteration
+        if kind == "identity":
+            assert all(h is None for h in models)
+        else:
+            assert all(h is not None for h in models)
+
+    def test_identity_matrix_spec_agrees_with_identity_route(self):
+        problem, _, _ = self._toy(23)
+        eye = np.eye(problem.n)
+        configs = [
+            SolverConfig(merit=MeritParams(), lip_gradf=3.0, lip_jac=1e-6,
+                         hessian=spec, max_iters=30, seed=2)
+            for spec in ("identity", eye)
+        ]
+        oracle = gaussian_oracle(problem, sigma=0.5)
+        for fast, slow in zip(*(iterate(problem, oracle, cfg) for cfg in configs)):
+            assert fast.sol.basis is None and fast.factors.null_basis is None
+            assert slow.sol.basis is not None
+            scale = np.linalg.norm(slow.g) + np.linalg.norm(slow.sol.v)
+            assert np.linalg.norm(fast.sol.d - slow.sol.d) <= 1e-12 * scale
+            assert np.linalg.norm(fast.sol.y - slow.sol.y) <= 1e-12 * np.linalg.norm(slow.sol.y)
+
+    def test_exact_oracle_shadow_multiplier_is_bitwise_equal(self, bundled_instance):
+        problem = bundled_instance.problem()
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+                              beta=BetaSchedule("constant"), max_iters=50, validate=True)
+        trace = run(problem, exact_oracle(problem), config).trace
+        assert np.array_equal(trace.y, trace.y_true)
 
 
 class TestTrueShadow:
