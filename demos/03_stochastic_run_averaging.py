@@ -33,7 +33,7 @@ print(f"reference solved to residual {reference.residual:.1e} "
 config = SolverConfig(
     merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
     beta=BetaSchedule(family="power", beta1=1.0, p=0.51),
-    batch_size=16, max_iters=20_000, seed=1, validate=True, store="light",
+    batch_size=16, max_iters=20_000, seed=1, validate=True,
 )
 result = run(problem, instance.minibatch_oracle(), config)
 trace = result.trace

@@ -12,9 +12,10 @@ Replicates are share-nothing (one generator and one output file per
 seed) and are executed sequentially here; callers may safely run them
 concurrently themselves.
 
-Also available as a console entry point::
+Also available as a console entry point and as ``python -m stochsqp``::
 
     stochsqp-experiment --dataset data.libsvm --seed 1 --seed 2 --out runs
+    python -m stochsqp --dataset data.libsvm --seed 1 --seed 2 --out runs
 """
 
 from __future__ import annotations
@@ -199,7 +200,10 @@ class RunSummary:
     """Final distances and violation tallies for one replicate.
 
     ``wall_time`` is the solver run and ``emit_time`` the trace CSV
-    writing, both in seconds.
+    writing, both in seconds.  The violation counts are ``None`` without
+    validation; ``curvature_violations`` is also ``None`` when no
+    curvature check ran, which needs problem constants the driver does
+    not have.
     """
 
     seed: int
@@ -426,12 +430,10 @@ def _run_replicate(config, instance, problem, reference, lip_gradf, lip_jac, see
         lip_gradf=lip_gradf,
         lip_jac=lip_jac,
         beta=config.beta_schedule(),
-        hessian="identity",
         batch_size=config.batch,
         max_iters=config.iters,
         seed=seed,
         validate=config.validate,
-        store="light",
     )
     started = time.perf_counter()
     result = run(problem, oracle, solver_config)
@@ -667,14 +669,12 @@ def main(argv=None) -> int:
             f"({summary.wall_time:.1f}s)"
         )
         if config.validate:
+            curvature = summary.curvature_violations
             print(
                 f"  violations: xi {summary.xi_violations}, tau {summary.tau_violations}, "
-                f"lbnd {summary.lbnd_violations}, curvature {summary.curvature_violations}, "
+                f"lbnd {summary.lbnd_violations}, "
+                f"curvature {'n/a' if curvature is None else curvature}, "
                 f"alpha > 1 {summary.alpha_above_one}"
             )
     print(f"wrote {result.out_dir}")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -25,6 +25,9 @@ gate takes the singular values of ``r``, which equal those of ``jac``.
   loop's hot path, so it calls LAPACK directly.  Factor with
   ``factor_jacobian(jac, null_space=False)`` to skip the full Q.
 
+The multiplier formulas and :func:`decompose_step` reuse the same
+``q1`` and ``r``, since ``(jac jac')^{-1} = r^{-1} r^{-T}``.
+
 Every exported quantity (``d``, ``y``, ``u``, ``v``) is invariant under
 the choice of null-space basis; only ``basis`` itself depends on the
 factorization.  All functions here are pure and safe to call
@@ -241,28 +244,24 @@ def solve_kkt(inputs: KktInputs, basis: Array | None = None) -> KktSolution:
     return solve_with_factors(inputs.hess, factors, inputs.grad, inputs.c, basis=basis)
 
 
-def _gram_cho(jac: Array):
-    return scipy.linalg.cho_factor(jac @ jac.T)
-
-
 def decompose_step(d: Array, jac: Array, c: Array, rtol: float = 1e-8):
     """Split ``d`` into its null-space and row-space parts ``(u, v)``.
 
     Requires ``jac d = -c`` within tolerance (the step must solve the
     linearized constraint); ``v`` is the closed form
-    ``-jac' (jac jac')^{-1} c`` and ``u = d - v``.
+    ``-jac' (jac jac')^{-1} c = q1 r^{-T}(-c)`` and ``u = d - v``.
     """
     jac = np.asarray(jac, dtype=float)
     d = np.asarray(d, dtype=float)
     c = np.asarray(c, dtype=float)
-    factor_jacobian(jac, null_space=False)  # rank gate
+    _, q1, _, r = factor_jacobian(jac, null_space=False)
     gap = np.linalg.norm(jac @ d + c)
     scale = 1.0 + np.linalg.norm(c) + np.linalg.norm(jac) * np.linalg.norm(d)
     if gap > rtol * scale:
         raise InconsistentStepError(
             f"step does not satisfy the linearized constraint: ||jac d + c|| = {gap:.3e}"
         )
-    v = -jac.T @ scipy.linalg.cho_solve(_gram_cho(jac), c)
+    v = q1 @ scipy.linalg.solve_triangular(r, -c, trans="T")
     return d - v, v
 
 
@@ -270,11 +269,11 @@ def multiplier_operator(hess: Array, jac: Array, basis: Array) -> Array:
     """The ``(m, n)`` map sending gradient-side data to the multiplier.
 
     Equals ``pinv (I - h z (z' h z)^{-1} z')`` where
-    ``pinv = (jac jac')^{-1} jac`` is the pseudoinverse of the
-    transposed Jacobian and ``z`` spans the null space.
+    ``pinv = (jac jac')^{-1} jac = r^{-1} q1'`` is the pseudoinverse of
+    the transposed Jacobian and ``z`` spans the null space.
     """
-    gram = _gram_cho(jac)
-    pinv = scipy.linalg.cho_solve(gram, jac)
+    _, q1, _, r = factor_jacobian(jac, null_space=False)
+    pinv = scipy.linalg.solve_triangular(r, q1.T)
     if basis.shape[1] == 0:
         return pinv
     reduced = basis.T @ hess @ basis
@@ -291,18 +290,18 @@ def multiplier_operator(hess: Array, jac: Array, basis: Array) -> Array:
 def multiplier_via_operator(
     operator: Array, hess: Array, jac: Array, c: Array, grad: Array
 ) -> Array:
-    """Closed-form multiplier ``M (h pinv' c - g)``.
+    """Closed-form multiplier ``M (h pinv' c - g)``, ``pinv' c = q1 r^{-T} c``.
 
     Must agree with the multiplier returned by :func:`solve_kkt` on the
     same inputs; the agreement is the cross-check of the operator
     derivation.
     """
-    pinv_t_c = jac.T @ scipy.linalg.cho_solve(_gram_cho(jac), c)
+    _, q1, _, r = factor_jacobian(jac, null_space=False)
+    pinv_t_c = q1 @ scipy.linalg.solve_triangular(r, c, trans="T")
     return operator @ (hess @ pinv_t_c - grad)
 
 
 def least_squares_multiplier(jac: Array, grad: Array) -> Array:
-    """Minimizer of ``||g + jac' y||``, i.e. ``-(jac jac')^{-1} jac g``."""
-    jac = np.asarray(jac, dtype=float)
-    factor_jacobian(jac, null_space=False)  # rank gate
-    return -scipy.linalg.cho_solve(_gram_cho(jac), jac @ np.asarray(grad, dtype=float))
+    """Minimizer of ``||g + jac' y||``, i.e. ``-(jac jac')^{-1} jac g = -r^{-1} q1' g``."""
+    _, q1, _, r = factor_jacobian(jac, null_space=False)
+    return -scipy.linalg.solve_triangular(r, q1.T @ np.asarray(grad, dtype=float))

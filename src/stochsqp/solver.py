@@ -1,7 +1,7 @@
 """The stochastic SQP iteration loop and its per-iterate diagnostics.
 
-Each iteration draws a mini-batch gradient estimate, forms the
-quadratic-model matrix, solves the constrained subproblem, and moves by
+Each iteration draws a mini-batch gradient estimate, solves the
+constrained subproblem with the identity model matrix, and moves by
 ``alpha_k = beta_k * tau * xi / (tau * lip_gradf + lip_jac)``.  The
 ``beta`` sequence must be unsummable but square-summable for stochastic
 runs; the built-in power family ``beta1 * k**-p`` enforces
@@ -29,14 +29,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import kkt
 from .errors import ConfigError, EvaluationError
-from .merit import MeritParams, phi, reduction_delta_q, tau_trial_true, xi_trial, check_reduction_lbnd
+from .merit import MeritParams, reduction_delta_q, tau_trial_true, xi_trial, check_reduction_lbnd
 from .problem import Array, Problem, ProblemConstants, StochasticGradientOracle, sample_gradient
+
+# The benchmark's traced mode (perfbench/spans.py) looks this name up
+# in this module's namespace to wrap it, so it stays bound here
+# although nothing in this module calls it.
+from .merit import phi  # noqa: F401
 
 
 def step_size(tau: float, xi: float, lip_gradf: float, lip_jac: float, beta_k: float) -> float:
@@ -87,37 +92,25 @@ class BetaSchedule:
         return self.beta1 * float(k) ** (-self.p)
 
 
-HessianSpec = Union[str, Array, Callable[[Array], Array]]
-
-
 @dataclass
 class SolverConfig:
     """Fixed parameters for one run.
 
-    ``hessian`` selects the quadratic-model matrix: the string
-    "identity", a fixed symmetric matrix, or a deterministic map
-    ``x -> H(x)``.  The map receives only the iterate, never multiplier
-    state, so it cannot depend on the noisy dual sequence.  Only the
-    string "identity" selects the range-space subproblem solve; a
-    matrix or map, even one equal to the identity, takes the null-space
-    route.
-
-    ``store`` controls trace memory: "full" keeps every per-iterate
-    vector, "light" keeps only iterates, multipliers and scalars (what
-    the estimators and trace files need).
+    The quadratic-model matrix is the identity, ``H_k = I``, solved by
+    the range-space route of :mod:`stochsqp.kkt`.  For another
+    symmetric model matrix, solve single subproblems with
+    :func:`stochsqp.kkt.solve_kkt`.
     """
 
     merit: MeritParams = field(default_factory=MeritParams)
     lip_gradf: float = 1.0
     lip_jac: float = 1.0
     beta: BetaSchedule = field(default_factory=BetaSchedule)
-    hessian: HessianSpec = "identity"
     batch_size: int = 16
     max_iters: int = 1000
     seed: int = 0
     validate: bool = False
     constants: ProblemConstants | None = None
-    store: str = "full"
 
     def __post_init__(self):
         if not self.lip_gradf > 0 or not self.lip_jac > 0:
@@ -126,28 +119,6 @@ class SolverConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.store not in ("full", "light"):
-            raise ConfigError("store must be 'full' or 'light'")
-
-
-def _resolve_hessian(spec: HessianSpec, n: int):
-    """Return ``(map x -> H, identifier string)`` for a Hessian spec."""
-    if isinstance(spec, str):
-        if spec != "identity":
-            raise ConfigError(f"unknown hessian spec {spec!r}")
-        fixed = np.eye(n)
-        return (lambda x: fixed), "identity"
-    if isinstance(spec, np.ndarray):
-        if spec.shape != (n, n):
-            raise ConfigError("fixed hessian has wrong shape")
-        if np.max(np.abs(spec - spec.T)) > 1e-12 * (1.0 + np.max(np.abs(spec))):
-            raise ConfigError("fixed hessian is not symmetric")
-        fixed = spec.astype(float)
-        return (lambda x: fixed), "fixed"
-    if callable(spec):
-        label = getattr(spec, "__name__", "custom")
-        return spec, f"map:{label}"
-    raise ConfigError("hessian must be 'identity', an array, or a callable")
 
 
 class Trace:
@@ -156,18 +127,17 @@ class Trace:
     ``len(trace)`` is the iteration count; row ``i`` of every array
     (``trace.x``, ``trace.y``, ``trace.alpha``, ...) belongs to iteration
     ``k = i + 1``, and ``trace.x[i]`` is the iterate that step was
-    computed at.  Vector arrays a store mode or validation setting does
-    not keep are ``None``.
+    computed at.  ``trace.y_true`` is ``None`` without validation.  The
+    other per-iterate vectors (gradient estimate, step and its parts)
+    are not kept; :func:`iterate` yields them.
     """
 
     _SCALARS = (
         "alpha",
         "beta",
-        "phi",
         "norm_c",
         "dq_stoch",
         "xi_trial",
-        "dq_true",
         "tau_trial_true",
         "lbnd_slack",
         "resid_true",
@@ -175,22 +145,14 @@ class Trace:
         "kuv_slack_true",
     )
 
-    def __init__(self, n: int, m: int, iters: int, store: str, validate: bool, hessian_id: str):
+    def __init__(self, n: int, m: int, iters: int, validate: bool):
         self.n, self.m, self.iters = n, m, iters
-        self.store = store
         self.validate = validate
-        self.hessian_id = hessian_id
         for name in self._SCALARS:
             setattr(self, name, np.full(iters, np.nan))
         self.x = np.empty((iters, n))
         self.y = np.empty((iters, m))
         self.y_true = np.full((iters, m), np.nan) if validate else None
-        full = store == "full"
-        self.g = np.empty((iters, n)) if full else None
-        self.d = np.empty((iters, n)) if full else None
-        self.u = np.empty((iters, n)) if full else None
-        self.v = np.empty((iters, n)) if full else None
-        self.d_true = np.empty((iters, n)) if full and validate else None
 
     def __len__(self) -> int:
         return self.iters
@@ -198,13 +160,17 @@ class Trace:
 
 @dataclass
 class ValidationSummary:
-    """Violation tallies from a validation-mode run (diagnostic only)."""
+    """Violation tallies from a validation-mode run (diagnostic only).
+
+    ``curvature_violations`` is ``None`` when no curvature check ran,
+    that is when the config has no :class:`ProblemConstants`.
+    """
 
     iterations: int = 0
     xi_violations: int = 0
     tau_violations: int = 0
     lbnd_violations: int = 0
-    curvature_violations: int = 0
+    curvature_violations: int | None = None
     alpha_above_one: int = 0
     first_xi_violation: int | None = None
     first_tau_violation: int | None = None
@@ -215,7 +181,7 @@ class ValidationSummary:
             self.xi_violations == 0
             and self.tau_violations == 0
             and self.lbnd_violations == 0
-            and self.curvature_violations == 0
+            and self.curvature_violations in (0, None)
         )
 
 
@@ -249,7 +215,6 @@ class Iteration(NamedTuple):
     c: Array
     jac: Array
     g: Array
-    hess: Array
     factors: kkt.JacobianFactors
     sol: kkt.KktSolution
     beta: float
@@ -277,8 +242,6 @@ def iterate(
         )
 
     merit = config.merit
-    hess_map, hess_id = _resolve_hessian(config.hessian, problem.n)
-    range_space = hess_id == "identity"
     rng = np.random.default_rng(config.seed)
     x = np.array(problem.x0, dtype=float)
     for k in range(1, config.max_iters + 1):
@@ -288,16 +251,15 @@ def iterate(
             if not (np.all(np.isfinite(c)) and np.all(np.isfinite(jac))):
                 raise EvaluationError("problem evaluator returned a non-finite value")
             g = sample_gradient(oracle, x, config.batch_size, rng)
-            hess = np.asarray(hess_map(x), dtype=float)
-            factors = kkt.factor_jacobian(jac, null_space=not range_space)
-            sol = kkt.solve_with_factors(None if range_space else hess, factors, g, c)
+            factors = kkt.factor_jacobian(jac, null_space=False)
+            sol = kkt.solve_with_factors(None, factors, g, c)
         except (kkt.RankError, kkt.CurvatureError, EvaluationError) as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
 
         beta_k = config.beta(k)
         alpha_k = step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, beta_k)
         x_next = x + alpha_k * sol.d
-        yield Iteration(k, x, c, jac, g, hess, factors, sol, beta_k, alpha_k, x_next)
+        yield Iteration(k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next)
         if not np.all(np.isfinite(x_next)):
             raise EvaluationError(f"iteration {k}: iterate became non-finite")
         x = x_next
@@ -307,64 +269,54 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     """Run the full iteration budget of :func:`iterate` and return the trace.
 
     Deterministic given the config seed.  Errors from :func:`iterate`
-    propagate; a non-finite objective value aborts with
-    :class:`EvaluationError`.
+    propagate.  The objective is never evaluated, so only a non-finite
+    constraint, Jacobian, gradient or iterate aborts a run; a caller
+    that wants merit values computes ``merit.phi(tau, f(x), c(x))`` at
+    the ``trace.x`` rows it needs.
     """
     merit = config.merit
-    _, hess_id = _resolve_hessian(config.hessian, problem.n)
-    range_space = hess_id == "identity"
-    trace = Trace(problem.n, problem.m, config.max_iters, config.store, config.validate, hess_id)
-    summary = ValidationSummary(iterations=config.max_iters) if config.validate else None
+    eye = np.eye(problem.n)
+    trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
 
     kappa_uv = None
     if config.constants is not None:
         kappa_uv = derive_kuv(config.constants.zeta, config.constants.kappa_h)
+    summary = None
+    if config.validate:
+        summary = ValidationSummary(
+            iterations=config.max_iters,
+            curvature_violations=None if kappa_uv is None else 0,
+        )
 
     start = time.perf_counter()
-    for k, x, c, jac, g, hess, factors, sol, beta_k, alpha_k, x_next in iterate(
+    for k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
         problem, oracle, config
     ):
         i = k - 1
-        f = float(problem.objective(x))
-        if not math.isfinite(f):
-            raise EvaluationError(f"iteration {k}: problem evaluator returned a non-finite value")
-        dq_s = reduction_delta_q(merit.tau, c, g, hess, sol.d)
+        dq_s = reduction_delta_q(merit.tau, c, g, eye, sol.d)
 
         trace.alpha[i] = alpha_k
         trace.beta[i] = beta_k
-        trace.phi[i] = phi(merit.tau, f, c)
         trace.norm_c[i] = np.linalg.norm(c)
         trace.dq_stoch[i] = dq_s
         trace.xi_trial[i] = xi_trial(merit.tau, dq_s, sol.d)
         trace.x[i] = x
         trace.y[i] = sol.y
-        if trace.g is not None:
-            trace.g[i] = g
-            trace.d[i] = sol.d
-            trace.u[i] = sol.u
-            trace.v[i] = sol.v
         if kappa_uv is not None:
-            trace.kuv_slack[i] = _kuv_slack(sol, hess, kappa_uv, config.constants.zeta)
+            trace.kuv_slack[i] = _kuv_slack(sol, eye, kappa_uv, config.constants.zeta)
 
         if config.validate:
             grad = np.asarray(problem.gradient(x), dtype=float)
             try:
-                shadow = kkt.solve_with_factors(None if range_space else hess, factors, grad, c)
+                shadow = kkt.solve_with_factors(None, factors, grad, c)
             except (kkt.RankError, kkt.CurvatureError) as exc:
                 raise type(exc)(f"iteration {k} (shadow solve): {exc}") from exc
             trace.y_true[i] = shadow.y
-            if trace.d_true is not None:
-                trace.d_true[i] = shadow.d
-            trace.dq_true[i] = reduction_delta_q(merit.tau, c, grad, hess, shadow.d)
-            tau_tr = tau_trial_true(merit.nu, c, grad, hess, shadow.d)
+            tau_tr = tau_trial_true(merit.nu, c, grad, eye, shadow.d)
             trace.tau_trial_true[i] = tau_tr
-            holds, slack = check_reduction_lbnd(merit.tau, merit.nu, c, grad, hess, shadow.d)
+            holds, slack = check_reduction_lbnd(merit.tau, merit.nu, c, grad, eye, shadow.d)
             trace.lbnd_slack[i] = slack
             trace.resid_true[i] = kkt_residual(grad, jac, c, shadow.y)
-            if kappa_uv is not None:
-                trace.kuv_slack_true[i] = _kuv_slack(
-                    shadow, hess, kappa_uv, config.constants.zeta
-                )
 
             slop = 1e-12
             if trace.xi_trial[i] < merit.xi - slop:
@@ -377,9 +329,13 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
                     summary.first_tau_violation = k
             if merit.tau <= tau_tr and not holds:
                 summary.lbnd_violations += 1
-            for slack_value in (trace.kuv_slack[i], trace.kuv_slack_true[i]):
-                if not math.isnan(slack_value) and slack_value < -1e-10 * (1.0 + abs(slack_value)):
-                    summary.curvature_violations += 1
+            if kappa_uv is not None:
+                trace.kuv_slack_true[i] = _kuv_slack(
+                    shadow, eye, kappa_uv, config.constants.zeta
+                )
+                for value in (trace.kuv_slack[i], trace.kuv_slack_true[i]):
+                    if not math.isnan(value) and value < -1e-10 * (1.0 + abs(value)):
+                        summary.curvature_violations += 1
             if alpha_k > 1.0:
                 summary.alpha_above_one += 1
 

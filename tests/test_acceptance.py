@@ -90,7 +90,7 @@ def deterministic_run(instance):
         merit=MeritParams(tau=0.1, xi=1.0, nu=0.5),
         lip_gradf=lip_gradf, lip_jac=lip_jac,
         beta=BetaSchedule(family="constant", beta1=1.0),
-        batch_size=1, max_iters=20_000, validate=True, store="light",
+        batch_size=1, max_iters=20_000, validate=True,
         constants=_constants(instance),
     )
     return run(problem, exact_oracle(problem), config)
@@ -108,7 +108,7 @@ def protocol_runs(instance):
             lip_gradf=lip_gradf, lip_jac=lip_jac,
             beta=BetaSchedule(family="power", beta1=1.0, p=0.51),
             batch_size=16, max_iters=100_000, seed=seed,
-            validate=True, store="light", constants=_constants(instance),
+            validate=True, constants=_constants(instance),
         )
         results[seed] = run(problem, instance.minibatch_oracle(), config)
     return results

@@ -220,7 +220,7 @@ class TestWindowedAverages:
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-                              batch_size=16, max_iters=600, seed=4, store="light")
+                              batch_size=16, max_iters=600, seed=4)
         trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
         for eps in (0.01, 0.1, 1.0):
             _assert_matches_scan(trace.x, trace.y, eps)
@@ -328,7 +328,7 @@ class TestMultiplierBound:
         reference = compute_reference(problem, merit, lip_gradf, lip_jac)
         config = SolverConfig(merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
                               beta=BetaSchedule(family="constant"), max_iters=400,
-                              validate=True, store="light")
+                              validate=True)
         result = run(problem, exact_oracle(problem), config)
         trace = MultiplierTrace.from_run(result.trace)
         report = check_true_multiplier_bound(

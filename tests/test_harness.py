@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from stochsqp import (
     run,
     run_experiment,
 )
+import stochsqp
 from stochsqp import averaging, harness
 from stochsqp.harness import ReferenceSolution, csv_columns, main, parse_config_file, write_trace_csv
 
@@ -145,7 +150,7 @@ class TestRunExperiment:
             merit=config.merit(), lip_gradf=lip_gradf, lip_jac=lip_jac,
             beta=BetaSchedule("power", config.beta1, config.beta_p),
             batch_size=config.batch, max_iters=config.iters, seed=1,
-            validate=True, store="light",
+            validate=True,
         )
         rerun = run(problem, inst.minibatch_oracle(), solver_config)
         reference = result.reference
@@ -213,7 +218,7 @@ def short_trace(bundled_instance):
     problem = bundled_instance.problem()
     lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
     config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-                          batch_size=16, max_iters=200, seed=0, store="light")
+                          batch_size=16, max_iters=200, seed=0)
     trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
     return trace, ReferenceSolution(x=trace.x[-1], y=trace.y[-1], residual=0.0, iterations=0)
 
@@ -348,13 +353,27 @@ class TestCli:
         summaries = json.loads((tmp_path / "summary.json").read_text())
         assert len(counts) == 2
         for line, entry in zip(counts, summaries):
+            # The driver has no problem constants, so no curvature check runs.
+            assert entry["curvature_violations"] is None
             assert line == (
                 f"  violations: xi {entry['xi_violations']}, tau {entry['tau_violations']}, "
-                f"lbnd {entry['lbnd_violations']}, curvature {entry['curvature_violations']}, "
+                f"lbnd {entry['lbnd_violations']}, curvature n/a, "
                 f"alpha > 1 {entry['alpha_above_one']}"
             )
         seed_lines = [line for line in lines if line.startswith("seed ")]
         assert lines.index(counts[0]) == lines.index(seed_lines[0]) + 1
+
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        src = str(Path(stochsqp.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "stochsqp",
+             "--reference-only", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stderr == ""
+        assert (tmp_path / "reference.json").exists()
 
     def test_errors_return_nonzero(self, tmp_path):
         assert main(["--dataset", str(tmp_path / "missing.libsvm")]) == 1

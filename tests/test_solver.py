@@ -11,6 +11,7 @@ from stochsqp import (
     EvaluationError,
     MeritParams,
     Problem,
+    ProblemConstants,
     SolverConfig,
     StochasticGradientOracle,
     derive_kuv,
@@ -24,9 +25,8 @@ from stochsqp import (
     step_size,
     true_shadow,
     least_squares_multiplier,
+    phi,
 )
-
-from stochsqp import kkt
 
 from conftest import constrained_quadratic, dense_kkt_solve, sphere_problem
 
@@ -121,7 +121,7 @@ class TestRun:
         config = SolverConfig(
             merit=MeritParams(), lip_gradf=lip, lip_jac=1e-6,
             beta=BetaSchedule(family="constant"), max_iters=10_000,
-            validate=True, store="light",
+            validate=True,
         )
         result = run(problem, exact_oracle(problem), config)
         assert np.nanmin(result.trace.resid_true) <= 1e-6
@@ -139,8 +139,13 @@ class TestRun:
         second = run(problem, bundled_instance.minibatch_oracle(), config)
         assert np.array_equal(first.trace.x, second.trace.x)
         assert np.array_equal(first.trace.y, second.trace.y)
-        assert np.array_equal(first.trace.g, second.trace.g)
         assert np.array_equal(first.x_final, second.x_final)
+
+        def gradients():
+            oracle = bundled_instance.minibatch_oracle()
+            return np.array([step.g for step in iterate(problem, oracle, config)])
+
+        assert np.array_equal(gradients(), gradients())
 
     def test_step_size_linearity_across_iterations(self, bundled_instance):
         problem = bundled_instance.problem()
@@ -158,17 +163,26 @@ class TestRun:
         problem = _worked_problem()
         config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0, max_iters=5)
         trace = run(problem, exact_oracle(problem), config).trace
+        steps = list(iterate(problem, exact_oracle(problem), config))
         for i in range(4):
-            expected = trace.x[i] + trace.alpha[i] * trace.d[i]
+            expected = trace.x[i] + trace.alpha[i] * steps[i].sol.d
             assert np.array_equal(trace.x[i + 1], expected)
 
-    def test_light_store_drops_step_vectors(self):
-        problem = _worked_problem()
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0,
-                              max_iters=3, store="light")
-        trace = run(problem, exact_oracle(problem), config).trace
-        assert trace.g is None and trace.d is None and trace.u is None and trace.v is None
-        assert trace.x is not None and trace.y is not None
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_run_never_evaluates_the_objective(self, validate):
+        calls = []
+        base = sphere_problem()
+
+        def objective(x):
+            calls.append(x)
+            return base.objective(x)
+
+        problem = Problem(n=2, m=1, objective=objective, gradient=base.gradient,
+                          constraints=base.constraints, jacobian=base.jacobian, x0=base.x0)
+        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
+                              max_iters=20, validate=validate)
+        run(problem, gaussian_oracle(problem, sigma=0.5), config)
+        assert calls == []
 
     def test_protocol_regime_run_has_no_violations(self, bundled_instance):
         # Damping 1/k with unit start: iterates stay pre-asymptotic and the
@@ -178,7 +192,7 @@ class TestRun:
         config = SolverConfig(
             merit=MeritParams(tau=0.1, xi=1.0), lip_gradf=lip_gradf, lip_jac=lip_jac,
             beta=BetaSchedule(family="power", beta1=1.0, p=1.0),
-            batch_size=16, max_iters=10_000, seed=5, validate=True, store="light",
+            batch_size=16, max_iters=10_000, seed=5, validate=True,
         )
         result = run(problem, bundled_instance.minibatch_oracle(), config)
         assert result.summary.clean
@@ -191,11 +205,13 @@ class TestRun:
         config = SolverConfig(
             merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
             beta=BetaSchedule(family="constant"), max_iters=3_000,
-            validate=True, store="light",
+            validate=True,
         )
         result = run(problem, exact_oracle(problem), config)
         assert result.summary.clean
-        assert np.all(np.diff(result.trace.phi) <= 1e-12)
+        merit = [phi(config.merit.tau, float(problem.objective(x)), problem.constraints(x))
+                 for x in result.trace.x]
+        assert np.all(np.diff(merit) <= 1e-12)
 
     def test_violations_are_surfaced_not_fatal(self):
         # An oversized ratio parameter cannot stay below its trial value.
@@ -208,6 +224,21 @@ class TestRun:
         assert result.summary.xi_violations == 3
         assert result.summary.first_xi_violation == 1
         assert not result.summary.clean
+
+    def test_curvature_count_is_none_without_constants(self):
+        problem = _worked_problem()
+        constants = ProblemConstants(
+            kappa_x=10.0, f_inf=0.0, kappa_gradf=2.0, kappa_c=1.0, kappa_jac=1.0, r=1.0,
+            lip_gradf=1.0, lip_c=1.0, lip_jac=1.0, sigma=0.0, zeta=1.0, kappa_h=1.0,
+        )
+        counts = []
+        for given in (None, constants):
+            config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0,
+                                  max_iters=5, validate=True, constants=given)
+            summary = run(problem, exact_oracle(problem), config).summary
+            assert summary.clean
+            counts.append(summary.curvature_violations)
+        assert counts == [None, 0]
 
     def test_evaluator_failure_reports_iterate_index(self):
         calls = {"n": 0}
@@ -236,80 +267,27 @@ class TestRun:
 
 
 class TestModelMatrixRoutes:
-    """Fixed and callable Hessians take the null-space route through the
-    loop; only the "identity" spec takes the range-space route."""
+    """The loop's one model matrix, the identity, against the dense oracle."""
 
-    @staticmethod
-    def _toy(seed):
-        problem, p_mat, _, _ = constrained_quadratic(np.random.default_rng(seed))
-
-        def curved(x):
-            return p_mat + np.diag(x * x)
-
-        return problem, p_mat, curved
-
-    @pytest.mark.parametrize("kind", ["array", "callable"])
-    def test_steps_match_dense_oracle(self, kind):
-        problem, p_mat, curved = self._toy(21)
-        spec = p_mat if kind == "array" else curved
+    def test_steps_match_dense_oracle(self):
+        problem, p_mat, _, _ = constrained_quadratic(np.random.default_rng(21))
         config = SolverConfig(
             merit=MeritParams(), lip_gradf=float(np.linalg.norm(p_mat, 2)), lip_jac=1e-6,
-            hessian=spec, max_iters=60, seed=3, validate=True, store="full",
+            max_iters=60, seed=3, validate=True,
         )
-        trace = run(problem, gaussian_oracle(problem, sigma=0.5), config).trace
-        for i in range(len(trace)):
-            x = trace.x[i]
-            hess = p_mat if kind == "array" else curved(x)
-            jac, c = problem.jacobian(x), problem.constraints(x)
-            d_ref, y_ref = dense_kkt_solve(hess, jac, trace.g[i], c)
-            assert np.linalg.norm(trace.d[i] - d_ref) <= 1e-9 * (1.0 + np.linalg.norm(d_ref))
-            assert np.linalg.norm(trace.y[i] - y_ref) <= 1e-9 * (1.0 + np.linalg.norm(y_ref))
-            d_true, y_true = dense_kkt_solve(hess, jac, problem.gradient(x), c)
-            assert np.linalg.norm(trace.d_true[i] - d_true) <= 1e-9 * (1.0 + np.linalg.norm(d_true))
-            assert np.linalg.norm(trace.y_true[i] - y_true) <= 1e-9 * (1.0 + np.linalg.norm(y_true))
-
-    @pytest.mark.parametrize("kind", ["identity", "eye-array", "eye-callable", "array"])
-    def test_route_follows_the_spec_not_the_matrix(self, kind, monkeypatch):
-        problem, p_mat, _ = self._toy(22)
-        eye = np.eye(problem.n)
-
-        def eye_map(x):
-            return eye
-
-        spec = {"identity": "identity", "eye-array": eye, "eye-callable": eye_map,
-                "array": p_mat}[kind]
-        models = []
-        solve = kkt.solve_with_factors
-
-        def spy(hess, *args, **kwargs):
-            models.append(hess)
-            return solve(hess, *args, **kwargs)
-
-        monkeypatch.setattr(kkt, "solve_with_factors", spy)
-        config = SolverConfig(merit=MeritParams(), lip_gradf=3.0, lip_jac=1e-6,
-                              hessian=spec, max_iters=20, validate=True)
-        run(problem, gaussian_oracle(problem, sigma=0.5), config)
-        assert len(models) == 40  # one stochastic and one shadow solve per iteration
-        if kind == "identity":
-            assert all(h is None for h in models)
-        else:
-            assert all(h is not None for h in models)
-
-    def test_identity_matrix_spec_agrees_with_identity_route(self):
-        problem, _, _ = self._toy(23)
-        eye = np.eye(problem.n)
-        configs = [
-            SolverConfig(merit=MeritParams(), lip_gradf=3.0, lip_jac=1e-6,
-                         hessian=spec, max_iters=30, seed=2)
-            for spec in ("identity", eye)
-        ]
         oracle = gaussian_oracle(problem, sigma=0.5)
-        for fast, slow in zip(*(iterate(problem, oracle, cfg) for cfg in configs)):
-            assert fast.sol.basis is None and fast.factors.null_basis is None
-            assert slow.sol.basis is not None
-            scale = np.linalg.norm(slow.g) + np.linalg.norm(slow.sol.v)
-            assert np.linalg.norm(fast.sol.d - slow.sol.d) <= 1e-12 * scale
-            assert np.linalg.norm(fast.sol.y - slow.sol.y) <= 1e-12 * np.linalg.norm(slow.sol.y)
+        trace = run(problem, oracle, config).trace
+        steps = list(iterate(problem, oracle, config))
+        assert len(steps) == len(trace)
+        eye = np.eye(problem.n)
+        for step, x, y_true in zip(steps, trace.x, trace.y_true):
+            assert np.array_equal(step.x, x)
+            assert step.factors.null_basis is None and step.sol.basis is None
+            d_ref, y_ref = dense_kkt_solve(eye, step.jac, step.g, step.c)
+            assert np.linalg.norm(step.sol.d - d_ref) <= 1e-9 * (1.0 + np.linalg.norm(d_ref))
+            assert np.linalg.norm(step.sol.y - y_ref) <= 1e-9 * (1.0 + np.linalg.norm(y_ref))
+            _, y_exact = dense_kkt_solve(eye, step.jac, problem.gradient(x), step.c)
+            assert np.linalg.norm(y_true - y_exact) <= 1e-9 * (1.0 + np.linalg.norm(y_exact))
 
     def test_exact_oracle_shadow_multiplier_is_bitwise_equal(self, bundled_instance):
         problem = bundled_instance.problem()
@@ -326,9 +304,9 @@ class TestTrueShadow:
         x = problem.x0
         d, y = true_shadow(problem, x, np.eye(2))
         config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0, max_iters=1)
-        trace = run(problem, exact_oracle(problem), config).trace
-        assert np.array_equal(trace.d[0], d)
-        assert np.array_equal(trace.y[0], y)
+        step = next(iterate(problem, exact_oracle(problem), config))
+        assert np.array_equal(step.sol.d, d)
+        assert np.array_equal(step.sol.y, y)
 
     def test_worked_example(self):
         d, y = true_shadow(_worked_problem(), np.array([2.0, 3.0]), np.eye(2))

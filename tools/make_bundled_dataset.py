@@ -94,7 +94,6 @@ def sanity_check(dataset: Dataset):
         batch_size=1,
         max_iters=20_000,
         validate=True,
-        store="light",
     )
     result = run(instance.problem(), exact_oracle(instance.problem()), config)
     summary = result.summary
