@@ -28,7 +28,7 @@ merit = MeritParams(tau=0.1, xi=1.0)
 
 reference = compute_reference(problem, merit, lip_gradf, lip_jac)
 print(f"reference solved to residual {reference.residual:.1e} "
-      f"in {reference.iterations} iterations")
+      f"in {reference.iterations} iterations ({reference.newton_steps} Newton)")
 
 config = SolverConfig(
     merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,

@@ -29,8 +29,9 @@ config = ExperimentConfig(
 )
 result = run_experiment(config)
 
-print(f"reference: residual {result.reference.residual:.1e} "
-      f"after {result.reference.iterations} iterations")
+print(f"reference: residual {result.reference.residual:.1e} after "
+      f"{result.reference.iterations} iterations, the last "
+      f"{result.reference.newton_steps} of them Newton steps")
 print(f"\nfiles in {out}/:")
 for path in sorted(result.out_dir.iterdir()):
     print(f"  {path.name}")

@@ -32,6 +32,10 @@ RANK_RTOL = 1e-8
 
 _BUNDLED_NAME = "synthetic200.libsvm"
 
+#: Samples per block in the full passes that build an ``(n, samples)``
+#: temporary, which bounds its size (about 4 MB at n = 123).
+CHUNK_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -189,6 +193,25 @@ class ConstrainedLogRegInstance:
     def jacobian(self, x: Array) -> Array:
         return np.vstack([self.A, 2.0 * x])
 
+    def lagrangian_hessian(self, x: Array, y: Array) -> Array:
+        """Hessian of ``f + c'y``: ``(1/N) D diag(s(1-s)) D' + 2 y_sphere I``.
+
+        ``s`` is the sigmoid of the margins; ``s(1-s)`` does not depend
+        on the label sign.  Each block of samples adds ``G G'`` with
+        ``G = D_block sqrt(s(1-s))``, so the result is exactly symmetric
+        and no second copy of the features is made.
+        """
+        features = self.dataset.features
+        hess = np.zeros((self.n, self.n))
+        for start in range(0, self.dataset.n_samples, CHUNK_SAMPLES):
+            block = features[:, start : start + CHUNK_SAMPLES]
+            s = expit(block.T @ x)
+            scaled = block * np.sqrt(s * (1.0 - s))
+            hess += scaled @ scaled.T
+        hess /= self.dataset.n_samples
+        hess[np.diag_indices(self.n)] += 2.0 * y[-1]
+        return hess
+
     def problem(self) -> Problem:
         return Problem(
             n=self.n,
@@ -199,16 +222,26 @@ class ConstrainedLogRegInstance:
             jacobian=self.jacobian,
             x0=self.x1,
             name="constrained-logreg",
+            lagrangian_hessian=self.lagrangian_hessian,
         )
 
     # -- oracles ---------------------------------------------------------
     def per_sample_variance(self, x: Array) -> float:
-        """Exact population second moment of a single-sample gradient error."""
-        z = self._margins(x)
-        w = -self.dataset.labels * expit(-z)
-        per_sample = self.dataset.features * w  # column i = gradient of sample i
-        mean = per_sample.mean(axis=1, keepdims=True)
-        return float(np.mean(np.sum((per_sample - mean) ** 2, axis=0)))
+        """Exact population second moment of a single-sample gradient error.
+
+        Two passes: the mean gradient, then the squared deviations of
+        the per-sample gradients (the columns of ``D diag(w)``), formed
+        a block of samples at a time.
+        """
+        features = self.dataset.features
+        n_samples = self.dataset.n_samples
+        w = -self.dataset.labels * expit(-self._margins(x))
+        mean = (features @ w / n_samples)[:, None]
+        total = 0.0
+        for start in range(0, n_samples, CHUNK_SAMPLES):
+            block = slice(start, start + CHUNK_SAMPLES)
+            total += float(np.sum((features[:, block] * w[block] - mean) ** 2))
+        return total / n_samples
 
     def minibatch_oracle(self) -> StochasticGradientOracle:
         """Mini-batch oracle sampling with replacement (i.i.d. averaging)."""

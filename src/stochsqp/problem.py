@@ -38,6 +38,12 @@ class Problem:
             gradient of the i-th constraint component.
         x0: optional initial point used by solver runs.
         name: label used in error messages and run metadata.
+        lagrangian_hessian: optional ``(x, y) -> H`` with shape
+            ``(n, n)``, the Hessian of the Lagrangian ``f(x) + c(x)' y``
+            in ``x`` (the multiplier sign of :mod:`stochsqp.kkt`, where
+            ``grad f + J' y = 0`` at a solution).  The solver loop never
+            calls it; the reference solve uses it for Newton steps on
+            the KKT system.
 
     Evaluators must be safe for concurrent read-only evaluation at
     distinct points.
@@ -51,6 +57,7 @@ class Problem:
     jacobian: Callable[[Array], Array]
     x0: Array | None = None
     name: str = "problem"
+    lagrangian_hessian: Callable[[Array, Array], Array] | None = None
 
     def __post_init__(self):
         if not (1 <= self.m <= self.n):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stochsqp import Problem, load_bundled_dataset, build_instance
+from stochsqp.logreg import Dataset
 
 
 def dense_kkt_solve(hess, jac, grad, c):
@@ -87,3 +88,19 @@ def bundled_dataset():
 @pytest.fixture(scope="session")
 def bundled_instance(bundled_dataset):
     return build_instance(bundled_dataset, m_lin=10, seed=0)
+
+
+@pytest.fixture(scope="session")
+def a9a_shaped_instance():
+    """In-process instance shaped like the a9a set, but smaller.
+
+    123 Bernoulli(0.11) binary features, as in a9a, over 3000 samples
+    with labels from a fixed logistic model; nothing is downloaded.
+    """
+    n, n_samples, density = 123, 3000, 0.11
+    rng = np.random.default_rng(123)
+    features = (rng.random((n, n_samples)) < density).astype(float)
+    weights = rng.standard_normal(n) / np.sqrt(density * n)
+    prob = 1.0 / (1.0 + np.exp(-(weights @ features)))
+    labels = np.where(rng.random(n_samples) < prob, 1.0, -1.0)
+    return build_instance(Dataset(features=features, labels=labels), m_lin=10, seed=0)

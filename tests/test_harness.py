@@ -1,6 +1,7 @@
 """Experiment driver: reference solves, CSV traces, CLI, diagnostics."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -61,7 +62,8 @@ class TestComputeReference:
     @pytest.mark.parametrize("which", ["bundled", "sphere"])
     def test_is_the_solver_loop_cut_short(self, which, bundled_instance):
         if which == "bundled":
-            problem = bundled_instance.problem()
+            # Without a Hessian the reference is the loop's own iterate.
+            problem = dataclasses.replace(bundled_instance.problem(), lagrangian_hessian=None)
             lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         else:
             problem, lip_gradf, lip_jac = sphere_problem(), 0.5, 2.0
@@ -72,6 +74,66 @@ class TestComputeReference:
         trace = run(problem, exact_oracle(problem), config).trace
         assert np.array_equal(trace.x[-1], ref.x)
         assert np.array_equal(trace.y[-1], ref.y)
+        assert ref.newton_steps == 0
+
+    def test_newton_reference_agrees_with_first_order_on_bundled(self, bundled_instance):
+        problem = bundled_instance.problem()
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        newton = compute_reference(problem, MeritParams(), lip_gradf, lip_jac)
+        plain = compute_reference(dataclasses.replace(problem, lagrangian_hessian=None),
+                                  MeritParams(), lip_gradf, lip_jac)
+        assert 0 < newton.newton_steps <= harness.NEWTON_MAX_STEPS
+        assert newton.iterations < plain.iterations
+        assert newton.residual <= 1e-8
+        assert np.linalg.norm(newton.x - plain.x) <= 1e-6 * np.linalg.norm(plain.x)
+        assert np.linalg.norm(newton.y - plain.y) <= 1e-7
+
+    @pytest.mark.parametrize("which", ["sphere", "quadratic"])
+    def test_newton_reaches_closed_form(self, which):
+        if which == "sphere":
+            problem = dataclasses.replace(
+                sphere_problem(), lagrangian_hessian=lambda x, y: 2.0 * y[0] * np.eye(2))
+            lip_gradf, lip_jac = 0.5, 2.0
+            x_star, y_star = np.array([-1.0, 0.0]), np.array([0.5])
+        else:
+            problem, p_mat, x_star, y_star = constrained_quadratic(np.random.default_rng(0))
+            problem = dataclasses.replace(problem, lagrangian_hessian=lambda x, y: p_mat)
+            lip_gradf, lip_jac = float(np.linalg.norm(p_mat, 2)), 1e-6
+        ref = compute_reference(problem, MeritParams(), lip_gradf, lip_jac, tol=1e-12)
+        assert ref.newton_steps > 0
+        assert np.linalg.norm(ref.x - x_star) <= 1e-12
+        assert np.linalg.norm(ref.y - y_star) <= 1e-12
+
+    @pytest.mark.parametrize("which, calls", [
+        ("indefinite", 1),  # CurvatureError at the first step
+        ("non-finite", 1),
+        ("too-weak", harness.NEWTON_MAX_STEPS),  # tiny steps use up the budget
+    ])
+    def test_failed_attempt_falls_back_bit_for_bit(self, bundled_instance, which, calls):
+        problem = bundled_instance.problem()
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        value = {"indefinite": -1.0, "non-finite": np.nan, "too-weak": 1e3}[which]
+        made = []
+
+        def hessian(x, y):
+            made.append(1)
+            return value * np.eye(problem.n)
+
+        fallback = compute_reference(dataclasses.replace(problem, lagrangian_hessian=hessian),
+                                     MeritParams(), lip_gradf, lip_jac)
+        plain = compute_reference(dataclasses.replace(problem, lagrangian_hessian=None),
+                                  MeritParams(), lip_gradf, lip_jac)
+        assert len(made) == calls
+        assert fallback.newton_steps == 0
+        assert np.array_equal(fallback.x, plain.x)
+        assert np.array_equal(fallback.y, plain.y)
+        assert (fallback.residual, fallback.iterations) == (plain.residual, plain.iterations)
+
+    def test_a9a_shaped_reference_takes_newton_steps(self, a9a_shaped_instance):
+        lip_gradf, lip_jac = a9a_shaped_instance.lipschitz_bounds()
+        ref = compute_reference(a9a_shaped_instance.problem(), MeritParams(), lip_gradf, lip_jac)
+        assert ref.newton_steps > 0
+        assert ref.residual <= 1e-8
 
 
 def _read_csv(path):
@@ -105,6 +167,14 @@ class TestRunExperiment:
         names = {p.name for p in result.out_dir.iterdir()}
         assert {"config.json", "reference.json", "summary.json", "columns.txt",
                 "trace_seed1.csv", "trace_seed2.csv"} <= names
+
+    def test_reference_json_records_the_solve(self, small_run):
+        _, result = small_run
+        ref = result.reference
+        saved = json.loads((result.out_dir / "reference.json").read_text())
+        assert list(saved) == ["x", "y", "residual", "iterations", "newton_steps"]
+        assert (saved["iterations"], saved["newton_steps"]) == (ref.iterations, ref.newton_steps)
+        assert ref.newton_steps > 0
 
     def test_config_echo_is_resolved(self, small_run):
         config, result = small_run
@@ -363,17 +433,39 @@ class TestCli:
         seed_lines = [line for line in lines if line.startswith("seed ")]
         assert lines.index(counts[0]) == lines.index(seed_lines[0]) + 1
 
-    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+    def test_reference_line_splits_the_step_count(self, tmp_path, capsys):
+        assert main(["--reference-only", "--out", str(tmp_path)]) == 0
+        saved = json.loads((tmp_path / "reference.json").read_text())
+        first_order = saved["iterations"] - saved["newton_steps"]
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"reference residual {saved['residual']:.3e} after {first_order} first-order "
+            f"+ {saved['newton_steps']} Newton iterations"
+        )
+
+    @staticmethod
+    def _python(*args):
+        """Run this interpreter on ``args`` with the package importable."""
         src = str(Path(stochsqp.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "stochsqp",
-             "--reference-only", "--out", str(tmp_path)],
+        return subprocess.run(
+            [sys.executable, *args],
             capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
         )
+
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        proc = self._python("-W", "error::RuntimeWarning", "-m", "stochsqp",
+                            "--reference-only", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stderr == ""
         assert (tmp_path / "reference.json").exists()
+
+    def test_harness_module_is_not_a_command(self, tmp_path):
+        proc = self._python("-m", "stochsqp.harness", "--reference-only", "--out", str(tmp_path))
+        assert proc.returncode != 0
+        errors = [line for line in (proc.stdout + proc.stderr).splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "run python -m stochsqp instead" in errors[0]
+        assert not (tmp_path / "reference.json").exists()
 
     def test_errors_return_nonzero(self, tmp_path):
         assert main(["--dataset", str(tmp_path / "missing.libsvm")]) == 1

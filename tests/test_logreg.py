@@ -14,6 +14,7 @@ from stochsqp import (
     parse_libsvm,
     serialize_libsvm,
 )
+from stochsqp import logreg
 from stochsqp.logreg import Dataset
 
 
@@ -160,3 +161,51 @@ class TestBundledData:
         assert oracle.sigma2 == pytest.approx(
             bundled_instance.per_sample_variance(bundled_instance.x1)
         )
+
+
+class TestSecondOrder:
+    def test_lagrangian_hessian_matches_central_differences(self, bundled_instance):
+        inst = bundled_instance
+        rng = np.random.default_rng(5)
+        h = 1e-5
+        for _ in range(3):
+            x = rng.standard_normal(inst.n)
+            y = rng.standard_normal(inst.m)
+
+            def grad_lagrangian(point):
+                return inst.gradient(point) + inst.jacobian(point).T @ y
+
+            columns = [
+                (grad_lagrangian(x + h * e) - grad_lagrangian(x - h * e)) / (2 * h)
+                for e in np.eye(inst.n)
+            ]
+            fd = np.column_stack(columns)
+            hess = inst.problem().lagrangian_hessian(x, y)
+            assert np.max(np.abs(hess - fd)) <= 1e-7 * (1.0 + np.max(np.abs(hess)))
+
+    def test_chunked_hessian_equals_one_shot_product(self, bundled_instance, monkeypatch):
+        inst = bundled_instance
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(inst.n)
+        y = rng.standard_normal(inst.m)
+        d = inst.dataset.features
+        s = 1.0 / (1.0 + np.exp(-(d.T @ x)))
+        dense = (d * (s * (1 - s))) @ d.T / inst.dataset.n_samples + 2.0 * y[-1] * np.eye(inst.n)
+        # 200 samples in blocks of 37 leave a short last block.
+        monkeypatch.setattr(logreg, "CHUNK_SAMPLES", 37)
+        hess = inst.lagrangian_hessian(x, y)
+        assert np.array_equal(hess, hess.T)
+        assert np.max(np.abs(hess - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("chunk", [37, logreg.CHUNK_SAMPLES])
+    def test_variance_matches_dense_formula(self, bundled_instance, monkeypatch, chunk):
+        from scipy.special import expit
+
+        inst = bundled_instance
+        x = np.random.default_rng(7).standard_normal(inst.n)
+        d, labels = inst.dataset.features, inst.dataset.labels
+        per_sample = d * (-labels * expit(-labels * (d.T @ x)))
+        mean = per_sample.mean(axis=1, keepdims=True)
+        dense = np.mean(np.sum((per_sample - mean) ** 2, axis=0))
+        monkeypatch.setattr(logreg, "CHUNK_SAMPLES", chunk)
+        assert inst.per_sample_variance(x) == pytest.approx(dense, rel=1e-14)
