@@ -14,12 +14,12 @@ from stochsqp import (
     MeritParams,
     Problem,
     SolverConfig,
-    compute_reference,
     exact_oracle,
     load_bundled_instance,
     phi,
     run,
 )
+from stochsqp.harness import compute_reference
 
 # --- sphere toy: minimize x_1 on the unit sphere --------------------------
 # Lagrange conditions give the solution (-1, 0) with multiplier 1/2.

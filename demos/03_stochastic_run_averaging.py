@@ -15,11 +15,11 @@ from stochsqp import (
     MeritParams,
     MultiplierTrace,
     SolverConfig,
-    compute_reference,
     load_bundled_instance,
     run,
     running_averages,
 )
+from stochsqp.harness import compute_reference
 
 instance = load_bundled_instance()
 problem = instance.problem()

@@ -13,7 +13,7 @@ and scales to the full protocol with --iters 100000.
 import json
 import pathlib
 
-from stochsqp import ExperimentConfig, run_experiment
+from stochsqp.harness import ExperimentConfig, run_experiment
 
 out = pathlib.Path("demo-runs")
 config = ExperimentConfig(

@@ -9,15 +9,17 @@ The package is organized as a small numpy/scipy library:
 * :mod:`stochsqp.solver` - the iteration loop and per-iterate diagnostics
 * :mod:`stochsqp.averaging` - running and windowed multiplier averages
 * :mod:`stochsqp.harness` - experiment driver, reference solves, CSV traces
+
+The package namespace re-exports the library.  The experiment driver is
+not imported with it; import its names from the module::
+
+    from stochsqp.harness import ExperimentConfig, compute_reference, run_experiment
 """
 
 __version__ = "0.1.0"
 
 from .averaging import (
-    MultiplierBoundReport,
     MultiplierTrace,
-    check_true_multiplier_bound,
-    kappa_y,
     running_average,
     running_averages,
     windowed_average,
@@ -71,12 +73,8 @@ from .problem import (
     Problem,
     ProblemConstants,
     StochasticGradientOracle,
-    estimate_lipschitz_constants,
     estimate_variance,
-    eval_all,
     exact_oracle,
-    finite_difference_check,
-    gaussian_oracle,
     sample_gradient,
 )
 from .solver import (
@@ -91,17 +89,5 @@ from .solver import (
     kkt_residual,
     run,
     stationarity_residual,
-    stationarity_residual_squared,
     step_size,
-    true_shadow,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    PlReport,
-    ReferenceSolution,
-    RunSummary,
-    compute_reference,
-    pl_diagnostic,
-    run_experiment,
 )

@@ -31,7 +31,6 @@ records; sample positions inside arrays remain 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -246,84 +245,3 @@ class MultiplierTrace:
     def windowed_average(self, eps: float, k: int | None = None):
         k = len(self) if k is None else k
         return windowed_average(self.xs, self.ys, k, eps)
-
-
-def kappa_y(
-    kappa_h: float,
-    lip_c: float,
-    r: float,
-    lip_gradf: float,
-    kappa_gradf: float,
-    lip_m: float,
-) -> float:
-    """Multiplier error-bound constant
-    ``kappa_h * lip_c / r**2 + lip_gradf / r + kappa_gradf * lip_m``.
-
-    ``lip_m`` is the Lipschitz constant of the multiplier-operator map
-    near the reference point; it is not computable from problem data in
-    general and must be supplied as an estimate.
-    """
-    for label, value in (
-        ("kappa_h", kappa_h),
-        ("lip_c", lip_c),
-        ("r", r),
-        ("lip_gradf", lip_gradf),
-        ("kappa_gradf", kappa_gradf),
-        ("lip_m", lip_m),
-    ):
-        if not value > 0:
-            raise ValueError(f"{label} must be > 0")
-    return kappa_h * lip_c / r**2 + lip_gradf / r + kappa_gradf * lip_m
-
-
-@dataclass
-class MultiplierBoundReport:
-    """Per-iterate ratio of multiplier error to primal error.
-
-    ``ratios[i]`` is ``||y_true_k - y*|| / max(||x_k - x*||, 1e-14)``
-    for iteration ``k = i + 1``; ``exceeded`` lists 1-based iterations
-    whose ratio is above the supplied bound constant.
-    """
-
-    ratios: Array
-    tail_start: int
-    tail_max: float
-    kappa_y: float
-    exceeded: Array
-
-    @property
-    def tail_bounded(self) -> bool:
-        return bool(np.isfinite(self.tail_max))
-
-
-def check_true_multiplier_bound(
-    trace: MultiplierTrace,
-    x_star: Array,
-    y_star: Array,
-    kappa_y_value: float,
-    tail_start: int,
-) -> MultiplierBoundReport:
-    """Compare exact-gradient multiplier errors against primal distances.
-
-    A diagnostic: it reports the ratio sequence, its maximum over the
-    tail ``k >= tail_start``, and which iterations exceed the supplied
-    constant.  Nothing is raised.
-    """
-    ys_true = trace.ys_true
-    if ys_true is None:
-        raise ValueError("trace does not carry exact-gradient multipliers")
-    if not 1 <= tail_start <= len(trace):
-        raise ValueError("tail_start out of range")
-    x_star = np.asarray(x_star, dtype=float)
-    y_star = np.asarray(y_star, dtype=float)
-    dx = np.linalg.norm(trace.xs - x_star, axis=1)
-    dy = np.linalg.norm(ys_true - y_star, axis=1)
-    ratios = dy / np.maximum(dx, 1e-14)
-    exceeded = np.nonzero(ratios > kappa_y_value)[0] + 1
-    return MultiplierBoundReport(
-        ratios=ratios,
-        tail_start=tail_start,
-        tail_max=float(ratios[tail_start - 1 :].max()),
-        kappa_y=kappa_y_value,
-        exceeded=exceeded,
-    )

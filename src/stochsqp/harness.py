@@ -36,7 +36,7 @@ from .averaging import MultiplierTrace, running_averages, windowed_averages
 from .errors import ConfigError, CurvatureError, RankError, ReferenceSolveError, StochSqpError
 from .kkt import KktInputs, null_space_basis, solve_kkt
 from .logreg import ConstrainedLogRegInstance, build_instance, load_bundled_dataset, load_libsvm_file
-from .merit import MeritParams, phi
+from .merit import MeritParams
 from .problem import Array, Problem, exact_oracle
 from .solver import BetaSchedule, Iteration, SolverConfig, _evaluate, iterate, kkt_residual, run
 
@@ -65,6 +65,12 @@ NEWTON_SWITCH_RESIDUAL = 1.0
 #: Newton steps allowed before the reference solve falls back to the
 #: first-order loop.
 NEWTON_MAX_STEPS = 20
+#: Random tangential directions probed at every reference candidate.
+PROBES = 20
+#: Length of each tangential probe step.
+PROBE_STEP = 1e-4
+#: Seed of the probe directions.
+PROBE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -90,9 +96,6 @@ def compute_reference(
     lip_jac: float,
     tol: float = 1e-8,
     max_iters: int = 50_000,
-    probes: int = 20,
-    probe_step: float = 1e-4,
-    probe_seed: int = 0,
 ) -> ReferenceSolution:
     """Exact-gradient solve to high accuracy, with stationarity probes.
 
@@ -111,10 +114,10 @@ def compute_reference(
     :class:`CurvatureError`.  The first-order loop then continues where
     it stopped, exactly as without a Hessian.
 
-    The candidate is then probed along random tangential directions: the
-    Lagrangian using the candidate multiplier must not decrease, which
-    screens out saddle-like candidates without needing second
-    derivatives.
+    The candidate is then probed along ``PROBES`` random tangential
+    directions: the Lagrangian using the candidate multiplier must not
+    decrease, which screens out saddle-like candidates without needing
+    second derivatives.
     """
     config = SolverConfig(
         merit=merit,
@@ -141,7 +144,7 @@ def compute_reference(
             f"reference solve did not reach {tol:g} in {max_iters} iterations "
             f"(best residual {best:.3e})"
         )
-    _probe_tangential_floor(problem, reference.x, reference.y, probes, probe_step, probe_seed)
+    _probe_tangential_floor(problem, reference.x, reference.y)
     return reference
 
 
@@ -170,9 +173,9 @@ def _newton_kkt(problem: Problem, start: Iteration, tol: float) -> ReferenceSolu
     return None
 
 
-def _probe_tangential_floor(problem, x, y, probes, step, seed):
+def _probe_tangential_floor(problem, x, y):
     """Require the Lagrangian not to decrease along tangential probes."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     basis = null_space_basis(np.asarray(problem.jacobian(x), dtype=float))
     if basis.shape[1] == 0:
         return
@@ -184,12 +187,12 @@ def _probe_tangential_floor(problem, x, y, probes, step, seed):
 
     base = lagrangian(x)
     floor = base - 1e-10 * (1.0 + abs(base))
-    for _ in range(probes):
+    for _ in range(PROBES):
         w = rng.standard_normal(basis.shape[1])
         w /= np.linalg.norm(w)
         direction = basis @ w
         for sign in (1.0, -1.0):
-            if lagrangian(x + sign * step * direction) < floor:
+            if lagrangian(x + sign * PROBE_STEP * direction) < floor:
                 raise ReferenceSolveError(
                     "tangential probe found local descent at the reference candidate"
                 )
@@ -204,10 +207,11 @@ def _probe_tangential_floor(problem, x, y, probes, step, seed):
 class ExperimentConfig:
     """Resolved settings for one experiment invocation.
 
-    ``dataset=None`` selects the bundled synthetic slice.  ``lip_gradf``
-    and ``lip_jac`` default to the instance's certified bounds when left
-    unset.  ``exact`` swaps the mini-batch oracle for full-batch exact
-    gradients (zero variance).
+    ``dataset=None`` selects the bundled synthetic slice.  The step-size
+    rule uses the instance's certified Lipschitz bounds, the constraint
+    data is drawn with ``INSTANCE_SEED`` and the reference solve has
+    :func:`compute_reference`'s iteration budget.  ``exact`` swaps the
+    mini-batch oracle for full-batch exact gradients (zero variance).
     """
 
     dataset: str | None = None
@@ -226,11 +230,7 @@ class ExperimentConfig:
     validate: bool = False
     reference_only: bool = False
     exact: bool = False
-    lip_gradf: float | None = None
-    lip_jac: float | None = None
     ref_tol: float = 1e-8
-    ref_max_iters: int = 50_000
-    instance_seed: int = INSTANCE_SEED
 
     def __post_init__(self):
         if self.thin < 1:
@@ -417,7 +417,7 @@ def _load_instance(config: ExperimentConfig) -> ConstrainedLogRegInstance:
         dataset = load_bundled_dataset()
     else:
         dataset = load_libsvm_file(config.dataset)
-    return build_instance(dataset, m_lin=config.mlin, seed=config.instance_seed)
+    return build_instance(dataset, m_lin=config.mlin, seed=INSTANCE_SEED)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -433,26 +433,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     instance = _load_instance(config)
     problem = instance.problem()
     lip_gradf, lip_jac = instance.lipschitz_bounds()
-    if config.lip_gradf is not None:
-        lip_gradf = config.lip_gradf
-    if config.lip_jac is not None:
-        lip_jac = config.lip_jac
-    merit = config.merit()
-
-    reference = compute_reference(
-        problem,
-        merit,
-        lip_gradf,
-        lip_jac,
-        tol=config.ref_tol,
-        max_iters=config.ref_max_iters,
-    )
+    reference = compute_reference(problem, config.merit(), lip_gradf, lip_jac, tol=config.ref_tol)
 
     echo = asdict(config)
     echo.update(
         {
             "resolved_lip_gradf": lip_gradf,
             "resolved_lip_jac": lip_jac,
+            "instance_seed": INSTANCE_SEED,
             "instance_n": instance.n,
             "instance_m": instance.m,
             "package_version": __version__,
@@ -539,74 +527,6 @@ def _run_replicate(config, instance, problem, reference, lip_gradf, lip_jac, see
 
 
 # ---------------------------------------------------------------------------
-# merit-gap growth diagnostic
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PlReport:
-    """Sampled merit-gap-to-stationarity ratios near a reference point.
-
-    ``max_ratio`` is an empirical lower bound for the proportionality
-    constant relating the merit gap to ``tau * ||reduced grad||^2 +
-    ||c||``; ``witnesses`` are sampled points where the gap is positive
-    but the denominator vanishes, i.e. where no such constant exists.
-    """
-
-    max_ratio: float
-    n_ratios: int
-    witnesses: list[Array]
-
-
-def pl_diagnostic(
-    problem: Problem,
-    x_star: Array,
-    tau: float,
-    samples: int,
-    radius: float,
-    rng: np.random.Generator,
-    extra_points: list[Array] | None = None,
-) -> PlReport:
-    """Sample the ball around ``x_star`` and measure the merit-gap ratio.
-
-    Points are drawn uniformly from the ball of the given radius.  The
-    ratio is only formed where the denominator exceeds 1e-14; points
-    with a positive gap and a vanishing denominator are returned as
-    violation witnesses.  Random sampling cannot hit measure-zero
-    violation sets, so suspected witnesses may be passed explicitly via
-    ``extra_points``.
-    """
-    x_star = np.asarray(x_star, dtype=float)
-    base = phi(tau, float(problem.objective(x_star)), problem.constraints(x_star))
-    gap_floor = 1e-12 * (1.0 + abs(base))
-
-    points = []
-    for _ in range(samples):
-        direction = rng.standard_normal(problem.n)
-        direction /= np.linalg.norm(direction)
-        points.append(x_star + radius * rng.uniform() ** (1.0 / problem.n) * direction)
-    points.extend(np.asarray(p, dtype=float) for p in (extra_points or []))
-
-    max_ratio = math.nan
-    n_ratios = 0
-    witnesses: list[Array] = []
-    for x in points:
-        c = np.asarray(problem.constraints(x), dtype=float)
-        gap = phi(tau, float(problem.objective(x)), c) - base
-        basis = null_space_basis(np.asarray(problem.jacobian(x), dtype=float))
-        reduced = basis.T @ np.asarray(problem.gradient(x), dtype=float)
-        denom = tau * float(reduced @ reduced) + float(np.linalg.norm(c))
-        if denom > 1e-14:
-            ratio = gap / denom
-            n_ratios += 1
-            if math.isnan(max_ratio) or ratio > max_ratio:
-                max_ratio = ratio
-        elif gap > gap_floor:
-            witnesses.append(x)
-    return PlReport(max_ratio=max_ratio, n_ratios=n_ratios, witnesses=witnesses)
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -658,8 +578,15 @@ def parse_config_file(path) -> dict:
     return values
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Flag errors raise :class:`ConfigError`, like every other input error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="stochsqp-experiment",
         description="Run the constrained logistic-regression experiment protocol.",
     )
@@ -712,8 +639,8 @@ def config_from_args(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     parser = build_arg_parser()
-    pre, _ = parser.parse_known_args(argv)
     try:
+        pre, _ = parser.parse_known_args(argv)
         if pre.config is not None:
             parser.set_defaults(**parse_config_file(pre.config))
         args = parser.parse_args(argv)

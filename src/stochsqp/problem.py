@@ -13,7 +13,6 @@ and parallel replicates can own independent streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -154,42 +153,6 @@ def _check_finite(value, component: str, point: Array):
         )
 
 
-def eval_all(problem: Problem, x: Array):
-    """Evaluate objective, gradient, constraints and Jacobian at one point.
-
-    Returns ``(f, grad, c, jac)``.  Raises :class:`EvaluationError`
-    naming the offending evaluator if any output is non-finite or has
-    the wrong shape.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise ValueError(f"x must have shape ({problem.n},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-
-    f = float(problem.objective(x))
-    _check_finite(f, "objective", x)
-
-    grad = np.asarray(problem.gradient(x), dtype=float)
-    if grad.shape != (problem.n,):
-        raise EvaluationError(f"gradient returned shape {grad.shape}, expected ({problem.n},)")
-    _check_finite(grad, "gradient", x)
-
-    c = np.asarray(problem.constraints(x), dtype=float)
-    if c.shape != (problem.m,):
-        raise EvaluationError(f"constraints returned shape {c.shape}, expected ({problem.m},)")
-    _check_finite(c, "constraints", x)
-
-    jac = np.asarray(problem.jacobian(x), dtype=float)
-    if jac.shape != (problem.m, problem.n):
-        raise EvaluationError(
-            f"jacobian returned shape {jac.shape}, expected ({problem.m}, {problem.n})"
-        )
-    _check_finite(jac, "jacobian", x)
-
-    return f, grad, c, jac
-
-
 def sample_gradient(
     oracle: StochasticGradientOracle,
     x: Array,
@@ -241,89 +204,3 @@ def exact_oracle(problem: Problem) -> StochasticGradientOracle:
         return np.asarray(problem.gradient(x), dtype=float)
 
     return StochasticGradientOracle(sample=sample, sigma2=0.0)
-
-
-def gaussian_oracle(problem: Problem, sigma: float) -> StochasticGradientOracle:
-    """Exact gradient plus isotropic Gaussian noise.
-
-    A single sample has ``E||g_1 - grad f(x)||^2 = sigma**2``; a batch
-    of ``b`` samples averages to noise with second moment
-    ``sigma**2 / b``, drawn directly at the reduced scale.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    n = problem.n
-
-    def sample(x, batch, rng):
-        if batch < 1:
-            raise ValueError("batch size must be >= 1")
-        grad = np.asarray(problem.gradient(x), dtype=float)
-        scale = sigma / math.sqrt(n * batch)
-        return grad + scale * rng.standard_normal(n)
-
-    return StochasticGradientOracle(sample=sample, sigma2=sigma**2)
-
-
-def estimate_lipschitz_constants(
-    problem: Problem,
-    rng: np.random.Generator,
-    center: Array | None = None,
-    radius: float = 1.0,
-    pairs: int = 200,
-    inflation: float = 2.0,
-):
-    """Crude empirical Lipschitz constants for the gradient and Jacobian.
-
-    Takes the maximum finite-difference quotient over random segment
-    endpoints inside a ball and inflates it by ``inflation``.  This is a
-    heuristic for configuring the step-size rule, not a certified bound.
-    Returns ``(lip_gradf, lip_jac)``.
-    """
-    if center is None:
-        center = problem.x0 if problem.x0 is not None else np.zeros(problem.n)
-    center = np.asarray(center, dtype=float)
-    lip_g = 0.0
-    lip_j = 0.0
-    for _ in range(pairs):
-        a = center + radius * rng.standard_normal(problem.n)
-        b = center + radius * rng.standard_normal(problem.n)
-        gap = float(np.linalg.norm(a - b))
-        if gap < 1e-12:
-            continue
-        dg = np.linalg.norm(problem.gradient(a) - problem.gradient(b))
-        dj = np.linalg.norm(problem.jacobian(a) - problem.jacobian(b), ord=2)
-        lip_g = max(lip_g, float(dg) / gap)
-        lip_j = max(lip_j, float(dj) / gap)
-    return inflation * lip_g, inflation * lip_j
-
-
-def finite_difference_check(
-    problem: Problem,
-    rng: np.random.Generator,
-    probes: int = 20,
-    h: float = 1e-5,
-    center: Array | None = None,
-    radius: float = 1.0,
-):
-    """Central-difference consistency check of the declared derivatives.
-
-    Probes random (point, coordinate) pairs and returns the worst
-    absolute deviation for the gradient and for the Jacobian columns,
-    as ``(grad_err, jac_err)``.  The caller supplies the tolerance
-    (proportional to ``h`` times a curvature scale).
-    """
-    if center is None:
-        center = problem.x0 if problem.x0 is not None else np.zeros(problem.n)
-    center = np.asarray(center, dtype=float)
-    grad_err = 0.0
-    jac_err = 0.0
-    for _ in range(probes):
-        x = center + radius * rng.standard_normal(problem.n)
-        i = int(rng.integers(0, problem.n))
-        e = np.zeros(problem.n)
-        e[i] = h
-        df = (problem.objective(x + e) - problem.objective(x - e)) / (2 * h)
-        grad_err = max(grad_err, abs(df - float(problem.gradient(x)[i])))
-        dc = (problem.constraints(x + e) - problem.constraints(x - e)) / (2 * h)
-        jac_err = max(jac_err, float(np.linalg.norm(dc - problem.jacobian(x)[:, i])))
-    return grad_err, jac_err

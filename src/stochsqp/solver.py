@@ -343,33 +343,10 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     return RunResult(trace=trace, x_final=x_next, summary=summary, wall_time=wall, config=config)
 
 
-def true_shadow(problem: Problem, x: Array, hess: Array):
-    """Subproblem solution with the exact gradient; returns ``(d, y)``.
-
-    This is the unobservable counterpart of the stochastic step, used
-    for the trial values and multiplier diagnostics.
-    """
-    x = np.asarray(x, dtype=float)
-    inputs = kkt.KktInputs(
-        hess=np.asarray(hess, dtype=float),
-        jac=np.asarray(problem.jacobian(x), dtype=float),
-        grad=np.asarray(problem.gradient(x), dtype=float),
-        c=np.asarray(problem.constraints(x), dtype=float),
-    )
-    sol = kkt.solve_kkt(inputs)
-    return sol.d, sol.y
-
-
-def _residual_terms(grad: Array, jac: Array, c: Array, y: Array):
-    """``(||grad + jac' y||_2, ||c||_2)`` from already-evaluated arrays."""
-    return np.linalg.norm(grad + jac.T @ np.asarray(y)), np.linalg.norm(c)
-
-
 def kkt_residual(grad: Array, jac: Array, c: Array, y: Array) -> float:
     """First-order violation ``||grad + jac' y||_2 + ||c||_2`` from
     already-evaluated gradient, Jacobian and constraint arrays."""
-    gradient_term, constraint_term = _residual_terms(grad, jac, c, y)
-    return float(gradient_term + constraint_term)
+    return float(np.linalg.norm(grad + jac.T @ np.asarray(y)) + np.linalg.norm(c))
 
 
 def _evaluate(problem: Problem, x: Array):
@@ -385,13 +362,6 @@ def _evaluate(problem: Problem, x: Array):
 def stationarity_residual(problem: Problem, x: Array, y: Array) -> float:
     """First-order violation ``||grad f + jac' y||_2 + ||c||_2`` at ``x``."""
     return kkt_residual(*_evaluate(problem, x), y)
-
-
-def stationarity_residual_squared(problem: Problem, x: Array, y: Array) -> float:
-    """Companion measure with the gradient term squared,
-    ``||grad f + jac' y||_2^2 + ||c||_2``."""
-    gradient_term, constraint_term = _residual_terms(*_evaluate(problem, x), y)
-    return float(gradient_term**2 + constraint_term)
 
 
 def derive_kuv(zeta: float, kappa_h: float) -> float:

@@ -2,12 +2,24 @@
 
 The dense full-matrix KKT solve lives here (not in the library) so the
 null-space implementation is always checked against a second route.
+So do the other oracles only tests use: the exact-gradient subproblem
+solve, a Gaussian-noise gradient oracle and a central-difference check
+of declared derivatives.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from stochsqp import Problem, load_bundled_dataset, build_instance
+from stochsqp import (
+    KktInputs,
+    Problem,
+    StochasticGradientOracle,
+    build_instance,
+    load_bundled_dataset,
+    solve_kkt,
+)
 from stochsqp.logreg import Dataset
 
 
@@ -22,6 +34,57 @@ def dense_kkt_solve(hess, jac, grad, c):
     rhs = np.concatenate([-grad, -c])
     solution = np.linalg.solve(system, rhs)
     return solution[:n], solution[n:]
+
+
+def true_shadow(problem, x, hess):
+    """Subproblem solution ``(d, y)`` with the exact gradient at ``x``."""
+    x = np.asarray(x, dtype=float)
+    sol = solve_kkt(KktInputs(
+        hess=np.asarray(hess, dtype=float),
+        jac=np.asarray(problem.jacobian(x), dtype=float),
+        grad=np.asarray(problem.gradient(x), dtype=float),
+        c=np.asarray(problem.constraints(x), dtype=float),
+    ))
+    return sol.d, sol.y
+
+
+def gaussian_oracle(problem, sigma):
+    """Exact gradient plus isotropic Gaussian noise.
+
+    A single sample has ``E||g_1 - grad f(x)||^2 = sigma**2``; a batch
+    of ``b`` samples averages to noise with second moment
+    ``sigma**2 / b``, drawn directly at the reduced scale.
+    """
+    n = problem.n
+
+    def sample(x, batch, rng):
+        grad = np.asarray(problem.gradient(x), dtype=float)
+        return grad + sigma / math.sqrt(n * batch) * rng.standard_normal(n)
+
+    return StochasticGradientOracle(sample=sample, sigma2=sigma**2)
+
+
+def finite_difference_check(problem, rng, center, probes=20, h=1e-5):
+    """Worst central-difference deviation of the declared derivatives.
+
+    Probes random (point, coordinate) pairs, the points drawn from a
+    unit Gaussian around ``center``, and returns ``(grad_err,
+    jac_err)``: the largest absolute deviation of one gradient entry
+    and of one Jacobian column.
+    """
+    center = np.asarray(center, dtype=float)
+    grad_err = 0.0
+    jac_err = 0.0
+    for _ in range(probes):
+        x = center + rng.standard_normal(problem.n)
+        i = int(rng.integers(0, problem.n))
+        e = np.zeros(problem.n)
+        e[i] = h
+        df = (problem.objective(x + e) - problem.objective(x - e)) / (2 * h)
+        grad_err = max(grad_err, abs(df - float(problem.gradient(x)[i])))
+        dc = (problem.constraints(x + e) - problem.constraints(x - e)) / (2 * h)
+        jac_err = max(jac_err, float(np.linalg.norm(dc - problem.jacobian(x)[:, i])))
+    return grad_err, jac_err
 
 
 def random_spd(rng, n, lo=0.5, hi=2.0):

@@ -22,7 +22,6 @@ from stochsqp import (
     MeritParams,
     ProblemConstants,
     SolverConfig,
-    compute_reference,
     derive_kuv,
     exact_oracle,
     least_squares_multiplier,
@@ -38,6 +37,7 @@ from stochsqp import (
     windowed_average,
     xi_trial,
 )
+from stochsqp.harness import compute_reference
 
 from conftest import dense_kkt_solve, random_kkt_instance
 

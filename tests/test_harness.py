@@ -15,20 +15,24 @@ import pytest
 from stochsqp import (
     BetaSchedule,
     ConfigError,
-    ExperimentConfig,
     MeritParams,
-    Problem,
     ReferenceSolveError,
     SolverConfig,
-    compute_reference,
     exact_oracle,
-    pl_diagnostic,
     run,
-    run_experiment,
 )
 import stochsqp
 from stochsqp import averaging, harness
-from stochsqp.harness import ReferenceSolution, csv_columns, main, parse_config_file, write_trace_csv
+from stochsqp.harness import (
+    ExperimentConfig,
+    ReferenceSolution,
+    compute_reference,
+    csv_columns,
+    main,
+    parse_config_file,
+    run_experiment,
+    write_trace_csv,
+)
 
 from conftest import constrained_quadratic, sphere_problem
 
@@ -460,18 +464,23 @@ class TestCli:
         assert (tmp_path / "reference.json").exists()
 
     def test_harness_module_is_not_a_command(self, tmp_path):
-        proc = self._python("-m", "stochsqp.harness", "--reference-only", "--out", str(tmp_path))
+        out = tmp_path / "out"
+        proc = self._python("-W", "error::RuntimeWarning", "-m", "stochsqp.harness",
+                            "--reference-only", "--out", str(out))
         assert proc.returncode != 0
-        errors = [line for line in (proc.stdout + proc.stderr).splitlines()
-                  if line.startswith("error:")]
-        assert len(errors) == 1 and "run python -m stochsqp instead" in errors[0]
-        assert not (tmp_path / "reference.json").exists()
+        assert "RuntimeWarning" not in proc.stderr
+        lines = (proc.stdout + proc.stderr).splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "run python -m stochsqp instead" in lines[0]
+        assert not out.exists()
 
     def test_errors_return_nonzero(self, tmp_path):
         assert main(["--dataset", str(tmp_path / "missing.libsvm")]) == 1
 
     @pytest.mark.parametrize(
-        "case", ["config-value", "libsvm-parse", "too-many-constraints", "zero-tau", "nan-eps"]
+        "case",
+        ["config-value", "libsvm-parse", "too-many-constraints", "zero-tau", "nan-eps",
+         "flag-value", "unknown-flag"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -484,6 +493,8 @@ class TestCli:
             "too-many-constraints": ["--mlin", "40"],
             "zero-tau": ["--tau", "0"],
             "nan-eps": ["--eps", "nan"],
+            "flag-value": ["--iters", "abc"],
+            "unknown-flag": ["--bogus"],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -514,47 +525,3 @@ class TestCli:
         cfg.write_text(text)
         with pytest.raises(ConfigError):
             parse_config_file(cfg)
-
-
-class TestPlDiagnostic:
-    def test_strongly_convex_toy_has_stable_ratio(self):
-        rng = np.random.default_rng(0)
-        problem, p_mat, x_star, _ = constrained_quadratic(rng)
-        lip = float(np.linalg.norm(p_mat, 2))
-        ref = compute_reference(problem, MeritParams(), lip, 1e-6, tol=1e-10)
-        first = pl_diagnostic(problem, ref.x, 0.1, samples=400, radius=0.3,
-                              rng=np.random.default_rng(1))
-        second = pl_diagnostic(problem, ref.x, 0.1, samples=800, radius=0.3,
-                               rng=np.random.default_rng(2))
-        assert not first.witnesses and not second.witnesses
-        assert np.isfinite(first.max_ratio) and first.max_ratio > 0
-        assert second.max_ratio == pytest.approx(first.max_ratio, rel=0.2)
-
-    def test_reference_point_is_excluded(self):
-        rng = np.random.default_rng(3)
-        problem, p_mat, _, _ = constrained_quadratic(rng)
-        lip = float(np.linalg.norm(p_mat, 2))
-        ref = compute_reference(problem, MeritParams(), lip, 1e-6, tol=1e-10)
-        report = pl_diagnostic(problem, ref.x, 0.1, samples=10, radius=0.1,
-                               rng=np.random.default_rng(4), extra_points=[ref.x])
-        assert not report.witnesses
-
-    def test_flat_objective_curve_yields_witness(self):
-        # Feasible set is the horizontal axis; the objective is flat to
-        # first order at x_1 = 0 yet the merit gap there is positive, so
-        # no proportionality constant can exist at that point.
-        problem = Problem(
-            n=2, m=1,
-            objective=lambda x: (x[0] ** 2 - 1.0) ** 2,
-            gradient=lambda x: np.array([4.0 * x[0] * (x[0] ** 2 - 1.0), 0.0]),
-            constraints=lambda x: np.array([x[1]]),
-            jacobian=lambda x: np.array([[0.0, 1.0]]),
-            x0=np.array([0.9, 0.1]),
-        )
-        x_star = np.array([1.0, 0.0])
-        report = pl_diagnostic(
-            problem, x_star, tau=0.1, samples=50, radius=1.2,
-            rng=np.random.default_rng(5), extra_points=[np.array([0.0, 0.0])],
-        )
-        assert len(report.witnesses) == 1
-        assert np.allclose(report.witnesses[0], [0.0, 0.0])

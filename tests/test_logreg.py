@@ -116,6 +116,16 @@ class TestBuildInstance:
             chord = lam * bundled_instance.objective(a) + (1 - lam) * bundled_instance.objective(b)
             assert mid <= chord + 1e-10
 
+    def test_logreg_instance_at_zero(self, bundled_instance):
+        # At x = 0 every logistic term is log 2 and the constraints
+        # reduce to (-b, -1).
+        p = bundled_instance.problem()
+        x = np.zeros(p.n)
+        assert p.objective(x) == pytest.approx(np.log(2.0), abs=1e-14)
+        c = p.constraints(x)
+        assert np.allclose(c[:-1], -bundled_instance.b)
+        assert c[-1] == -1.0
+
 
 class TestMinibatchGradient:
     def test_all_indices_equals_full_gradient(self, bundled_instance):

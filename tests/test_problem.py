@@ -4,60 +4,14 @@ import numpy as np
 import pytest
 
 from stochsqp import (
-    EvaluationError,
     Problem,
     ProblemConstants,
-    estimate_lipschitz_constants,
     estimate_variance,
-    eval_all,
     exact_oracle,
-    finite_difference_check,
-    gaussian_oracle,
     sample_gradient,
 )
 
-from conftest import sphere_problem
-
-
-class TestEvalAll:
-    def test_sphere_toy_at_feasible_point(self):
-        p = sphere_problem()
-        f, grad, c, jac = eval_all(p, np.array([1.0, 0.0]))
-        assert f == 1.0
-        assert np.array_equal(grad, [1.0, 0.0])
-        assert np.array_equal(c, [0.0])
-        assert np.array_equal(jac, [[2.0, 0.0]])
-
-    def test_rank_deficient_point_still_evaluates(self):
-        p = sphere_problem()
-        f, grad, c, jac = eval_all(p, np.zeros(2))
-        assert np.array_equal(c, [-1.0])
-        assert np.array_equal(jac, [[0.0, 0.0]])
-
-    def test_logreg_instance_at_zero(self, bundled_instance):
-        # At x = 0 every logistic term is log 2 and the constraints
-        # reduce to (-b, -1).
-        p = bundled_instance.problem()
-        f, grad, c, jac = eval_all(p, np.zeros(p.n))
-        assert f == pytest.approx(np.log(2.0), abs=1e-14)
-        assert np.allclose(c[:-1], -bundled_instance.b)
-        assert c[-1] == -1.0
-
-    def test_nonfinite_output_names_component(self):
-        p = sphere_problem()
-        bad = Problem(
-            n=2, m=1,
-            objective=p.objective,
-            gradient=p.gradient,
-            constraints=lambda x: np.array([np.inf]),
-            jacobian=p.jacobian,
-        )
-        with pytest.raises(EvaluationError, match="constraints"):
-            eval_all(bad, np.zeros(2))
-
-    def test_nonfinite_x_rejected(self):
-        with pytest.raises(ValueError):
-            eval_all(sphere_problem(), np.array([np.nan, 0.0]))
+from conftest import finite_difference_check, gaussian_oracle, sphere_problem
 
 
 class TestSampleGradient:
@@ -160,9 +114,8 @@ class TestGaussianOracle:
 
 class TestDerivativeChecks:
     def test_sphere_toy_finite_differences(self):
-        grad_err, jac_err = finite_difference_check(
-            sphere_problem(), np.random.default_rng(0), probes=20, h=1e-5
-        )
+        p = sphere_problem()
+        grad_err, jac_err = finite_difference_check(p, np.random.default_rng(0), center=p.x0)
         # Jacobian map has Lipschitz constant exactly 2; the objective is
         # affine so the gradient check is exact to rounding.
         assert jac_err <= 10 * 1e-5 * 2.0
@@ -172,17 +125,10 @@ class TestDerivativeChecks:
         p = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         grad_err, jac_err = finite_difference_check(
-            p, np.random.default_rng(1), probes=20, h=1e-5, center=bundled_instance.x1
+            p, np.random.default_rng(1), center=bundled_instance.x1
         )
         assert grad_err <= 10 * 1e-5 * lip_gradf
         assert jac_err <= 10 * 1e-5 * lip_jac
-
-    def test_lipschitz_estimator_brackets_known_constant(self):
-        rng = np.random.default_rng(2)
-        lip_g, lip_j = estimate_lipschitz_constants(sphere_problem(), rng, pairs=100)
-        assert lip_g <= 1e-12  # constant gradient
-        # True Jacobian constant is 2; the estimate is inflated 2x.
-        assert 2.0 <= lip_j <= 4.5
 
 
 class TestProblemConstants:
