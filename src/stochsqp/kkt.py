@@ -9,7 +9,7 @@ constraint value ``c``, and returns the step/multiplier pair solving
 
 Both routes start from the economic QR factorization ``jac' = q1 r``
 (``q1`` is ``n x m``, ``r`` is ``m x m`` upper triangular).  The rank
-gate takes the singular values of ``r``, which equal those of ``jac``.
+gate tries ``||r||_F ||r^{-1}||_F`` before the singular values of ``r``.
 
 * The null-space route (any symmetric ``h``) also forms ``z``, an
   orthonormal basis of the Jacobian null space, from the full ``n x n``
@@ -21,8 +21,8 @@ gate takes the singular values of ``r``, which equal those of ``jac``.
   :class:`CurvatureError` rather than silently regularized.
 * The range-space route (``hess=None``, the identity model matrix)
   needs no ``z``: with ``qg = q1' g`` it returns ``v = q1 w``,
-  ``u = q1 qg - g`` and ``y = r^{-1}(-qg - w)``.  This is the solver
-  loop's hot path, so it calls LAPACK directly.  Factor with
+  ``u = q1 qg - g``, ``y = r^{-1}(-qg - w)`` and no residual.  This is
+  the solver loop's hot path, so it calls LAPACK directly.  Factor with
   ``factor_jacobian(jac, null_space=False)`` to skip the full Q.
 
 The multiplier formulas and :func:`decompose_step` reuse the same
@@ -42,7 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr, dtrtrs
+from scipy.linalg.blas import ddot
+from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr, dtrtri, dtrtrs
 
 from .errors import CurvatureError, InconsistentStepError, RankError
 from .problem import Array
@@ -92,9 +93,9 @@ class KktSolution:
     """Step ``d = u + v``, multiplier ``y``, and the basis used.
 
     ``u`` lies in the Jacobian null space, ``v`` in its row space, and
-    ``residual`` is the verified value of
-    ``||h d + jac' y + g|| + ||jac d + c||``.  ``basis`` is ``None`` on
-    the range-space route, which uses none.
+    ``residual`` is ``||h d + jac' y + g|| + ||jac d + c||``.  The
+    range-space route, which uses no basis and whose residual nothing
+    reads, leaves ``basis`` and ``residual`` as ``None``.
     """
 
     d: Array
@@ -102,7 +103,7 @@ class KktSolution:
     u: Array
     v: Array
     basis: Array | None
-    residual: float
+    residual: float | None
 
 
 def _check_info(routine: str, info: int):
@@ -119,6 +120,18 @@ def _upper_mask(m: int) -> Array:
     return mask
 
 
+def _rank_certified(r: Array) -> bool:
+    """Rank gate certificate from ``sigma_min >= 1/||r^{-1}||_F`` and
+    ``sigma_max <= ||r||_F``.  The factor 2 covers the ``~m kappa eps``
+    error of the computed inverse (``kappa <= 5e9`` where this accepts).
+    A singular or non-finite ``r`` fails: ``NaN <= 1`` is false."""
+    inv, info = dtrtri(r)
+    fro2 = ddot(r.ravel(order="K"), r.ravel(order="K"))
+    scale2 = 1.0 if fro2 <= 1.0 else fro2
+    inv2 = ddot(inv.ravel(order="K"), inv.ravel(order="K"))
+    return info == 0 and (2.0 * RANK_RTOL) ** 2 * scale2 * inv2 <= 1.0
+
+
 def factor_jacobian(jac: Array, null_space: bool = True) -> JacobianFactors:
     """Rank-check ``jac`` and factor its transpose orthogonally.
 
@@ -133,12 +146,15 @@ def factor_jacobian(jac: Array, null_space: bool = True) -> JacobianFactors:
     qr, tau, _, info = dgeqrf(jac.T)
     _check_info("dgeqrf", info)
     r = np.multiply(qr[:m, :m], _upper_mask(m), order="F")
-    _, svals, _, info = dgesdd(r, compute_uv=0)
-    _check_info("dgesdd", info)
-    if not svals[-1] >= RANK_RTOL * max(1.0, svals[0]):
-        raise RankError(
-            f"jacobian is rank deficient: sigma_min={svals[-1]:.3e}, sigma_max={svals[0]:.3e}"
-        )
+    if not _rank_certified(r):
+        if not np.isfinite(r).all():
+            raise RankError("jacobian has a non-finite entry")
+        _, svals, _, info = dgesdd(r, compute_uv=0)
+        _check_info("dgesdd", info)
+        if not svals[-1] >= RANK_RTOL * max(1.0, svals[0]):
+            raise RankError(
+                f"jacobian is rank deficient: sigma_min={svals[-1]:.3e}, sigma_max={svals[0]:.3e}"
+            )
     if null_space:
         full = np.zeros((n, n), order="F")
         full[:, :m] = qr
@@ -224,7 +240,7 @@ def _range_space_solve(factors: JacobianFactors, grad: Array, c: Array) -> KktSo
     Inputs are trusted to be finite (the solver loop checks them), so
     LAPACK is called without scipy's argument checks.
     """
-    jac, q1, _, r = factors
+    _, q1, _, r = factors
     w, info = dtrtrs(r, -c, trans=1)
     _check_info("dtrtrs", info)
     qg = q1.T @ grad
@@ -234,8 +250,7 @@ def _range_space_solve(factors: JacobianFactors, grad: Array, c: Array) -> KktSo
     d = u + v
     y, info = dtrtrs(r, -qg - w)
     _check_info("dtrtrs", info)
-    residual = float(np.linalg.norm(d + jac.T @ y + grad) + np.linalg.norm(jac @ d + c))
-    return KktSolution(d=d, y=y, u=u, v=v, basis=None, residual=residual)
+    return KktSolution(d=d, y=y, u=u, v=v, basis=None, residual=None)
 
 
 def solve_kkt(inputs: KktInputs, basis: Array | None = None) -> KktSolution:

@@ -17,6 +17,7 @@ concurrent evaluation.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import TextIO
@@ -88,6 +89,8 @@ def parse_libsvm(source: str | TextIO, n_features: int | None = None) -> Dataset
             raw_label = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {lineno}: label {tokens[0]!r} is not a number") from None
+        if not math.isfinite(raw_label):
+            raise ParseError(f"line {lineno}: non-finite label {tokens[0]!r}")
         entries: list[tuple[int, float]] = []
         previous = 0
         for token in tokens[1:]:
@@ -97,6 +100,8 @@ def parse_libsvm(source: str | TextIO, n_features: int | None = None) -> Dataset
                 val = float(val_text)
             except ValueError:
                 raise ParseError(f"line {lineno}: malformed entry {token!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: non-finite value in {token!r}")
             if idx < 1:
                 raise ParseError(f"line {lineno}: feature index {idx} is not >= 1")
             if idx <= previous:

@@ -4,7 +4,9 @@ The merit function is ``phi(x) = tau * f(x) + ||c(x)||_1`` with a fixed
 parameter ``tau``.  The local model ``q`` linearizes the objective,
 keeps only nonnegative curvature, and linearizes the constraints inside
 the 1-norm; its reduction at a step solving the linearized constraint
-has the closed form implemented by :func:`reduction_delta_q`.
+has the closed form implemented by :func:`reduction_delta_q`.  A model
+matrix ``hess=None`` is the identity, as the solver loop passes it: its
+curvature ``d'd`` is the same float as with ``np.eye(n)``.
 
 The trial values bound how large ``xi`` and ``tau`` may be while the
 step-size rule still guarantees sufficient decrease.  They are computed
@@ -41,29 +43,29 @@ class MeritParams:
 
 def phi(tau: float, f: float, c: Array) -> float:
     """Merit value ``tau * f + ||c||_1``."""
-    return tau * f + float(np.sum(np.abs(c)))
+    return tau * f + float(np.abs(c).sum())
 
 
-def _curvature(hess: Array, d: Array) -> float:
-    return max(float(d @ (hess @ d)), 0.0)
+def _curvature(hess: Array | None, d: Array) -> float:
+    return max(float(d @ d if hess is None else d @ (hess @ d)), 0.0)
 
 
 def model_q(
-    tau: float, f: float, c: Array, jac: Array, grad: Array, hess: Array, d: Array
+    tau: float, f: float, c: Array, jac: Array, grad: Array, hess: Array | None, d: Array
 ) -> float:
     """Local merit model ``tau (f + g'd + max(d'hd, 0)/2) + ||c + jac d||_1``."""
     return tau * (f + float(grad @ d) + 0.5 * _curvature(hess, d)) + float(
-        np.sum(np.abs(c + jac @ d))
+        np.abs(c + jac @ d).sum()
     )
 
 
-def reduction_delta_q(tau: float, c: Array, grad: Array, hess: Array, d: Array) -> float:
+def reduction_delta_q(tau: float, c: Array, grad: Array, hess: Array | None, d: Array) -> float:
     """Model reduction ``-tau (g'd + max(d'hd, 0)/2) + ||c||_1``.
 
     Equals ``model_q`` at zero minus ``model_q`` at ``d`` whenever the
     step satisfies the linearized constraint ``c + jac d = 0``.
     """
-    return -tau * (float(grad @ d) + 0.5 * _curvature(hess, d)) + float(np.sum(np.abs(c)))
+    return -tau * (float(grad @ d) + 0.5 * _curvature(hess, d)) + float(np.abs(c).sum())
 
 
 def xi_trial(tau: float, delta_q: float, d: Array) -> float:
@@ -78,7 +80,7 @@ def xi_trial(tau: float, delta_q: float, d: Array) -> float:
     return delta_q / (tau * nd2)
 
 
-def tau_trial_true(nu: float, c: Array, grad: Array, hess: Array, d_true: Array) -> float:
+def tau_trial_true(nu: float, c: Array, grad: Array, hess: Array | None, d_true: Array) -> float:
     """Largest admissible merit parameter, from the exact-gradient step.
 
     With ``rho = g'd + max(d'hd, 0)`` for the exact-gradient step, the
@@ -88,11 +90,11 @@ def tau_trial_true(nu: float, c: Array, grad: Array, hess: Array, d_true: Array)
     rho = float(grad @ d_true) + _curvature(hess, d_true)
     if rho <= 0.0:
         return float("inf")
-    return (1.0 - nu) * float(np.sum(np.abs(c))) / rho
+    return (1.0 - nu) * float(np.abs(c).sum()) / rho
 
 
 def check_reduction_lbnd(
-    tau: float, nu: float, c: Array, grad: Array, hess: Array, d_true: Array
+    tau: float, nu: float, c: Array, grad: Array, hess: Array | None, d_true: Array
 ):
     """Verify the guaranteed lower bound on the exact-gradient reduction.
 
@@ -102,6 +104,6 @@ def check_reduction_lbnd(
     diagnostic, so violations are reported rather than raised.
     """
     lhs = reduction_delta_q(tau, c, grad, hess, d_true)
-    rhs = 0.5 * tau * _curvature(hess, d_true) + nu * float(np.sum(np.abs(c)))
+    rhs = 0.5 * tau * _curvature(hess, d_true) + nu * float(np.abs(c).sum())
     slack = lhs - rhs
     return slack >= -1e-10 * (1.0 + abs(lhs)), slack

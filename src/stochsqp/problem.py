@@ -147,7 +147,7 @@ class ProblemConstants:
 
 
 def _check_finite(value, component: str, point: Array):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise EvaluationError(
             f"{component} returned a non-finite value at x={np.asarray(point)!r}"
         )

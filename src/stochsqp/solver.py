@@ -194,17 +194,17 @@ class RunResult:
     config: SolverConfig
 
 
-def _kuv_slack(sol: kkt.KktSolution, hess: Array, kappa_uv: float, zeta: float) -> float:
+def _kuv_slack(sol: kkt.KktSolution, kappa_uv: float, zeta: float) -> float:
     """Curvature-inequality slack when the tangential part dominates.
 
-    Returns ``d'hd - (zeta/2) ||u||^2`` when ``||u||^2 >= kappa_uv
-    ||v||^2`` and nan when the inequality's premise does not apply.
+    Returns ``d'd - (zeta/2) ||u||^2`` (``h = I``) when ``||u||^2 >=
+    kappa_uv ||v||^2`` and nan when the inequality's premise does not apply.
     """
     nu2 = float(sol.u @ sol.u)
     nv2 = float(sol.v @ sol.v)
     if nu2 < kappa_uv * nv2:
         return math.nan
-    return float(sol.d @ (hess @ sol.d)) - 0.5 * zeta * nu2
+    return float(sol.d @ sol.d) - 0.5 * zeta * nu2
 
 
 class Iteration(NamedTuple):
@@ -248,7 +248,7 @@ def iterate(
         try:
             c = np.asarray(problem.constraints(x), dtype=float)
             jac = np.asarray(problem.jacobian(x), dtype=float)
-            if not (np.all(np.isfinite(c)) and np.all(np.isfinite(jac))):
+            if not (np.isfinite(c).all() and np.isfinite(jac).all()):
                 raise EvaluationError("problem evaluator returned a non-finite value")
             g = sample_gradient(oracle, x, config.batch_size, rng)
             factors = kkt.factor_jacobian(jac, null_space=False)
@@ -260,7 +260,7 @@ def iterate(
         alpha_k = step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, beta_k)
         x_next = x + alpha_k * sol.d
         yield Iteration(k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next)
-        if not np.all(np.isfinite(x_next)):
+        if not np.isfinite(x_next).all():
             raise EvaluationError(f"iteration {k}: iterate became non-finite")
         x = x_next
 
@@ -275,7 +275,6 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     the ``trace.x`` rows it needs.
     """
     merit = config.merit
-    eye = np.eye(problem.n)
     trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
 
     kappa_uv = None
@@ -293,28 +292,27 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
         problem, oracle, config
     ):
         i = k - 1
-        dq_s = reduction_delta_q(merit.tau, c, g, eye, sol.d)
+        dq_s = reduction_delta_q(merit.tau, c, g, None, sol.d)
 
         trace.alpha[i] = alpha_k
         trace.beta[i] = beta_k
-        trace.norm_c[i] = np.linalg.norm(c)
+        trace.norm_c[i] = math.sqrt(float(c @ c))
         trace.dq_stoch[i] = dq_s
         trace.xi_trial[i] = xi_trial(merit.tau, dq_s, sol.d)
         trace.x[i] = x
         trace.y[i] = sol.y
         if kappa_uv is not None:
-            trace.kuv_slack[i] = _kuv_slack(sol, eye, kappa_uv, config.constants.zeta)
+            trace.kuv_slack[i] = _kuv_slack(sol, kappa_uv, config.constants.zeta)
 
         if config.validate:
             grad = np.asarray(problem.gradient(x), dtype=float)
-            try:
-                shadow = kkt.solve_with_factors(None, factors, grad, c)
-            except (kkt.RankError, kkt.CurvatureError) as exc:
-                raise type(exc)(f"iteration {k} (shadow solve): {exc}") from exc
+            # Cannot raise: the factors passed the rank gate in iterate,
+            # and the identity model has no curvature to fail.
+            shadow = kkt.solve_with_factors(None, factors, grad, c)
             trace.y_true[i] = shadow.y
-            tau_tr = tau_trial_true(merit.nu, c, grad, eye, shadow.d)
+            tau_tr = tau_trial_true(merit.nu, c, grad, None, shadow.d)
             trace.tau_trial_true[i] = tau_tr
-            holds, slack = check_reduction_lbnd(merit.tau, merit.nu, c, grad, eye, shadow.d)
+            holds, slack = check_reduction_lbnd(merit.tau, merit.nu, c, grad, None, shadow.d)
             trace.lbnd_slack[i] = slack
             trace.resid_true[i] = kkt_residual(grad, jac, c, shadow.y)
 
@@ -330,9 +328,7 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
             if merit.tau <= tau_tr and not holds:
                 summary.lbnd_violations += 1
             if kappa_uv is not None:
-                trace.kuv_slack_true[i] = _kuv_slack(
-                    shadow, eye, kappa_uv, config.constants.zeta
-                )
+                trace.kuv_slack_true[i] = _kuv_slack(shadow, kappa_uv, config.constants.zeta)
                 for value in (trace.kuv_slack[i], trace.kuv_slack_true[i]):
                     if not math.isnan(value) and value < -1e-10 * (1.0 + abs(value)):
                         summary.curvature_violations += 1
@@ -345,8 +341,10 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
 
 def kkt_residual(grad: Array, jac: Array, c: Array, y: Array) -> float:
     """First-order violation ``||grad + jac' y||_2 + ||c||_2`` from
-    already-evaluated gradient, Jacobian and constraint arrays."""
-    return float(np.linalg.norm(grad + jac.T @ np.asarray(y)) + np.linalg.norm(c))
+    already-evaluated gradient, Jacobian and constraint arrays; ``y``
+    may be a list."""
+    r = grad + jac.T @ np.asarray(y)
+    return math.sqrt(float(r @ r)) + math.sqrt(float(c @ c))
 
 
 def _evaluate(problem: Problem, x: Array):

@@ -479,17 +479,20 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "case",
-        ["config-value", "libsvm-parse", "too-many-constraints", "zero-tau", "nan-eps",
-         "flag-value", "unknown-flag"],
+        ["config-value", "libsvm-parse", "libsvm-nan", "too-many-constraints", "zero-tau",
+         "nan-eps", "flag-value", "unknown-flag"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("iters = abc\n")
         data = tmp_path / "bad.libsvm"
         data.write_text("+1 1:0.5 oops\n")
+        nan_data = tmp_path / "nan.libsvm"
+        nan_data.write_text("+1 1:0.5 2:1\n-1 1:nan 2:1\n")
         args = {
             "config-value": ["--config", str(cfg)],
             "libsvm-parse": ["--dataset", str(data)],
+            "libsvm-nan": ["--dataset", str(nan_data)],
             "too-many-constraints": ["--mlin", "40"],
             "zero-tau": ["--tau", "0"],
             "nan-eps": ["--eps", "nan"],
@@ -499,6 +502,8 @@ class TestCli:
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if case == "libsvm-nan":
+            assert "line 2: non-finite value" in lines[0]
 
     @pytest.mark.parametrize("flags", [["--batch", "0"], ["--beta-p", "2"]])
     def test_bad_config_fails_before_reference_solve(self, tmp_path, flags):

@@ -4,6 +4,10 @@ values, each other and the dense oracle."""
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import ddot
+from scipy.linalg.lapack import dtrtri
+
+from stochsqp import kkt
 
 from stochsqp import (
     BetaSchedule,
@@ -20,6 +24,7 @@ from stochsqp import (
     multiplier_operator,
     multiplier_via_operator,
     null_space_basis,
+    run,
     solve_kkt,
     solve_with_factors,
 )
@@ -271,6 +276,7 @@ class TestRangeSpaceRoute:
         slow = solve_with_factors(eye, factor_jacobian(jac), grad, c)
         d_ref, y_ref = dense_kkt_solve(eye, jac, grad, c)
         assert fast.basis is None
+        assert fast.residual is None
         rtol = 1e-12
         # Step errors scale with the data (||g||) and the normal step;
         # multiplier errors with the multiplier.
@@ -314,19 +320,21 @@ class TestRangeSpaceRoute:
                 self._check(jac * rows[:, None], grad, c)
 
     @pytest.mark.parametrize("sigma_max", [1e-6, 1.0, 1e6])
-    @pytest.mark.parametrize("margin", [1e3, 1e-3])
+    @pytest.mark.parametrize("margin", [1e-3, 0.5, 0.9, 1.1, 2.0, "2m", 10.0, 1e3])
     def test_rank_gate_side_unchanged(self, sigma_max, margin):
+        # Margins up to about 2m leave the certificate undecided, so the
+        # singular values decide; far above it the certificate accepts.
         rng = np.random.default_rng(33)
-        for _ in range(20):
-            n = int(rng.integers(3, 31))
-            m = int(rng.integers(2, n + 1))
-            sigma_min = margin * RANK_RTOL * max(1.0, sigma_max)
+        for m in range(2, 31):
+            n = int(rng.integers(m, 31))
+            ratio = 2.0 * m if margin == "2m" else margin
+            sigma_min = ratio * RANK_RTOL * max(1.0, sigma_max)
             svals = np.concatenate(
                 [[sigma_max], rng.uniform(sigma_min, sigma_max, m - 2), [sigma_min]]
             )
             jac = _jacobian_with_spectrum(rng, n, svals)
             deficient = _gate_today(jac)
-            assert deficient == (margin < 1)
+            assert deficient == (ratio < 1)
             for null_space in (False, True):
                 if deficient:
                     with pytest.raises(RankError):
@@ -338,6 +346,83 @@ class TestRangeSpaceRoute:
                 fast = solve_with_factors(None, factor_jacobian(jac, null_space=False), grad, c)
                 slow = solve_with_factors(np.eye(n), factor_jacobian(jac), grad, c)
                 assert np.allclose(fast.d, slow.d, rtol=0.0, atol=1e-9 * np.linalg.norm(slow.d))
+
+    @pytest.mark.parametrize(
+        "jac",
+        [
+            np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]),  # r[1, 1] == 0
+            np.array([[0.0, 0.0], [1.0, 1.0]]),  # r[0, 0] == 0
+            np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]),
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, np.inf]]),
+        ],
+    )
+    def test_singular_or_non_finite_r_rejected(self, jac):
+        for null_space in (False, True):
+            with pytest.raises(RankError):
+                factor_jacobian(jac, null_space=null_space)
+
+    def test_certificate_margin_is_needed(self):
+        # Diagonal Jacobians with ||r||_F < 1 and sigma_min a few ulps
+        # below RANK_RTOL: the exact gate rejects, and the certificate
+        # ||r^{-1}||_F <= 1/RANK_RTOL, computed in floating point
+        # without its factor 2, would accept some of them.
+        rng = np.random.default_rng(34)
+        hits = 0
+        for _ in range(400):
+            m = int(rng.integers(1, 6))
+            n = m + int(rng.integers(0, 4))
+            sigma_min = RANK_RTOL
+            for _ in range(int(rng.integers(1, 5))):
+                sigma_min = np.nextafter(sigma_min, 0.0)
+            diag = np.concatenate([[sigma_min], rng.uniform(0.01, 0.4, m - 1)])
+            rng.shuffle(diag)
+            jac = np.zeros((m, n))
+            jac[np.arange(m), np.arange(m)] = diag * rng.choice([-1.0, 1.0], m)
+            assert _gate_today(jac)
+            r = np.asfortranarray(np.diag(np.abs(diag)))
+            inv, info = dtrtri(r)
+            assert info == 0 and ddot(r.ravel(), r.ravel()) <= 1.0
+            if RANK_RTOL**2 * ddot(inv.ravel(), inv.ravel()) <= 1.0:
+                hits += 1
+            for null_space in (False, True):
+                with pytest.raises(RankError):
+                    factor_jacobian(jac, null_space=null_space)
+        assert hits >= 10
+
+    @pytest.mark.parametrize("coupling", [2e5, 1e6, 1e8, 4e9])
+    def test_certificate_bounds_sigma_max_by_the_whole_of_r(self, coupling):
+        # r = [[1, b], [0, 1]] has sigma_max ~ b and sigma_min ~ 1/b, so
+        # the gate rejects for b > 1e5; bounding sigma_max by the
+        # diagonal alone (max |r_ii| = 1) would accept up to b ~ 5e9.
+        for n in (2, 5):
+            jac = np.zeros((2, n))
+            jac[:, :2] = [[1.0, 0.0], [coupling, 1.0]]
+            assert _gate_today(jac)
+            for null_space in (False, True):
+                with pytest.raises(RankError):
+                    factor_jacobian(jac, null_space=null_space)
+
+    def test_bundled_validated_run_takes_no_singular_values(self, bundled_instance, monkeypatch):
+        calls = []
+
+        def counting_dgesdd(*args, **kwargs):
+            calls.append(1)
+            return raw_dgesdd(*args, **kwargs)
+
+        raw_dgesdd = kkt.dgesdd
+        monkeypatch.setattr(kkt, "dgesdd", counting_dgesdd)
+        problem = bundled_instance.problem()
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+                              beta=BetaSchedule(p=0.51), max_iters=1500, seed=0,
+                              validate=True)
+        result = run(problem, bundled_instance.minibatch_oracle(), config)
+        assert result.summary.iterations == 1500
+        assert calls == []
+        # The spy is wired: an undecided certificate does reach it.
+        factor_jacobian(np.array([[1.0, 0.0], [9e4, 1.0]]), null_space=False)
+        assert calls == [1]
 
     def test_more_rows_than_columns_rejected(self):
         with pytest.raises(RankError):

@@ -43,6 +43,11 @@ class TestParse:
             ("+1 1:1 0:2", "line 1"),
             ("+1 2:1 1:3", "line 1"),
             ("+1\n-1 1:x", "line 2"),
+            ("nan 1:1", "line 1: non-finite label"),
+            ("+1 1:1\n-inf 1:2", "line 2: non-finite label"),
+            ("+1 1:inf", "line 1: non-finite value"),
+            ("+1 1:1\n\n-1 1:0.5 3:NaN", "line 3: non-finite value"),
+            ("-1 2:-Infinity", "line 1: non-finite value"),
         ],
     )
     def test_malformed_lines_name_the_line(self, text, fragment):

@@ -9,10 +9,12 @@ from stochsqp import (
     KktInputs,
     MeritParams,
     check_reduction_lbnd,
+    factor_jacobian,
     model_q,
     phi,
     reduction_delta_q,
     solve_kkt,
+    solve_with_factors,
     tau_trial_true,
     xi_trial,
 )
@@ -127,6 +129,57 @@ class TestReductionLowerBound:
         holds, slack = check_reduction_lbnd(2.5, 0.5, c, grad, H, d)
         assert not holds
         assert slack == pytest.approx(-4.5, abs=1e-14)
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestIdentityModel:
+    """``hess=None`` is the identity model matrix, to the bit."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            n = int(rng.integers(1, 31))
+            m = int(rng.integers(1, n + 1))
+            _, jac, grad, c = random_kkt_instance(rng, n, m)
+            grad = grad * 10.0 ** rng.uniform(-3, 3)
+            factors = factor_jacobian(jac, null_space=False)
+            yield jac, grad, c, solve_with_factors(None, factors, grad, c).d
+            yield jac, grad, c, rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        yield JAC, GRAD, C, np.zeros(2)  # zero step
+        yield JAC, GRAD, C, D  # rho <= 0, so tau_trial_true is inf
+
+    def test_same_bits_as_the_identity_matrix(self):
+        vacuous = finite = 0
+        for jac, grad, c, d in self._cases():
+            eye = np.eye(d.size)
+            f = float(np.sum(grad))
+            pairs = [
+                (reduction_delta_q(TAU, c, grad, None, d), reduction_delta_q(TAU, c, grad, eye, d)),
+                (tau_trial_true(0.5, c, grad, None, d), tau_trial_true(0.5, c, grad, eye, d)),
+                (model_q(TAU, f, c, jac, grad, None, d), model_q(TAU, f, c, jac, grad, eye, d)),
+            ]
+            (holds, slack), (holds_eye, slack_eye) = (
+                check_reduction_lbnd(TAU, 0.5, c, grad, hess, d) for hess in (None, eye)
+            )
+            assert holds == holds_eye
+            pairs.append((slack, slack_eye))
+            for fast, slow in pairs:
+                assert _bits(fast) == _bits(slow)
+            if math.isinf(pairs[1][0]):
+                vacuous += 1
+            else:
+                finite += 1
+        assert vacuous >= 10 and finite >= 10
+
+    def test_zero_step_sentinels(self):
+        zero = np.zeros(2)
+        assert reduction_delta_q(TAU, C, GRAD, None, zero) == 0.5
+        assert tau_trial_true(0.5, C, GRAD, None, zero) == math.inf
+        assert check_reduction_lbnd(TAU, 0.5, np.zeros(1), GRAD, None, zero) == (True, 0.0)
 
 
 class TestMeritParams:

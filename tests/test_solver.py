@@ -17,6 +17,7 @@ from stochsqp import (
     derive_kuv,
     exact_oracle,
     iterate,
+    kkt_residual,
     run,
     sample_gradient,
     stationarity_residual,
@@ -367,6 +368,26 @@ class TestStationarityResidual:
         y = np.array([3.0])
         expected = np.linalg.norm(problem.gradient(x) + problem.jacobian(x).T @ y)
         assert stationarity_residual(problem, x, y) == pytest.approx(expected, abs=1e-14)
+
+
+    def test_kkt_residual_same_bits_as_the_norm_formula(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n = int(rng.integers(1, 31))
+            m = int(rng.integers(1, n + 1))
+            grad, y, c = (rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8) for k in (n, m, m))
+            jac = rng.standard_normal((m, n))
+            expected = float(np.linalg.norm(grad + jac.T @ y) + np.linalg.norm(c))
+            got = kkt_residual(grad, jac, c, y)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_accepts_lists(self, bundled_instance):
+        # As the benchmark's output check passes a reference read from JSON.
+        problem = bundled_instance.problem()
+        x = bundled_instance.x1
+        y = least_squares_multiplier(problem.jacobian(x), problem.gradient(x))
+        expected = stationarity_residual(problem, x, y)
+        assert stationarity_residual(problem, x.tolist(), y.tolist()) == expected
 
 
 class TestDeriveKuv:
