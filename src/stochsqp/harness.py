@@ -462,9 +462,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     summaries: list[RunSummary] = []
     trace_paths: list[Path] = []
     if not config.reference_only:
+        # The oracle holds no state (each run passes its own generator),
+        # so every replicate shares one and its variance is computed once.
+        oracle = instance.full_batch_oracle() if config.exact else instance.minibatch_oracle()
         for seed in config.seeds:
             summary, path = _run_replicate(
-                config, instance, problem, reference, lip_gradf, lip_jac, seed, out_dir
+                config, problem, oracle, reference, lip_gradf, lip_jac, seed, out_dir
             )
             summaries.append(summary)
             trace_paths.append(path)
@@ -474,8 +477,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _run_replicate(config, instance, problem, reference, lip_gradf, lip_jac, seed, out_dir):
-    oracle = instance.full_batch_oracle() if config.exact else instance.minibatch_oracle()
+def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed, out_dir):
     solver_config = SolverConfig(
         merit=config.merit(),
         lip_gradf=lip_gradf,

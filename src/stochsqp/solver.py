@@ -229,8 +229,8 @@ def iterate(
 
     Shared by :func:`run` and the reference solve, which stops pulling
     once its residual is small.  The objective is never evaluated here;
-    consumers that record it evaluate it themselves.  Rank or curvature
-    failures in the subproblem abort with the iterate index attached; a
+    consumers that record it evaluate it themselves.  A rank failure of
+    the Jacobian aborts with the iterate index attached; a
     non-finite constraint, Jacobian, gradient or iterate aborts with
     :class:`EvaluationError`.
     """
@@ -253,7 +253,7 @@ def iterate(
             g = sample_gradient(oracle, x, config.batch_size, rng)
             factors = kkt.factor_jacobian(jac, null_space=False)
             sol = kkt.solve_with_factors(None, factors, g, c)
-        except (kkt.RankError, kkt.CurvatureError, EvaluationError) as exc:
+        except (kkt.RankError, EvaluationError) as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
 
         beta_k = config.beta(k)

@@ -3,10 +3,11 @@
 The dense full-matrix KKT solve lives here (not in the library) so the
 null-space implementation is always checked against a second route.
 So do the other oracles only tests use: the exact-gradient subproblem
-solve, a Gaussian-noise gradient oracle and a central-difference check
-of declared derivatives.
+solve, a Gaussian-noise gradient oracle, a central-difference check of
+declared derivatives and the per-token LIBSVM parser.
 """
 
+import io
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from stochsqp import (
     KktInputs,
+    ParseError,
     Problem,
     StochasticGradientOracle,
     build_instance,
@@ -85,6 +87,59 @@ def finite_difference_check(problem, rng, center, probes=20, h=1e-5):
         dc = (problem.constraints(x + e) - problem.constraints(x - e)) / (2 * h)
         jac_err = max(jac_err, float(np.linalg.norm(dc - problem.jacobian(x)[:, i])))
     return grad_err, jac_err
+
+
+def reference_parse_libsvm(source, n_features=None):
+    """Independent oracle: the LIBSVM parser one token at a time.
+
+    Converts each ``idx:val`` token with ``int()`` and ``float()`` and
+    fills the dense matrix in a second loop.  ``parse_libsvm`` must give
+    a bitwise-equal dataset or the same :class:`ParseError` message.
+    """
+    stream = io.StringIO(source) if isinstance(source, str) else source
+    rows = []
+    labels = []
+    max_index = 0
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            raw_label = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: label {tokens[0]!r} is not a number") from None
+        if not math.isfinite(raw_label):
+            raise ParseError(f"line {lineno}: non-finite label {tokens[0]!r}")
+        entries = []
+        previous = 0
+        for token in tokens[1:]:
+            idx_text, _, val_text = token.partition(":")
+            try:
+                idx = int(idx_text)
+                val = float(val_text)
+            except ValueError:
+                raise ParseError(f"line {lineno}: malformed entry {token!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: non-finite value in {token!r}")
+            if idx < 1:
+                raise ParseError(f"line {lineno}: feature index {idx} is not >= 1")
+            if idx <= previous:
+                raise ParseError(f"line {lineno}: feature indices must be strictly increasing")
+            previous = idx
+            entries.append((idx, val))
+        max_index = max(max_index, previous)
+        labels.append(1.0 if raw_label > 0 else -1.0)
+        rows.append(entries)
+
+    n = max_index if n_features is None else int(n_features)
+    if n < max_index:
+        raise ParseError(f"n_features={n} is smaller than the largest index {max_index}")
+    features = np.zeros((n, len(rows)))
+    for j, entries in enumerate(rows):
+        for idx, val in entries:
+            features[idx - 1, j] = val
+    return Dataset(features=features, labels=np.asarray(labels))
 
 
 def random_spd(rng, n, lo=0.5, hi=2.0):

@@ -23,6 +23,7 @@ from stochsqp import (
 )
 import stochsqp
 from stochsqp import averaging, harness
+from stochsqp.logreg import ConstrainedLogRegInstance
 from stochsqp.harness import (
     ExperimentConfig,
     ReferenceSolution,
@@ -260,6 +261,21 @@ class TestRunExperiment:
         iy, iyt = header.index("dist_y"), header.index("dist_y_true")
         for row in rows:
             assert row[iy] == row[iyt]
+
+    def test_replicates_share_one_oracle(self, tmp_path, monkeypatch):
+        calls = []
+        variance = ConstrainedLogRegInstance.per_sample_variance
+
+        def counted(self, x):
+            calls.append(x)
+            return variance(self, x)
+
+        monkeypatch.setattr(ConstrainedLogRegInstance, "per_sample_variance", counted)
+        config = ExperimentConfig(dataset=None, iters=20, thin=10, seeds=[0, 1, 2],
+                                  out=str(tmp_path))
+        result = run_experiment(config)
+        assert len(result.summaries) == 3
+        assert len(calls) == 1
 
     def test_reference_only_skips_traces(self, tmp_path):
         config = ExperimentConfig(dataset=None, reference_only=True, out=str(tmp_path))
@@ -502,8 +518,10 @@ class TestCli:
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if case == "libsvm-parse":
+            assert lines[0].startswith(f"error: {data}: line 1: malformed entry")
         if case == "libsvm-nan":
-            assert "line 2: non-finite value" in lines[0]
+            assert lines[0].startswith(f"error: {nan_data}: line 2: non-finite value")
 
     @pytest.mark.parametrize("flags", [["--batch", "0"], ["--beta-p", "2"]])
     def test_bad_config_fails_before_reference_solve(self, tmp_path, flags):

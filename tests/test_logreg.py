@@ -17,6 +17,8 @@ from stochsqp import (
 from stochsqp import logreg
 from stochsqp.logreg import Dataset
 
+from conftest import reference_parse_libsvm
+
 
 class TestParse:
     def test_two_line_example(self):
@@ -76,6 +78,147 @@ class TestParse:
             pytest.skip("a9a not bundled; set A9A_PATH to check its shape")
         ds = load_libsvm_file(path)
         assert (ds.n_features, ds.n_samples) == (123, 32561)
+
+
+def assert_parses_like_reference(text, n_features=None):
+    """``parse_libsvm`` gives the oracle's dataset bitwise, or its ParseError."""
+    try:
+        expected = reference_parse_libsvm(text, n_features)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_libsvm(text, n_features)
+        assert str(info.value) == str(exc)
+        return
+    got = parse_libsvm(text, n_features)
+    for name in ("features", "labels"):
+        want, have = getattr(expected, name), getattr(got, name)
+        assert (have.dtype, have.shape) == (want.dtype, want.shape)
+        assert have.tobytes() == want.tobytes()
+
+
+def random_libsvm_text(rng, n_lines):
+    """Valid LIBSVM text with the layout variations the format allows."""
+    labels = ("+1", "-1", "1", "0", "-1.0", "1e0") if rng.random() < 0.5 else ("0", "1")
+    values = (lambda: "1", lambda: f"{rng.standard_normal():.17g}",
+              lambda: f"{rng.uniform(-1e3, 1e3):.3e}", lambda: "-0", lambda: "0")
+    lines = []
+    for _ in range(n_lines):
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", " ", "\t", "  \t "])))
+            continue
+        width = int(rng.integers(0, 12))  # 0 gives a label-only line
+        indices = np.sort(rng.choice(np.arange(1, 40), size=width, replace=False))
+        seps = [str(rng.choice([" ", "\t", "  "])) for _ in range(width)]
+        entries = "".join(
+            f"{sep}{idx}:{values[rng.integers(len(values))]()}" for sep, idx in zip(seps, indices)
+        )
+        lead = str(rng.choice(["", " ", "\t"]))
+        trail = str(rng.choice(["", " ", "  ", "\t"]))
+        lines.append(f"{lead}{rng.choice(labels)}{entries}{trail}")
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    return newline.join(lines) + (newline if rng.random() < 0.7 else "")
+
+
+#: Lines the oracle rejects, accepts with an unusual token, or splits.
+HAND_CASES = [
+    "+1 1:2:3", "+1 1:2:3:4", "-1 1:2 3:4:5:6", "-1 5", "-1 5 6 7 8",
+    "+1 1:", "+1 :1", "+1 0:1", "+1 2:1 1:1", "+1 1:1 1:2",
+    "+1 1_0:1", "+1 +3:1", "-1 01:1",
+    "+1 1:nan", "+1 1:-Infinity", "nan 1:1",
+    "+1 1:1\x0c2:3", "+1 1:1\r2:3", "-1 1:1 \r 3:1", "+1\x0c1:1",
+]
+
+
+class TestParseMatchesReference:
+    """Differential checks of the vectorized parser against the per-token oracle."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_texts(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(logreg, "CHUNK_SAMPLES", int(rng.choice([1, 3, 8, 4096])))
+        text = random_libsvm_text(rng, int(rng.integers(0, 30)))
+        assert_parses_like_reference(text)
+        ds = reference_parse_libsvm(text)
+        for extra in (0, 2):
+            assert_parses_like_reference(text, n_features=ds.n_features + extra)
+        if ds.n_features:
+            assert_parses_like_reference(text, n_features=ds.n_features - 1)
+        lines = text.split("\n")
+        lines[rng.integers(len(lines))] = str(rng.choice(HAND_CASES))
+        assert_parses_like_reference("\n".join(lines))
+
+    @pytest.mark.parametrize("case", HAND_CASES)
+    @pytest.mark.parametrize("position", [4, 5, 7])  # start, middle and end of the second block
+    @pytest.mark.parametrize("entries", [True, False], ids=["entries", "label-only"])
+    def test_hand_cases_anywhere_in_a_block(self, monkeypatch, case, position, entries):
+        monkeypatch.setattr(logreg, "CHUNK_SAMPLES", 4)
+        lines = [f"{'+1' if i % 2 else '-1'}" + (f" {i % 3 + 1}:0.5 9:{i}" if entries else "")
+                 for i in range(12)]
+        lines[position] = case
+        assert_parses_like_reference("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("case", HAND_CASES)
+    def test_hand_cases_from_a_file(self, tmp_path, monkeypatch, case):
+        # Files are read with universal newlines, so a lone \r ends a line.
+        monkeypatch.setattr(logreg, "CHUNK_SAMPLES", 2)
+        path = tmp_path / "case.libsvm"
+        path.write_text(f"+1 1:1\n-1 2:2\n{case}\n+1 3:3\n", encoding="ascii", newline="")
+        try:
+            with open(path, encoding="ascii") as handle:
+                expected = reference_parse_libsvm(handle)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                load_libsvm_file(path)
+            assert str(info.value) == f"{path}: {exc}"
+            return
+        got = load_libsvm_file(path)
+        assert got.features.tobytes() == expected.features.tobytes()
+        assert got.labels.tobytes() == expected.labels.tobytes()
+
+    @pytest.mark.parametrize("position", [4, 5, 7])
+    def test_index_past_int64_names_its_line(self, monkeypatch, position):
+        # The oracle accepts the index and then cannot allocate the matrix;
+        # the vectorized parser rejects the line.
+        monkeypatch.setattr(logreg, "CHUNK_SAMPLES", 4)
+        huge = 2**63
+        lines = ["+1 1:1"] * 12
+        lines[position] = f"-1 2:1 {huge}:1"
+        text = "\n".join(lines)
+        message = rf"^line {position + 1}: feature index {huge} is too large$"
+        with pytest.raises(ParseError, match=message):
+            parse_libsvm(text)
+        with pytest.raises((ValueError, OverflowError, MemoryError)):
+            reference_parse_libsvm(text)
+        # The largest int64 index still parses, as far as the override check.
+        assert_parses_like_reference(text.replace(str(huge), str(huge - 1)), n_features=3)
+
+    def test_bundled_file_matches_reference(self):
+        from importlib import resources
+
+        text = resources.files("stochsqp.data").joinpath("synthetic200.libsvm").read_text()
+        assert_parses_like_reference(text)
+
+
+class TestSpectralBound:
+    @pytest.mark.parametrize("name", ["bundled_instance", "a9a_shaped_instance"])
+    def test_matches_the_svd_norm(self, request, name):
+        inst = request.getfixturevalue(name)
+        features = inst.dataset.features
+        svd_bound = np.linalg.norm(features, 2) ** 2 / (4.0 * inst.dataset.n_samples)
+        lip_gradf, lip_jac = inst.lipschitz_bounds()
+        assert lip_gradf == pytest.approx(svd_bound, rel=1e-13, abs=0.0)
+        assert lip_jac == 2.0
+
+    @pytest.mark.parametrize("name", ["bundled_instance", "a9a_shaped_instance"])
+    def test_bounds_the_logistic_hessian(self, request, name):
+        inst = request.getfixturevalue(name)
+        lip_gradf = inst.lipschitz_bounds()[0]
+        rng = np.random.default_rng(8)
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            x = scale * rng.standard_normal(inst.n)
+            # A zero sphere multiplier leaves only (1/N) D diag(s(1-s)) D'.
+            logistic = inst.lagrangian_hessian(x, np.zeros(inst.m))
+            assert np.linalg.norm(logistic, 2) <= lip_gradf * (1.0 + 1e-12)
 
 
 class TestBuildInstance:
