@@ -71,7 +71,6 @@ from .merit import (
 )
 from .problem import (
     Problem,
-    ProblemConstants,
     StochasticGradientOracle,
     estimate_variance,
     exact_oracle,

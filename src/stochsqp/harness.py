@@ -264,8 +264,8 @@ class RunSummary:
     ``wall_time`` is the solver run and ``emit_time`` the trace CSV
     writing, both in seconds.  The violation counts are ``None`` without
     validation; ``curvature_violations`` is also ``None`` when no
-    curvature check ran, which needs problem constants the driver does
-    not have.
+    curvature check ran, which needs the ``(zeta, kappa_h)`` pair of
+    :class:`~stochsqp.solver.SolverConfig` that the driver does not set.
     """
 
     seed: int
@@ -464,7 +464,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if not config.reference_only:
         # The oracle holds no state (each run passes its own generator),
         # so every replicate shares one and its variance is computed once.
-        oracle = instance.full_batch_oracle() if config.exact else instance.minibatch_oracle()
+        oracle = exact_oracle(problem) if config.exact else instance.minibatch_oracle()
         for seed in config.seeds:
             summary, path = _run_replicate(
                 config, problem, oracle, reference, lip_gradf, lip_jac, seed, out_dir
@@ -532,7 +532,8 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
 # CLI
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"seed", "eps"}
+#: Config-file keys of the repeatable flags, with the fields they set.
+_LIST_KEYS = {"seed": "seeds", "eps": "eps_grid"}
 _FLAG_KEYS = {"validate", "reference_only", "exact"}
 _CASTS = {
     "seed": int, "mlin": int, "batch": int, "iters": int, "thin": int,
@@ -544,8 +545,9 @@ def parse_config_file(path) -> dict:
     """Read a plain ``key=value`` file mirroring the CLI flags.
 
     Keys use flag names (dashes or underscores); ``seed`` and ``eps``
-    accept comma-separated lists; booleans accept true/false/1/0.
-    Unknown keys are rejected.
+    take comma-separated lists; booleans accept true/false/1/0.  Unknown
+    keys and empty values are rejected.  The result maps :class:`ExperimentConfig`
+    field names (``seeds``, ``eps_grid``, ...) to the values the file sets.
     """
     known = {"dataset", "out"} | _FLAG_KEYS | _CASTS.keys()
     values: dict = {}
@@ -560,6 +562,8 @@ def parse_config_file(path) -> dict:
         value = value.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if not value.strip(", "):  # also a list of separators only
+            raise ConfigError(f"{path}:{lineno}: no value for {key}")
         if key in _FLAG_KEYS:
             if value.lower() not in ("true", "false", "1", "0"):
                 raise ConfigError(f"{path}:{lineno}: boolean expected for {key}")
@@ -568,13 +572,14 @@ def parse_config_file(path) -> dict:
             cast = _CASTS[key]
             try:
                 if key in _LIST_KEYS:
-                    values[key] = [cast(p.strip()) for p in value.split(",") if p.strip()]
+                    parsed = [cast(p.strip()) for p in value.split(",") if p.strip()]
                 else:
-                    values[key] = cast(value)
+                    parsed = cast(value)
             except ValueError:
                 raise ConfigError(
                     f"{path}:{lineno}: bad {cast.__name__} value for {key}: {value!r}"
                 ) from None
+            values[_LIST_KEYS.get(key, key)] = parsed
         else:
             values[key] = value
     return values
@@ -588,27 +593,31 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The CLI parser.  Every ``dest`` but ``config`` is an
+    :class:`ExperimentConfig` field, and a flag that is not given is
+    left out of the namespace, so the defaults are the dataclass's."""
     parser = _ArgumentParser(
         prog="stochsqp-experiment",
         description="Run the constrained logistic-regression experiment protocol.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--config", default=None, help="key=value file; flags override it")
-    parser.add_argument("--dataset", default=None, help="LIBSVM file (default: bundled slice)")
-    parser.add_argument("--mlin", type=int, default=10, help="number of affine constraints")
-    parser.add_argument("--batch", type=int, default=16, help="mini-batch size")
-    parser.add_argument("--iters", type=int, default=100_000, help="iteration budget")
-    parser.add_argument("--tau", type=float, default=0.1, help="merit parameter")
-    parser.add_argument("--xi", type=float, default=1.0, help="ratio parameter")
-    parser.add_argument("--nu", type=float, default=0.5, help="reduction fraction")
-    parser.add_argument("--beta1", type=float, default=1.0, help="initial damping factor")
-    parser.add_argument("--beta-p", dest="beta_p", type=float, default=1.0,
+    parser.add_argument("--config", help="key=value file; flags override it")
+    parser.add_argument("--dataset", help="LIBSVM file (default: bundled slice)")
+    parser.add_argument("--mlin", type=int, help="number of affine constraints")
+    parser.add_argument("--batch", type=int, help="mini-batch size")
+    parser.add_argument("--iters", type=int, help="iteration budget")
+    parser.add_argument("--tau", type=float, help="merit parameter")
+    parser.add_argument("--xi", type=float, help="ratio parameter")
+    parser.add_argument("--nu", type=float, help="reduction fraction")
+    parser.add_argument("--beta1", type=float, help="initial damping factor")
+    parser.add_argument("--beta-p", dest="beta_p", type=float,
                         help="damping decay exponent, 1/2 < p <= 1")
-    parser.add_argument("--seed", action="append", type=int, default=None,
+    parser.add_argument("--seed", dest="seeds", metavar="SEED", action="append", type=int,
                         help="replicate seed (repeatable; default 0)")
-    parser.add_argument("--eps", action="append", type=float, default=None,
+    parser.add_argument("--eps", dest="eps_grid", metavar="EPS", action="append", type=float,
                         help="windowed-average radius (repeatable; default 0.01 0.1 1.0)")
-    parser.add_argument("--out", default="runs", help="output directory")
-    parser.add_argument("--thin", type=int, default=1, help="record every k-th iteration")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--thin", type=int, help="record every k-th iteration")
     parser.add_argument("--validate", action="store_true",
                         help="enable exact-gradient shadow solves and trial checks")
     parser.add_argument("--reference-only", dest="reference_only", action="store_true",
@@ -618,35 +627,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        dataset=args.dataset,
-        mlin=args.mlin,
-        batch=args.batch,
-        iters=args.iters,
-        tau=args.tau,
-        xi=args.xi,
-        nu=args.nu,
-        beta1=args.beta1,
-        beta_p=args.beta_p,
-        seeds=args.seed if args.seed else [0],
-        eps_grid=args.eps if args.eps else [0.01, 0.1, 1.0],
-        out=args.out,
-        thin=args.thin,
-        validate=args.validate,
-        reference_only=args.reference_only,
-        exact=args.exact,
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_arg_parser()
     try:
-        pre, _ = parser.parse_known_args(argv)
-        if pre.config is not None:
-            parser.set_defaults(**parse_config_file(pre.config))
-        args = parser.parse_args(argv)
-        config = config_from_args(args)
+        flags = vars(build_arg_parser().parse_args(argv))
+        path = flags.pop("config", None)
+        settings = {} if path is None else parse_config_file(path)
+        config = ExperimentConfig(**{**settings, **flags})
         result = run_experiment(config)
     except (StochSqpError, ValueError, OSError) as exc:
         print(f"error: {exc}")

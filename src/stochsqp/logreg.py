@@ -31,6 +31,8 @@ from .problem import Array, Problem, StochasticGradientOracle
 
 #: Relative singular-value threshold declaring a matrix full row rank.
 RANK_RTOL = 1e-8
+#: Draws of ``(A, b, x1)`` :func:`build_instance` makes before giving up.
+MAX_TRIES = 10
 
 _BUNDLED_NAME = "synthetic200.libsvm"
 
@@ -204,8 +206,13 @@ def serialize_libsvm(dataset: Dataset) -> str:
 
 
 def load_libsvm_file(path, n_features: int | None = None) -> Dataset:
-    """Parse a LIBSVM file; a :class:`ParseError` names the file and line."""
-    with open(path, "r", encoding="ascii") as handle:
+    """Parse a LIBSVM file; a :class:`ParseError` names the file and line.
+
+    The file must be ASCII.  Other bytes are decoded as lone surrogates
+    (``errors="surrogateescape"``), which no label or entry accepts, so
+    they fail the per-line checks like any other malformed text.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         try:
             return parse_libsvm(handle, n_features=n_features)
         except ParseError as exc:
@@ -334,16 +341,6 @@ class ConstrainedLogRegInstance:
 
         return StochasticGradientOracle(sample=sample, sigma2=self.per_sample_variance(self.x1))
 
-    def full_batch_oracle(self) -> StochasticGradientOracle:
-        """Without-replacement full pass, exact by construction (sigma2 = 0)."""
-
-        def sample(x, batch, rng):
-            if batch < 1:
-                raise ValueError("batch size must be >= 1")
-            return self.gradient(x)
-
-        return StochasticGradientOracle(sample=sample, sigma2=0.0)
-
     def lipschitz_bounds(self):
         """Certified ``(lip_gradf, lip_jac)`` for this instance family.
 
@@ -386,14 +383,13 @@ def build_instance(
     dataset: Dataset,
     m_lin: int,
     seed: int,
-    max_tries: int = 10,
 ) -> ConstrainedLogRegInstance:
     """Draw ``(A, b, x1)`` from a seed and verify the rank conditions.
 
     Both ``A`` and the full Jacobian at the initial point must pass the
     singular-value threshold; a failed draw is retried with fresh
     standard normals, and :class:`ConstructionError` is raised after
-    ``max_tries`` attempts.  Identical seeds produce bitwise-identical
+    ``MAX_TRIES`` attempts.  Identical seeds produce bitwise-identical
     instances.
     """
     if dataset.n_samples < 1:
@@ -402,14 +398,14 @@ def build_instance(
     if m_lin + 1 > n:
         raise ConstructionError(f"m_lin + 1 = {m_lin + 1} exceeds the feature dimension {n}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         A = rng.standard_normal((m_lin, n))
         b = rng.standard_normal(m_lin)
         x1 = rng.standard_normal(n)
         jac_at_start = np.vstack([A, 2.0 * x1])
         if _full_row_rank(A) and _full_row_rank(jac_at_start):
             return ConstrainedLogRegInstance(dataset=dataset, A=A, b=b, x1=x1)
-    raise ConstructionError(f"rank checks failed in {max_tries} attempts")
+    raise ConstructionError(f"rank checks failed in {MAX_TRIES} attempts")
 
 
 def load_bundled_instance(m_lin: int = 10, seed: int = 0) -> ConstrainedLogRegInstance:

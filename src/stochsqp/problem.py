@@ -84,68 +84,6 @@ class StochasticGradientOracle:
             raise ValueError("sigma2 must be >= 0")
 
 
-@dataclass(frozen=True)
-class ProblemConstants:
-    """Problem-level bound and smoothness constants.
-
-    These are user-supplied (or empirically estimated) and feed the
-    step-size formula and runtime diagnostics; nothing in the solver
-    verifies them against the problem.
-
-    Attributes:
-        kappa_x: bound on ||x|| over the region visited by iterates.
-        f_inf: lower bound on the objective (any real).
-        kappa_gradf: bound on ||grad f(x)||.
-        kappa_c: bound on ||c(x)||.
-        kappa_jac: bound on the Jacobian spectral norm.
-        r: uniform lower bound on the smallest singular value of the
-            Jacobian (r <= kappa_jac).
-        lip_gradf: Lipschitz constant of the objective gradient.
-        lip_c: Lipschitz constant of the constraint map.
-        lip_jac: Lipschitz constant of the Jacobian map.
-        sigma: per-sample oracle noise bound (see the oracle contract).
-        zeta: lower curvature bound of the quadratic-model matrix on the
-            Jacobian null space (zeta <= kappa_h).
-        kappa_h: spectral-norm bound on the quadratic-model matrix.
-    """
-
-    kappa_x: float
-    f_inf: float
-    kappa_gradf: float
-    kappa_c: float
-    kappa_jac: float
-    r: float
-    lip_gradf: float
-    lip_c: float
-    lip_jac: float
-    sigma: float
-    zeta: float
-    kappa_h: float
-
-    def __post_init__(self):
-        positive = {
-            "kappa_x": self.kappa_x,
-            "kappa_gradf": self.kappa_gradf,
-            "kappa_c": self.kappa_c,
-            "kappa_jac": self.kappa_jac,
-            "r": self.r,
-            "lip_gradf": self.lip_gradf,
-            "lip_c": self.lip_c,
-            "lip_jac": self.lip_jac,
-            "zeta": self.zeta,
-            "kappa_h": self.kappa_h,
-        }
-        for label, value in positive.items():
-            if not value > 0:
-                raise ValueError(f"{label} must be strictly positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.r > self.kappa_jac:
-            raise ValueError("r cannot exceed kappa_jac")
-        if self.zeta > self.kappa_h:
-            raise ValueError("zeta cannot exceed kappa_h")
-
-
 def _check_finite(value, component: str, point: Array):
     if not np.isfinite(value).all():
         raise EvaluationError(

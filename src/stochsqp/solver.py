@@ -36,7 +36,7 @@ import numpy as np
 from . import kkt
 from .errors import ConfigError, EvaluationError
 from .merit import MeritParams, reduction_delta_q, tau_trial_true, xi_trial, check_reduction_lbnd
-from .problem import Array, Problem, ProblemConstants, StochasticGradientOracle, sample_gradient
+from .problem import Array, Problem, StochasticGradientOracle, sample_gradient
 
 # The benchmark's traced mode (perfbench/spans.py) looks this name up
 # in this module's namespace to wrap it, so it stays bound here
@@ -100,6 +100,12 @@ class SolverConfig:
     the range-space route of :mod:`stochsqp.kkt`.  For another
     symmetric model matrix, solve single subproblems with
     :func:`stochsqp.kkt.solve_kkt`.
+
+    ``curvature`` is the model matrix's ``(zeta, kappa_h)``, its
+    curvature lower bound on the Jacobian null space and its norm bound
+    (``0 < zeta <= kappa_h``, not checked against the matrix).  Given
+    it, :func:`run` records the curvature-inequality slack of each step
+    and, with ``validate``, counts violations; ``None`` skips the check.
     """
 
     merit: MeritParams = field(default_factory=MeritParams)
@@ -110,7 +116,7 @@ class SolverConfig:
     max_iters: int = 1000
     seed: int = 0
     validate: bool = False
-    constants: ProblemConstants | None = None
+    curvature: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not self.lip_gradf > 0 or not self.lip_jac > 0:
@@ -119,6 +125,10 @@ class SolverConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        if self.curvature is not None:
+            zeta, kappa_h = self.curvature
+            if not 0 < zeta <= kappa_h:
+                raise ConfigError("curvature (zeta, kappa_h) needs 0 < zeta <= kappa_h")
 
 
 class Trace:
@@ -163,7 +173,7 @@ class ValidationSummary:
     """Violation tallies from a validation-mode run (diagnostic only).
 
     ``curvature_violations`` is ``None`` when no curvature check ran,
-    that is when the config has no :class:`ProblemConstants`.
+    that is when the config has no ``curvature`` pair.
     """
 
     iterations: int = 0
@@ -277,9 +287,10 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     merit = config.merit
     trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
 
-    kappa_uv = None
-    if config.constants is not None:
-        kappa_uv = derive_kuv(config.constants.zeta, config.constants.kappa_h)
+    kappa_uv = zeta = None
+    if config.curvature is not None:
+        zeta, kappa_h = config.curvature
+        kappa_uv = derive_kuv(zeta, kappa_h)
     summary = None
     if config.validate:
         summary = ValidationSummary(
@@ -302,7 +313,7 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
         trace.x[i] = x
         trace.y[i] = sol.y
         if kappa_uv is not None:
-            trace.kuv_slack[i] = _kuv_slack(sol, kappa_uv, config.constants.zeta)
+            trace.kuv_slack[i] = _kuv_slack(sol, kappa_uv, zeta)
 
         if config.validate:
             grad = np.asarray(problem.gradient(x), dtype=float)
@@ -328,7 +339,7 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
             if merit.tau <= tau_tr and not holds:
                 summary.lbnd_violations += 1
             if kappa_uv is not None:
-                trace.kuv_slack_true[i] = _kuv_slack(shadow, kappa_uv, config.constants.zeta)
+                trace.kuv_slack_true[i] = _kuv_slack(shadow, kappa_uv, zeta)
                 for value in (trace.kuv_slack[i], trace.kuv_slack_true[i]):
                     if not math.isnan(value) and value < -1e-10 * (1.0 + abs(value)):
                         summary.curvature_violations += 1

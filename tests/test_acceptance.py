@@ -20,7 +20,6 @@ from stochsqp import (
     BetaSchedule,
     KktInputs,
     MeritParams,
-    ProblemConstants,
     SolverConfig,
     derive_kuv,
     exact_oracle,
@@ -71,15 +70,6 @@ def reference(instance):
     return compute_reference(instance.problem(), MeritParams(), lip_gradf, lip_jac, tol=1e-8)
 
 
-def _constants(instance):
-    return ProblemConstants(
-        kappa_x=50.0, f_inf=0.0, kappa_gradf=50.0, kappa_c=500.0, kappa_jac=200.0,
-        r=0.5, lip_gradf=instance.lipschitz_bounds()[0], lip_c=200.0, lip_jac=2.0,
-        sigma=math.sqrt(instance.per_sample_variance(instance.x1)),
-        zeta=1.0, kappa_h=1.0,
-    )
-
-
 @pytest.fixture(scope="session")
 def deterministic_run(instance):
     """Exact-gradient run: constant unit damping is admissible at zero
@@ -91,7 +81,7 @@ def deterministic_run(instance):
         lip_gradf=lip_gradf, lip_jac=lip_jac,
         beta=BetaSchedule(family="constant", beta1=1.0),
         batch_size=1, max_iters=20_000, validate=True,
-        constants=_constants(instance),
+        curvature=(1.0, 1.0),
     )
     return run(problem, exact_oracle(problem), config)
 
@@ -108,7 +98,7 @@ def protocol_runs(instance):
             lip_gradf=lip_gradf, lip_jac=lip_jac,
             beta=BetaSchedule(family="power", beta1=1.0, p=0.51),
             batch_size=16, max_iters=100_000, seed=seed,
-            validate=True, constants=_constants(instance),
+            validate=True, curvature=(1.0, 1.0),
         )
         results[seed] = run(problem, instance.minibatch_oracle(), config)
     return results

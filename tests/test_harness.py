@@ -429,6 +429,42 @@ class TestCli:
         assert echo["tau"] == 0.1  # flag overrides file
         assert echo["seeds"] == [5, 6]
 
+    def test_flags_replace_file_lists(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("iters = 20\nthin = 10\nseed = 1, 2\neps = 0.5\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), "--seed", "3", "--eps", "0.2", "--out", str(out)])
+        assert code == 0
+        echo = json.loads((out / "config.json").read_text())
+        assert echo["seeds"] == [3]
+        assert echo["eps_grid"] == [0.2]
+        assert echo["iters"] == 20
+
+    @pytest.mark.parametrize("key, value", [("seed", ""), ("eps", ""), ("seed", " , "),
+                                            ("dataset", ""), ("out", "")])
+    def test_empty_value_names_file_and_line(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"iters = 5\n{key} ={value}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}:2: ")
+        assert not out.exists()
+
+    def test_parser_declares_no_defaults(self):
+        parser = harness.build_arg_parser()
+        assert vars(parser.parse_args([])) == {}
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        dests = {a.dest for a in parser._actions} - {"help", "config"}
+        assert dests <= fields
+        assert fields - dests == {"ref_tol"}
+        # The help of the repeatable flags quotes the dataclass defaults.
+        defaults = ExperimentConfig()
+        for action in parser._actions:
+            if action.dest in ("seeds", "eps_grid"):
+                quoted = " ".join(map(str, getattr(defaults, action.dest)))
+                assert action.help.endswith(f"default {quoted})")
+
     @pytest.mark.parametrize("validate", [False, True])
     def test_footer_prints_violations_with_validate(self, tmp_path, capsys, validate):
         flags = ["--validate"] if validate else []
@@ -443,7 +479,7 @@ class TestCli:
         summaries = json.loads((tmp_path / "summary.json").read_text())
         assert len(counts) == 2
         for line, entry in zip(counts, summaries):
-            # The driver has no problem constants, so no curvature check runs.
+            # The driver sets no curvature pair, so no curvature check runs.
             assert entry["curvature_violations"] is None
             assert line == (
                 f"  violations: xi {entry['xi_violations']}, tau {entry['tau_violations']}, "
@@ -496,7 +532,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "case",
         ["config-value", "libsvm-parse", "libsvm-nan", "too-many-constraints", "zero-tau",
-         "nan-eps", "flag-value", "unknown-flag"],
+         "nan-eps", "flag-value", "unknown-flag", "libsvm-utf8"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -505,6 +541,8 @@ class TestCli:
         data.write_text("+1 1:0.5 oops\n")
         nan_data = tmp_path / "nan.libsvm"
         nan_data.write_text("+1 1:0.5 2:1\n-1 1:nan 2:1\n")
+        utf8_data = tmp_path / "utf8.libsvm"
+        utf8_data.write_bytes("+1 1:0.5\n-1 1:\u00e9\n".encode("utf-8"))
         args = {
             "config-value": ["--config", str(cfg)],
             "libsvm-parse": ["--dataset", str(data)],
@@ -514,6 +552,7 @@ class TestCli:
             "nan-eps": ["--eps", "nan"],
             "flag-value": ["--iters", "abc"],
             "unknown-flag": ["--bogus"],
+            "libsvm-utf8": ["--dataset", str(utf8_data)],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -522,6 +561,8 @@ class TestCli:
             assert lines[0].startswith(f"error: {data}: line 1: malformed entry")
         if case == "libsvm-nan":
             assert lines[0].startswith(f"error: {nan_data}: line 2: non-finite value")
+        if case == "libsvm-utf8":
+            assert lines[0].startswith(f"error: {utf8_data}: line 2: ")
 
     @pytest.mark.parametrize("flags", [["--batch", "0"], ["--beta-p", "2"]])
     def test_bad_config_fails_before_reference_solve(self, tmp_path, flags):

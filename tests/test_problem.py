@@ -5,7 +5,6 @@ import pytest
 
 from stochsqp import (
     Problem,
-    ProblemConstants,
     estimate_variance,
     exact_oracle,
     sample_gradient,
@@ -23,7 +22,7 @@ class TestSampleGradient:
         assert np.array_equal(sample_gradient(oracle, x, 4, rng), p.gradient(x))
 
     def test_full_batch_mode_is_exact(self, bundled_instance):
-        oracle = bundled_instance.full_batch_oracle()
+        oracle = exact_oracle(bundled_instance.problem())
         rng = np.random.default_rng(0)
         x = bundled_instance.x1
         g = sample_gradient(oracle, x, bundled_instance.dataset.n_samples, rng)
@@ -78,7 +77,7 @@ class TestEstimateVariance:
     def test_zero_for_full_batch(self, bundled_instance):
         p = bundled_instance.problem()
         v = estimate_variance(
-            bundled_instance.full_batch_oracle(), p, bundled_instance.x1, 1, 5,
+            exact_oracle(p), p, bundled_instance.x1, 1, 5,
             np.random.default_rng(0),
         )
         assert v <= 1e-24
@@ -131,26 +130,7 @@ class TestDerivativeChecks:
         assert jac_err <= 10 * 1e-5 * lip_jac
 
 
-class TestProblemConstants:
-    def test_valid_tuple_accepted(self):
-        ProblemConstants(
-            kappa_x=10, f_inf=-1.0, kappa_gradf=5, kappa_c=20, kappa_jac=8, r=0.5,
-            lip_gradf=3, lip_c=8, lip_jac=2, sigma=1.0, zeta=1.0, kappa_h=1.0,
-        )
-
-    @pytest.mark.parametrize(
-        "override",
-        [{"r": 9.0}, {"zeta": 2.0}, {"kappa_x": 0.0}, {"sigma": -1.0}],
-    )
-    def test_invalid_tuples_rejected(self, override):
-        base = dict(
-            kappa_x=10, f_inf=-1.0, kappa_gradf=5, kappa_c=20, kappa_jac=8, r=0.5,
-            lip_gradf=3, lip_c=8, lip_jac=2, sigma=1.0, zeta=1.0, kappa_h=1.0,
-        )
-        base.update(override)
-        with pytest.raises(ValueError):
-            ProblemConstants(**base)
-
+class TestProblem:
     def test_problem_dimension_validation(self):
         p = sphere_problem()
         with pytest.raises(ValueError):

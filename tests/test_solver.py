@@ -11,7 +11,6 @@ from stochsqp import (
     EvaluationError,
     MeritParams,
     Problem,
-    ProblemConstants,
     SolverConfig,
     StochasticGradientOracle,
     derive_kuv,
@@ -231,18 +230,19 @@ class TestRun:
 
     def test_curvature_count_is_none_without_constants(self):
         problem = _worked_problem()
-        constants = ProblemConstants(
-            kappa_x=10.0, f_inf=0.0, kappa_gradf=2.0, kappa_c=1.0, kappa_jac=1.0, r=1.0,
-            lip_gradf=1.0, lip_c=1.0, lip_jac=1.0, sigma=0.0, zeta=1.0, kappa_h=1.0,
-        )
         counts = []
-        for given in (None, constants):
+        for given in (None, (1.0, 1.0)):
             config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0,
-                                  max_iters=5, validate=True, constants=given)
+                                  max_iters=5, validate=True, curvature=given)
             summary = run(problem, exact_oracle(problem), config).summary
             assert summary.clean
             counts.append(summary.curvature_violations)
         assert counts == [None, 0]
+
+    @pytest.mark.parametrize("curvature", [(2.0, 1.0), (0.0, 1.0), (-1.0, -0.5), (math.nan, 1.0)])
+    def test_curvature_pair_needs_ordered_positive_values(self, curvature):
+        with pytest.raises(ConfigError, match="0 < zeta <= kappa_h"):
+            SolverConfig(curvature=curvature)
 
     def test_evaluator_failure_reports_iterate_index(self):
         calls = {"n": 0}
