@@ -37,5 +37,6 @@ class ConfigError(StochSqpError, ValueError):
 
 
 class ReferenceSolveError(StochSqpError):
-    """High-accuracy reference solve did not reach the requested tolerance
-    or failed its stationarity probes."""
+    """High-accuracy reference solve did not reach the requested tolerance,
+    or its candidate failed the second-order check (the reduced
+    Lagrangian Hessian is not finite or has a negative eigenvalue)."""

@@ -65,12 +65,6 @@ NEWTON_SWITCH_RESIDUAL = 1.0
 #: Newton steps allowed before the reference solve falls back to the
 #: first-order loop.
 NEWTON_MAX_STEPS = 20
-#: Random tangential directions probed at every reference candidate.
-PROBES = 20
-#: Length of each tangential probe step.
-PROBE_STEP = 1e-4
-#: Seed of the probe directions.
-PROBE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,7 @@ def compute_reference(
     tol: float = 1e-8,
     max_iters: int = 50_000,
 ) -> ReferenceSolution:
-    """Exact-gradient solve to high accuracy, with stationarity probes.
+    """Exact-gradient solve to high accuracy, with a second-order check.
 
     Runs :func:`stochsqp.solver.iterate` with the exact gradient and
     constant unit damping (valid without gradient noise) until the
@@ -114,10 +108,8 @@ def compute_reference(
     :class:`CurvatureError`.  The first-order loop then continues where
     it stopped, exactly as without a Hessian.
 
-    The candidate is then probed along ``PROBES`` random tangential
-    directions: the Lagrangian using the candidate multiplier must not
-    decrease, which screens out saddle-like candidates without needing
-    second derivatives.
+    The candidate must then pass :func:`_check_second_order`, which
+    rejects saddle points and constrained maxima.
     """
     config = SolverConfig(
         merit=merit,
@@ -144,7 +136,7 @@ def compute_reference(
             f"reference solve did not reach {tol:g} in {max_iters} iterations "
             f"(best residual {best:.3e})"
         )
-    _probe_tangential_floor(problem, reference.x, reference.y)
+    _check_second_order(problem, reference.x, reference.y)
     return reference
 
 
@@ -173,29 +165,47 @@ def _newton_kkt(problem: Problem, start: Iteration, tol: float) -> ReferenceSolu
     return None
 
 
-def _probe_tangential_floor(problem, x, y):
-    """Require the Lagrangian not to decrease along tangential probes."""
-    rng = np.random.default_rng(PROBE_SEED)
-    basis = null_space_basis(np.asarray(problem.jacobian(x), dtype=float))
-    if basis.shape[1] == 0:
-        return
+def _check_second_order(problem: Problem, x: Array, y: Array) -> Array:
+    """Require ``z' H z`` to be positive semidefinite at ``(x, y)``.
 
-    def lagrangian(point):
-        return float(problem.objective(point)) + float(
-            np.asarray(problem.constraints(point)) @ y
+    ``H`` is the Hessian of the Lagrangian and ``z`` an orthonormal basis
+    of the Jacobian null space, so this is the second-order condition on
+    the whole tangent space (Nocedal & Wright, *Numerical Optimization*,
+    2nd ed., Theorems 12.5 and 12.6).  Without ``lagrangian_hessian``,
+    ``H z`` comes from forward differences of ``grad f + jac' y`` along
+    the columns of ``z``.  The eigenvalue floor ``-1e-6 max(1, max|lambda|)``
+    leaves room for the difference error, about 1e-8.  Returns the
+    eigenvalues of the symmetrized ``z' H z`` in ascending order (none
+    when ``m == n``).
+    """
+    z = null_space_basis(np.asarray(problem.jacobian(x), dtype=float))
+    if z.shape[1] == 0:
+        return np.empty(0)
+    if problem.lagrangian_hessian is not None:
+        reduced = z.T @ np.asarray(problem.lagrangian_hessian(x, y), dtype=float) @ z
+    else:
+
+        def lagrangian_gradient(point):
+            grad, jac, _ = _evaluate(problem, point)
+            return grad + jac.T @ y
+
+        h = math.sqrt(np.finfo(float).eps) * max(1.0, float(np.linalg.norm(x)))
+        base = lagrangian_gradient(x)
+        hz = np.column_stack([lagrangian_gradient(x + h * col) - base for col in z.T])
+        reduced = z.T @ hz / h
+    reduced = 0.5 * (reduced + reduced.T)
+    if not np.all(np.isfinite(reduced)):
+        raise ReferenceSolveError(
+            "reduced Lagrangian Hessian at the reference candidate is not finite "
+            "(lambda_min undefined)"
         )
-
-    base = lagrangian(x)
-    floor = base - 1e-10 * (1.0 + abs(base))
-    for _ in range(PROBES):
-        w = rng.standard_normal(basis.shape[1])
-        w /= np.linalg.norm(w)
-        direction = basis @ w
-        for sign in (1.0, -1.0):
-            if lagrangian(x + sign * PROBE_STEP * direction) < floor:
-                raise ReferenceSolveError(
-                    "tangential probe found local descent at the reference candidate"
-                )
+    eigs = np.linalg.eigvalsh(reduced)
+    if eigs[0] < -1e-6 * max(1.0, float(np.max(np.abs(eigs)))):
+        raise ReferenceSolveError(
+            f"reference candidate is not a local minimizer: lambda_min {eigs[0]:.3e} "
+            f"of the reduced Lagrangian Hessian (lambda_max {eigs[-1]:.3e})"
+        )
+    return eigs
 
 
 # ---------------------------------------------------------------------------

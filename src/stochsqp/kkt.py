@@ -29,8 +29,8 @@ The multiplier formulas and :func:`decompose_step` reuse the same
 ``q1`` and ``r``, since ``(jac jac')^{-1} = r^{-1} r^{-T}``.
 
 Every exported quantity (``d``, ``y``, ``u``, ``v``) is invariant under
-the choice of null-space basis; only ``basis`` itself depends on the
-factorization.  All functions here are pure and safe to call
+the choice of null-space basis; only the returned ``basis`` depends on
+the factorization.  All functions here are pure and safe to call
 concurrently.
 """
 
@@ -172,40 +172,19 @@ def null_space_basis(jac: Array) -> Array:
     return factor_jacobian(jac).null_basis
 
 
-def _check_basis(jac: Array, basis: Array):
-    m, n = jac.shape
-    if basis.shape != (n, n - m):
-        raise ValueError(f"basis must have shape ({n}, {n - m})")
-    if float(np.max(np.abs(basis.T @ basis - np.eye(n - m)), initial=0.0)) > 1e-8:
-        raise ValueError("basis columns are not orthonormal")
-    if np.linalg.norm(jac @ basis) > 1e-8 * (1.0 + np.linalg.norm(jac)):
-        raise ValueError("basis columns do not span the jacobian null space")
-
-
 def solve_with_factors(
-    hess: Array | None,
-    factors: JacobianFactors,
-    grad: Array,
-    c: Array,
-    basis: Array | None = None,
+    hess: Array | None, factors: JacobianFactors, grad: Array, c: Array
 ) -> KktSolution:
     """Solve one subproblem reusing a Jacobian factorization.
 
     ``hess=None`` selects the identity model matrix and the range-space
     route; any matrix, the identity included, takes the null-space
-    route.  ``basis`` optionally replaces the factorization's null-space
-    basis (it must be orthonormal with columns in the null space); the
-    normal step and multiplier do not depend on it.
+    route with the factorization's null-space basis.
     """
     if hess is None:
-        if basis is not None:
-            raise ValueError("basis applies to the null-space route; pass hess")
         return _range_space_solve(factors, grad, c)
     jac, q1, z, r = factors
-    if basis is not None:
-        _check_basis(jac, basis)
-        z = basis
-    elif z is None:
+    if z is None:
         raise ValueError("factors have no null-space basis; factor with null_space=True")
 
     # Normal step: jac = r' q1', so jac v = r' w with v = q1 w.
@@ -253,10 +232,10 @@ def _range_space_solve(factors: JacobianFactors, grad: Array, c: Array) -> KktSo
     return KktSolution(d=d, y=y, u=u, v=v, basis=None, residual=None)
 
 
-def solve_kkt(inputs: KktInputs, basis: Array | None = None) -> KktSolution:
+def solve_kkt(inputs: KktInputs) -> KktSolution:
     """Solve one subproblem from scratch (factorization included)."""
     factors = factor_jacobian(inputs.jac)
-    return solve_with_factors(inputs.hess, factors, inputs.grad, inputs.c, basis=basis)
+    return solve_with_factors(inputs.hess, factors, inputs.grad, inputs.c)
 
 
 def decompose_step(d: Array, jac: Array, c: Array, rtol: float = 1e-8):

@@ -23,6 +23,7 @@ from stochsqp import (
     SolverConfig,
     derive_kuv,
     exact_oracle,
+    factor_jacobian,
     least_squares_multiplier,
     load_bundled_instance,
     model_q,
@@ -32,6 +33,7 @@ from stochsqp import (
     run,
     sample_gradient,
     solve_kkt,
+    solve_with_factors,
     step_size,
     windowed_average,
     xi_trial,
@@ -166,7 +168,8 @@ def test_criterion_03_decomposition_invariants(suite_instances):
         width = sol.basis.shape[1]
         if width:
             q = np.linalg.qr(rng.standard_normal((width, width)))[0]
-            rebased = solve_kkt(inputs, basis=sol.basis @ q)
+            factors = factor_jacobian(jac)._replace(null_basis=sol.basis @ q)
+            rebased = solve_with_factors(hess, factors, grad, c)
             gap = max(
                 np.linalg.norm(getattr(sol, name) - getattr(rebased, name))
                 for name in ("d", "y", "u", "v")

@@ -121,14 +121,18 @@ class TestComputeReference:
         made = []
 
         def hessian(x, y):
+            # The Newton attempt gets the fake; the final second-order
+            # check gets the true Hessian.
             made.append(1)
+            if len(made) > calls:
+                return problem.lagrangian_hessian(x, y)
             return value * np.eye(problem.n)
 
         fallback = compute_reference(dataclasses.replace(problem, lagrangian_hessian=hessian),
                                      MeritParams(), lip_gradf, lip_jac)
         plain = compute_reference(dataclasses.replace(problem, lagrangian_hessian=None),
                                   MeritParams(), lip_gradf, lip_jac)
-        assert len(made) == calls
+        assert len(made) == calls + 1
         assert fallback.newton_steps == 0
         assert np.array_equal(fallback.x, plain.x)
         assert np.array_equal(fallback.y, plain.y)
@@ -139,6 +143,34 @@ class TestComputeReference:
         ref = compute_reference(a9a_shaped_instance.problem(), MeritParams(), lip_gradf, lip_jac)
         assert ref.newton_steps > 0
         assert ref.residual <= 1e-8
+
+    @pytest.mark.parametrize("hessian", [None, lambda x, y: 2.0 * y[0] * np.eye(2)],
+                             ids=["differences", "analytic"])
+    def test_constrained_maximum_is_rejected(self, hessian):
+        # (1, 0) maximizes x_1 on the circle: the loop accepts it at k=1
+        # with residual 0, and the reduced Lagrangian Hessian is [-1].
+        problem = dataclasses.replace(sphere_problem(x0=(1.0, 0.0)), lagrangian_hessian=hessian)
+        with pytest.raises(ReferenceSolveError, match=r"lambda_min -1\.000e\+00"):
+            compute_reference(problem, MeritParams(), 0.5, 2.0)
+
+    def test_non_finite_hessian_at_the_candidate_is_rejected(self):
+        # The Newton attempt gives up on the NaN, the first-order loop
+        # converges, and the check at its candidate meets the NaN again.
+        problem = dataclasses.replace(
+            sphere_problem(), lagrangian_hessian=lambda x, y: np.full((2, 2), np.nan))
+        with pytest.raises(ReferenceSolveError, match="not finite"):
+            compute_reference(problem, MeritParams(), 0.5, 2.0)
+
+    def test_difference_route_matches_the_analytic_hessian(self, bundled_instance):
+        problem = bundled_instance.problem()
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        ref = compute_reference(problem, MeritParams(), lip_gradf, lip_jac)
+        analytic = harness._check_second_order(problem, ref.x, ref.y)
+        differences = harness._check_second_order(
+            dataclasses.replace(problem, lagrangian_hessian=None), ref.x, ref.y)
+        assert len(analytic) == problem.n - problem.m
+        assert analytic[0] > 0
+        assert differences[0] == pytest.approx(analytic[0], rel=1e-5)
 
 
 def _read_csv(path):
