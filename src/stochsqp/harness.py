@@ -276,6 +276,9 @@ class RunSummary:
     validation; ``curvature_violations`` is also ``None`` when no
     curvature check ran, which needs the ``(zeta, kappa_h)`` pair of
     :class:`~stochsqp.solver.SolverConfig` that the driver does not set.
+    ``first_xi_violation`` and ``first_tau_violation`` are the iteration
+    ``k`` of the first violation of each trial value, ``None`` when there
+    was none or without validation.
     """
 
     seed: int
@@ -290,6 +293,8 @@ class RunSummary:
     lbnd_violations: int | None
     curvature_violations: int | None
     alpha_above_one: int | None
+    first_xi_violation: int | None
+    first_tau_violation: int | None
     wall_time: float
     emit_time: float
 
@@ -532,6 +537,8 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
         lbnd_violations=None if vs is None else vs.lbnd_violations,
         curvature_violations=None if vs is None else vs.curvature_violations,
         alpha_above_one=None if vs is None else vs.alpha_above_one,
+        first_xi_violation=None if vs is None else vs.first_xi_violation,
+        first_tau_violation=None if vs is None else vs.first_tau_violation,
         wall_time=wall,
         emit_time=emit,
     )
@@ -637,6 +644,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _count_from(count: int, first: int | None) -> str:
+    """A violation count, with the iteration of the first one if any."""
+    return f"{count}" if first is None else f"{count} (first at k={first})"
+
+
 def main(argv=None) -> int:
     try:
         flags = vars(build_arg_parser().parse_args(argv))
@@ -660,9 +672,10 @@ def main(argv=None) -> int:
         )
         if config.validate:
             curvature = summary.curvature_violations
+            xi = _count_from(summary.xi_violations, summary.first_xi_violation)
+            tau = _count_from(summary.tau_violations, summary.first_tau_violation)
             print(
-                f"  violations: xi {summary.xi_violations}, tau {summary.tau_violations}, "
-                f"lbnd {summary.lbnd_violations}, "
+                f"  violations: xi {xi}, tau {tau}, lbnd {summary.lbnd_violations}, "
                 f"curvature {'n/a' if curvature is None else curvature}, "
                 f"alpha > 1 {summary.alpha_above_one}"
             )

@@ -15,10 +15,14 @@ from it, and the reference solve in :mod:`stochsqp.harness` runs it with
 exact gradients until the first-order residual is small.
 
 In validation mode the loop additionally solves the subproblem with the
-exact gradient (the "shadow" solve), records the trial values and the
-guaranteed-reduction slack, and tallies violations in a summary.
-Violations are surfaced, never fatal: the fixed parameters are a
-hypothesis, and detecting when they fail is part of the job.
+exact gradient (the "shadow" solve).  Inside the loop :func:`run` keeps
+only a ledger of a few inner products per iteration; one vectorized
+pass after the loop turns it into the diagnostic columns (model
+reduction, trial values, guaranteed-reduction and curvature slacks) and
+the violation tallies of a :class:`ValidationSummary`, with the same
+bits as the per-step helpers of :mod:`stochsqp.merit`.  Violations are
+surfaced, never fatal: the fixed parameters are a hypothesis, and
+detecting when they fail is part of the job.
 
 A run is strictly sequential and owns its state; concurrent replicates
 must use separate configs (seeds) and generators.
@@ -35,13 +39,25 @@ import numpy as np
 
 from . import kkt
 from .errors import ConfigError, EvaluationError
-from .merit import MeritParams, reduction_delta_q, tau_trial_true, xi_trial, check_reduction_lbnd
+from .merit import (
+    MeritParams,
+    lbnd_from_products,
+    reduction_from_products,
+    tau_trial_from_products,
+    xi_trial_from_products,
+)
 from .problem import Array, Problem, StochasticGradientOracle, sample_gradient
 
-# The benchmark's traced mode (perfbench/spans.py) looks this name up
-# in this module's namespace to wrap it, so it stays bound here
-# although nothing in this module calls it.
-from .merit import phi  # noqa: F401
+# The benchmark's traced mode (perfbench/spans.py) looks these names up
+# in this module's namespace to wrap them, so they stay bound here
+# although nothing in this module calls them.
+from .merit import (  # noqa: F401
+    check_reduction_lbnd,
+    phi,
+    reduction_delta_q,
+    tau_trial_true,
+    xi_trial,
+)
 
 
 def step_size(tau: float, xi: float, lip_gradf: float, lip_jac: float, beta_k: float) -> float:
@@ -204,17 +220,14 @@ class RunResult:
     config: SolverConfig
 
 
-def _kuv_slack(sol: kkt.KktSolution, kappa_uv: float, zeta: float) -> float:
+def _kuv_slack(dd, uu, vv, kappa_uv: float, zeta: float):
     """Curvature-inequality slack when the tangential part dominates.
 
-    Returns ``d'd - (zeta/2) ||u||^2`` (``h = I``) when ``||u||^2 >=
-    kappa_uv ||v||^2`` and nan when the inequality's premise does not apply.
+    From ``d'd``, ``||u||^2`` and ``||v||^2`` (floats or arrays): ``d'd -
+    (zeta/2) ||u||^2`` (``h = I``) where ``||u||^2 >= kappa_uv ||v||^2``,
+    and nan where the inequality's premise does not apply.
     """
-    nu2 = float(sol.u @ sol.u)
-    nv2 = float(sol.v @ sol.v)
-    if nu2 < kappa_uv * nv2:
-        return math.nan
-    return float(sol.d @ sol.d) - 0.5 * zeta * nu2
+    return np.where(uu < kappa_uv * vv, math.nan, dd - 0.5 * zeta * uu)
 
 
 class Iteration(NamedTuple):
@@ -278,76 +291,105 @@ def iterate(
 def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig) -> RunResult:
     """Run the full iteration budget of :func:`iterate` and return the trace.
 
-    Deterministic given the config seed.  Errors from :func:`iterate`
-    propagate.  The objective is never evaluated, so only a non-finite
-    constraint, Jacobian, gradient or iterate aborts a run; a caller
-    that wants merit values computes ``merit.phi(tau, f(x), c(x))`` at
-    the ``trace.x`` rows it needs.
-    """
-    merit = config.merit
-    trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
+    Each iteration records the iterate, the multipliers, the step length
+    and a ledger of inner products: ``g'd``, ``d'd``, ``||c||_1``,
+    ``c'c``, the exact-gradient twins ``grad'd_true`` and
+    ``d_true'd_true`` with ``validate``, and ``u'u``, ``v'v`` of each
+    step with ``curvature``.  :func:`_fill_diagnostics` turns the ledger
+    into the diagnostic columns and the summary after the loop.
 
-    kappa_uv = zeta = None
-    if config.curvature is not None:
-        zeta, kappa_h = config.curvature
-        kappa_uv = derive_kuv(zeta, kappa_h)
-    summary = None
-    if config.validate:
-        summary = ValidationSummary(
-            iterations=config.max_iters,
-            curvature_violations=None if kappa_uv is None else 0,
-        )
+    Deterministic given the config seed.  Errors from :func:`iterate`
+    propagate, and with ``validate`` a non-finite exact gradient aborts
+    with :class:`EvaluationError`.  The objective is never evaluated,
+    so a caller that wants merit values computes ``merit.phi(tau, f(x),
+    c(x))`` at the ``trace.x`` rows it needs.
+    """
+    trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
+    # One row per recorded product, one column per iteration.
+    ledger = np.empty((10, config.max_iters))
+    gd, dd, l1, cc, gd_true, dd_true, uu, vv, uu_true, vv_true = ledger
+    validate, curvature = config.validate, config.curvature is not None
 
     start = time.perf_counter()
     for k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
         problem, oracle, config
     ):
         i = k - 1
-        dq_s = reduction_delta_q(merit.tau, c, g, None, sol.d)
-
         trace.alpha[i] = alpha_k
         trace.beta[i] = beta_k
-        trace.norm_c[i] = math.sqrt(float(c @ c))
-        trace.dq_stoch[i] = dq_s
-        trace.xi_trial[i] = xi_trial(merit.tau, dq_s, sol.d)
         trace.x[i] = x
         trace.y[i] = sol.y
-        if kappa_uv is not None:
-            trace.kuv_slack[i] = _kuv_slack(sol, kappa_uv, zeta)
+        gd[i] = g @ sol.d
+        dd[i] = sol.d @ sol.d
+        l1[i] = np.abs(c).sum()
+        cc[i] = c @ c
+        if curvature:
+            uu[i] = sol.u @ sol.u
+            vv[i] = sol.v @ sol.v
 
-        if config.validate:
+        if validate:
             grad = np.asarray(problem.gradient(x), dtype=float)
             # Cannot raise: the factors passed the rank gate in iterate,
             # and the identity model has no curvature to fail.
             shadow = kkt.solve_with_factors(None, factors, grad, c)
+            resid = trace.resid_true[i] = kkt_residual(grad, jac, c, shadow.y)
+            # A non-finite gradient makes the residual non-finite, so the
+            # gradient itself is checked only then.
+            if not math.isfinite(resid) and not np.isfinite(grad).all():
+                raise EvaluationError(f"iteration {k}: exact gradient returned a non-finite value")
             trace.y_true[i] = shadow.y
-            tau_tr = tau_trial_true(merit.nu, c, grad, None, shadow.d)
-            trace.tau_trial_true[i] = tau_tr
-            holds, slack = check_reduction_lbnd(merit.tau, merit.nu, c, grad, None, shadow.d)
-            trace.lbnd_slack[i] = slack
-            trace.resid_true[i] = kkt_residual(grad, jac, c, shadow.y)
+            gd_true[i] = grad @ shadow.d
+            dd_true[i] = shadow.d @ shadow.d
+            if curvature:
+                uu_true[i] = shadow.u @ shadow.u
+                vv_true[i] = shadow.v @ shadow.v
 
-            slop = 1e-12
-            if trace.xi_trial[i] < merit.xi - slop:
-                summary.xi_violations += 1
-                if summary.first_xi_violation is None:
-                    summary.first_xi_violation = k
-            if tau_tr < merit.tau - slop:
-                summary.tau_violations += 1
-                if summary.first_tau_violation is None:
-                    summary.first_tau_violation = k
-            if merit.tau <= tau_tr and not holds:
-                summary.lbnd_violations += 1
-            if kappa_uv is not None:
-                trace.kuv_slack_true[i] = _kuv_slack(shadow, kappa_uv, zeta)
-                for value in (trace.kuv_slack[i], trace.kuv_slack_true[i]):
-                    if not math.isnan(value) and value < -1e-10 * (1.0 + abs(value)):
-                        summary.curvature_violations += 1
-            if alpha_k > 1.0:
-                summary.alpha_above_one += 1
-
+    summary = _fill_diagnostics(trace, ledger, config.max_iters, config)
     wall = time.perf_counter() - start
     return RunResult(trace=trace, x_final=x_next, summary=summary, wall_time=wall, config=config)
+
+
+@np.errstate(all="ignore")  # NaN and inf propagate silently, as on Python floats
+def _fill_diagnostics(
+    trace: Trace, ledger: np.ndarray, rows: int, config: SolverConfig
+) -> ValidationSummary | None:
+    """Fill the diagnostic columns of the first ``rows`` trace rows from
+    the ledger of :func:`run`; return the validation tallies over them.
+
+    Rows that the run did not fill are neither read nor written.
+    """
+    gd, dd, l1, cc, gd_true, dd_true, uu, vv, uu_true, vv_true = ledger[:, :rows]
+    merit = config.merit
+    trace.norm_c[:rows] = np.sqrt(cc)
+    dq = trace.dq_stoch[:rows] = reduction_from_products(merit.tau, gd, dd, l1)
+    xi_tr = trace.xi_trial[:rows] = xi_trial_from_products(merit.tau, dq, dd)
+    if config.curvature is not None:
+        zeta, kappa_h = config.curvature
+        kappa_uv = derive_kuv(zeta, kappa_h)
+        trace.kuv_slack[:rows] = _kuv_slack(dd, uu, vv, kappa_uv, zeta)
+    if not config.validate:
+        return None
+
+    tau_tr = trace.tau_trial_true[:rows] = tau_trial_from_products(merit.nu, gd_true, dd_true, l1)
+    holds, slack = lbnd_from_products(merit.tau, merit.nu, gd_true, dd_true, l1)
+    trace.lbnd_slack[:rows] = slack
+    slop = 1e-12
+    xi_bad = xi_tr < merit.xi - slop
+    tau_bad = tau_tr < merit.tau - slop
+    summary = ValidationSummary(
+        iterations=rows,
+        xi_violations=int(np.count_nonzero(xi_bad)),
+        tau_violations=int(np.count_nonzero(tau_bad)),
+        lbnd_violations=int(np.count_nonzero((merit.tau <= tau_tr) & ~holds)),
+        alpha_above_one=int(np.count_nonzero(trace.alpha[:rows] > 1.0)),
+        first_xi_violation=int(np.argmax(xi_bad)) + 1 if xi_bad.any() else None,
+        first_tau_violation=int(np.argmax(tau_bad)) + 1 if tau_bad.any() else None,
+    )
+    if config.curvature is not None:
+        kuv = trace.kuv_slack_true[:rows] = _kuv_slack(dd_true, uu_true, vv_true, kappa_uv, zeta)
+        both = np.concatenate([trace.kuv_slack[:rows], kuv])
+        summary.curvature_violations = int(np.count_nonzero(both < -1e-10 * (1.0 + np.abs(both))))
+    return summary
 
 
 def kkt_residual(grad: Array, jac: Array, c: Array, y: Array) -> float:

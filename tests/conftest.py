@@ -4,7 +4,8 @@ The dense full-matrix KKT solve lives here (not in the library) so the
 null-space implementation is always checked against a second route.
 So do the other oracles only tests use: the exact-gradient subproblem
 solve, a Gaussian-noise gradient oracle, a central-difference check of
-declared derivatives and the per-token LIBSVM parser.
+declared derivatives, the per-token LIBSVM parser and the row-by-row
+diagnostics of a solver run.
 """
 
 import io
@@ -21,8 +22,11 @@ from stochsqp import (
     build_instance,
     load_bundled_dataset,
     solve_kkt,
+    solve_with_factors,
 )
 from stochsqp.logreg import Dataset
+from stochsqp.merit import check_reduction_lbnd, reduction_delta_q, tau_trial_true, xi_trial
+from stochsqp.solver import Trace, ValidationSummary, derive_kuv, iterate, kkt_residual
 
 
 def dense_kkt_solve(hess, jac, grad, c):
@@ -140,6 +144,80 @@ def reference_parse_libsvm(source, n_features=None):
         for idx, val in entries:
             features[idx - 1, j] = val
     return Dataset(features=features, labels=np.asarray(labels))
+
+
+def row_by_row_run(problem, oracle, config):
+    """Independent oracle: ``solver.run`` with its diagnostics per row.
+
+    Consumes ``iterate`` and calls the vector merit helpers at every
+    iteration, tallying violations as it goes.  ``run`` must give a
+    bitwise-equal trace, final iterate and summary.  Returns ``(trace,
+    x_final, summary)``.
+    """
+    merit = config.merit
+    trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
+    kappa_uv = zeta = None
+    if config.curvature is not None:
+        zeta, kappa_h = config.curvature
+        kappa_uv = derive_kuv(zeta, kappa_h)
+    summary = None
+    if config.validate:
+        summary = ValidationSummary(
+            iterations=config.max_iters,
+            curvature_violations=None if kappa_uv is None else 0,
+        )
+
+    def kuv_slack(sol):
+        nu2 = float(sol.u @ sol.u)
+        if nu2 < kappa_uv * float(sol.v @ sol.v):
+            return math.nan
+        return float(sol.d @ sol.d) - 0.5 * zeta * nu2
+
+    for k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
+        problem, oracle, config
+    ):
+        i = k - 1
+        dq_s = reduction_delta_q(merit.tau, c, g, None, sol.d)
+        trace.alpha[i] = alpha_k
+        trace.beta[i] = beta_k
+        trace.norm_c[i] = math.sqrt(float(c @ c))
+        trace.dq_stoch[i] = dq_s
+        trace.xi_trial[i] = xi_trial(merit.tau, dq_s, sol.d)
+        trace.x[i] = x
+        trace.y[i] = sol.y
+        if kappa_uv is not None:
+            trace.kuv_slack[i] = kuv_slack(sol)
+        if not config.validate:
+            continue
+
+        grad = np.asarray(problem.gradient(x), dtype=float)
+        shadow = solve_with_factors(None, factors, grad, c)
+        trace.y_true[i] = shadow.y
+        tau_tr = tau_trial_true(merit.nu, c, grad, None, shadow.d)
+        trace.tau_trial_true[i] = tau_tr
+        holds, trace.lbnd_slack[i] = check_reduction_lbnd(
+            merit.tau, merit.nu, c, grad, None, shadow.d
+        )
+        trace.resid_true[i] = kkt_residual(grad, jac, c, shadow.y)
+        slop = 1e-12
+        if trace.xi_trial[i] < merit.xi - slop:
+            summary.xi_violations += 1
+            if summary.first_xi_violation is None:
+                summary.first_xi_violation = k
+        if tau_tr < merit.tau - slop:
+            summary.tau_violations += 1
+            if summary.first_tau_violation is None:
+                summary.first_tau_violation = k
+        if merit.tau <= tau_tr and not holds:
+            summary.lbnd_violations += 1
+        if kappa_uv is not None:
+            trace.kuv_slack_true[i] = kuv_slack(shadow)
+            for value in (trace.kuv_slack[i], trace.kuv_slack_true[i]):
+                if not math.isnan(value) and value < -1e-10 * (1.0 + abs(value)):
+                    summary.curvature_violations += 1
+        if alpha_k > 1.0:
+            summary.alpha_above_one += 1
+    return trace, x_next, summary
 
 
 def random_spd(rng, n, lo=0.5, hi=2.0):

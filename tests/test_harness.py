@@ -505,14 +505,20 @@ class TestCli:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         counts = [line for line in lines if line.startswith("  violations: ")]
+        summaries = json.loads((tmp_path / "summary.json").read_text())
         if not validate:
             assert counts == []
+            for entry in summaries:
+                assert entry["first_xi_violation"] is None
+                assert entry["first_tau_violation"] is None
             return
-        summaries = json.loads((tmp_path / "summary.json").read_text())
         assert len(counts) == 2
         for line, entry in zip(counts, summaries):
             # The driver sets no curvature pair, so no curvature check runs.
             assert entry["curvature_violations"] is None
+            # The benchmark regime keeps both parameters admissible.
+            assert entry["first_xi_violation"] is None
+            assert entry["first_tau_violation"] is None
             assert line == (
                 f"  violations: xi {entry['xi_violations']}, tau {entry['tau_violations']}, "
                 f"lbnd {entry['lbnd_violations']}, curvature n/a, "
@@ -520,6 +526,22 @@ class TestCli:
             )
         seed_lines = [line for line in lines if line.startswith("seed ")]
         assert lines.index(counts[0]) == lines.index(seed_lines[0]) + 1
+
+    def test_footer_and_summary_report_where_violations_start(self, tmp_path, capsys):
+        # An oversized merit parameter exceeds both trial values.
+        code = main(["--iters", "40", "--thin", "10", "--tau", "20",
+                     "--out", str(tmp_path), "--validate"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        [entry] = json.loads((tmp_path / "summary.json").read_text())
+        assert entry["xi_violations"] > 0 and entry["first_xi_violation"] >= 1
+        assert entry["tau_violations"] > 0 and entry["first_tau_violation"] >= 1
+        [line] = [line for line in lines if line.startswith("  violations: ")]
+        assert line.startswith(
+            f"  violations: xi {entry['xi_violations']} "
+            f"(first at k={entry['first_xi_violation']}), "
+            f"tau {entry['tau_violations']} (first at k={entry['first_tau_violation']}), "
+        )
 
     def test_reference_line_splits_the_step_count(self, tmp_path, capsys):
         assert main(["--reference-only", "--out", str(tmp_path)]) == 0

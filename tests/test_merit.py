@@ -1,5 +1,6 @@
 """Merit function, model reduction, and trial-value arithmetic."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,13 @@ from stochsqp import (
     solve_with_factors,
     tau_trial_true,
     xi_trial,
+)
+
+from stochsqp.merit import (
+    lbnd_from_products,
+    reduction_from_products,
+    tau_trial_from_products,
+    xi_trial_from_products,
 )
 
 from conftest import random_kkt_instance
@@ -180,6 +188,79 @@ class TestIdentityModel:
         assert reduction_delta_q(TAU, C, GRAD, None, zero) == 0.5
         assert tau_trial_true(0.5, C, GRAD, None, zero) == math.inf
         assert check_reduction_lbnd(TAU, 0.5, np.zeros(1), GRAD, None, zero) == (True, 0.0)
+
+
+class TestProductForms:
+    """Each inner-product form gives the same bits on Python floats as
+    elementwise on arrays, sentinels and non-finite inputs included.
+
+    A NaN matches any NaN: when both operands of an operation are NaN,
+    IEEE 754 leaves open whose sign and payload the result carries.
+    """
+
+    FORMS = {
+        "reduction": lambda gd, dhd, l1: reduction_from_products(TAU, gd, dhd, l1),
+        # delta_q and d'd >= 0 in the places of g'd and ||c||_1.
+        "xi_trial": lambda gd, dhd, l1: xi_trial_from_products(TAU, gd, l1),
+        "tau_trial": lambda gd, dhd, l1: tau_trial_from_products(0.5, gd, dhd, l1),
+        "lbnd": lambda gd, dhd, l1: lbnd_from_products(TAU, 0.5, gd, dhd, l1),
+    }
+
+    @staticmethod
+    def _columns():
+        rng = np.random.default_rng(3)
+        scaled = rng.standard_normal((3, 300)) * 10.0 ** rng.uniform(-3, 3, (3, 300))
+        special = (0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, math.inf, -math.inf, math.nan)
+        grid = np.array(list(itertools.product(special, repeat=3))).T
+        gd, dhd, l1 = np.concatenate([scaled, grid], axis=1)
+        return gd, dhd, np.abs(l1)
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    def test_same_bits_on_floats_as_on_arrays(self, name):
+        form = self.FORMS[name]
+        columns = self._columns()
+        whole = form(*columns)
+        whole = whole if isinstance(whole, tuple) else (whole,)
+        for i in range(columns[0].size):
+            one = form(*(float(column[i]) for column in columns))
+            one = one if isinstance(one, tuple) else (one,)
+            for part, parts in zip(one, whole):
+                both_nan = math.isnan(part) and math.isnan(parts[i])
+                assert both_nan or _bits(float(part)) == _bits(parts[i]), (name, i)
+
+    def test_helpers_keep_their_written_out_expressions(self):
+        # The vector helpers give, to the bit, the Python-float expressions
+        # that define them, in their order of operations.
+        rng = np.random.default_rng(4)
+        nu = 0.3
+        for _ in range(200):
+            hess, jac, grad, c = random_kkt_instance(rng, 8, 3)
+            d = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c)).d
+            gd, l1 = float(grad @ d), float(np.abs(c).sum())
+            curv = max(float(d @ (hess @ d)), 0.0)
+            dq = -TAU * (gd + 0.5 * curv) + l1
+            rho = gd + curv
+            assert _bits(reduction_delta_q(TAU, c, grad, hess, d)) == _bits(dq)
+            assert _bits(xi_trial(TAU, dq, d)) == _bits(dq / (TAU * float(d @ d)))
+            tau_max = math.inf if rho <= 0.0 else (1.0 - nu) * l1 / rho
+            assert _bits(tau_trial_true(nu, c, grad, hess, d)) == _bits(tau_max)
+            slack = dq - (0.5 * TAU * curv + nu * l1)
+            holds = slack >= -1e-10 * (1.0 + abs(dq))
+            assert check_reduction_lbnd(TAU, nu, c, grad, hess, d) == (holds, slack)
+
+    def test_sentinels(self):
+        dq = np.array([1.0, 0.0, -1.0, 2.0])
+        assert list(xi_trial_from_products(TAU, dq, np.array([0.0, 0.0, 0.0, 4.0]))) == [
+            math.inf, math.inf, math.inf, 5.0
+        ]
+        # rho = g'd + max(d'hd, 0): -1 + 0, 0 + 0, nan, 1 + 1.
+        rho_gd = np.array([-1.0, 0.0, math.nan, 1.0])
+        rho_dhd = np.array([-3.0, 0.0, 1.0, 1.0])
+        tau = tau_trial_from_products(0.5, rho_gd, rho_dhd, np.ones(4))
+        assert tau[:2].tolist() == [math.inf, math.inf]
+        assert math.isnan(tau[2]) and tau[3] == 0.25
+        holds, slack = lbnd_from_products(TAU, 0.5, np.array([math.nan]), np.ones(1), np.ones(1))
+        assert not holds[0] and math.isnan(slack[0])
 
 
 class TestMeritParams:

@@ -29,9 +29,11 @@ from conftest import (
     constrained_quadratic,
     dense_kkt_solve,
     gaussian_oracle,
+    row_by_row_run,
     sphere_problem,
     true_shadow,
 )
+from stochsqp.solver import Trace
 
 
 class TestStepSize:
@@ -261,6 +263,23 @@ class TestRun:
         with pytest.raises(EvaluationError, match="iteration"):
             run(problem, exact_oracle(problem), config)
 
+    def test_non_finite_exact_gradient_reports_iterate_index(self):
+        # The oracle stays finite; only the exact gradient of the shadow
+        # solve turns NaN, from its 4th call (iteration 4) on.
+        calls = {"n": 0}
+        base = sphere_problem()
+
+        def flaky_gradient(x):
+            calls["n"] += 1
+            return np.array([np.nan if calls["n"] >= 4 else 1.0, 0.0])
+
+        problem = Problem(n=2, m=1, objective=base.objective, gradient=flaky_gradient,
+                          constraints=base.constraints, jacobian=base.jacobian, x0=base.x0)
+        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
+                              max_iters=10, validate=True)
+        with pytest.raises(EvaluationError, match="^iteration 4: exact gradient"):
+            run(problem, exact_oracle(base), config)
+
     def test_missing_initial_point_rejected(self):
         base = sphere_problem()
         problem = Problem(n=2, m=1, objective=base.objective, gradient=base.gradient,
@@ -268,6 +287,86 @@ class TestRun:
         config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0, max_iters=2)
         with pytest.raises(ConfigError):
             run(problem, exact_oracle(problem), config)
+
+
+class TestLedger:
+    """``run`` computes its diagnostics from a ledger of inner products
+    after the loop; they must equal the row-by-row helpers bit for bit."""
+
+    @staticmethod
+    def _assert_same_run(problem, oracle_factory, config):
+        result = run(problem, oracle_factory(), config)
+        trace, x_final, summary = row_by_row_run(problem, oracle_factory(), config)
+        for name in Trace._SCALARS + ("x", "y", "y_true"):
+            got, want = getattr(result.trace, name), getattr(trace, name)
+            if want is None:
+                assert got is None, name
+            else:
+                # Same bits, signed zeros included; NaN matches NaN.
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan), name
+                assert got[~nan].tobytes() == want[~nan].tobytes(), name
+        assert np.array_equal(result.x_final, x_final)
+        assert result.summary == summary
+        return result
+
+    @pytest.mark.parametrize(
+        "validate, curvature", [(False, None), (True, None), (True, (1.0, 1.0))]
+    )
+    def test_bundled(self, bundled_instance, validate, curvature):
+        problem = bundled_instance.problem()
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        config = SolverConfig(
+            merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+            batch_size=16, max_iters=300, seed=2, validate=validate, curvature=curvature,
+        )
+        self._assert_same_run(problem, bundled_instance.minibatch_oracle, config)
+
+    def test_trial_value_violations(self, bundled_instance):
+        # An oversized merit parameter exceeds both trial values.
+        problem = bundled_instance.problem()
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        config = SolverConfig(
+            merit=MeritParams(tau=20.0), lip_gradf=lip_gradf, lip_jac=lip_jac,
+            batch_size=16, max_iters=200, seed=4, validate=True,
+        )
+        summary = self._assert_same_run(
+            problem, bundled_instance.minibatch_oracle, config
+        ).summary
+        assert summary.xi_violations and summary.tau_violations
+        assert summary.first_xi_violation and summary.first_tau_violation
+
+    def test_curvature_violations(self):
+        # With c = 0 every step is tangential, and zeta > 2 asks the
+        # identity model for more curvature than it has: both slacks of
+        # each of the three iterations are violations.
+        base = _worked_problem()
+        problem = Problem(n=2, m=1, objective=base.objective, gradient=base.gradient,
+                          constraints=lambda x: np.array([0.0]), jacobian=base.jacobian,
+                          x0=base.x0)
+        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0,
+                              max_iters=3, validate=True, curvature=(3.0, 3.0))
+        result = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
+        assert result.summary.curvature_violations == 6
+
+    def test_violations_of_the_worked_problem(self):
+        problem = _worked_problem()
+        config = SolverConfig(
+            merit=MeritParams(tau=0.1, xi=50.0), lip_gradf=1.0, lip_jac=1.0,
+            max_iters=3, validate=True,
+        )
+        result = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
+        assert result.summary.xi_violations == 3
+
+    def test_zero_step(self):
+        # At the minimizer (-1, 0) of the sphere toy every step is zero.
+        problem = sphere_problem(x0=(-1.0, 0.0))
+        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
+                              max_iters=3, validate=True, curvature=(1.0, 1.0))
+        result = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
+        assert np.all(result.trace.xi_trial == math.inf)
+        assert np.all(result.trace.tau_trial_true == math.inf)
+        assert result.summary.clean
 
 
 class TestModelMatrixRoutes:
