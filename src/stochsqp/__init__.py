@@ -83,7 +83,6 @@ from .solver import (
     SolverConfig,
     Trace,
     ValidationSummary,
-    derive_kuv,
     iterate,
     kkt_residual,
     run,

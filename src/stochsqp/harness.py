@@ -273,12 +273,9 @@ class RunSummary:
 
     ``wall_time`` is the solver run and ``emit_time`` the trace CSV
     writing, both in seconds.  The violation counts are ``None`` without
-    validation; ``curvature_violations`` is also ``None`` when no
-    curvature check ran, which needs the ``(zeta, kappa_h)`` pair of
-    :class:`~stochsqp.solver.SolverConfig` that the driver does not set.
-    ``first_xi_violation`` and ``first_tau_violation`` are the iteration
-    ``k`` of the first violation of each trial value, ``None`` when there
-    was none or without validation.
+    validation.  ``first_xi_violation`` and ``first_tau_violation`` are
+    the iteration ``k`` of the first violation of each trial value,
+    ``None`` when there was none or without validation.
     """
 
     seed: int
@@ -291,7 +288,6 @@ class RunSummary:
     xi_violations: int | None
     tau_violations: int | None
     lbnd_violations: int | None
-    curvature_violations: int | None
     alpha_above_one: int | None
     first_xi_violation: int | None
     first_tau_violation: int | None
@@ -535,7 +531,6 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
         xi_violations=None if vs is None else vs.xi_violations,
         tau_violations=None if vs is None else vs.tau_violations,
         lbnd_violations=None if vs is None else vs.lbnd_violations,
-        curvature_violations=None if vs is None else vs.curvature_violations,
         alpha_above_one=None if vs is None else vs.alpha_above_one,
         first_xi_violation=None if vs is None else vs.first_xi_violation,
         first_tau_violation=None if vs is None else vs.first_tau_violation,
@@ -659,6 +654,11 @@ def main(argv=None) -> int:
     except (StochSqpError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 1
+    except MemoryError as exc:
+        # An iteration budget too large to allocate; numpy's message, if
+        # any, names the array's size.
+        print(f"error: out of memory: {exc}".rstrip(": "))
+        return 1
 
     reference = result.reference
     print(f"reference residual {reference.residual:.3e} after "
@@ -671,12 +671,10 @@ def main(argv=None) -> int:
             f"({summary.wall_time:.1f}s)"
         )
         if config.validate:
-            curvature = summary.curvature_violations
             xi = _count_from(summary.xi_violations, summary.first_xi_violation)
             tau = _count_from(summary.tau_violations, summary.first_tau_violation)
             print(
                 f"  violations: xi {xi}, tau {tau}, lbnd {summary.lbnd_violations}, "
-                f"curvature {'n/a' if curvature is None else curvature}, "
                 f"alpha > 1 {summary.alpha_above_one}"
             )
     print(f"wrote {result.out_dir}")

@@ -22,6 +22,7 @@ scalars; the vector helpers form them for one step, with a model matrix
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +33,18 @@ from .problem import Array
 @dataclass(frozen=True)
 class MeritParams:
     """Fixed merit parameter ``tau``, ratio parameter ``xi`` and the
-    reduction fraction ``nu`` used by the trial values."""
+    reduction fraction ``nu`` used by the trial values.  ``tau`` and
+    ``xi`` must be finite: the step size divides by them."""
 
     tau: float = 0.1
     xi: float = 1.0
     nu: float = 0.5
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
-        if not self.xi > 0:
-            raise ValueError("xi must be > 0")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if not 0 < self.xi < math.inf:
+            raise ValueError("xi must be positive and finite")
         if not 0 < self.nu < 1:
             raise ValueError("nu must lie in (0, 1)")
 

@@ -18,11 +18,14 @@ In validation mode the loop additionally solves the subproblem with the
 exact gradient (the "shadow" solve).  Inside the loop :func:`run` keeps
 only a ledger of a few inner products per iteration; one vectorized
 pass after the loop turns it into the diagnostic columns (model
-reduction, trial values, guaranteed-reduction and curvature slacks) and
-the violation tallies of a :class:`ValidationSummary`, with the same
+reduction, trial values and guaranteed-reduction slack) and the
+violation tallies of a :class:`ValidationSummary`, with the same
 bits as the per-step helpers of :mod:`stochsqp.merit`.  Violations are
 surfaced, never fatal: the fixed parameters are a hypothesis, and
-detecting when they fail is part of the job.
+detecting when they fail is part of the job.  The analysis's curvature
+condition on the model matrix is not among them: the identity has unit
+curvature, and ``d'd = u'u + v'v`` with ``u`` orthogonal to ``v`` gives
+``d'd >= (zeta/2) u'u`` for every ``zeta <= 2`` at every step.
 
 A run is strictly sequential and owns its state; concurrent replicates
 must use separate configs (seeds) and generators.
@@ -65,6 +68,8 @@ def step_size(tau: float, xi: float, lip_gradf: float, lip_jac: float, beta_k: f
 
     The formula does not guarantee a value in (0, 1]; callers that care
     should inspect the result (the run summary counts values above 1).
+    Inputs so large that the quotient overflows or underflows raise
+    :class:`ValueError`.
     """
     for label, value in (("tau", tau), ("xi", xi), ("lip_gradf", lip_gradf), ("lip_jac", lip_jac)):
         if not value > 0:
@@ -72,7 +77,11 @@ def step_size(tau: float, xi: float, lip_gradf: float, lip_jac: float, beta_k: f
     if not 0 < beta_k <= 1:
         raise ValueError("beta_k must lie in (0, 1]")
     alpha = beta_k * tau * xi / (tau * lip_gradf + lip_jac)
-    assert alpha > 0
+    if not 0 < alpha < math.inf:
+        raise ValueError(
+            f"step size {alpha!r} is not positive and finite for tau={tau!r}, xi={xi!r}, "
+            f"lip_gradf={lip_gradf!r}, lip_jac={lip_jac!r}, beta_k={beta_k!r}"
+        )
     return alpha
 
 
@@ -115,13 +124,8 @@ class SolverConfig:
     The quadratic-model matrix is the identity, ``H_k = I``, solved by
     the range-space route of :mod:`stochsqp.kkt`.  For another
     symmetric model matrix, solve single subproblems with
-    :func:`stochsqp.kkt.solve_kkt`.
-
-    ``curvature`` is the model matrix's ``(zeta, kappa_h)``, its
-    curvature lower bound on the Jacobian null space and its norm bound
-    (``0 < zeta <= kappa_h``, not checked against the matrix).  Given
-    it, :func:`run` records the curvature-inequality slack of each step
-    and, with ``validate``, counts violations; ``None`` skips the check.
+    :func:`stochsqp.kkt.solve_kkt`.  The identity has unit curvature
+    on the Jacobian null space, so no curvature setting is needed.
     """
 
     merit: MeritParams = field(default_factory=MeritParams)
@@ -132,7 +136,6 @@ class SolverConfig:
     max_iters: int = 1000
     seed: int = 0
     validate: bool = False
-    curvature: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not self.lip_gradf > 0 or not self.lip_jac > 0:
@@ -141,10 +144,6 @@ class SolverConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.curvature is not None:
-            zeta, kappa_h = self.curvature
-            if not 0 < zeta <= kappa_h:
-                raise ConfigError("curvature (zeta, kappa_h) needs 0 < zeta <= kappa_h")
 
 
 class Trace:
@@ -167,8 +166,6 @@ class Trace:
         "tau_trial_true",
         "lbnd_slack",
         "resid_true",
-        "kuv_slack",
-        "kuv_slack_true",
     )
 
     def __init__(self, n: int, m: int, iters: int, validate: bool):
@@ -186,29 +183,19 @@ class Trace:
 
 @dataclass
 class ValidationSummary:
-    """Violation tallies from a validation-mode run (diagnostic only).
-
-    ``curvature_violations`` is ``None`` when no curvature check ran,
-    that is when the config has no ``curvature`` pair.
-    """
+    """Violation tallies from a validation-mode run (diagnostic only)."""
 
     iterations: int = 0
     xi_violations: int = 0
     tau_violations: int = 0
     lbnd_violations: int = 0
-    curvature_violations: int | None = None
     alpha_above_one: int = 0
     first_xi_violation: int | None = None
     first_tau_violation: int | None = None
 
     @property
     def clean(self) -> bool:
-        return (
-            self.xi_violations == 0
-            and self.tau_violations == 0
-            and self.lbnd_violations == 0
-            and self.curvature_violations in (0, None)
-        )
+        return self.xi_violations == 0 and self.tau_violations == 0 and self.lbnd_violations == 0
 
 
 @dataclass
@@ -218,16 +205,6 @@ class RunResult:
     summary: ValidationSummary | None
     wall_time: float
     config: SolverConfig
-
-
-def _kuv_slack(dd, uu, vv, kappa_uv: float, zeta: float):
-    """Curvature-inequality slack when the tangential part dominates.
-
-    From ``d'd``, ``||u||^2`` and ``||v||^2`` (floats or arrays): ``d'd -
-    (zeta/2) ||u||^2`` (``h = I``) where ``||u||^2 >= kappa_uv ||v||^2``,
-    and nan where the inequality's premise does not apply.
-    """
-    return np.where(uu < kappa_uv * vv, math.nan, dd - 0.5 * zeta * uu)
 
 
 class Iteration(NamedTuple):
@@ -293,10 +270,10 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
 
     Each iteration records the iterate, the multipliers, the step length
     and a ledger of inner products: ``g'd``, ``d'd``, ``||c||_1``,
-    ``c'c``, the exact-gradient twins ``grad'd_true`` and
-    ``d_true'd_true`` with ``validate``, and ``u'u``, ``v'v`` of each
-    step with ``curvature``.  :func:`_fill_diagnostics` turns the ledger
-    into the diagnostic columns and the summary after the loop.
+    ``c'c`` and, with ``validate``, the exact-gradient twins
+    ``grad'd_true`` and ``d_true'd_true``.  :func:`_fill_diagnostics`
+    turns the ledger into the diagnostic columns and the summary after
+    the loop.
 
     Deterministic given the config seed.  Errors from :func:`iterate`
     propagate, and with ``validate`` a non-finite exact gradient aborts
@@ -306,9 +283,9 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     """
     trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
     # One row per recorded product, one column per iteration.
-    ledger = np.empty((10, config.max_iters))
-    gd, dd, l1, cc, gd_true, dd_true, uu, vv, uu_true, vv_true = ledger
-    validate, curvature = config.validate, config.curvature is not None
+    ledger = np.empty((6, config.max_iters))
+    gd, dd, l1, cc, gd_true, dd_true = ledger
+    validate = config.validate
 
     start = time.perf_counter()
     for k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
@@ -323,9 +300,6 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
         dd[i] = sol.d @ sol.d
         l1[i] = np.abs(c).sum()
         cc[i] = c @ c
-        if curvature:
-            uu[i] = sol.u @ sol.u
-            vv[i] = sol.v @ sol.v
 
         if validate:
             grad = np.asarray(problem.gradient(x), dtype=float)
@@ -340,9 +314,6 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
             trace.y_true[i] = shadow.y
             gd_true[i] = grad @ shadow.d
             dd_true[i] = shadow.d @ shadow.d
-            if curvature:
-                uu_true[i] = shadow.u @ shadow.u
-                vv_true[i] = shadow.v @ shadow.v
 
     summary = _fill_diagnostics(trace, ledger, config.max_iters, config)
     wall = time.perf_counter() - start
@@ -358,15 +329,11 @@ def _fill_diagnostics(
 
     Rows that the run did not fill are neither read nor written.
     """
-    gd, dd, l1, cc, gd_true, dd_true, uu, vv, uu_true, vv_true = ledger[:, :rows]
+    gd, dd, l1, cc, gd_true, dd_true = ledger[:, :rows]
     merit = config.merit
     trace.norm_c[:rows] = np.sqrt(cc)
     dq = trace.dq_stoch[:rows] = reduction_from_products(merit.tau, gd, dd, l1)
     xi_tr = trace.xi_trial[:rows] = xi_trial_from_products(merit.tau, dq, dd)
-    if config.curvature is not None:
-        zeta, kappa_h = config.curvature
-        kappa_uv = derive_kuv(zeta, kappa_h)
-        trace.kuv_slack[:rows] = _kuv_slack(dd, uu, vv, kappa_uv, zeta)
     if not config.validate:
         return None
 
@@ -376,7 +343,7 @@ def _fill_diagnostics(
     slop = 1e-12
     xi_bad = xi_tr < merit.xi - slop
     tau_bad = tau_tr < merit.tau - slop
-    summary = ValidationSummary(
+    return ValidationSummary(
         iterations=rows,
         xi_violations=int(np.count_nonzero(xi_bad)),
         tau_violations=int(np.count_nonzero(tau_bad)),
@@ -385,11 +352,6 @@ def _fill_diagnostics(
         first_xi_violation=int(np.argmax(xi_bad)) + 1 if xi_bad.any() else None,
         first_tau_violation=int(np.argmax(tau_bad)) + 1 if tau_bad.any() else None,
     )
-    if config.curvature is not None:
-        kuv = trace.kuv_slack_true[:rows] = _kuv_slack(dd_true, uu_true, vv_true, kappa_uv, zeta)
-        both = np.concatenate([trace.kuv_slack[:rows], kuv])
-        summary.curvature_violations = int(np.count_nonzero(both < -1e-10 * (1.0 + np.abs(both))))
-    return summary
 
 
 def kkt_residual(grad: Array, jac: Array, c: Array, y: Array) -> float:
@@ -413,33 +375,3 @@ def _evaluate(problem: Problem, x: Array):
 def stationarity_residual(problem: Problem, x: Array, y: Array) -> float:
     """First-order violation ``||grad f + jac' y||_2 + ||c||_2`` at ``x``."""
     return kkt_residual(*_evaluate(problem, x), y)
-
-
-def derive_kuv(zeta: float, kappa_h: float) -> float:
-    """Smallest ``kappa`` with ``2 kappa_h / sqrt(kappa) + kappa_h / kappa
-    <= zeta / 2``, found by bisection.
-
-    The left-hand side is strictly decreasing in ``kappa`` and depends
-    only on the ratio ``kappa_h / zeta``, so the output is homogeneous
-    of degree zero in ``(zeta, kappa_h)``.
-    """
-    if not 0 < zeta <= kappa_h:
-        raise ValueError("need 0 < zeta <= kappa_h")
-
-    def lhs(kappa: float) -> float:
-        return 2.0 * kappa_h / math.sqrt(kappa) + kappa_h / kappa
-
-    target = zeta / 2.0
-    lo = 1.0  # lhs(1) = 3 kappa_h >= 3 zeta > target always
-    hi = 2.0
-    while lhs(hi) > target:
-        hi *= 2.0
-        if hi > 1e30:
-            raise ArithmeticError("bisection bracket expansion failed")
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi

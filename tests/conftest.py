@@ -26,7 +26,7 @@ from stochsqp import (
 )
 from stochsqp.logreg import Dataset
 from stochsqp.merit import check_reduction_lbnd, reduction_delta_q, tau_trial_true, xi_trial
-from stochsqp.solver import Trace, ValidationSummary, derive_kuv, iterate, kkt_residual
+from stochsqp.solver import Trace, ValidationSummary, iterate, kkt_residual
 
 
 def dense_kkt_solve(hess, jac, grad, c):
@@ -156,22 +156,7 @@ def row_by_row_run(problem, oracle, config):
     """
     merit = config.merit
     trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
-    kappa_uv = zeta = None
-    if config.curvature is not None:
-        zeta, kappa_h = config.curvature
-        kappa_uv = derive_kuv(zeta, kappa_h)
-    summary = None
-    if config.validate:
-        summary = ValidationSummary(
-            iterations=config.max_iters,
-            curvature_violations=None if kappa_uv is None else 0,
-        )
-
-    def kuv_slack(sol):
-        nu2 = float(sol.u @ sol.u)
-        if nu2 < kappa_uv * float(sol.v @ sol.v):
-            return math.nan
-        return float(sol.d @ sol.d) - 0.5 * zeta * nu2
+    summary = ValidationSummary(iterations=config.max_iters) if config.validate else None
 
     for k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
         problem, oracle, config
@@ -185,8 +170,6 @@ def row_by_row_run(problem, oracle, config):
         trace.xi_trial[i] = xi_trial(merit.tau, dq_s, sol.d)
         trace.x[i] = x
         trace.y[i] = sol.y
-        if kappa_uv is not None:
-            trace.kuv_slack[i] = kuv_slack(sol)
         if not config.validate:
             continue
 
@@ -210,11 +193,6 @@ def row_by_row_run(problem, oracle, config):
                 summary.first_tau_violation = k
         if merit.tau <= tau_tr and not holds:
             summary.lbnd_violations += 1
-        if kappa_uv is not None:
-            trace.kuv_slack_true[i] = kuv_slack(shadow)
-            for value in (trace.kuv_slack[i], trace.kuv_slack_true[i]):
-                if not math.isnan(value) and value < -1e-10 * (1.0 + abs(value)):
-                    summary.curvature_violations += 1
         if alpha_k > 1.0:
             summary.alpha_above_one += 1
     return trace, x_next, summary

@@ -514,14 +514,13 @@ class TestCli:
             return
         assert len(counts) == 2
         for line, entry in zip(counts, summaries):
-            # The driver sets no curvature pair, so no curvature check runs.
-            assert entry["curvature_violations"] is None
+            assert set(entry) == {f.name for f in dataclasses.fields(harness.RunSummary)}
             # The benchmark regime keeps both parameters admissible.
             assert entry["first_xi_violation"] is None
             assert entry["first_tau_violation"] is None
             assert line == (
                 f"  violations: xi {entry['xi_violations']}, tau {entry['tau_violations']}, "
-                f"lbnd {entry['lbnd_violations']}, curvature n/a, "
+                f"lbnd {entry['lbnd_violations']}, "
                 f"alpha > 1 {entry['alpha_above_one']}"
             )
         seed_lines = [line for line in lines if line.startswith("seed ")]
@@ -586,7 +585,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "case",
         ["config-value", "libsvm-parse", "libsvm-nan", "too-many-constraints", "zero-tau",
-         "nan-eps", "flag-value", "unknown-flag", "libsvm-utf8"],
+         "nan-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -607,6 +606,9 @@ class TestCli:
             "flag-value": ["--iters", "abc"],
             "unknown-flag": ["--bogus"],
             "libsvm-utf8": ["--dataset", str(utf8_data)],
+            "inf-tau": ["--tau", "inf"],
+            # tau * lip_gradf overflows, so the step size would be 0.
+            "overflow-tau": ["--tau", "1e308"],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -617,6 +619,20 @@ class TestCli:
             assert lines[0].startswith(f"error: {nan_data}: line 2: non-finite value")
         if case == "libsvm-utf8":
             assert lines[0].startswith(f"error: {utf8_data}: line 2: ")
+        if case == "overflow-tau":
+            assert lines[0].startswith("error: step size 0.0 is not positive and finite")
+
+    def test_budget_too_large_to_allocate_prints_one_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Stands in for the trace allocation of a huge --iters failing.
+        def run(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.2 TiB for an array")
+
+        monkeypatch.setattr(harness, "run", run)
+        assert main(["--iters", "5", "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["error: out of memory: Unable to allocate 2.2 TiB for an array"]
 
     @pytest.mark.parametrize("flags", [["--batch", "0"], ["--beta-p", "2"]])
     def test_bad_config_fails_before_reference_solve(self, tmp_path, flags):

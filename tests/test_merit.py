@@ -264,7 +264,8 @@ class TestProductForms:
 
 
 class TestMeritParams:
-    @pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"xi": -1.0}, {"nu": 1.0}, {"nu": 0.0}])
+    @pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"xi": -1.0}, {"nu": 1.0}, {"nu": 0.0},
+                                        {"tau": math.inf}, {"xi": math.inf}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             MeritParams(**kwargs)

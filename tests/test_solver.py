@@ -13,7 +13,6 @@ from stochsqp import (
     Problem,
     SolverConfig,
     StochasticGradientOracle,
-    derive_kuv,
     exact_oracle,
     iterate,
     kkt_residual,
@@ -50,7 +49,11 @@ class TestStepSize:
         tau, xi, lip, jac = 0.1, 1.0, 3.0, 2.0
         assert step_size(tau, xi, lip, jac, 1.0) == tau * xi / (tau * lip + jac)
 
-    @pytest.mark.parametrize("bad", [dict(tau=0.0), dict(xi=-1.0), dict(beta_k=0.0), dict(beta_k=1.5)])
+    # The last two are valid inputs whose step size overflows (tau *
+    # lip_gradf is inf) or underflows to 0.
+    @pytest.mark.parametrize("bad", [dict(tau=0.0), dict(xi=-1.0), dict(beta_k=0.0), dict(beta_k=1.5),
+                                     dict(tau=1e308, lip_gradf=10.0),
+                                     dict(tau=1e-300, beta_k=1e-300)])
     def test_input_validation(self, bad):
         kwargs = dict(tau=0.1, xi=1.0, lip_gradf=1.0, lip_jac=1.0, beta_k=1.0)
         kwargs.update(bad)
@@ -230,22 +233,6 @@ class TestRun:
         assert result.summary.first_xi_violation == 1
         assert not result.summary.clean
 
-    def test_curvature_count_is_none_without_constants(self):
-        problem = _worked_problem()
-        counts = []
-        for given in (None, (1.0, 1.0)):
-            config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0,
-                                  max_iters=5, validate=True, curvature=given)
-            summary = run(problem, exact_oracle(problem), config).summary
-            assert summary.clean
-            counts.append(summary.curvature_violations)
-        assert counts == [None, 0]
-
-    @pytest.mark.parametrize("curvature", [(2.0, 1.0), (0.0, 1.0), (-1.0, -0.5), (math.nan, 1.0)])
-    def test_curvature_pair_needs_ordered_positive_values(self, curvature):
-        with pytest.raises(ConfigError, match="0 < zeta <= kappa_h"):
-            SolverConfig(curvature=curvature)
-
     def test_evaluator_failure_reports_iterate_index(self):
         calls = {"n": 0}
 
@@ -310,15 +297,13 @@ class TestLedger:
         assert result.summary == summary
         return result
 
-    @pytest.mark.parametrize(
-        "validate, curvature", [(False, None), (True, None), (True, (1.0, 1.0))]
-    )
-    def test_bundled(self, bundled_instance, validate, curvature):
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_bundled(self, bundled_instance, validate):
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
             merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-            batch_size=16, max_iters=300, seed=2, validate=validate, curvature=curvature,
+            batch_size=16, max_iters=300, seed=2, validate=validate,
         )
         self._assert_same_run(problem, bundled_instance.minibatch_oracle, config)
 
@@ -336,19 +321,6 @@ class TestLedger:
         assert summary.xi_violations and summary.tau_violations
         assert summary.first_xi_violation and summary.first_tau_violation
 
-    def test_curvature_violations(self):
-        # With c = 0 every step is tangential, and zeta > 2 asks the
-        # identity model for more curvature than it has: both slacks of
-        # each of the three iterations are violations.
-        base = _worked_problem()
-        problem = Problem(n=2, m=1, objective=base.objective, gradient=base.gradient,
-                          constraints=lambda x: np.array([0.0]), jacobian=base.jacobian,
-                          x0=base.x0)
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0,
-                              max_iters=3, validate=True, curvature=(3.0, 3.0))
-        result = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
-        assert result.summary.curvature_violations == 6
-
     def test_violations_of_the_worked_problem(self):
         problem = _worked_problem()
         config = SolverConfig(
@@ -362,7 +334,7 @@ class TestLedger:
         # At the minimizer (-1, 0) of the sphere toy every step is zero.
         problem = sphere_problem(x0=(-1.0, 0.0))
         config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
-                              max_iters=3, validate=True, curvature=(1.0, 1.0))
+                              max_iters=3, validate=True)
         result = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
         assert np.all(result.trace.xi_trial == math.inf)
         assert np.all(result.trace.tau_trial_true == math.inf)
@@ -488,21 +460,3 @@ class TestStationarityResidual:
         expected = stationarity_residual(problem, x, y)
         assert stationarity_residual(problem, x.tolist(), y.tolist()) == expected
 
-
-class TestDeriveKuv:
-    def test_reference_ratio(self):
-        kappa = derive_kuv(1.0, 1.0)
-        assert 19.0 < kappa < 20.0
-        assert abs(2.0 / math.sqrt(kappa) + 1.0 / kappa - 0.5) <= 1e-8
-        just_below = kappa * (1.0 - 1e-6)
-        assert 2.0 / math.sqrt(just_below) + 1.0 / just_below > 0.5
-
-    def test_depends_only_on_ratio(self):
-        assert derive_kuv(2.0, 2.0) == pytest.approx(derive_kuv(1.0, 1.0), rel=1e-9)
-        assert derive_kuv(0.5, 3.0) > derive_kuv(1.0, 1.0)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            derive_kuv(2.0, 1.0)
-        with pytest.raises(ValueError):
-            derive_kuv(0.0, 1.0)
