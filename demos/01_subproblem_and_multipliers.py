@@ -9,13 +9,11 @@ of the full saddle-point system.
 import numpy as np
 
 from stochsqp import (
-    KktInputs,
-    decompose_step,
-    least_squares_multiplier,
+    factor_jacobian,
+    kkt_residual,
     multiplier_operator,
-    multiplier_via_operator,
-    null_space_basis,
     solve_kkt,
+    solve_with_factors,
 )
 
 rng = np.random.default_rng(0)
@@ -27,29 +25,32 @@ jac = rng.standard_normal((m, n))
 grad = rng.standard_normal(n)
 c = rng.standard_normal(m)
 
-sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c))
+sol = solve_kkt(hess, jac, grad, c)
 print("step d                :", np.round(sol.d, 6))
 print("multiplier y          :", np.round(sol.y, 6))
-print("verified residual     :", f"{sol.residual:.2e}")
+residual = kkt_residual(hess @ sol.d + grad, jac, jac @ sol.d + c, sol.y)
+print("verified residual     :", f"{residual:.2e}")
 
-# The step splits into a normal part (restores linearized feasibility)
-# and a tangential part (moves in the Jacobian's null space).
-u, v = decompose_step(sol.d, jac, c)
+# The solve returns the step split into a normal part v (restores
+# linearized feasibility) and a tangential part u (moves in the
+# Jacobian's null space).
+u, v = sol.u, sol.v
 print("\n||jac @ u||           :", f"{np.linalg.norm(jac @ u):.2e}  (tangential)")
 print("||jac @ v + c||       :", f"{np.linalg.norm(jac @ v + c):.2e}  (normal step solves the linearization)")
 print("u  .  v               :", f"{u @ v:+.2e}  (orthogonal parts)")
 
 # The multiplier can be written explicitly as a pseudoinverse times a
-# projection applied to gradient-side data; it must reproduce the
-# multiplier from the linear-system solve.
-basis = null_space_basis(jac)
-operator = multiplier_operator(hess, jac, basis)
-y_closed = multiplier_via_operator(operator, hess, jac, c, grad)
+# projection applied to gradient-side data, h pinv' c - g with
+# pinv' c = -v; it must reproduce the multiplier from the solve.
+operator = multiplier_operator(hess, jac)
+y_closed = operator @ (-hess @ v - grad)
 print("\nclosed-form multiplier:", np.round(y_closed, 6))
 print("gap to solver y       :", f"{np.linalg.norm(y_closed - sol.y):.2e}")
 
-# The least-squares multiplier drops the dependence on the model matrix.
-y_ls = least_squares_multiplier(jac, grad)
+# The least-squares multiplier, the minimizer of ||g + jac' y||, drops
+# the dependence on the model matrix: it is the identity-model solve's
+# multiplier at c = 0.
+y_ls = solve_with_factors(factor_jacobian(jac), grad, np.zeros(m)).y
 print("least-squares y       :", np.round(y_ls, 6))
 
 # Independent route: factor the whole (n+m) x (n+m) system densely.

@@ -4,7 +4,7 @@ The package is organized as a small numpy/scipy library:
 
 * :mod:`stochsqp.problem` - problem abstraction and gradient oracles
 * :mod:`stochsqp.logreg` - constrained logistic-regression instances
-* :mod:`stochsqp.kkt` - null-space and range-space subproblem solves, multiplier formulas
+* :mod:`stochsqp.kkt` - subproblem solves and the multiplier operator
 * :mod:`stochsqp.merit` - merit function, model reduction, trial values
 * :mod:`stochsqp.solver` - the iteration loop and per-iterate diagnostics
 * :mod:`stochsqp.averaging` - running and windowed multiplier averages
@@ -30,7 +30,6 @@ from .errors import (
     ConstructionError,
     CurvatureError,
     EvaluationError,
-    InconsistentStepError,
     ParseError,
     RankError,
     ReferenceSolveError,
@@ -38,13 +37,9 @@ from .errors import (
 )
 from .kkt import (
     JacobianFactors,
-    KktInputs,
     KktSolution,
-    decompose_step,
     factor_jacobian,
-    least_squares_multiplier,
     multiplier_operator,
-    multiplier_via_operator,
     null_space_basis,
     solve_kkt,
     solve_with_factors,

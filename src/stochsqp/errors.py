@@ -27,11 +27,6 @@ class CurvatureError(StochSqpError):
     tangent-space curvature requirement on the quadratic model."""
 
 
-class InconsistentStepError(StochSqpError):
-    """Step passed to the tangential/normal decomposition does not satisfy
-    the linearized constraint within tolerance."""
-
-
 class ConfigError(StochSqpError, ValueError):
     """Invalid solver or experiment configuration."""
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .averaging import MultiplierTrace, running_averages, windowed_averages
 from .errors import ConfigError, CurvatureError, RankError, ReferenceSolveError, StochSqpError
-from .kkt import KktInputs, null_space_basis, solve_kkt
+from .kkt import null_space_basis, solve_kkt
 from .logreg import ConstrainedLogRegInstance, build_instance, load_bundled_dataset, load_libsvm_file
 from .merit import MeritParams
 from .problem import Array, Problem, exact_oracle
@@ -144,7 +144,8 @@ def _newton_kkt(problem: Problem, start: Iteration, tol: float) -> ReferenceSolu
     """Newton's method on the KKT system from a loop iterate, or ``None``.
 
     Each step solves the subproblem with the Lagrangian Hessian at
-    ``(x, y)`` and moves to ``(x + d, y_new)``.
+    ``(x, y)``, symmetrized as :func:`_check_second_order` does, and
+    moves to ``(x + d, y_new)``.
     """
     x, y, grad, jac, c = start.x, start.sol.y, start.g, start.jac, start.c
     for steps in range(1, NEWTON_MAX_STEPS + 1):
@@ -152,7 +153,7 @@ def _newton_kkt(problem: Problem, start: Iteration, tol: float) -> ReferenceSolu
         if not np.all(np.isfinite(hess)):
             return None
         try:
-            sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c))
+            sol = solve_kkt(0.5 * (hess + hess.T), jac, grad, c)
         except (RankError, CurvatureError):
             return None
         x, y = x + sol.d, sol.y
@@ -253,9 +254,15 @@ class ExperimentConfig:
             raise ConfigError("batch must be >= 1")
         if self.mlin < 1:
             raise ConfigError("mlin must be >= 1")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         for eps in self.eps_grid:
             if not eps > 0:
                 raise ConfigError(f"eps values must be > 0, got {eps}")
+        # The label names the CSV column and the summary key.
+        labels = [f"{eps:g}" for eps in self.eps_grid]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"eps values must have distinct labels, got {labels}")
         # Built here only to reject bad values before any solve runs.
         self.merit()
         self.beta_schedule()

@@ -7,31 +7,27 @@ constraint value ``c``, and returns the step/multiplier pair solving
     [ h     jac' ] [ d ]     [ g ]
     [ jac   0    ] [ y ]  = -[ c ].
 
-Both routes start from the economic QR factorization ``jac' = q1 r``
-(``q1`` is ``n x m``, ``r`` is ``m x m`` upper triangular).  The rank
-gate tries ``||r||_F ||r^{-1}||_F`` before the singular values of ``r``.
+Every solve starts from the QR factorization ``jac' = q1 r`` (``q1`` is
+``n x m``, ``r`` is ``m x m`` upper triangular).  The rank gate tries
+``||r||_F ||r^{-1}||_F`` before the singular values of ``r``.  The
+normal step is ``v = q1 w`` with ``w = r^{-T}(-c)`` and the tangential
+step ``u`` lies in the Jacobian null space.
 
-* The null-space route (any symmetric ``h``) also forms ``z``, an
+* :func:`solve_with_factors` is the identity model matrix (the solver
+  loop's ``H_k = I``) on the economic factors of
+  :func:`factor_jacobian`: with ``qg = q1' g`` it returns
+  ``u = q1 qg - g`` and ``y = r^{-1}(-qg - w)``.  It is the loop's hot
+  path, so it calls LAPACK directly.
+* :func:`solve_kkt` takes any symmetric ``h``.  It also forms ``z``, an
   orthonormal basis of the Jacobian null space, from the full ``n x n``
-  Q.  The normal step ``v = q1 w`` with ``w = r^{-T}(-c)`` removes the
-  linearized constraint violation, the tangential step ``u = z p``
-  solves the reduced system ``(z' h z) p = -z' (g + h v)``, and the
-  multiplier solves ``r y = q1' (-g - h d)``.  ``z' h z`` must be
-  positive definite; a failed Cholesky factorization is reported as
+  Q; ``u = z p`` solves the reduced system ``(z' h z) p = -z' (g + h v)``
+  and the multiplier solves ``r y = q1' (-g - h d)``.  ``z' h z`` must
+  be positive definite; a failed Cholesky factorization is reported as
   :class:`CurvatureError` rather than silently regularized.
-* The range-space route (``hess=None``, the identity model matrix)
-  needs no ``z``: with ``qg = q1' g`` it returns ``v = q1 w``,
-  ``u = q1 qg - g``, ``y = r^{-1}(-qg - w)`` and no residual.  This is
-  the solver loop's hot path, so it calls LAPACK directly.  Factor with
-  ``factor_jacobian(jac, null_space=False)`` to skip the full Q.
 
-The multiplier formulas and :func:`decompose_step` reuse the same
-``q1`` and ``r``, since ``(jac jac')^{-1} = r^{-1} r^{-T}``.
-
-Every exported quantity (``d``, ``y``, ``u``, ``v``) is invariant under
-the choice of null-space basis; only the returned ``basis`` depends on
-the factorization.  All functions here are pure and safe to call
-concurrently.
+Both solves return ``d``, ``y``, ``u`` and ``v``, none of which depends
+on the choice of null-space basis.  All functions here are pure and safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ import scipy.linalg
 from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr, dtrtri, dtrtrs
 
-from .errors import CurvatureError, InconsistentStepError, RankError
+from .errors import CurvatureError, RankError
 from .problem import Array
 
 #: Relative singular-value threshold below which the Jacobian is
@@ -54,56 +50,23 @@ RANK_RTOL = 1e-10
 
 
 class JacobianFactors(NamedTuple):
-    """Orthogonal factorization of a Jacobian transpose, ``jac' = q1 r``.
+    """Economic orthogonal factorization of a Jacobian transpose, ``jac' = q1 r``."""
 
-    ``null_basis`` is ``None`` when the factorization was made for the
-    range-space route only.
-    """
-
-    jac: Array  # (m, n)
     q_range: Array  # (n, m), orthonormal basis of the row space
-    null_basis: Array | None  # (n, n - m), orthonormal basis of the null space
     r_upper: Array  # (m, m), upper triangular
 
 
 @dataclass(frozen=True)
-class KktInputs:
-    """One subproblem: symmetric ``hess``, Jacobian ``jac``, ``grad``, ``c``."""
-
-    hess: Array  # (n, n)
-    jac: Array  # (m, n)
-    grad: Array  # (n,)
-    c: Array  # (m,)
-
-    def __post_init__(self):
-        m, n = self.jac.shape
-        if not (1 <= m <= n):
-            raise ValueError("jacobian must have 1 <= m <= n rows")
-        if self.hess.shape != (n, n):
-            raise ValueError("hess has wrong shape")
-        if self.grad.shape != (n,) or self.c.shape != (m,):
-            raise ValueError("grad or c has wrong shape")
-        scale = 1.0 + float(np.max(np.abs(self.hess)))
-        if float(np.max(np.abs(self.hess - self.hess.T))) > 1e-12 * scale:
-            raise ValueError("hess is not symmetric to 1e-12 relative")
-
-
-@dataclass(frozen=True)
 class KktSolution:
-    """Step ``d = u + v``, multiplier ``y``, and the basis used.
+    """Step ``d = u + v`` and multiplier ``y``.
 
-    ``u`` lies in the Jacobian null space, ``v`` in its row space, and
-    ``residual`` is ``||h d + jac' y + g|| + ||jac d + c||``.  The
-    range-space route, which uses no basis and whose residual nothing
-    reads, leaves ``basis`` and ``residual`` as ``None``.
+    ``u`` lies in the Jacobian null space and ``v`` in its row space.
     """
 
     d: Array
     y: Array
     u: Array
     v: Array
-    basis: Array | None
-    residual: float | None
 
 
 def _check_info(routine: str, info: int):
@@ -132,12 +95,12 @@ def _rank_certified(r: Array) -> bool:
     return info == 0 and (2.0 * RANK_RTOL) ** 2 * scale2 * inv2 <= 1.0
 
 
-def factor_jacobian(jac: Array, null_space: bool = True) -> JacobianFactors:
-    """Rank-check ``jac`` and factor its transpose orthogonally.
+def _factor(jac: Array, full: bool) -> tuple[Array, Array]:
+    """Rank-check ``jac`` and return ``(q, r)`` with ``jac' = q[:, :m] r``.
 
-    ``null_space=False`` keeps only the economic factors ``q1`` and
-    ``r``, which is all the range-space route needs; the null-space
-    basis then is ``None``.
+    ``q`` is the economic ``n x m`` factor, or with ``full`` the whole
+    ``n x n`` orthogonal factor, whose last ``n - m`` columns span the
+    Jacobian null space.
     """
     jac = np.asarray(jac, dtype=float)
     m, n = jac.shape
@@ -155,71 +118,34 @@ def factor_jacobian(jac: Array, null_space: bool = True) -> JacobianFactors:
             raise RankError(
                 f"jacobian is rank deficient: sigma_min={svals[-1]:.3e}, sigma_max={svals[0]:.3e}"
             )
-    if null_space:
-        full = np.zeros((n, n), order="F")
-        full[:, :m] = qr
-        q, _, info = dorgqr(full, tau, overwrite_a=1)
-        q1, z = q[:, :m], q[:, m:]
+    if full:
+        q = np.zeros((n, n), order="F")
+        q[:, :m] = qr
+        q, _, info = dorgqr(q, tau, overwrite_a=1)
     else:
-        q1, _, info = dorgqr(qr, tau, overwrite_a=1)
-        z = None
+        q, _, info = dorgqr(qr, tau, overwrite_a=1)
     _check_info("dorgqr", info)
-    return JacobianFactors(jac=jac, q_range=q1, null_basis=z, r_upper=r)
+    return q, r
+
+
+def factor_jacobian(jac: Array) -> JacobianFactors:
+    """Rank-check ``jac`` and factor its transpose, ``jac' = q1 r``."""
+    return JacobianFactors(*_factor(jac, full=False))
 
 
 def null_space_basis(jac: Array) -> Array:
     """Orthonormal basis of the Jacobian null space, shape ``(n, n - m)``."""
-    return factor_jacobian(jac).null_basis
+    q, r = _factor(jac, full=True)
+    return q[:, r.shape[0]:]
 
 
-def solve_with_factors(
-    hess: Array | None, factors: JacobianFactors, grad: Array, c: Array
-) -> KktSolution:
-    """Solve one subproblem reusing a Jacobian factorization.
-
-    ``hess=None`` selects the identity model matrix and the range-space
-    route; any matrix, the identity included, takes the null-space
-    route with the factorization's null-space basis.
-    """
-    if hess is None:
-        return _range_space_solve(factors, grad, c)
-    jac, q1, z, r = factors
-    if z is None:
-        raise ValueError("factors have no null-space basis; factor with null_space=True")
-
-    # Normal step: jac = r' q1', so jac v = r' w with v = q1 w.
-    w = scipy.linalg.solve_triangular(r.T, -c, lower=True)
-    v = q1 @ w
-
-    # Tangential step from the reduced system.
-    if z.shape[1] > 0:
-        reduced = z.T @ hess @ z
-        try:
-            chol = scipy.linalg.cho_factor(reduced)
-        except np.linalg.LinAlgError as exc:
-            raise CurvatureError(
-                "reduced matrix z'hz is not positive definite; the quadratic model "
-                "lacks the required curvature on the jacobian null space"
-            ) from exc
-        u = z @ scipy.linalg.cho_solve(chol, -(z.T @ (grad + hess @ v)))
-    else:
-        u = np.zeros_like(grad)
-    d = u + v
-
-    y = scipy.linalg.solve_triangular(r, q1.T @ (-grad - hess @ d))
-    residual = float(
-        np.linalg.norm(hess @ d + jac.T @ y + grad) + np.linalg.norm(jac @ d + c)
-    )
-    return KktSolution(d=d, y=y, u=u, v=v, basis=z, residual=residual)
-
-
-def _range_space_solve(factors: JacobianFactors, grad: Array, c: Array) -> KktSolution:
+def solve_with_factors(factors: JacobianFactors, grad: Array, c: Array) -> KktSolution:
     """Identity-model solve from the economic factors alone.
 
     Inputs are trusted to be finite (the solver loop checks them), so
     LAPACK is called without scipy's argument checks.
     """
-    _, q1, _, r = factors
+    q1, r = factors
     w, info = dtrtrs(r, -c, trans=1)
     _check_info("dtrtrs", info)
     qg = q1.T @ grad
@@ -229,73 +155,76 @@ def _range_space_solve(factors: JacobianFactors, grad: Array, c: Array) -> KktSo
     d = u + v
     y, info = dtrtrs(r, -qg - w)
     _check_info("dtrtrs", info)
-    return KktSolution(d=d, y=y, u=u, v=v, basis=None, residual=None)
+    return KktSolution(d=d, y=y, u=u, v=v)
 
 
-def solve_kkt(inputs: KktInputs) -> KktSolution:
-    """Solve one subproblem from scratch (factorization included)."""
-    factors = factor_jacobian(inputs.jac)
-    return solve_with_factors(inputs.hess, factors, inputs.grad, inputs.c)
+def solve_kkt(hess: Array, jac: Array, grad: Array, c: Array) -> KktSolution:
+    """Solve one subproblem with a symmetric model matrix ``hess``.
 
-
-def decompose_step(d: Array, jac: Array, c: Array, rtol: float = 1e-8):
-    """Split ``d`` into its null-space and row-space parts ``(u, v)``.
-
-    Requires ``jac d = -c`` within tolerance (the step must solve the
-    linearized constraint); ``v`` is the closed form
-    ``-jac' (jac jac')^{-1} c = q1 r^{-T}(-c)`` and ``u = d - v``.
+    Raises ``ValueError`` for mismatched shapes or a ``hess`` that is
+    not symmetric to 1e-12 relative, :class:`RankError` for a rank
+    deficient ``jac`` and :class:`CurvatureError` when ``z' hess z`` is
+    not positive definite.
     """
-    jac = np.asarray(jac, dtype=float)
-    d = np.asarray(d, dtype=float)
-    c = np.asarray(c, dtype=float)
-    _, q1, _, r = factor_jacobian(jac, null_space=False)
-    gap = np.linalg.norm(jac @ d + c)
-    scale = 1.0 + np.linalg.norm(c) + np.linalg.norm(jac) * np.linalg.norm(d)
-    if gap > rtol * scale:
-        raise InconsistentStepError(
-            f"step does not satisfy the linearized constraint: ||jac d + c|| = {gap:.3e}"
-        )
-    v = q1 @ scipy.linalg.solve_triangular(r, -c, trans="T")
-    return d - v, v
+    hess, jac, grad, c = (np.asarray(a, dtype=float) for a in (hess, jac, grad, c))
+    m, n = jac.shape
+    if not (1 <= m <= n):
+        raise ValueError("jacobian must have 1 <= m <= n rows")
+    if hess.shape != (n, n):
+        raise ValueError("hess has wrong shape")
+    if grad.shape != (n,) or c.shape != (m,):
+        raise ValueError("grad or c has wrong shape")
+    scale = 1.0 + float(np.max(np.abs(hess)))
+    if float(np.max(np.abs(hess - hess.T))) > 1e-12 * scale:
+        raise ValueError("hess is not symmetric to 1e-12 relative")
+    q, r = _factor(jac, full=True)
+    return _null_space_solve(hess, q[:, :m], q[:, m:], r, grad, c)
 
 
-def multiplier_operator(hess: Array, jac: Array, basis: Array) -> Array:
+def _null_space_solve(
+    hess: Array, q1: Array, z: Array, r: Array, grad: Array, c: Array
+) -> KktSolution:
+    """:func:`solve_kkt` on given factors ``jac' = q1 r`` and null-space basis ``z``."""
+    # Normal step: jac = r' q1', so jac v = r' w with v = q1 w.
+    w = scipy.linalg.solve_triangular(r.T, -c, lower=True)
+    v = q1 @ w
+
+    # Tangential step from the reduced system.
+    if z.shape[1] > 0:
+        chol = _reduced_cholesky(hess, z)
+        u = z @ scipy.linalg.cho_solve(chol, -(z.T @ (grad + hess @ v)))
+    else:
+        u = np.zeros_like(grad)
+    d = u + v
+
+    y = scipy.linalg.solve_triangular(r, q1.T @ (-grad - hess @ d))
+    return KktSolution(d=d, y=y, u=u, v=v)
+
+
+def _reduced_cholesky(hess: Array, z: Array):
+    try:
+        return scipy.linalg.cho_factor(z.T @ hess @ z)
+    except np.linalg.LinAlgError as exc:
+        raise CurvatureError(
+            "reduced matrix z'hz is not positive definite; the quadratic model "
+            "lacks the required curvature on the jacobian null space"
+        ) from exc
+
+
+def multiplier_operator(hess: Array, jac: Array) -> Array:
     """The ``(m, n)`` map sending gradient-side data to the multiplier.
 
     Equals ``pinv (I - h z (z' h z)^{-1} z')`` where
     ``pinv = (jac jac')^{-1} jac = r^{-1} q1'`` is the pseudoinverse of
-    the transposed Jacobian and ``z`` spans the null space.
+    the transposed Jacobian and ``z`` spans the null space.  The
+    multiplier of :func:`solve_kkt` is this map applied to
+    ``h pinv' c - g``, and ``pinv' c = -v``.
     """
-    _, q1, _, r = factor_jacobian(jac, null_space=False)
-    pinv = scipy.linalg.solve_triangular(r, q1.T)
-    if basis.shape[1] == 0:
+    q, r = _factor(jac, full=True)
+    m = r.shape[0]
+    pinv = scipy.linalg.solve_triangular(r, q[:, :m].T)
+    z = q[:, m:]
+    if z.shape[1] == 0:
         return pinv
-    reduced = basis.T @ hess @ basis
-    try:
-        chol = scipy.linalg.cho_factor(reduced)
-    except np.linalg.LinAlgError as exc:
-        raise CurvatureError(
-            "reduced matrix z'hz is not positive definite"
-        ) from exc
-    projector = np.eye(jac.shape[1]) - hess @ basis @ scipy.linalg.cho_solve(chol, basis.T)
-    return pinv @ projector
-
-
-def multiplier_via_operator(
-    operator: Array, hess: Array, jac: Array, c: Array, grad: Array
-) -> Array:
-    """Closed-form multiplier ``M (h pinv' c - g)``, ``pinv' c = q1 r^{-T} c``.
-
-    Must agree with the multiplier returned by :func:`solve_kkt` on the
-    same inputs; the agreement is the cross-check of the operator
-    derivation.
-    """
-    _, q1, _, r = factor_jacobian(jac, null_space=False)
-    pinv_t_c = q1 @ scipy.linalg.solve_triangular(r, c, trans="T")
-    return operator @ (hess @ pinv_t_c - grad)
-
-
-def least_squares_multiplier(jac: Array, grad: Array) -> Array:
-    """Minimizer of ``||g + jac' y||``, i.e. ``-(jac jac')^{-1} jac g = -r^{-1} q1' g``."""
-    _, q1, _, r = factor_jacobian(jac, null_space=False)
-    return -scipy.linalg.solve_triangular(r, q1.T @ np.asarray(grad, dtype=float))
+    chol = _reduced_cholesky(hess, z)
+    return pinv @ (np.eye(len(q)) - hess @ z @ scipy.linalg.cho_solve(chol, z.T))

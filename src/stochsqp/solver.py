@@ -122,7 +122,7 @@ class SolverConfig:
     """Fixed parameters for one run.
 
     The quadratic-model matrix is the identity, ``H_k = I``, solved by
-    the range-space route of :mod:`stochsqp.kkt`.  For another
+    :func:`stochsqp.kkt.solve_with_factors`.  For another
     symmetric model matrix, solve single subproblems with
     :func:`stochsqp.kkt.solve_kkt`.  The identity has unit curvature
     on the Jacobian null space, so no curvature setting is needed.
@@ -251,8 +251,8 @@ def iterate(
             if not (np.isfinite(c).all() and np.isfinite(jac).all()):
                 raise EvaluationError("problem evaluator returned a non-finite value")
             g = sample_gradient(oracle, x, config.batch_size, rng)
-            factors = kkt.factor_jacobian(jac, null_space=False)
-            sol = kkt.solve_with_factors(None, factors, g, c)
+            factors = kkt.factor_jacobian(jac)
+            sol = kkt.solve_with_factors(factors, g, c)
         except (kkt.RankError, EvaluationError) as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
 
@@ -305,7 +305,7 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
             grad = np.asarray(problem.gradient(x), dtype=float)
             # Cannot raise: the factors passed the rank gate in iterate,
             # and the identity model has no curvature to fail.
-            shadow = kkt.solve_with_factors(None, factors, grad, c)
+            shadow = kkt.solve_with_factors(factors, grad, c)
             resid = trace.resid_true[i] = kkt_residual(grad, jac, c, shadow.y)
             # A non-finite gradient makes the residual non-finite, so the
             # gradient itself is checked only then.

@@ -3,9 +3,9 @@
 The dense full-matrix KKT solve lives here (not in the library) so the
 null-space implementation is always checked against a second route.
 So do the other oracles only tests use: the exact-gradient subproblem
-solve, a Gaussian-noise gradient oracle, a central-difference check of
-declared derivatives, the per-token LIBSVM parser and the row-by-row
-diagnostics of a solver run.
+solve, the least-squares multiplier, a Gaussian-noise gradient oracle,
+a central-difference check of declared derivatives, the per-token
+LIBSVM parser and the row-by-row diagnostics of a solver run.
 """
 
 import io
@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from stochsqp import (
-    KktInputs,
     ParseError,
     Problem,
     StochasticGradientOracle,
     build_instance,
+    factor_jacobian,
     load_bundled_dataset,
     solve_kkt,
     solve_with_factors,
@@ -45,13 +45,14 @@ def dense_kkt_solve(hess, jac, grad, c):
 def true_shadow(problem, x, hess):
     """Subproblem solution ``(d, y)`` with the exact gradient at ``x``."""
     x = np.asarray(x, dtype=float)
-    sol = solve_kkt(KktInputs(
-        hess=np.asarray(hess, dtype=float),
-        jac=np.asarray(problem.jacobian(x), dtype=float),
-        grad=np.asarray(problem.gradient(x), dtype=float),
-        c=np.asarray(problem.constraints(x), dtype=float),
-    ))
+    sol = solve_kkt(hess, problem.jacobian(x), problem.gradient(x), problem.constraints(x))
     return sol.d, sol.y
+
+
+def least_squares_y(jac, grad):
+    """Minimizer of ``||g + jac' y||``: the identity solve's multiplier at ``c = 0``."""
+    jac = np.asarray(jac, dtype=float)
+    return solve_with_factors(factor_jacobian(jac), grad, np.zeros(jac.shape[0])).y
 
 
 def gaussian_oracle(problem, sigma):
@@ -174,7 +175,7 @@ def row_by_row_run(problem, oracle, config):
             continue
 
         grad = np.asarray(problem.gradient(x), dtype=float)
-        shadow = solve_with_factors(None, factors, grad, c)
+        shadow = solve_with_factors(factors, grad, c)
         trace.y_true[i] = shadow.y
         tau_tr = tau_trial_true(merit.nu, c, grad, None, shadow.d)
         trace.tau_trial_true[i] = tau_tr

@@ -17,17 +17,16 @@ from scipy.stats import linregress
 
 from stochsqp import (
     BetaSchedule,
-    KktInputs,
     MeritParams,
     SolverConfig,
     exact_oracle,
     factor_jacobian,
     iterate,
-    least_squares_multiplier,
+    kkt_residual,
     load_bundled_instance,
     model_q,
     multiplier_operator,
-    multiplier_via_operator,
+    null_space_basis,
     reduction_delta_q,
     run,
     sample_gradient,
@@ -37,6 +36,7 @@ from stochsqp import (
     windowed_average,
     xi_trial,
 )
+from stochsqp import kkt
 from stochsqp.harness import compute_reference
 
 from conftest import dense_kkt_solve, random_kkt_instance
@@ -109,9 +109,10 @@ def test_criterion_01_kkt_correctness(suite_instances):
     worst_residual = 0.0
     worst_gap = 0.0
     for hess, jac, grad, c in suite_instances:
-        sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c))
+        sol = solve_kkt(hess, jac, grad, c)
         scale = 1.0 + np.linalg.norm(grad) + np.linalg.norm(c)
-        worst_residual = max(worst_residual, sol.residual / scale)
+        residual = kkt_residual(hess @ sol.d + grad, jac, jac @ sol.d + c, sol.y)
+        worst_residual = max(worst_residual, residual / scale)
         d_ref, y_ref = dense_kkt_solve(hess, jac, grad, c)
         gap = np.linalg.norm(sol.d - d_ref) + np.linalg.norm(sol.y - y_ref)
         worst_gap = max(worst_gap, gap)
@@ -125,9 +126,9 @@ def test_criterion_02_multiplier_formula_equivalence(suite_instances):
     worst_operator = 0.0
     worst_identity = 0.0
     for hess, jac, grad, c in suite_instances:
-        sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c))
-        op = multiplier_operator(hess, jac, sol.basis)
-        y = multiplier_via_operator(op, hess, jac, c, grad)
+        sol = solve_kkt(hess, jac, grad, c)
+        # The operator acts on h pinv' c - g, and pinv' c = -v.
+        y = multiplier_operator(hess, jac) @ (-hess @ sol.v - grad)
         rel = np.linalg.norm(y - sol.y) / (1.0 + np.linalg.norm(sol.y))
         worst_operator = max(worst_operator, rel)
 
@@ -135,8 +136,9 @@ def test_criterion_02_multiplier_formula_equivalence(suite_instances):
         # multipliers is exact when the model matrix is the identity
         # (the tangential step then stays in the Jacobian null space).
         eye = np.eye(hess.shape[0])
-        sol_eye = solve_kkt(KktInputs(hess=eye, jac=jac, grad=grad, c=c))
-        ls = least_squares_multiplier(jac, grad)
+        sol_eye = solve_kkt(eye, jac, grad, c)
+        # The identity solve at c = 0 gives the minimizer of ||g + J'y||.
+        ls = solve_with_factors(factor_jacobian(jac), grad, np.zeros_like(c)).y
         gram = jac @ jac.T
         expected = -np.linalg.solve(gram, jac @ (jac.T @ np.linalg.solve(gram, c)))
         gap = np.linalg.norm((ls - sol_eye.y) - expected) / (1.0 + np.linalg.norm(expected))
@@ -153,8 +155,7 @@ def test_criterion_03_decomposition_invariants(suite_instances):
     worst_closed = 0.0
     worst_rebase = 0.0
     for hess, jac, grad, c in suite_instances:
-        inputs = KktInputs(hess=hess, jac=jac, grad=grad, c=c)
-        sol = solve_kkt(inputs)
+        sol = solve_kkt(hess, jac, grad, c)
         scale = max(np.linalg.norm(sol.u) * np.linalg.norm(sol.v), 1e-30)
         worst_orth = max(worst_orth, abs(sol.u @ sol.v) / scale)
         worst_null = max(
@@ -163,11 +164,12 @@ def test_criterion_03_decomposition_invariants(suite_instances):
         v_closed = -jac.T @ np.linalg.solve(jac @ jac.T, c)
         worst_closed = max(worst_closed, np.linalg.norm(sol.v - v_closed))
 
-        width = sol.basis.shape[1]
+        z = null_space_basis(jac)
+        width = z.shape[1]
         if width:
             q = np.linalg.qr(rng.standard_normal((width, width)))[0]
-            factors = factor_jacobian(jac)._replace(null_basis=sol.basis @ q)
-            rebased = solve_with_factors(hess, factors, grad, c)
+            q1, r = factor_jacobian(jac)
+            rebased = kkt._null_space_solve(hess, q1, z @ q, r, grad, c)
             gap = max(
                 np.linalg.norm(getattr(sol, name) - getattr(rebased, name))
                 for name in ("d", "y", "u", "v")
@@ -184,7 +186,7 @@ def test_criterion_04_merit_machinery(suite_instances, deterministic_run, protoc
     tau = 0.1
     worst_identity = 0.0
     for hess, jac, grad, c in suite_instances:
-        d = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c)).d
+        d = solve_kkt(hess, jac, grad, c).d
         direct = reduction_delta_q(tau, c, grad, hess, d)
         diff = model_q(tau, 0.0, c, jac, grad, hess, np.zeros(len(grad))) - model_q(
             tau, 0.0, c, jac, grad, hess, d
@@ -360,7 +362,7 @@ def test_criterion_10_curvature_threshold(instance):
     products = []
     for step in iterate(problem, instance.minibatch_oracle(), config):
         grad = np.asarray(problem.gradient(step.x), dtype=float)
-        shadow = solve_with_factors(None, step.factors, grad, step.c)
+        shadow = solve_with_factors(step.factors, grad, step.c)
         for sol in (step.sol, shadow):
             products.append((sol.d @ sol.d, sol.u @ sol.u, sol.v @ sol.v))
     dd, uu, vv = np.array(products).T

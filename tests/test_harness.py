@@ -109,6 +109,17 @@ class TestComputeReference:
         assert np.linalg.norm(ref.x - x_star) <= 1e-12
         assert np.linalg.norm(ref.y - y_star) <= 1e-12
 
+    def test_newton_takes_a_hessian_with_rounding_level_skew(self):
+        # solve_kkt rejects a skew of 1e-9 here; the Newton step solves
+        # with the symmetric part, as the second-order check uses it.
+        skew = np.array([[0.0, 1e-9], [-1e-9, 0.0]])
+        problem = dataclasses.replace(
+            sphere_problem(), lagrangian_hessian=lambda x, y: 2.0 * y[0] * np.eye(2) + skew)
+        tol = 1e-12
+        ref = compute_reference(problem, MeritParams(), 0.5, 2.0, tol=tol)
+        assert ref.newton_steps >= 1
+        assert ref.residual <= tol
+
     @pytest.mark.parametrize("which, calls", [
         ("indefinite", 1),  # CurvatureError at the first step
         ("non-finite", 1),
@@ -585,7 +596,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "case",
         ["config-value", "libsvm-parse", "libsvm-nan", "too-many-constraints", "zero-tau",
-         "nan-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau"],
+         "nan-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau",
+         "duplicate-seed", "config-duplicate-seed", "same-eps-label"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -596,6 +608,8 @@ class TestCli:
         nan_data.write_text("+1 1:0.5 2:1\n-1 1:nan 2:1\n")
         utf8_data = tmp_path / "utf8.libsvm"
         utf8_data.write_bytes("+1 1:0.5\n-1 1:\u00e9\n".encode("utf-8"))
+        seeds_cfg = tmp_path / "seeds.cfg"
+        seeds_cfg.write_text("seed = 1, 1\n")
         args = {
             "config-value": ["--config", str(cfg)],
             "libsvm-parse": ["--dataset", str(data)],
@@ -609,6 +623,11 @@ class TestCli:
             "inf-tau": ["--tau", "inf"],
             # tau * lip_gradf overflows, so the step size would be 0.
             "overflow-tau": ["--tau", "1e308"],
+            # A repeated seed would overwrite its own trace file, and two
+            # eps values printing alike would share one CSV column name.
+            "duplicate-seed": ["--seed", "1", "--seed", "1"],
+            "config-duplicate-seed": ["--config", str(seeds_cfg)],
+            "same-eps-label": ["--eps", "0.1", "--eps", "0.10000000001"],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -621,6 +640,11 @@ class TestCli:
             assert lines[0].startswith(f"error: {utf8_data}: line 2: ")
         if case == "overflow-tau":
             assert lines[0].startswith("error: step size 0.0 is not positive and finite")
+        if case.endswith("duplicate-seed"):
+            assert lines[0] == "error: seeds must not repeat, got [1, 1]"
+        if case == "same-eps-label":
+            assert lines[0] == "error: eps values must have distinct labels, got ['0.1', '0.1']"
+        assert not (tmp_path / "out" / "reference.json").exists()
 
     def test_budget_too_large_to_allocate_prints_one_error_line(
         self, tmp_path, capsys, monkeypatch

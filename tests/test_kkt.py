@@ -1,5 +1,6 @@
-"""Subproblem solves (null-space and range-space routes) against hand
-values, each other and the dense oracle."""
+"""Subproblem solves (``solve_kkt`` and the identity-model
+``solve_with_factors``) against hand values, each other and the dense
+oracle."""
 
 import numpy as np
 import pytest
@@ -12,17 +13,13 @@ from stochsqp import kkt
 from stochsqp import (
     BetaSchedule,
     CurvatureError,
-    InconsistentStepError,
-    KktInputs,
     MeritParams,
     RankError,
     SolverConfig,
-    decompose_step,
     factor_jacobian,
     iterate,
-    least_squares_multiplier,
+    kkt_residual,
     multiplier_operator,
-    multiplier_via_operator,
     null_space_basis,
     run,
     solve_kkt,
@@ -30,7 +27,7 @@ from stochsqp import (
 )
 from stochsqp.kkt import RANK_RTOL
 
-from conftest import dense_kkt_solve, random_kkt_instance
+from conftest import dense_kkt_solve, least_squares_y, random_kkt_instance
 
 WORKED = dict(
     hess=np.eye(2),
@@ -40,9 +37,16 @@ WORKED = dict(
 )
 
 
+def operator_multiplier(hess, jac, grad, c):
+    """``multiplier_operator`` applied to ``h pinv' c - g``, with the
+    normal step ``-pinv' c = -jac' (jac jac')^{-1} c`` formed densely."""
+    pinv_t_c = jac.T @ np.linalg.solve(jac @ jac.T, c)
+    return multiplier_operator(hess, jac) @ (hess @ pinv_t_c - grad)
+
+
 class TestSolve:
     def test_worked_example(self):
-        sol = solve_kkt(KktInputs(**WORKED))
+        sol = solve_kkt(**WORKED)
         assert np.allclose(sol.d, [-0.5, -1.0], atol=1e-14)
         assert np.allclose(sol.y, [-0.5], atol=1e-14)
         assert np.allclose(sol.v, [-0.5, 0.0], atol=1e-14)
@@ -52,7 +56,7 @@ class TestSolve:
         rng = np.random.default_rng(0)
         hess, jac, _, _ = random_kkt_instance(rng, 7, 3)
         y_hat = rng.standard_normal(3)
-        sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=-jac.T @ y_hat, c=np.zeros(3)))
+        sol = solve_kkt(hess, jac, -jac.T @ y_hat, np.zeros(3))
         assert np.linalg.norm(sol.d) <= 1e-12
         assert np.allclose(sol.y, y_hat, atol=1e-11)
 
@@ -60,29 +64,28 @@ class TestSolve:
         rng = np.random.default_rng(1)
         for _ in range(25):
             hess, jac, grad, c = random_kkt_instance(rng, 20, 5)
-            sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c))
+            sol = solve_kkt(hess, jac, grad, c)
             d_ref, y_ref = dense_kkt_solve(hess, jac, grad, c)
             assert np.linalg.norm(sol.d - d_ref) <= 1e-9
             assert np.linalg.norm(sol.y - y_ref) <= 1e-9
             scale = 1.0 + np.linalg.norm(grad) + np.linalg.norm(c)
-            assert sol.residual <= 1e-10 * scale
+            residual = kkt_residual(hess @ sol.d + grad, jac, jac @ sol.d + c, sol.y)
+            assert residual <= 1e-10 * scale
 
     def test_rank_deficient_jacobian_rejected(self):
         jac = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
         with pytest.raises(RankError):
-            solve_kkt(KktInputs(hess=np.eye(3), jac=jac,
-                                grad=np.zeros(3), c=np.zeros(2)))
+            solve_kkt(np.eye(3), jac, np.zeros(3), np.zeros(2))
 
     def test_indefinite_reduced_matrix_rejected(self):
         with pytest.raises(CurvatureError):
-            solve_kkt(KktInputs(hess=-np.eye(3), jac=np.array([[1.0, 0.0, 0.0]]),
-                                grad=np.ones(3), c=np.zeros(1)))
+            solve_kkt(-np.eye(3), np.array([[1.0, 0.0, 0.0]]), np.ones(3), np.zeros(1))
 
     def test_square_jacobian_has_empty_tangent_space(self):
         rng = np.random.default_rng(2)
         hess, jac, grad, c = random_kkt_instance(rng, 4, 4)
-        sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c))
-        assert sol.basis.shape == (4, 0)
+        sol = solve_kkt(hess, jac, grad, c)
+        assert null_space_basis(jac).shape == (4, 0)
         assert np.array_equal(sol.u, np.zeros(4))
         d_ref, y_ref = dense_kkt_solve(hess, jac, grad, c)
         assert np.allclose(sol.d, d_ref, atol=1e-10)
@@ -91,7 +94,21 @@ class TestSolve:
     def test_asymmetric_hessian_rejected(self):
         hess = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            KktInputs(hess=hess, jac=WORKED["jac"], grad=WORKED["grad"], c=WORKED["c"])
+            solve_kkt(hess, WORKED["jac"], WORKED["grad"], WORKED["c"])
+
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            ("jac", np.ones((3, 2)), "1 <= m <= n"),
+            ("jac", np.ones((0, 2)), "1 <= m <= n"),
+            ("hess", np.eye(3), "hess has wrong shape"),
+            ("grad", np.ones(3), "grad or c has wrong shape"),
+            ("c", np.ones(2), "grad or c has wrong shape"),
+        ],
+    )
+    def test_wrong_shapes_rejected(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            solve_kkt(**{**WORKED, name: value})
 
 
 class TestNullSpaceBasis:
@@ -126,44 +143,46 @@ class TestNullSpaceBasis:
 
 
 class TestDecomposeStep:
-    def test_worked_example(self):
-        u, v = decompose_step(np.array([-0.5, -1.0]), WORKED["jac"], WORKED["c"])
-        assert np.allclose(v, [-0.5, 0.0], atol=1e-14)
-        assert np.allclose(u, [0.0, -1.0], atol=1e-14)
+    """The split ``d = u + v`` that the solves return."""
 
     def test_zero_constraint_gives_pure_tangential(self):
+        # With c = 0 the solution step lies in the null space.
         rng = np.random.default_rng(5)
-        _, jac, _, _ = random_kkt_instance(rng, 6, 2)
-        z = null_space_basis(jac)
-        d = z @ rng.standard_normal(4)
-        u, v = decompose_step(d, jac, np.zeros(2))
-        assert np.linalg.norm(v) <= 1e-12
-        assert np.allclose(u, d, atol=1e-12)
+        hess, jac, grad, _ = random_kkt_instance(rng, 6, 2)
+        for sol in (
+            solve_kkt(hess, jac, grad, np.zeros(2)),
+            solve_with_factors(factor_jacobian(jac), grad, np.zeros(2)),
+        ):
+            assert np.linalg.norm(sol.v) <= 1e-12
+            assert np.allclose(sol.u, sol.d, atol=1e-12)
+            assert np.linalg.norm(jac @ sol.d) <= 1e-12 * np.linalg.norm(jac)
 
     def test_row_space_step_gives_zero_tangential(self):
+        # With hess = I, the gradient -d - jac' y makes a row-space d the
+        # solution step.
         rng = np.random.default_rng(6)
         _, jac, _, _ = random_kkt_instance(rng, 6, 2)
         d = jac.T @ rng.standard_normal(2)
-        u, v = decompose_step(d, jac, -jac @ d)
-        assert np.linalg.norm(u) <= 1e-12
-        assert np.allclose(v, d, atol=1e-12)
+        grad = -d - jac.T @ rng.standard_normal(2)
+        for sol in (
+            solve_kkt(np.eye(6), jac, grad, -jac @ d),
+            solve_with_factors(factor_jacobian(jac), grad, -jac @ d),
+        ):
+            assert np.linalg.norm(sol.u) <= 1e-12
+            assert np.allclose(sol.v, d, atol=1e-12)
 
     def test_orthogonality(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             hess, jac, grad, c = random_kkt_instance(rng, 9, 4)
-            sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c))
+            sol = solve_kkt(hess, jac, grad, c)
             bound = 1e-10 * max(np.linalg.norm(sol.u) * np.linalg.norm(sol.v), 1e-30)
             assert abs(sol.u @ sol.v) <= bound
-
-    def test_inconsistent_step_rejected(self):
-        with pytest.raises(InconsistentStepError):
-            decompose_step(np.array([1.0, 0.0]), WORKED["jac"], WORKED["c"])
 
 
 class TestMultiplierFormulas:
     def test_operator_worked_example(self):
-        op = multiplier_operator(np.eye(2), WORKED["jac"], np.array([[0.0], [1.0]]))
+        op = multiplier_operator(np.eye(2), WORKED["jac"])
         assert np.allclose(op, [[1.0, 0.0]], atol=1e-14)
 
     def test_operator_times_jacobian_transpose_is_identity(self):
@@ -171,25 +190,23 @@ class TestMultiplierFormulas:
         # space, so the operator inverts jac' on it.
         rng = np.random.default_rng(8)
         _, jac, _, _ = random_kkt_instance(rng, 8, 3)
-        op = multiplier_operator(np.eye(8), jac, null_space_basis(jac))
+        op = multiplier_operator(np.eye(8), jac)
         assert np.max(np.abs(op @ jac.T - np.eye(3))) <= 1e-10
 
     def test_square_case_reduces_to_pseudoinverse(self):
         rng = np.random.default_rng(9)
         hess, jac, _, _ = random_kkt_instance(rng, 4, 4)
-        op = multiplier_operator(hess, jac, np.zeros((4, 0)))
+        op = multiplier_operator(hess, jac)
         assert np.allclose(op, np.linalg.inv(jac.T), atol=1e-10)
 
     def test_closed_form_matches_worked_example(self):
-        op = multiplier_operator(np.eye(2), WORKED["jac"], np.array([[0.0], [1.0]]))
-        y = multiplier_via_operator(op, np.eye(2), WORKED["jac"], WORKED["c"], WORKED["grad"])
+        y = operator_multiplier(**WORKED)
         assert np.allclose(y, [-0.5], atol=1e-14)
 
     def test_zero_inputs_give_zero_multiplier(self):
         rng = np.random.default_rng(10)
         hess, jac, _, _ = random_kkt_instance(rng, 5, 2)
-        op = multiplier_operator(hess, jac, null_space_basis(jac))
-        y = multiplier_via_operator(op, hess, jac, np.zeros(2), np.zeros(5))
+        y = operator_multiplier(hess, jac, np.zeros(5), np.zeros(2))
         assert np.linalg.norm(y) <= 1e-14
 
     def test_closed_form_equals_solver_multiplier(self):
@@ -199,9 +216,8 @@ class TestMultiplierFormulas:
             n = int(rng.integers(3, 31))
             m = int(rng.integers(1, min(10, n - 1) + 1))
             hess, jac, grad, c = random_kkt_instance(rng, n, m)
-            sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c))
-            op = multiplier_operator(hess, jac, sol.basis)
-            y = multiplier_via_operator(op, hess, jac, c, grad)
+            sol = solve_kkt(hess, jac, grad, c)
+            y = operator_multiplier(hess, jac, grad, c)
             worst = max(worst, np.linalg.norm(y - sol.y) / (1.0 + np.linalg.norm(sol.y)))
         assert worst <= 1e-8
 
@@ -209,13 +225,13 @@ class TestMultiplierFormulas:
         rng = np.random.default_rng(12)
         _, jac, _, _ = random_kkt_instance(rng, 6, 2)
         g = null_space_basis(jac) @ rng.standard_normal(4)
-        assert np.linalg.norm(least_squares_multiplier(jac, g)) <= 1e-12
+        assert np.linalg.norm(least_squares_y(jac, g)) <= 1e-12
 
     def test_least_squares_recovers_exact_multiplier(self):
         rng = np.random.default_rng(13)
         _, jac, _, _ = random_kkt_instance(rng, 6, 2)
         y_hat = rng.standard_normal(2)
-        assert np.allclose(least_squares_multiplier(jac, -jac.T @ y_hat), y_hat, atol=1e-12)
+        assert np.allclose(least_squares_y(jac, -jac.T @ y_hat), y_hat, atol=1e-12)
 
     def test_identity_model_offset_from_kkt_multiplier(self):
         # With the identity model matrix, the least-squares multiplier
@@ -225,8 +241,8 @@ class TestMultiplierFormulas:
         for _ in range(20):
             _, jac, grad, c = random_kkt_instance(rng, 7, 3)
             hess = np.eye(7)
-            sol = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c))
-            ls = least_squares_multiplier(jac, grad)
+            sol = solve_kkt(hess, jac, grad, c)
+            ls = least_squares_y(jac, grad)
             gram = jac @ jac.T
             expected = -np.linalg.solve(gram, jac @ (jac.T @ np.linalg.solve(gram, c)))
             assert np.linalg.norm((ls - sol.y) - expected) <= 1e-10
@@ -237,11 +253,11 @@ class TestBasisInvariance:
         rng = np.random.default_rng(15)
         for _ in range(10):
             hess, jac, grad, c = random_kkt_instance(rng, 9, 3)
-            factors = factor_jacobian(jac)
-            first = solve_with_factors(hess, factors, grad, c)
+            q1, r = factor_jacobian(jac)
+            z = null_space_basis(jac)
+            first = kkt._null_space_solve(hess, q1, z, r, grad, c)
             q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-            rebased = factors._replace(null_basis=factors.null_basis @ q)
-            second = solve_with_factors(hess, rebased, grad, c)
+            second = kkt._null_space_solve(hess, q1, z @ q, r, grad, c)
             for name in ("d", "y", "u", "v"):
                 assert np.linalg.norm(getattr(first, name) - getattr(second, name)) <= 1e-9
 
@@ -254,6 +270,10 @@ def _jacobian_with_spectrum(rng, n, svals):
     return left @ np.diag(svals) @ right.T
 
 
+# The economic and the full QR share one rank gate.
+BOTH_QR_VARIANTS = (factor_jacobian, null_space_basis)
+
+
 def _gate_today(jac):
     """The rank gate's definition on the singular values of ``jac`` itself."""
     svals = np.linalg.svd(jac, compute_uv=False)
@@ -261,18 +281,16 @@ def _gate_today(jac):
 
 
 class TestRangeSpaceRoute:
-    """The identity-model route (``hess=None``) against the dense oracle
-    and the null-space route on the same data."""
+    """The identity-model solve against the dense oracle and
+    ``solve_kkt`` with the identity on the same data."""
 
     @staticmethod
     def _check(jac, grad, c):
         n = jac.shape[1]
         eye = np.eye(n)
-        fast = solve_with_factors(None, factor_jacobian(jac, null_space=False), grad, c)
-        slow = solve_with_factors(eye, factor_jacobian(jac), grad, c)
+        fast = solve_with_factors(factor_jacobian(jac), grad, c)
+        slow = solve_kkt(eye, jac, grad, c)
         d_ref, y_ref = dense_kkt_solve(eye, jac, grad, c)
-        assert fast.basis is None
-        assert fast.residual is None
         rtol = 1e-12
         # Step errors scale with the data (||g||) and the normal step;
         # multiplier errors with the multiplier.
@@ -331,16 +349,16 @@ class TestRangeSpaceRoute:
             jac = _jacobian_with_spectrum(rng, n, svals)
             deficient = _gate_today(jac)
             assert deficient == (ratio < 1)
-            for null_space in (False, True):
+            for factor in BOTH_QR_VARIANTS:
                 if deficient:
                     with pytest.raises(RankError):
-                        factor_jacobian(jac, null_space=null_space)
+                        factor(jac)
                 else:
-                    factor_jacobian(jac, null_space=null_space)
+                    factor(jac)
             if not deficient:
                 grad, c = rng.standard_normal(n), rng.standard_normal(m)
-                fast = solve_with_factors(None, factor_jacobian(jac, null_space=False), grad, c)
-                slow = solve_with_factors(np.eye(n), factor_jacobian(jac), grad, c)
+                fast = solve_with_factors(factor_jacobian(jac), grad, c)
+                slow = solve_kkt(np.eye(n), jac, grad, c)
                 assert np.allclose(fast.d, slow.d, rtol=0.0, atol=1e-9 * np.linalg.norm(slow.d))
 
     @pytest.mark.parametrize(
@@ -354,9 +372,9 @@ class TestRangeSpaceRoute:
         ],
     )
     def test_singular_or_non_finite_r_rejected(self, jac):
-        for null_space in (False, True):
+        for factor in BOTH_QR_VARIANTS:
             with pytest.raises(RankError):
-                factor_jacobian(jac, null_space=null_space)
+                factor(jac)
 
     def test_certificate_margin_is_needed(self):
         # Diagonal Jacobians with ||r||_F < 1 and sigma_min a few ulps
@@ -381,9 +399,9 @@ class TestRangeSpaceRoute:
             assert info == 0 and ddot(r.ravel(), r.ravel()) <= 1.0
             if RANK_RTOL**2 * ddot(inv.ravel(), inv.ravel()) <= 1.0:
                 hits += 1
-            for null_space in (False, True):
+            for factor in BOTH_QR_VARIANTS:
                 with pytest.raises(RankError):
-                    factor_jacobian(jac, null_space=null_space)
+                    factor(jac)
         assert hits >= 10
 
     @pytest.mark.parametrize("coupling", [2e5, 1e6, 1e8, 4e9])
@@ -395,9 +413,9 @@ class TestRangeSpaceRoute:
             jac = np.zeros((2, n))
             jac[:, :2] = [[1.0, 0.0], [coupling, 1.0]]
             assert _gate_today(jac)
-            for null_space in (False, True):
+            for factor in BOTH_QR_VARIANTS:
                 with pytest.raises(RankError):
-                    factor_jacobian(jac, null_space=null_space)
+                    factor(jac)
 
     def test_bundled_validated_run_takes_no_singular_values(self, bundled_instance, monkeypatch):
         calls = []
@@ -417,12 +435,13 @@ class TestRangeSpaceRoute:
         assert result.summary.iterations == 1500
         assert calls == []
         # The spy is wired: an undecided certificate does reach it.
-        factor_jacobian(np.array([[1.0, 0.0], [9e4, 1.0]]), null_space=False)
+        factor_jacobian(np.array([[1.0, 0.0], [9e4, 1.0]]))
         assert calls == [1]
 
     def test_more_rows_than_columns_rejected(self):
-        with pytest.raises(RankError):
-            factor_jacobian(np.ones((3, 2)), null_space=False)
+        for factor in BOTH_QR_VARIANTS:
+            with pytest.raises(RankError):
+                factor(np.ones((3, 2)))
 
     def test_bundled_solver_trajectory(self, bundled_instance):
         problem = bundled_instance.problem()
@@ -430,19 +449,13 @@ class TestRangeSpaceRoute:
         config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
                               beta=BetaSchedule(p=0.51), max_iters=300, seed=4)
         for step in iterate(problem, bundled_instance.minibatch_oracle(), config):
-            assert step.factors.null_basis is None
             sol = self._check(step.jac, step.g, step.c)
             assert np.array_equal(step.sol.d, sol.d)
             assert np.array_equal(step.sol.y, sol.y)
 
-    def test_null_space_route_needs_a_basis(self):
-        factors = factor_jacobian(WORKED["jac"], null_space=False)
-        with pytest.raises(ValueError, match="null_space=True"):
-            solve_with_factors(np.eye(2), factors, WORKED["grad"], WORKED["c"])
-
     def test_worked_example(self):
-        factors = factor_jacobian(WORKED["jac"], null_space=False)
-        sol = solve_with_factors(None, factors, WORKED["grad"], WORKED["c"])
+        factors = factor_jacobian(WORKED["jac"])
+        sol = solve_with_factors(factors, WORKED["grad"], WORKED["c"])
         assert np.allclose(sol.d, [-0.5, -1.0], atol=1e-14)
         assert np.allclose(sol.y, [-0.5], atol=1e-14)
         assert np.allclose(sol.v, [-0.5, 0.0], atol=1e-14)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from stochsqp import (
-    KktInputs,
     MeritParams,
     check_reduction_lbnd,
     factor_jacobian,
@@ -82,7 +81,7 @@ class TestReduction:
         rng = np.random.default_rng(0)
         for _ in range(100):
             hess, jac, grad, c = random_kkt_instance(rng, 8, 3)
-            d = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c)).d
+            d = solve_kkt(hess, jac, grad, c).d
             f = float(rng.standard_normal())
             direct = reduction_delta_q(TAU, c, grad, hess, d)
             diff = model_q(TAU, f, c, jac, grad, hess, np.zeros(8)) - model_q(
@@ -123,7 +122,7 @@ class TestReductionLowerBound:
         nu = 0.5
         for _ in range(50):
             hess, jac, grad, c = random_kkt_instance(rng, 8, 3)
-            d = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c)).d
+            d = solve_kkt(hess, jac, grad, c).d
             tau_max = tau_trial_true(nu, c, grad, hess, d)
             tau = min(0.5 * tau_max, 10.0) if math.isfinite(tau_max) else 10.0
             holds, slack = check_reduction_lbnd(tau, nu, c, grad, hess, d)
@@ -154,8 +153,7 @@ class TestIdentityModel:
             m = int(rng.integers(1, n + 1))
             _, jac, grad, c = random_kkt_instance(rng, n, m)
             grad = grad * 10.0 ** rng.uniform(-3, 3)
-            factors = factor_jacobian(jac, null_space=False)
-            yield jac, grad, c, solve_with_factors(None, factors, grad, c).d
+            yield jac, grad, c, solve_with_factors(factor_jacobian(jac), grad, c).d
             yield jac, grad, c, rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
         yield JAC, GRAD, C, np.zeros(2)  # zero step
         yield JAC, GRAD, C, D  # rho <= 0, so tau_trial_true is inf
@@ -235,7 +233,7 @@ class TestProductForms:
         nu = 0.3
         for _ in range(200):
             hess, jac, grad, c = random_kkt_instance(rng, 8, 3)
-            d = solve_kkt(KktInputs(hess=hess, jac=jac, grad=grad, c=c)).d
+            d = solve_kkt(hess, jac, grad, c).d
             gd, l1 = float(grad @ d), float(np.abs(c).sum())
             curv = max(float(d @ (hess @ d)), 0.0)
             dq = -TAU * (gd + 0.5 * curv) + l1
