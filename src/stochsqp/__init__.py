@@ -67,7 +67,6 @@ from .merit import (
 from .problem import (
     Problem,
     StochasticGradientOracle,
-    estimate_variance,
     exact_oracle,
     sample_gradient,
 )

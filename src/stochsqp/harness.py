@@ -38,7 +38,9 @@ from .kkt import null_space_basis, solve_kkt
 from .logreg import ConstrainedLogRegInstance, build_instance, load_bundled_dataset, load_libsvm_file
 from .merit import MeritParams
 from .problem import Array, Problem, exact_oracle
-from .solver import BetaSchedule, Iteration, SolverConfig, _evaluate, iterate, kkt_residual, run
+from .solver import (
+    BetaSchedule, Iteration, SolverConfig, Trace, _evaluate, iterate, kkt_residual, run,
+)
 
 # The benchmark's traced mode (perfbench/spans.py) looks these names up
 # in this module's namespace to wrap them, so they stay bound here
@@ -256,6 +258,8 @@ class ExperimentConfig:
             raise ConfigError("mlin must be >= 1")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         for eps in self.eps_grid:
             if not eps > 0:
                 raise ConfigError(f"eps values must be > 0, got {eps}")
@@ -438,6 +442,14 @@ def _load_instance(config: ExperimentConfig) -> ConstrainedLogRegInstance:
     return build_instance(dataset, m_lin=config.mlin, seed=INSTANCE_SEED)
 
 
+def _check_replicate_fits(config: ExperimentConfig, n: int, m: int) -> None:
+    """Raise :class:`MemoryError` if one replicate's trace cannot be
+    allocated.  ``np.empty`` reserves address space without touching a
+    page, so the check costs no resident memory."""
+    # Per iteration: the trace scalars, run's six ledger rows, x, y, y_true.
+    np.empty((config.iters, len(Trace._SCALARS) + 6 + n + m * (1 + config.validate)))
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full protocol and write all output files.
 
@@ -445,10 +457,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ``reference.json``, ``columns.txt``, one ``trace_seed<seed>.csv``
     per replicate, and ``summary.json``.
     """
+    instance = _load_instance(config)
+    if not config.reference_only:
+        _check_replicate_fits(config, instance.n, instance.m)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    instance = _load_instance(config)
     problem = instance.problem()
     lip_gradf, lip_jac = instance.lipschitz_bounds()
     reference = compute_reference(problem, config.merit(), lip_gradf, lip_jac, tol=config.ref_tol)
@@ -481,7 +495,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     trace_paths: list[Path] = []
     if not config.reference_only:
         # The oracle holds no state (each run passes its own generator),
-        # so every replicate shares one and its variance is computed once.
+        # so every replicate shares one.
         oracle = exact_oracle(problem) if config.exact else instance.minibatch_oracle()
         for seed in config.seeds:
             summary, path = _run_replicate(

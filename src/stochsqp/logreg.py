@@ -259,10 +259,8 @@ class ConstrainedLogRegInstance:
         return self.m_lin + 1
 
     # -- evaluators ----------------------------------------------------
-    def _margins(self, x: Array, columns=None) -> Array:
-        d = self.dataset.features if columns is None else self.dataset.features[:, columns]
-        g = self.dataset.labels if columns is None else self.dataset.labels[columns]
-        return g * (d.T @ x)
+    def _margins(self, x: Array) -> Array:
+        return self.dataset.labels * (self.dataset.features.T @ x)
 
     def objective(self, x: Array) -> float:
         # log(1 + exp(-z)) = logaddexp(0, -z), stable for large |z|.
@@ -307,7 +305,6 @@ class ConstrainedLogRegInstance:
             constraints=self.constraints,
             jacobian=self.jacobian,
             x0=self.x1,
-            name="constrained-logreg",
             lagrangian_hessian=self.lagrangian_hessian,
         )
 
@@ -315,9 +312,9 @@ class ConstrainedLogRegInstance:
     def per_sample_variance(self, x: Array) -> float:
         """Exact population second moment of a single-sample gradient error.
 
-        Two passes: the mean gradient, then the squared deviations of
-        the per-sample gradients (the columns of ``D diag(w)``), formed
-        a block of samples at a time.
+        Three passes: the margins, the mean gradient, then the squared
+        deviations of the per-sample gradients (the columns of
+        ``D diag(w)``), formed a block of samples at a time.
         """
         features = self.dataset.features
         n_samples = self.dataset.n_samples
@@ -339,7 +336,7 @@ class ConstrainedLogRegInstance:
             idx = rng.integers(0, n_samples, size=batch)
             return logistic_minibatch_gradient(self, x, idx)
 
-        return StochasticGradientOracle(sample=sample, sigma2=self.per_sample_variance(self.x1))
+        return StochasticGradientOracle(sample)
 
     def lipschitz_bounds(self):
         """Certified ``(lip_gradf, lip_jac)`` for this instance family.

@@ -5,6 +5,9 @@ A :class:`Problem` bundles plain-callable evaluators for an objective
 The solver only ever talks to these callables, so an instance can wrap
 anything from a two-line toy to a data-fitting loss over a sample set.
 
+A :class:`StochasticGradientOracle` declares only whether its draws are
+exact: the gradient-noise variance enters the analysis, not the method.
+
 Randomness is always threaded through an explicit
 ``numpy.random.Generator``: oracles receive the generator as an
 argument and mutate nothing else, so replicated runs are reproducible
@@ -36,7 +39,6 @@ class Problem:
         jacobian: ``x -> J(x)`` with shape ``(m, n)``; row ``i`` is the
             gradient of the i-th constraint component.
         x0: optional initial point used by solver runs.
-        name: label used in error messages and run metadata.
         lagrangian_hessian: optional ``(x, y) -> H`` with shape
             ``(n, n)``, the Hessian of the Lagrangian ``f(x) + c(x)' y``
             in ``x`` (the multiplier sign of :mod:`stochsqp.kkt`, where
@@ -55,7 +57,6 @@ class Problem:
     constraints: Callable[[Array], Array]
     jacobian: Callable[[Array], Array]
     x0: Array | None = None
-    name: str = "problem"
     lagrangian_hessian: Callable[[Array, Array], Array] | None = None
 
     def __post_init__(self):
@@ -71,17 +72,13 @@ class StochasticGradientOracle:
 
     ``sample(x, batch, rng)`` must return the average of ``batch``
     i.i.d. per-sample gradient estimates, each unbiased for
-    ``grad f(x)``.  ``sigma2`` is the declared (or estimated) bound on
-    the second moment ``E||g_1 - grad f(x)||^2`` of a single sample, so
-    a batch of size ``b`` has second moment at most ``sigma2 / b``.
+    ``grad f(x)``.  ``exact`` declares that every draw is the exact
+    gradient, which a constant ``beta`` schedule requires; the step size
+    uses no variance bound, so an oracle declares none.
     """
 
     sample: Callable[[Array, int, np.random.Generator], Array]
-    sigma2: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+    exact: bool = False
 
 
 def _check_finite(value, component: str, point: Array):
@@ -109,36 +106,12 @@ def sample_gradient(
     return g
 
 
-def estimate_variance(
-    oracle: StochasticGradientOracle,
-    problem: Problem,
-    x: Array,
-    batch: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical second moment of the batch gradient error at ``x``.
-
-    Returns the sample mean of ``||g - grad f(x)||^2`` over ``trials``
-    independent draws at batch size ``batch``.
-    """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    grad = np.asarray(problem.gradient(x), dtype=float)
-    total = 0.0
-    for _ in range(trials):
-        g = sample_gradient(oracle, x, batch, rng)
-        diff = g - grad
-        total += float(diff @ diff)
-    return total / trials
-
-
 def exact_oracle(problem: Problem) -> StochasticGradientOracle:
-    """Zero-variance oracle returning the exact gradient (sigma2 = 0)."""
+    """Oracle returning the exact gradient, declared ``exact``."""
 
     def sample(x, batch, rng):
         if batch < 1:
             raise ValueError("batch size must be >= 1")
         return np.asarray(problem.gradient(x), dtype=float)
 
-    return StochasticGradientOracle(sample=sample, sigma2=0.0)
+    return StochasticGradientOracle(sample=sample, exact=True)

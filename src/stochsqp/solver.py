@@ -6,7 +6,7 @@ constrained subproblem with the identity model matrix, and moves by
 ``beta`` sequence must be unsummable but square-summable for stochastic
 runs; the built-in power family ``beta1 * k**-p`` enforces
 ``1/2 < p <= 1``.  A constant schedule is also provided but is accepted
-only with an exact (zero-variance) oracle, where the square-summability
+only with an oracle declared exact, where the square-summability
 requirement plays no role and the fixed step gives plain linear
 convergence for reference solves.
 
@@ -92,7 +92,7 @@ class BetaSchedule:
     family "power": ``beta_k = beta1 * k**-p`` with ``1/2 < p <= 1``
     (unsummable, square-summable).  family "constant": ``beta_k =
     beta1``; valid only for exact-gradient runs and rejected by
-    :func:`iterate` when the oracle declares nonzero variance.
+    :func:`iterate` when the oracle does not declare itself exact.
     """
 
     family: str = "power"
@@ -144,6 +144,8 @@ class SolverConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 class Trace:
@@ -204,7 +206,6 @@ class RunResult:
     x_final: Array
     summary: ValidationSummary | None
     wall_time: float
-    config: SolverConfig
 
 
 class Iteration(NamedTuple):
@@ -236,10 +237,8 @@ def iterate(
     """
     if problem.x0 is None:
         raise ConfigError("problem must supply an initial point x0")
-    if config.beta.family == "constant" and oracle.sigma2 > 0:
-        raise ConfigError(
-            "constant beta schedule is reserved for exact-gradient (sigma = 0) runs"
-        )
+    if config.beta.family == "constant" and not oracle.exact:
+        raise ConfigError("constant beta schedule is reserved for exact-gradient runs")
 
     merit = config.merit
     rng = np.random.default_rng(config.seed)
@@ -317,7 +316,7 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
 
     summary = _fill_diagnostics(trace, ledger, config.max_iters, config)
     wall = time.perf_counter() - start
-    return RunResult(trace=trace, x_final=x_next, summary=summary, wall_time=wall, config=config)
+    return RunResult(trace=trace, x_final=x_next, summary=summary, wall_time=wall)
 
 
 @np.errstate(all="ignore")  # NaN and inf propagate silently, as on Python floats

@@ -4,8 +4,9 @@ The dense full-matrix KKT solve lives here (not in the library) so the
 null-space implementation is always checked against a second route.
 So do the other oracles only tests use: the exact-gradient subproblem
 solve, the least-squares multiplier, a Gaussian-noise gradient oracle,
-a central-difference check of declared derivatives, the per-token
-LIBSVM parser and the row-by-row diagnostics of a solver run.
+an empirical estimate of an oracle's variance, a central-difference
+check of declared derivatives, the per-token LIBSVM parser and the
+row-by-row diagnostics of a solver run.
 """
 
 import io
@@ -21,6 +22,7 @@ from stochsqp import (
     build_instance,
     factor_jacobian,
     load_bundled_dataset,
+    sample_gradient,
     solve_kkt,
     solve_with_factors,
 )
@@ -60,7 +62,8 @@ def gaussian_oracle(problem, sigma):
 
     A single sample has ``E||g_1 - grad f(x)||^2 = sigma**2``; a batch
     of ``b`` samples averages to noise with second moment
-    ``sigma**2 / b``, drawn directly at the reduced scale.
+    ``sigma**2 / b``, drawn directly at the reduced scale.  The oracle
+    declares itself exact when ``sigma == 0``.
     """
     n = problem.n
 
@@ -68,7 +71,24 @@ def gaussian_oracle(problem, sigma):
         grad = np.asarray(problem.gradient(x), dtype=float)
         return grad + sigma / math.sqrt(n * batch) * rng.standard_normal(n)
 
-    return StochasticGradientOracle(sample=sample, sigma2=sigma**2)
+    return StochasticGradientOracle(sample=sample, exact=(sigma == 0))
+
+
+def estimate_variance(oracle, problem, x, batch, trials, rng):
+    """Empirical second moment of the batch gradient error at ``x``.
+
+    Returns the sample mean of ``||g - grad f(x)||^2`` over ``trials``
+    independent draws at batch size ``batch``.
+    """
+    if trials < 2:
+        raise ValueError("trials must be >= 2")
+    grad = np.asarray(problem.gradient(x), dtype=float)
+    total = 0.0
+    for _ in range(trials):
+        g = sample_gradient(oracle, x, batch, rng)
+        diff = g - grad
+        total += float(diff @ diff)
+    return total / trials
 
 
 def finite_difference_check(problem, rng, center, probes=20, h=1e-5):
@@ -226,7 +246,6 @@ def sphere_problem(x0=(0.3, 1.0)):
         constraints=lambda x: np.array([float(x @ x) - 1.0]),
         jacobian=lambda x: np.array([2.0 * x]),
         x0=np.asarray(x0, dtype=float),
-        name="sphere-toy",
     )
 
 
@@ -250,7 +269,6 @@ def constrained_quadratic(rng, n=6, m=2):
         constraints=lambda x: a_mat @ x - b,
         jacobian=lambda x: a_mat,
         x0=rng.standard_normal(n),
-        name="toy-qp",
     )
     return problem, p_mat, x_star, y_star
 

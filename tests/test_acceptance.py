@@ -39,7 +39,7 @@ from stochsqp import (
 from stochsqp import kkt
 from stochsqp.harness import compute_reference
 
-from conftest import dense_kkt_solve, random_kkt_instance
+from conftest import dense_kkt_solve, estimate_variance, random_kkt_instance
 
 
 def _report(number, name, ok, detail=""):
@@ -238,8 +238,6 @@ def test_criterion_05_oracle_statistics(instance):
     # Componentwise 3-sigma test is expected to fail occasionally by
     # chance; one rerun with a fresh stream is allowed.
     unbiased = _unbiased_at(instance, seed=11) or _unbiased_at(instance, seed=12)
-
-    from stochsqp import estimate_variance
 
     problem = instance.problem()
     oracle = instance.minibatch_oracle()

@@ -307,18 +307,24 @@ class TestRunExperiment:
 
     def test_replicates_share_one_oracle(self, tmp_path, monkeypatch):
         calls = []
-        variance = ConstrainedLogRegInstance.per_sample_variance
 
-        def counted(self, x):
-            calls.append(x)
-            return variance(self, x)
+        def counted(name):
+            method = getattr(ConstrainedLogRegInstance, name)
 
-        monkeypatch.setattr(ConstrainedLogRegInstance, "per_sample_variance", counted)
+            def wrapper(self, *args):
+                calls.append(name)
+                return method(self, *args)
+
+            monkeypatch.setattr(ConstrainedLogRegInstance, name, wrapper)
+
+        counted("minibatch_oracle")
+        counted("per_sample_variance")
         config = ExperimentConfig(dataset=None, iters=20, thin=10, seeds=[0, 1, 2],
                                   out=str(tmp_path))
         result = run_experiment(config)
         assert len(result.summaries) == 3
-        assert len(calls) == 1
+        # Building the oracle makes no pass over the data.
+        assert calls == ["minibatch_oracle"]
 
     def test_reference_only_skips_traces(self, tmp_path):
         config = ExperimentConfig(dataset=None, reference_only=True, out=str(tmp_path))
@@ -563,13 +569,15 @@ class TestCli:
         )
 
     @staticmethod
-    def _python(*args):
-        """Run this interpreter on ``args`` with the package importable."""
+    def _python(*args, env=None, **options):
+        """Run this interpreter on ``args`` with the package importable;
+        ``env`` adds variables and ``options`` go to :func:`subprocess.run`."""
         src = str(Path(stochsqp.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run(
             [sys.executable, *args],
-            capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, **(env or {})), **options,
         )
 
     def test_module_entry_point_runs_without_warnings(self, tmp_path):
@@ -597,7 +605,8 @@ class TestCli:
         "case",
         ["config-value", "libsvm-parse", "libsvm-nan", "too-many-constraints", "zero-tau",
          "nan-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau",
-         "duplicate-seed", "config-duplicate-seed", "same-eps-label"],
+         "duplicate-seed", "config-duplicate-seed", "same-eps-label", "negative-seed",
+         "config-negative-seed"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -610,6 +619,8 @@ class TestCli:
         utf8_data.write_bytes("+1 1:0.5\n-1 1:\u00e9\n".encode("utf-8"))
         seeds_cfg = tmp_path / "seeds.cfg"
         seeds_cfg.write_text("seed = 1, 1\n")
+        negative_cfg = tmp_path / "negative.cfg"
+        negative_cfg.write_text("seed = -2\n")
         args = {
             "config-value": ["--config", str(cfg)],
             "libsvm-parse": ["--dataset", str(data)],
@@ -628,6 +639,10 @@ class TestCli:
             "duplicate-seed": ["--seed", "1", "--seed", "1"],
             "config-duplicate-seed": ["--config", str(seeds_cfg)],
             "same-eps-label": ["--eps", "0.1", "--eps", "0.10000000001"],
+            # numpy rejects a negative generator seed, but only after the
+            # reference solve.
+            "negative-seed": ["--seed", "-1"],
+            "config-negative-seed": ["--config", str(negative_cfg)],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -644,6 +659,10 @@ class TestCli:
             assert lines[0] == "error: seeds must not repeat, got [1, 1]"
         if case == "same-eps-label":
             assert lines[0] == "error: eps values must have distinct labels, got ['0.1', '0.1']"
+        if case == "negative-seed":
+            assert lines[0] == "error: seeds must be >= 0, got [-1]"
+        if case == "config-negative-seed":
+            assert lines[0] == "error: seeds must be >= 0, got [-2]"
         assert not (tmp_path / "out" / "reference.json").exists()
 
     def test_budget_too_large_to_allocate_prints_one_error_line(
@@ -657,6 +676,30 @@ class TestCli:
         assert main(["--iters", "5", "--out", str(tmp_path)]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["error: out of memory: Unable to allocate 2.2 TiB for an array"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS is enforced on Linux")
+    def test_unallocatable_budget_fails_before_any_output(self, tmp_path):
+        import resource
+
+        # The address-space cap makes a 1e10-iteration trace fail to
+        # allocate; one BLAS thread keeps the interpreter well inside it.
+        def cap_address_space():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            limit = 3 * 2**30
+            if hard != resource.RLIM_INFINITY:
+                limit = min(limit, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        out = tmp_path / "rl"
+        one_thread = {name: "1" for name in
+                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        proc = self._python("-m", "stochsqp", "--iters", "10000000000", "--out", str(out),
+                            env=one_thread, preexec_fn=cap_address_space)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--batch", "0"], ["--beta-p", "2"]])
     def test_bad_config_fails_before_reference_solve(self, tmp_path, flags):

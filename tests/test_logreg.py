@@ -9,6 +9,7 @@ from stochsqp import (
     ConstructionError,
     ParseError,
     build_instance,
+    exact_oracle,
     load_libsvm_file,
     logistic_minibatch_gradient,
     parse_libsvm,
@@ -17,7 +18,7 @@ from stochsqp import (
 from stochsqp import logreg
 from stochsqp.logreg import Dataset
 
-from conftest import reference_parse_libsvm
+from conftest import gaussian_oracle, reference_parse_libsvm
 
 
 class TestParse:
@@ -314,11 +315,12 @@ class TestBundledData:
         assert (bundled_dataset.n_features, bundled_dataset.n_samples) == (30, 200)
         assert set(np.unique(bundled_dataset.labels)) == {-1.0, 1.0}
 
-    def test_oracle_declares_per_sample_variance(self, bundled_instance):
-        oracle = bundled_instance.minibatch_oracle()
-        assert oracle.sigma2 == pytest.approx(
-            bundled_instance.per_sample_variance(bundled_instance.x1)
-        )
+    def test_only_the_exact_oracles_declare_exact(self, bundled_instance):
+        problem = bundled_instance.problem()
+        assert not bundled_instance.minibatch_oracle().exact
+        assert exact_oracle(problem).exact
+        assert gaussian_oracle(problem, 0.0).exact
+        assert not gaussian_oracle(problem, 1.0).exact
 
 
 class TestSecondOrder:

@@ -5,12 +5,11 @@ import pytest
 
 from stochsqp import (
     Problem,
-    estimate_variance,
     exact_oracle,
     sample_gradient,
 )
 
-from conftest import finite_difference_check, gaussian_oracle, sphere_problem
+from conftest import estimate_variance, finite_difference_check, gaussian_oracle, sphere_problem
 
 
 class TestSampleGradient:

@@ -93,6 +93,14 @@ class TestBetaSchedule:
         run(problem, exact_oracle(problem), config)  # accepted
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("name, value", [("lip_gradf", 0.0), ("lip_jac", -1.0),
+                                             ("batch_size", 0), ("max_iters", 0), ("seed", -1)])
+    def test_bad_values_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            SolverConfig(**{name: value})
+
+
 def _worked_problem():
     """Constant evaluators reproducing the worked subproblem at x1."""
     return Problem(
