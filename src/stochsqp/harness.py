@@ -261,8 +261,8 @@ class ExperimentConfig:
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         for eps in self.eps_grid:
-            if not eps > 0:
-                raise ConfigError(f"eps values must be > 0, got {eps}")
+            if not 0 < eps < math.inf:
+                raise ConfigError(f"eps values must be finite and > 0, got {eps}")
         # The label names the CSV column and the summary key.
         labels = [f"{eps:g}" for eps in self.eps_grid]
         if len(set(labels)) < len(labels):
@@ -283,17 +283,18 @@ class RunSummary:
     """Final distances and violation tallies for one replicate.
 
     ``wall_time`` is the solver run and ``emit_time`` the trace CSV
-    writing, both in seconds.  The violation counts are ``None`` without
-    validation.  ``first_xi_violation`` and ``first_tau_violation`` are
-    the iteration ``k`` of the first violation of each trial value,
-    ``None`` when there was none or without validation.
+    writing, both in seconds.  ``final_dist_y_true`` and the violation
+    counts are ``None`` without validation.  ``first_xi_violation`` and
+    ``first_tau_violation`` are the iteration ``k`` of the first
+    violation of each trial value, ``None`` when there was none or
+    without validation.
     """
 
     seed: int
     iterations: int
     final_dist_x: float
     final_dist_y: float
-    final_dist_y_true: float
+    final_dist_y_true: float | None
     final_dist_y_avg: float
     final_dist_y_avg_eps: dict[str, float]
     xi_violations: int | None
@@ -350,7 +351,7 @@ def _atomic_writer(path):
 
 def _write_json(path, obj, **options):
     with _atomic_writer(path) as handle:
-        json.dump(obj, handle, indent=2, **options)
+        json.dump(obj, handle, indent=2, allow_nan=False, **options)
         handle.write("\n")
 
 
@@ -446,8 +447,7 @@ def _check_replicate_fits(config: ExperimentConfig, n: int, m: int) -> None:
     """Raise :class:`MemoryError` if one replicate's trace cannot be
     allocated.  ``np.empty`` reserves address space without touching a
     page, so the check costs no resident memory."""
-    # Per iteration: the trace scalars, run's six ledger rows, x, y, y_true.
-    np.empty((config.iters, len(Trace._SCALARS) + 6 + n + m * (1 + config.validate)))
+    np.empty((config.iters, Trace.floats_per_iteration(n, m, config.validate)))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -539,7 +539,7 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
     if trace.y_true is not None:
         final_dy_true = float(np.linalg.norm(trace.y_true[-1] - reference.y))
     else:
-        final_dy_true = math.nan
+        final_dy_true = None
     vs = result.summary
     summary = RunSummary(
         seed=seed,

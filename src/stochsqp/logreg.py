@@ -20,6 +20,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import TextIO
 
@@ -36,10 +37,11 @@ MAX_TRIES = 10
 
 _BUNDLED_NAME = "synthetic200.libsvm"
 
-#: Samples per block in the full passes that build an ``(n, samples)``
-#: temporary, which bounds its size (about 4 MB at n = 123), and lines
-#: per block in :func:`parse_libsvm`.
-CHUNK_SAMPLES = 4096
+#: Samples per block in the full passes over the features.  1024 rows
+#: are about 1 MB at n = 123, so each block's margins and its weighted
+#: sum are computed while the block is still in a 4 MB L2 cache.  Also
+#: the lines per block in :func:`parse_libsvm`.
+CHUNK_SAMPLES = 1024
 
 _COLON, _SPACE = ord(":"), ord(" ")
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -47,26 +49,31 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (one column per sample) and +/-1 labels."""
+    """Feature matrix (one row per sample) and +/-1 labels.
 
-    features: Array  # (n_features, n_samples)
+    The features are stored once, as a C-contiguous float array, so a
+    sample is one contiguous row; another layout is copied into it.
+    """
+
+    features: Array  # (n_samples, n_features)
     labels: Array  # (n_samples,), entries in {-1, +1}
 
     def __post_init__(self):
+        object.__setattr__(self, "features", np.ascontiguousarray(self.features, dtype=float))
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d array")
-        if self.labels.shape != (self.features.shape[1],):
+        if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must have one entry per sample")
         if self.labels.size and not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
 
     @property
     def n_features(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[1]
 
     @property
     def n_samples(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[0]
 
 
 def parse_libsvm(source: str | TextIO, n_features: int | None = None) -> Dataset:
@@ -111,11 +118,11 @@ def parse_libsvm(source: str | TextIO, n_features: int | None = None) -> Dataset
     n = max_index if n_features is None else int(n_features)
     if n < max_index:
         raise ParseError(f"n_features={n} is smaller than the largest index {max_index}")
-    features = np.zeros((n, sum(block.size for block in labels)))
-    column = 0
+    features = np.zeros((sum(block.size for block in labels), n))
+    row = 0
     for idx, val, counts in entries:
-        features[idx - 1, np.repeat(np.arange(column, column + counts.size), counts)] = val
-        column += counts.size
+        features[np.repeat(np.arange(row, row + counts.size), counts), idx - 1] = val
+        row += counts.size
     return Dataset(features=features, labels=np.concatenate([np.zeros(0), *labels]))
 
 
@@ -199,8 +206,8 @@ def serialize_libsvm(dataset: Dataset) -> str:
     lines = []
     for j in range(dataset.n_samples):
         label = "+1" if dataset.labels[j] > 0 else "-1"
-        col = dataset.features[:, j]
-        entries = " ".join(f"{i + 1}:{col[i]:.17g}" for i in np.nonzero(col)[0])
+        row = dataset.features[j]
+        entries = " ".join(f"{i + 1}:{row[i]:.17g}" for i in np.nonzero(row)[0])
         lines.append(f"{label} {entries}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -258,18 +265,30 @@ class ConstrainedLogRegInstance:
     def m(self) -> int:
         return self.m_lin + 1
 
-    # -- evaluators ----------------------------------------------------
-    def _margins(self, x: Array) -> Array:
-        return self.dataset.labels * (self.dataset.features.T @ x)
+    @cached_property
+    def _blocks(self) -> list[tuple[Array, Array]]:
+        """``(features, -labels)`` of ``CHUNK_SAMPLES`` samples each, as
+        views built on first use, so that a full pass slices nothing."""
+        features, neg_labels = self.dataset.features, -self.dataset.labels
+        return [
+            (features[start : start + CHUNK_SAMPLES], neg_labels[start : start + CHUNK_SAMPLES])
+            for start in range(0, self.dataset.n_samples, CHUNK_SAMPLES)
+        ]
 
+    # -- evaluators ----------------------------------------------------
     def objective(self, x: Array) -> float:
-        # log(1 + exp(-z)) = logaddexp(0, -z), stable for large |z|.
-        return float(np.mean(np.logaddexp(0.0, -self._margins(x))))
+        # log(1 + exp(-z)) = logaddexp(0, -z) of the margins z, stable for large |z|.
+        margins = self.dataset.labels * (self.dataset.features @ x)
+        return float(np.mean(np.logaddexp(0.0, -margins)))
 
     def gradient(self, x: Array) -> Array:
-        z = self._margins(x)
-        w = -self.dataset.labels * expit(-z)
-        return self.dataset.features @ w / self.dataset.n_samples
+        """``(1/N) D' w`` with ``D`` the feature rows and ``w`` the
+        per-sample loss weights, summed a block of samples at a time."""
+        grad = np.zeros(self.n)
+        for block, neg_labels in self._blocks:
+            grad += _loss_weights(block, neg_labels, x) @ block
+        grad /= self.dataset.n_samples
+        return grad
 
     def constraints(self, x: Array) -> Array:
         return np.concatenate([self.A @ x - self.b, [float(x @ x) - 1.0]])
@@ -278,20 +297,18 @@ class ConstrainedLogRegInstance:
         return np.vstack([self.A, 2.0 * x])
 
     def lagrangian_hessian(self, x: Array, y: Array) -> Array:
-        """Hessian of ``f + c'y``: ``(1/N) D diag(s(1-s)) D' + 2 y_sphere I``.
+        """Hessian of ``f + c'y``: ``(1/N) D' diag(s(1-s)) D + 2 y_sphere I``.
 
         ``s`` is the sigmoid of the margins; ``s(1-s)`` does not depend
-        on the label sign.  Each block of samples adds ``G G'`` with
-        ``G = D_block sqrt(s(1-s))``, so the result is exactly symmetric
-        and no second copy of the features is made.
+        on the label sign.  Each block of samples adds ``G' G`` with
+        ``G = diag(sqrt(s(1-s))) D_block``, so the result is exactly
+        symmetric and no second copy of the features is made.
         """
-        features = self.dataset.features
         hess = np.zeros((self.n, self.n))
-        for start in range(0, self.dataset.n_samples, CHUNK_SAMPLES):
-            block = features[:, start : start + CHUNK_SAMPLES]
-            s = expit(block.T @ x)
-            scaled = block * np.sqrt(s * (1.0 - s))
-            hess += scaled @ scaled.T
+        for block, _ in self._blocks:
+            s = expit(block @ x)
+            scaled = block * np.sqrt(s * (1.0 - s))[:, None]
+            hess += scaled.T @ scaled
         hess /= self.dataset.n_samples
         hess[np.diag_indices(self.n)] += 2.0 * y[-1]
         return hess
@@ -312,18 +329,16 @@ class ConstrainedLogRegInstance:
     def per_sample_variance(self, x: Array) -> float:
         """Exact population second moment of a single-sample gradient error.
 
-        Three passes: the margins, the mean gradient, then the squared
-        deviations of the per-sample gradients (the columns of
-        ``D diag(w)``), formed a block of samples at a time.
+        Two passes a block of samples at a time: the loss weights and
+        the mean gradient, then the squared deviations of the per-sample
+        gradients (the rows of ``diag(w) D``).
         """
-        features = self.dataset.features
         n_samples = self.dataset.n_samples
-        w = -self.dataset.labels * expit(-self._margins(x))
-        mean = (features @ w / n_samples)[:, None]
+        weights = [_loss_weights(block, neg_labels, x) for block, neg_labels in self._blocks]
+        mean = sum(w @ block for w, (block, _) in zip(weights, self._blocks)) / n_samples
         total = 0.0
-        for start in range(0, n_samples, CHUNK_SAMPLES):
-            block = slice(start, start + CHUNK_SAMPLES)
-            total += float(np.sum((features[:, block] * w[block] - mean) ** 2))
+        for w, (block, _) in zip(weights, self._blocks):
+            total += float(np.sum((block * w[:, None] - mean) ** 2))
         return total / n_samples
 
     def minibatch_oracle(self) -> StochasticGradientOracle:
@@ -341,20 +356,20 @@ class ConstrainedLogRegInstance:
     def lipschitz_bounds(self):
         """Certified ``(lip_gradf, lip_jac)`` for this instance family.
 
-        The logistic Hessian is ``(1/N) D W D'`` with ``W`` diagonal and
+        The logistic Hessian is ``(1/N) D' W D`` with ``W`` diagonal and
         bounded by 1/4, so ``||D||_2^2 / (4N)`` bounds the gradient
         Lipschitz constant; the Jacobian map is affine in ``x`` with
         constant exactly 2 from the sphere row.
 
         ``||D||_2^2`` is the largest eigenvalue of the ``n x n`` Gram
-        matrix ``D D'``, a well-conditioned eigenvalue of a symmetric
+        matrix ``D' D``, a well-conditioned eigenvalue of a symmetric
         matrix, which costs one product over the samples instead of an
         SVD of ``D``.  It agrees with ``np.linalg.norm(D, 2)**2`` to
         rounding (about 1e-15 relative on the bundled and a9a-shaped
         data).
         """
         features = self.dataset.features
-        spectral_sq = np.linalg.eigvalsh(features @ features.T)[-1]
+        spectral_sq = np.linalg.eigvalsh(features.T @ features)[-1]
         return float(spectral_sq / (4.0 * self.dataset.n_samples)), 2.0
 
 
@@ -369,11 +384,16 @@ def logistic_minibatch_gradient(instance: ConstrainedLogRegInstance, x: Array, i
         raise ValueError("indices must be nonempty")
     if idx.min() < 0 or idx.max() >= instance.dataset.n_samples:
         raise ValueError("sample index out of range")
-    d = instance.dataset.features[:, idx]
-    g = instance.dataset.labels[idx]
-    z = g * (d.T @ np.asarray(x, dtype=float))
-    w = -g * expit(-z)
-    return d @ w / idx.size
+    rows = instance.dataset.features[idx]
+    w = _loss_weights(rows, -instance.dataset.labels[idx], np.asarray(x, dtype=float))
+    return w @ rows / idx.size
+
+
+def _loss_weights(rows: Array, neg_labels: Array, x: Array) -> Array:
+    """Per-sample weights ``-gamma_i * sigmoid(-gamma_i <d_i, x>)`` of the
+    logistic gradient, from the feature ``rows`` and their labels
+    ``gamma_i`` negated."""
+    return neg_labels * expit(neg_labels * (rows @ x))
 
 
 def build_instance(

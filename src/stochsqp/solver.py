@@ -169,6 +169,9 @@ class Trace:
         "lbnd_slack",
         "resid_true",
     )
+    #: The inner products :func:`run` records per iteration, one ledger
+    #: row each, in this order.
+    _LEDGER = ("gd", "dd", "l1", "cc", "gd_true", "dd_true")
 
     def __init__(self, n: int, m: int, iters: int, validate: bool):
         self.n, self.m, self.iters = n, m, iters
@@ -181,6 +184,13 @@ class Trace:
 
     def __len__(self) -> int:
         return self.iters
+
+    @classmethod
+    def floats_per_iteration(cls, n: int, m: int, validate: bool) -> int:
+        """Float64 values one iteration of :func:`run` stores: the
+        scalars, the ledger rows, ``x``, ``y`` and, with ``validate``,
+        ``y_true``."""
+        return len(cls._SCALARS) + len(cls._LEDGER) + n + m * (1 + validate)
 
 
 @dataclass
@@ -282,12 +292,12 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     """
     trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
     # One row per recorded product, one column per iteration.
-    ledger = np.empty((6, config.max_iters))
+    ledger = np.empty((len(Trace._LEDGER), config.max_iters))
     gd, dd, l1, cc, gd_true, dd_true = ledger
     validate = config.validate
 
     start = time.perf_counter()
-    for k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
+    for k, x, c, _jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
         problem, oracle, config
     ):
         i = k - 1
@@ -305,14 +315,13 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
             # Cannot raise: the factors passed the rank gate in iterate,
             # and the identity model has no curvature to fail.
             shadow = kkt.solve_with_factors(factors, grad, c)
-            resid = trace.resid_true[i] = kkt_residual(grad, jac, c, shadow.y)
-            # A non-finite gradient makes the residual non-finite, so the
-            # gradient itself is checked only then.
-            if not math.isfinite(resid) and not np.isfinite(grad).all():
-                raise EvaluationError(f"iteration {k}: exact gradient returned a non-finite value")
-            trace.y_true[i] = shadow.y
             gd_true[i] = grad @ shadow.d
             dd_true[i] = shadow.d @ shadow.d
+            # A non-finite gradient makes d_true non-finite, so the
+            # gradient itself is checked only then.
+            if not math.isfinite(dd_true[i]) and not np.isfinite(grad).all():
+                raise EvaluationError(f"iteration {k}: exact gradient returned a non-finite value")
+            trace.y_true[i] = shadow.y
 
     summary = _fill_diagnostics(trace, ledger, config.max_iters, config)
     wall = time.perf_counter() - start
@@ -336,6 +345,9 @@ def _fill_diagnostics(
     if not config.validate:
         return None
 
+    # With H = I the first KKT row is d + grad + J'y = 0, so the shadow
+    # solve's stationarity residual ||grad + J'y_true|| is ||d_true||.
+    trace.resid_true[:rows] = np.sqrt(dd_true) + trace.norm_c[:rows]
     tau_tr = trace.tau_trial_true[:rows] = tau_trial_from_products(merit.nu, gd_true, dd_true, l1)
     holds, slack = lbnd_from_products(merit.tau, merit.nu, gd_true, dd_true, l1)
     trace.lbnd_slack[:rows] = slack

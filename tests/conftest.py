@@ -160,10 +160,10 @@ def reference_parse_libsvm(source, n_features=None):
     n = max_index if n_features is None else int(n_features)
     if n < max_index:
         raise ParseError(f"n_features={n} is smaller than the largest index {max_index}")
-    features = np.zeros((n, len(rows)))
+    features = np.zeros((len(rows), n))
     for j, entries in enumerate(rows):
         for idx, val in entries:
-            features[idx - 1, j] = val
+            features[j, idx - 1] = val
     return Dataset(features=features, labels=np.asarray(labels))
 
 
@@ -172,8 +172,9 @@ def row_by_row_run(problem, oracle, config):
 
     Consumes ``iterate`` and calls the vector merit helpers at every
     iteration, tallying violations as it goes.  ``run`` must give a
-    bitwise-equal trace, final iterate and summary.  Returns ``(trace,
-    x_final, summary)``.
+    bitwise-equal trace, final iterate and summary, except that its
+    ``resid_true`` comes from the ledger and matches to rounding.
+    Returns ``(trace, x_final, summary)``.
     """
     merit = config.merit
     trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
@@ -292,8 +293,9 @@ def a9a_shaped_instance():
     """
     n, n_samples, density = 123, 3000, 0.11
     rng = np.random.default_rng(123)
-    features = (rng.random((n, n_samples)) < density).astype(float)
+    # Drawn feature-major, then stored one row per sample.
+    features = (rng.random((n, n_samples)).T < density).astype(float, order="C")
     weights = rng.standard_normal(n) / np.sqrt(density * n)
-    prob = 1.0 / (1.0 + np.exp(-(weights @ features)))
+    prob = 1.0 / (1.0 + np.exp(-(features @ weights)))
     labels = np.where(rng.random(n_samples) < prob, 1.0, -1.0)
     return build_instance(Dataset(features=features, labels=labels), m_lin=10, seed=0)

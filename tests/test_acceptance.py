@@ -226,11 +226,11 @@ def _unbiased_at(instance, seed, batch=16, draws=100_000):
         total += oracle.sample(x, batch, rng)
     err = np.abs(total / draws - grad)
 
-    z = instance.dataset.labels * (instance.dataset.features.T @ x)
+    z = instance.dataset.labels * (instance.dataset.features @ x)
     from scipy.special import expit
 
-    per_sample = instance.dataset.features * (-instance.dataset.labels * expit(-z))
-    sigma_c = per_sample.std(axis=1)
+    per_sample = instance.dataset.features * (-instance.dataset.labels * expit(-z))[:, None]
+    sigma_c = per_sample.std(axis=0)
     return bool(np.all(err <= 3.0 * sigma_c / np.sqrt(batch * draws)))
 
 

@@ -343,6 +343,8 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             ExperimentConfig(eps_grid=[0.1, float("nan")])
         with pytest.raises(ConfigError):
+            ExperimentConfig(eps_grid=[0.1, float("inf")])
+        with pytest.raises(ConfigError):
             ExperimentConfig(batch=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(mlin=0)
@@ -441,9 +443,14 @@ class TestAtomicJson:
             assert list(tmp_path.iterdir()) == []
 
     def test_output_matches_json_dumps(self, tmp_path):
-        obj = {"b": [1.5, float("nan")], "a": {"x": 1}}
+        obj = {"b": [1.5, None], "a": {"x": 1}}
         harness._write_json(tmp_path / "out.json", obj, sort_keys=True)
         assert (tmp_path / "out.json").read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        # Strict JSON: a NaN or an infinity fails and leaves no file.
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                harness._write_json(tmp_path / "bad.json", {"b": [1.5, value]})
+        assert list(tmp_path.iterdir()) == [tmp_path / "out.json"]
 
 
 class TestCli:
@@ -543,6 +550,26 @@ class TestCli:
         seed_lines = [line for line in lines if line.startswith("seed ")]
         assert lines.index(counts[0]) == lines.index(seed_lines[0]) + 1
 
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_json_files_are_strict(self, tmp_path, validate):
+        # A bare NaN or Infinity is not JSON; without validation the
+        # exact-gradient distance is null.
+        flags = ["--validate"] if validate else []
+        assert main(["--iters", "40", "--thin", "10", "--out", str(tmp_path)] + flags) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        loaded = {
+            name: json.loads((tmp_path / name).read_text(), parse_constant=reject)
+            for name in ("config.json", "reference.json", "summary.json")
+        }
+        [entry] = loaded["summary.json"]
+        if validate:
+            assert entry["final_dist_y_true"] >= 0
+        else:
+            assert entry["final_dist_y_true"] is None
+
     def test_footer_and_summary_report_where_violations_start(self, tmp_path, capsys):
         # An oversized merit parameter exceeds both trial values.
         code = main(["--iters", "40", "--thin", "10", "--tau", "20",
@@ -604,7 +631,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "case",
         ["config-value", "libsvm-parse", "libsvm-nan", "too-many-constraints", "zero-tau",
-         "nan-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau",
+         "nan-eps", "inf-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau",
          "duplicate-seed", "config-duplicate-seed", "same-eps-label", "negative-seed",
          "config-negative-seed"],
     )
@@ -628,6 +655,7 @@ class TestCli:
             "too-many-constraints": ["--mlin", "40"],
             "zero-tau": ["--tau", "0"],
             "nan-eps": ["--eps", "nan"],
+            "inf-eps": ["--eps", "inf"],
             "flag-value": ["--iters", "abc"],
             "unknown-flag": ["--bogus"],
             "libsvm-utf8": ["--dataset", str(utf8_data)],
@@ -659,6 +687,8 @@ class TestCli:
             assert lines[0] == "error: seeds must not repeat, got [1, 1]"
         if case == "same-eps-label":
             assert lines[0] == "error: eps values must have distinct labels, got ['0.1', '0.1']"
+        if case.endswith("-eps"):
+            assert lines[0].startswith("error: eps values must be finite and > 0, got ")
         if case == "negative-seed":
             assert lines[0] == "error: seeds must be >= 0, got [-1]"
         if case == "config-negative-seed":
@@ -701,7 +731,7 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--batch", "0"], ["--beta-p", "2"]])
+    @pytest.mark.parametrize("flags", [["--batch", "0"], ["--beta-p", "2"], ["--eps", "inf"]])
     def test_bad_config_fails_before_reference_solve(self, tmp_path, flags):
         out = tmp_path / "out"
         assert main(flags + ["--iters", "5", "--out", str(out)]) != 0

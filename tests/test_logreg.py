@@ -1,5 +1,6 @@
 """LIBSVM parsing and the constrained logistic-regression instances."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -25,8 +26,9 @@ class TestParse:
     def test_two_line_example(self):
         ds = parse_libsvm("+1 1:0.5 3:-2\n-1 2:1")
         assert (ds.n_features, ds.n_samples) == (3, 2)
-        assert np.array_equal(ds.features[:, 0], [0.5, 0.0, -2.0])
-        assert np.array_equal(ds.features[:, 1], [0.0, 1.0, 0.0])
+        assert ds.features.flags.c_contiguous
+        assert np.array_equal(ds.features[0], [0.5, 0.0, -2.0])
+        assert np.array_equal(ds.features[1], [0.0, 1.0, 0.0])
         assert np.array_equal(ds.labels, [1.0, -1.0])
 
     def test_empty_stream_gives_empty_dataset(self):
@@ -65,7 +67,7 @@ class TestParse:
 
     def test_round_trip_preserves_sparse_triples(self):
         rng = np.random.default_rng(0)
-        features = np.round(rng.standard_normal((6, 9)), 6)
+        features = np.round(rng.standard_normal((9, 6)), 6)
         features[rng.uniform(size=features.shape) < 0.5] = 0.0
         labels = rng.choice([-1.0, 1.0], size=9)
         ds = Dataset(features=features, labels=labels)
@@ -238,7 +240,7 @@ class TestBuildInstance:
     def test_single_sample_hand_gradient(self):
         # One sample d = e_1 with positive label: the loss is
         # log(1 + exp(-x_1)) and its gradient at zero is -e_1 / 2.
-        ds = Dataset(features=np.array([[1.0], [0.0]]), labels=np.array([1.0]))
+        ds = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([1.0]))
         inst = build_instance(ds, m_lin=1, seed=0)
         assert np.allclose(inst.gradient(np.zeros(2)), [-0.5, 0.0], atol=1e-15)
 
@@ -285,7 +287,7 @@ class TestMinibatchGradient:
         assert np.linalg.norm(g - bundled_instance.gradient(x)) <= 1e-12
 
     def test_saturated_margin_gives_zero_gradient(self):
-        ds = Dataset(features=np.array([[1.0], [0.0]]), labels=np.array([1.0]))
+        ds = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([1.0]))
         inst = build_instance(ds, m_lin=1, seed=0)
         g = logistic_minibatch_gradient(inst, np.array([1e4, 0.0]), [0])
         assert np.all(np.isfinite(g))
@@ -294,14 +296,28 @@ class TestMinibatchGradient:
     def test_two_sample_hand_formula(self):
         from scipy.special import expit
 
-        features = np.array([[1.0, -2.0], [0.5, 1.0]])
+        features = np.array([[1.0, 0.5], [-2.0, 1.0]])
         labels = np.array([1.0, -1.0])
         ds = Dataset(features=features, labels=labels)
         inst = build_instance(ds, m_lin=1, seed=0)
         x = np.array([0.3, -0.2])
-        z = labels[0] * (features[:, 0] @ x)
-        expected = -labels[0] * expit(-z) * features[:, 0]
+        z = labels[0] * (features[0] @ x)
+        expected = -labels[0] * expit(-z) * features[0]
         assert np.allclose(logistic_minibatch_gradient(inst, x, [0]), expected, atol=1e-15)
+
+    def test_repeated_indices_match_the_per_sample_loop(self, bundled_instance):
+        from scipy.special import expit
+
+        inst = bundled_instance
+        features, labels = inst.dataset.features, inst.dataset.labels
+        x = np.random.default_rng(9).standard_normal(inst.n)
+        idx = np.array([3, 3, 0, 199, 3, 57, 0, 199])
+        expected = np.zeros(inst.n)
+        for j in idx:
+            expected += -labels[j] * expit(-labels[j] * (features[j] @ x)) * features[j]
+        expected /= idx.size
+        got = logistic_minibatch_gradient(inst, x, idx)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_index_validation(self, bundled_instance):
         with pytest.raises(ValueError):
@@ -343,29 +359,36 @@ class TestSecondOrder:
             hess = inst.problem().lagrangian_hessian(x, y)
             assert np.max(np.abs(hess - fd)) <= 1e-7 * (1.0 + np.max(np.abs(hess)))
 
-    def test_chunked_hessian_equals_one_shot_product(self, bundled_instance, monkeypatch):
-        inst = bundled_instance
+    @pytest.mark.parametrize("chunk", [37, logreg.CHUNK_SAMPLES, 4096])
+    def test_chunked_hessian_equals_one_shot_product(self, a9a_shaped_instance, monkeypatch, chunk):
+        # 3000 samples: blocks of 37 leave a short last block, the default
+        # makes three blocks and 4096 one.  The full gradient is checked
+        # against its one-shot product too.
+        monkeypatch.setattr(logreg, "CHUNK_SAMPLES", chunk)
+        inst = dataclasses.replace(a9a_shaped_instance)  # blocks are cut on first use
         rng = np.random.default_rng(6)
-        x = rng.standard_normal(inst.n)
+        x = 0.3 * rng.standard_normal(inst.n)
         y = rng.standard_normal(inst.m)
-        d = inst.dataset.features
-        s = 1.0 / (1.0 + np.exp(-(d.T @ x)))
-        dense = (d * (s * (1 - s))) @ d.T / inst.dataset.n_samples + 2.0 * y[-1] * np.eye(inst.n)
-        # 200 samples in blocks of 37 leave a short last block.
-        monkeypatch.setattr(logreg, "CHUNK_SAMPLES", 37)
+        d, labels = inst.dataset.features, inst.dataset.labels
+        n_samples = inst.dataset.n_samples
+        s = 1.0 / (1.0 + np.exp(-(d @ x)))
+        dense = d.T @ (d * (s * (1 - s))[:, None]) / n_samples + 2.0 * y[-1] * np.eye(inst.n)
         hess = inst.lagrangian_hessian(x, y)
         assert np.array_equal(hess, hess.T)
         assert np.max(np.abs(hess - dense)) <= 1e-13 * np.max(np.abs(dense))
+        one_shot = d.T @ (-labels / (1.0 + np.exp(labels * (d @ x)))) / n_samples
+        grad = inst.gradient(x)
+        assert np.linalg.norm(grad - one_shot) <= 1e-14 * np.linalg.norm(one_shot)
 
-    @pytest.mark.parametrize("chunk", [37, logreg.CHUNK_SAMPLES])
-    def test_variance_matches_dense_formula(self, bundled_instance, monkeypatch, chunk):
+    @pytest.mark.parametrize("chunk", [37, logreg.CHUNK_SAMPLES, 4096])
+    def test_variance_matches_dense_formula(self, a9a_shaped_instance, monkeypatch, chunk):
         from scipy.special import expit
 
-        inst = bundled_instance
-        x = np.random.default_rng(7).standard_normal(inst.n)
-        d, labels = inst.dataset.features, inst.dataset.labels
-        per_sample = d * (-labels * expit(-labels * (d.T @ x)))
-        mean = per_sample.mean(axis=1, keepdims=True)
-        dense = np.mean(np.sum((per_sample - mean) ** 2, axis=0))
         monkeypatch.setattr(logreg, "CHUNK_SAMPLES", chunk)
+        inst = dataclasses.replace(a9a_shaped_instance)
+        x = 0.3 * np.random.default_rng(7).standard_normal(inst.n)
+        d, labels = inst.dataset.features, inst.dataset.labels
+        per_sample = d * (-labels * expit(-labels * (d @ x)))[:, None]
+        mean = per_sample.mean(axis=0)
+        dense = np.mean(np.sum((per_sample - mean) ** 2, axis=1))
         assert inst.per_sample_variance(x) == pytest.approx(dense, rel=1e-14)

@@ -55,9 +55,9 @@ class TestSampleGradient:
         per_sample = bundled_instance.dataset.features * (
             -bundled_instance.dataset.labels
             * _sigmoid(-bundled_instance.dataset.labels
-                       * (bundled_instance.dataset.features.T @ x))
-        )
-        sigma_c = per_sample.std(axis=1)
+                       * (bundled_instance.dataset.features @ x))
+        )[:, None]
+        sigma_c = per_sample.std(axis=0)
         assert np.all(np.abs(err) <= 4.0 * sigma_c / np.sqrt(batch * draws))
 
 

@@ -287,7 +287,11 @@ class TestRun:
 
 class TestLedger:
     """``run`` computes its diagnostics from a ledger of inner products
-    after the loop; they must equal the row-by-row helpers bit for bit."""
+    after the loop; they must equal the row-by-row helpers bit for bit.
+
+    The exception is ``resid_true``: the ledger forms it as ``||d_true||
+    + ||c||``, which equals the row-by-row ``kkt_residual`` in exact
+    arithmetic only (about 1e-13 relative over 1e5 protocol rows)."""
 
     @staticmethod
     def _assert_same_run(problem, oracle_factory, config):
@@ -297,10 +301,13 @@ class TestLedger:
             got, want = getattr(result.trace, name), getattr(trace, name)
             if want is None:
                 assert got is None, name
+                continue
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), name
+            if name == "resid_true":
+                np.testing.assert_allclose(got[~nan], want[~nan], rtol=1e-12, atol=0, err_msg=name)
             else:
                 # Same bits, signed zeros included; NaN matches NaN.
-                nan = np.isnan(want)
-                assert np.array_equal(np.isnan(got), nan), name
                 assert got[~nan].tobytes() == want[~nan].tobytes(), name
         assert np.array_equal(result.x_final, x_final)
         assert result.summary == summary

@@ -80,7 +80,8 @@ def generate() -> Dataset:
         features[:, i] = CORRUPTED_SCALE * (row_basis @ (mix / np.linalg.norm(mix)))
         labels[i] = rng.choice([-1.0, 1.0])
 
-    return Dataset(features=np.round(features, 6), labels=labels)
+    # Drawn feature-major, one column per sample; stored one row per sample.
+    return Dataset(features=np.round(features, 6).T, labels=labels)
 
 
 def sanity_check(dataset: Dataset):
