@@ -215,17 +215,16 @@ class MultiplierTrace:
     scan.  Queries may be issued concurrently.
     """
 
-    def __init__(self, xs: Array, ys: Array, ys_true: Array | None = None):
+    def __init__(self, xs: Array, ys: Array):
         self.xs = np.atleast_2d(np.asarray(xs, dtype=float))
         self.ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        self.ys_true = None if ys_true is None else np.atleast_2d(np.asarray(ys_true, dtype=float))
         if self.xs.shape[0] != self.ys.shape[0]:
             raise ValueError("iterate and multiplier histories must align")
 
     @classmethod
     def from_run(cls, trace) -> "MultiplierTrace":
-        """View of a solver trace (with its exact multipliers when stored)."""
-        return cls(trace.x, trace.y, trace.y_true)
+        """View of a solver trace's iterates and multipliers."""
+        return cls(trace.x, trace.y)
 
     def __len__(self) -> int:
         return self.ys.shape[0]

@@ -26,7 +26,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,8 @@ from .logreg import ConstrainedLogRegInstance, build_instance, load_bundled_data
 from .merit import MeritParams
 from .problem import Array, Problem, exact_oracle
 from .solver import (
-    BetaSchedule, Iteration, SolverConfig, Trace, _evaluate, iterate, kkt_residual, run,
+    BetaSchedule, Iteration, SolverConfig, Trace, ValidationSummary, _evaluate, iterate,
+    kkt_residual, run,
 )
 
 # The benchmark's traced mode (perfbench/spans.py) looks these names up
@@ -282,12 +283,12 @@ class ExperimentConfig:
 class RunSummary:
     """Final distances and violation tallies for one replicate.
 
-    ``wall_time`` is the solver run and ``emit_time`` the trace CSV
-    writing, both in seconds.  ``final_dist_y_true`` and the violation
-    counts are ``None`` without validation.  ``first_xi_violation`` and
-    ``first_tau_violation`` are the iteration ``k`` of the first
-    violation of each trial value, ``None`` when there was none or
-    without validation.
+    ``wall_time`` is the solver run after the trace allocation and
+    ``emit_time`` the trace CSV writing, both in seconds.
+    ``final_dist_y_true`` and the violation counts are ``None`` without
+    validation.  ``first_xi_violation`` and ``first_tau_violation`` are
+    the iteration ``k`` of the first violation of each trial value,
+    ``None`` when there was none or without validation.
     """
 
     seed: int
@@ -317,18 +318,37 @@ class RunSummary:
 # ---------------------------------------------------------------------------
 
 
-#: Trace scalars written as-is, in column order after the distances.
-_SCALAR_COLUMNS = (
-    "resid_true", "norm_c", "alpha", "beta", "xi_trial", "tau_trial_true", "lbnd_slack",
-)
+#: Every trace CSV column in order, with its note in ``columns.txt``.  The
+#: ``{eps}`` entry stands for one column per eps value.  The columns after
+#: the distances are trace attributes, written as-is.
+_COLUMNS = {
+    "k": "iteration number (1-based; rows are every `thin`-th iteration)",
+    "dist_x": "||x_k - x*||_2, primal distance to the reference solution",
+    "dist_y": "||y_k - y*||_2, per-iteration multiplier error",
+    "dist_y_true": "||y_k_exact - y*||_2, multiplier error of the exact-gradient shadow solve (nan unless --validate)",
+    "dist_y_avg": "||mean(y_1..y_k) - y*||_2, running-average multiplier error",
+    "dist_y_avg_eps_{eps}": "windowed-average multiplier error with window radius eps={eps}",
+    "resid_true": "||grad f + jac' y_exact||_2 + ||c||_2 at x_k (nan unless --validate)",
+    "norm_c": "||c(x_k)||_2, constraint violation",
+    "alpha": "step size used at iteration k",
+    "beta": "damping factor used at iteration k",
+    "xi_trial": "largest admissible ratio parameter at iteration k (inf for a zero step)",
+    "tau_trial_true": "largest admissible merit parameter from the exact-gradient step (nan unless --validate)",
+    "lbnd_slack": "slack in the guaranteed-reduction inequality (nan unless --validate)",
+}
+
+
+def _column_notes(eps_grid) -> list[tuple[str, str]]:
+    """``(name, note)`` of every trace CSV column, in order."""
+    return [
+        (name.format(eps=label), note.format(eps=label))
+        for name, note in _COLUMNS.items()
+        for label in ([f"{eps:g}" for eps in eps_grid] if "{eps}" in name else [None])
+    ]
 
 
 def csv_columns(eps_grid) -> list[str]:
-    return (
-        ["k", "dist_x", "dist_y", "dist_y_true", "dist_y_avg"]
-        + [f"dist_y_avg_eps_{eps:g}" for eps in eps_grid]
-        + list(_SCALAR_COLUMNS)
-    )
+    return [name for name, _ in _column_notes(eps_grid)]
 
 
 @contextmanager
@@ -376,12 +396,13 @@ def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: i
         np.full(len(ks), np.nan) if trace.y_true is None else dist(trace.y_true[rows], y_star),
         dist(running_averages(trace.y)[rows], y_star),
         *(dist(windowed_averages(trace.x, trace.y, eps, ks)[0], y_star) for eps in eps_grid),
-        *(getattr(trace, name)[rows] for name in _SCALAR_COLUMNS),
     ]
+    names = csv_columns(eps_grid)
+    columns += [getattr(trace, name)[rows] for name in names[1 + len(columns):]]
     table = np.column_stack(columns)
     template = ",".join(["%d"] + [CSV_FLOAT_FMT] * len(columns)) + "\r\n"
     with _atomic_writer(path) as handle:
-        handle.write(",".join(csv_columns(eps_grid)) + "\r\n")
+        handle.write(",".join(names) + "\r\n")
         # Rows become Python floats a chunk at a time, which bounds the
         # memory the text formatting needs on long traces.
         for start in range(0, len(ks), _CSV_CHUNK_ROWS):
@@ -390,34 +411,13 @@ def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: i
             handle.writelines(template % (k, *row) for k, row in rows_text)
 
 
-_COLUMN_NOTES = {
-    "k": "iteration number (1-based; rows are every `thin`-th iteration)",
-    "dist_x": "||x_k - x*||_2, primal distance to the reference solution",
-    "dist_y": "||y_k - y*||_2, per-iteration multiplier error",
-    "dist_y_true": "||y_k_exact - y*||_2, multiplier error of the exact-gradient shadow solve (nan unless --validate)",
-    "dist_y_avg": "||mean(y_1..y_k) - y*||_2, running-average multiplier error",
-    "resid_true": "||grad f + jac' y_exact||_2 + ||c||_2 at x_k (nan unless --validate)",
-    "norm_c": "||c(x_k)||_2, constraint violation",
-    "alpha": "step size used at iteration k",
-    "beta": "damping factor used at iteration k",
-    "xi_trial": "largest admissible ratio parameter at iteration k (inf for a zero step)",
-    "tau_trial_true": "largest admissible merit parameter from the exact-gradient step (nan unless --validate)",
-    "lbnd_slack": "slack in the guaranteed-reduction inequality (nan unless --validate)",
-}
-
-
 def write_column_notes(path, eps_grid):
     lines = ["# trace CSV columns (comma-separated, header row, %.17g floats)"]
-    index = 1
-    for name in csv_columns(eps_grid):
-        note = _COLUMN_NOTES.get(name)
-        if note is None:
-            eps = name.rsplit("_", 1)[1]
-            note = f"windowed-average multiplier error with window radius eps={eps}"
-        lines.append(f"# column {index}: {name} -- {note}")
-        index += 1
-    lines.append("")
-    lines.append("# example: gnuplot> set logscale y; plot 'trace_seed0.csv' u 1:2 w l")
+    lines += [
+        f"# column {index}: {name} -- {note}"
+        for index, (name, note) in enumerate(_column_notes(eps_grid), start=1)
+    ]
+    lines += ["", "# example: gnuplot> set logscale y; plot 'trace_seed0.csv' u 1:2 w l"]
     with _atomic_writer(path) as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -520,9 +520,7 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
         seed=seed,
         validate=config.validate,
     )
-    started = time.perf_counter()
     result = run(problem, oracle, solver_config)
-    wall = time.perf_counter() - started
 
     path = out_dir / f"trace_seed{seed}.csv"
     started = time.perf_counter()
@@ -541,6 +539,8 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
     else:
         final_dy_true = None
     vs = result.summary
+    tallies = {f.name: None if vs is None else getattr(vs, f.name)
+               for f in fields(ValidationSummary) if f.name != "iterations"}
     summary = RunSummary(
         seed=seed,
         iterations=final_k,
@@ -549,13 +549,8 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
         final_dist_y_true=final_dy_true,
         final_dist_y_avg=float(np.linalg.norm(mult.running_average(final_k) - reference.y)),
         final_dist_y_avg_eps=final_eps,
-        xi_violations=None if vs is None else vs.xi_violations,
-        tau_violations=None if vs is None else vs.tau_violations,
-        lbnd_violations=None if vs is None else vs.lbnd_violations,
-        alpha_above_one=None if vs is None else vs.alpha_above_one,
-        first_xi_violation=None if vs is None else vs.first_xi_violation,
-        first_tau_violation=None if vs is None else vs.first_tau_violation,
-        wall_time=wall,
+        **tallies,
+        wall_time=result.wall_time,
         emit_time=emit,
     )
     return summary, path

@@ -15,7 +15,7 @@ Each of the reduction, the two trial values and the reduction lower
 bound has one formula, in an inner-product form (``*_from_products``)
 that takes ``g'd``, the curvature ``d'hd``, ``d'd`` and ``||c||_1`` as
 floats or as arrays, with the same bits either way and no warnings.
-The solver evaluates the forms once over a run's ledger of these
+A solver trace evaluates the forms over its ledger of these
 scalars; the vector helpers form them for one step, with a model matrix
 ``hess`` or ``hess=None`` for the identity, and delegate to the forms.
 """

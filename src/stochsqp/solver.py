@@ -16,10 +16,10 @@ exact gradients until the first-order residual is small.
 
 In validation mode the loop additionally solves the subproblem with the
 exact gradient (the "shadow" solve).  Inside the loop :func:`run` keeps
-only a ledger of a few inner products per iteration; one vectorized
-pass after the loop turns it into the diagnostic columns (model
-reduction, trial values and guaranteed-reduction slack) and the
-violation tallies of a :class:`ValidationSummary`, with the same
+only a ledger of a few inner products per iteration in the
+:class:`Trace`; the diagnostic columns (model reduction, trial values
+and guaranteed-reduction slack) and the violation tallies of a
+:class:`ValidationSummary` are vectorized reads of it, with the same
 bits as the per-step helpers of :mod:`stochsqp.merit`.  Violations are
 surfaced, never fatal: the fixed parameters are a hypothesis, and
 detecting when they fail is part of the job.  The analysis's curvature
@@ -157,40 +157,85 @@ class Trace:
     computed at.  ``trace.y_true`` is ``None`` without validation.  The
     other per-iterate vectors (gradient estimate, step and its parts)
     are not kept; :func:`iterate` yields them.
+
+    The diagnostic columns (``norm_c``, ``dq_stoch``, ``xi_trial``,
+    ``tau_trial_true``, ``lbnd_slack``, ``resid_true``) are computed from
+    ``trace.ledger`` and ``trace.merit`` on each read.  The ledger starts
+    as NaN, so without validation the exact-gradient columns read NaN.
     """
 
-    _SCALARS = (
-        "alpha",
-        "beta",
-        "norm_c",
-        "dq_stoch",
-        "xi_trial",
-        "tau_trial_true",
-        "lbnd_slack",
-        "resid_true",
-    )
     #: The inner products :func:`run` records per iteration, one ledger
     #: row each, in this order.
     _LEDGER = ("gd", "dd", "l1", "cc", "gd_true", "dd_true")
 
-    def __init__(self, n: int, m: int, iters: int, validate: bool):
-        self.n, self.m, self.iters = n, m, iters
-        self.validate = validate
-        for name in self._SCALARS:
-            setattr(self, name, np.full(iters, np.nan))
+    def __init__(self, n: int, m: int, iters: int, validate: bool, merit: MeritParams):
+        self.merit = merit
+        self.alpha = np.full(iters, np.nan)
+        self.beta = np.full(iters, np.nan)
+        self.ledger = np.full((len(self._LEDGER), iters), np.nan)
         self.x = np.empty((iters, n))
         self.y = np.empty((iters, m))
         self.y_true = np.full((iters, m), np.nan) if validate else None
 
     def __len__(self) -> int:
-        return self.iters
+        return len(self.alpha)
 
     @classmethod
     def floats_per_iteration(cls, n: int, m: int, validate: bool) -> int:
-        """Float64 values one iteration of :func:`run` stores: the
-        scalars, the ledger rows, ``x``, ``y`` and, with ``validate``,
+        """Float64 values one iteration of :func:`run` stores: ``alpha``,
+        ``beta``, the ledger rows, ``x``, ``y`` and, with ``validate``,
         ``y_true``."""
-        return len(cls._SCALARS) + len(cls._LEDGER) + n + m * (1 + validate)
+        return 2 + len(cls._LEDGER) + n + m * (1 + validate)
+
+    @property
+    def norm_c(self) -> Array:
+        return np.sqrt(self.ledger[3])  # sqrt(c'c)
+
+    @property
+    def dq_stoch(self) -> Array:
+        return reduction_from_products(self.merit.tau, *self.ledger[:3])  # g'd, d'd, ||c||_1
+
+    @property
+    def xi_trial(self) -> Array:
+        return xi_trial_from_products(self.merit.tau, self.dq_stoch, self.ledger[1])
+
+    @property
+    def tau_trial_true(self) -> Array:
+        _, _, l1, _, gd_true, dd_true = self.ledger
+        return tau_trial_from_products(self.merit.nu, gd_true, dd_true, l1)
+
+    def _lbnd(self):
+        _, _, l1, _, gd_true, dd_true = self.ledger
+        return lbnd_from_products(self.merit.tau, self.merit.nu, gd_true, dd_true, l1)
+
+    @property
+    def lbnd_slack(self) -> Array:
+        return self._lbnd()[1]
+
+    @property
+    def resid_true(self) -> Array:
+        # With H = I the first KKT row is d + grad + J'y = 0, so the shadow
+        # solve's stationarity residual ||grad + J'y_true|| is ||d_true||.
+        return np.sqrt(self.ledger[5]) + self.norm_c  # ||d_true|| + ||c||
+
+    def validation_summary(self) -> ValidationSummary | None:
+        """The violation tallies over every row; ``None`` without validation."""
+        if self.y_true is None:
+            return None
+        merit = self.merit
+        xi_tr, tau_tr, (holds, _) = self.xi_trial, self.tau_trial_true, self._lbnd()
+        slop = 1e-12
+        xi_bad = xi_tr < merit.xi - slop
+        tau_bad = tau_tr < merit.tau - slop
+        return ValidationSummary(
+            iterations=len(self),
+            xi_violations=int(np.count_nonzero(xi_bad)),
+            tau_violations=int(np.count_nonzero(tau_bad)),
+            lbnd_violations=int(np.count_nonzero((merit.tau <= tau_tr) & ~holds)),
+            alpha_above_one=int(np.count_nonzero(self.alpha > 1.0)),
+            first_xi_violation=int(np.argmax(xi_bad)) + 1 if xi_bad.any() else None,
+            first_tau_violation=int(np.argmax(tau_bad)) + 1 if tau_bad.any() else None,
+        )
 
 
 @dataclass
@@ -278,11 +323,10 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     """Run the full iteration budget of :func:`iterate` and return the trace.
 
     Each iteration records the iterate, the multipliers, the step length
-    and a ledger of inner products: ``g'd``, ``d'd``, ``||c||_1``,
-    ``c'c`` and, with ``validate``, the exact-gradient twins
-    ``grad'd_true`` and ``d_true'd_true``.  :func:`_fill_diagnostics`
-    turns the ledger into the diagnostic columns and the summary after
-    the loop.
+    and, in the trace's ledger, the inner products ``g'd``, ``d'd``,
+    ``||c||_1``, ``c'c`` and, with ``validate``, the exact-gradient
+    twins ``grad'd_true`` and ``d_true'd_true``.  The summary is
+    :meth:`Trace.validation_summary`.
 
     Deterministic given the config seed.  Errors from :func:`iterate`
     propagate, and with ``validate`` a non-finite exact gradient aborts
@@ -290,10 +334,8 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     so a caller that wants merit values computes ``merit.phi(tau, f(x),
     c(x))`` at the ``trace.x`` rows it needs.
     """
-    trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
-    # One row per recorded product, one column per iteration.
-    ledger = np.empty((len(Trace._LEDGER), config.max_iters))
-    gd, dd, l1, cc, gd_true, dd_true = ledger
+    trace = Trace(problem.n, problem.m, config.max_iters, config.validate, config.merit)
+    gd, dd, l1, cc, gd_true, dd_true = trace.ledger
     validate = config.validate
 
     start = time.perf_counter()
@@ -323,46 +365,9 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
                 raise EvaluationError(f"iteration {k}: exact gradient returned a non-finite value")
             trace.y_true[i] = shadow.y
 
-    summary = _fill_diagnostics(trace, ledger, config.max_iters, config)
+    summary = trace.validation_summary()
     wall = time.perf_counter() - start
     return RunResult(trace=trace, x_final=x_next, summary=summary, wall_time=wall)
-
-
-@np.errstate(all="ignore")  # NaN and inf propagate silently, as on Python floats
-def _fill_diagnostics(
-    trace: Trace, ledger: np.ndarray, rows: int, config: SolverConfig
-) -> ValidationSummary | None:
-    """Fill the diagnostic columns of the first ``rows`` trace rows from
-    the ledger of :func:`run`; return the validation tallies over them.
-
-    Rows that the run did not fill are neither read nor written.
-    """
-    gd, dd, l1, cc, gd_true, dd_true = ledger[:, :rows]
-    merit = config.merit
-    trace.norm_c[:rows] = np.sqrt(cc)
-    dq = trace.dq_stoch[:rows] = reduction_from_products(merit.tau, gd, dd, l1)
-    xi_tr = trace.xi_trial[:rows] = xi_trial_from_products(merit.tau, dq, dd)
-    if not config.validate:
-        return None
-
-    # With H = I the first KKT row is d + grad + J'y = 0, so the shadow
-    # solve's stationarity residual ||grad + J'y_true|| is ||d_true||.
-    trace.resid_true[:rows] = np.sqrt(dd_true) + trace.norm_c[:rows]
-    tau_tr = trace.tau_trial_true[:rows] = tau_trial_from_products(merit.nu, gd_true, dd_true, l1)
-    holds, slack = lbnd_from_products(merit.tau, merit.nu, gd_true, dd_true, l1)
-    trace.lbnd_slack[:rows] = slack
-    slop = 1e-12
-    xi_bad = xi_tr < merit.xi - slop
-    tau_bad = tau_tr < merit.tau - slop
-    return ValidationSummary(
-        iterations=rows,
-        xi_violations=int(np.count_nonzero(xi_bad)),
-        tau_violations=int(np.count_nonzero(tau_bad)),
-        lbnd_violations=int(np.count_nonzero((merit.tau <= tau_tr) & ~holds)),
-        alpha_above_one=int(np.count_nonzero(trace.alpha[:rows] > 1.0)),
-        first_xi_violation=int(np.argmax(xi_bad)) + 1 if xi_bad.any() else None,
-        first_tau_violation=int(np.argmax(tau_bad)) + 1 if tau_bad.any() else None,
-    )
 
 
 def kkt_residual(grad: Array, jac: Array, c: Array, y: Array) -> float:

@@ -28,7 +28,7 @@ from stochsqp import (
 )
 from stochsqp.logreg import Dataset
 from stochsqp.merit import check_reduction_lbnd, reduction_delta_q, tau_trial_true, xi_trial
-from stochsqp.solver import Trace, ValidationSummary, iterate, kkt_residual
+from stochsqp.solver import ValidationSummary, iterate, kkt_residual
 
 
 def dense_kkt_solve(hess, jac, grad, c):
@@ -172,52 +172,60 @@ def row_by_row_run(problem, oracle, config):
 
     Consumes ``iterate`` and calls the vector merit helpers at every
     iteration, tallying violations as it goes.  ``run`` must give a
-    bitwise-equal trace, final iterate and summary, except that its
-    ``resid_true`` comes from the ledger and matches to rounding.
-    Returns ``(trace, x_final, summary)``.
+    trace with bitwise-equal columns, final iterate and summary, except
+    that its ``resid_true`` comes from the ledger and matches to
+    rounding.  Returns ``(columns, x_final, summary)``, ``columns``
+    mapping each trace column's name to its array (``y_true`` is
+    ``None`` without validation).
     """
     merit = config.merit
-    trace = Trace(problem.n, problem.m, config.max_iters, config.validate)
-    summary = ValidationSummary(iterations=config.max_iters) if config.validate else None
+    iters, validate = config.max_iters, config.validate
+    names = ("alpha", "beta", "norm_c", "dq_stoch", "xi_trial", "tau_trial_true",
+             "lbnd_slack", "resid_true")
+    columns = {name: np.full(iters, np.nan) for name in names}
+    columns["x"] = np.empty((iters, problem.n))
+    columns["y"] = np.empty((iters, problem.m))
+    columns["y_true"] = np.full((iters, problem.m), np.nan) if validate else None
+    summary = ValidationSummary(iterations=iters) if validate else None
 
     for k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
         problem, oracle, config
     ):
         i = k - 1
-        dq_s = reduction_delta_q(merit.tau, c, g, None, sol.d)
-        trace.alpha[i] = alpha_k
-        trace.beta[i] = beta_k
-        trace.norm_c[i] = math.sqrt(float(c @ c))
-        trace.dq_stoch[i] = dq_s
-        trace.xi_trial[i] = xi_trial(merit.tau, dq_s, sol.d)
-        trace.x[i] = x
-        trace.y[i] = sol.y
-        if not config.validate:
-            continue
-
-        grad = np.asarray(problem.gradient(x), dtype=float)
-        shadow = solve_with_factors(factors, grad, c)
-        trace.y_true[i] = shadow.y
-        tau_tr = tau_trial_true(merit.nu, c, grad, None, shadow.d)
-        trace.tau_trial_true[i] = tau_tr
-        holds, trace.lbnd_slack[i] = check_reduction_lbnd(
-            merit.tau, merit.nu, c, grad, None, shadow.d
-        )
-        trace.resid_true[i] = kkt_residual(grad, jac, c, shadow.y)
-        slop = 1e-12
-        if trace.xi_trial[i] < merit.xi - slop:
-            summary.xi_violations += 1
-            if summary.first_xi_violation is None:
-                summary.first_xi_violation = k
-        if tau_tr < merit.tau - slop:
-            summary.tau_violations += 1
-            if summary.first_tau_violation is None:
-                summary.first_tau_violation = k
-        if merit.tau <= tau_tr and not holds:
-            summary.lbnd_violations += 1
-        if alpha_k > 1.0:
-            summary.alpha_above_one += 1
-    return trace, x_next, summary
+        row = {
+            "alpha": alpha_k,
+            "beta": beta_k,
+            "norm_c": math.sqrt(float(c @ c)),
+            "dq_stoch": reduction_delta_q(merit.tau, c, g, None, sol.d),
+            "x": x,
+            "y": sol.y,
+        }
+        row["xi_trial"] = xi_trial(merit.tau, row["dq_stoch"], sol.d)
+        if validate:
+            grad = np.asarray(problem.gradient(x), dtype=float)
+            shadow = solve_with_factors(factors, grad, c)
+            row["y_true"] = shadow.y
+            row["tau_trial_true"] = tau_tr = tau_trial_true(merit.nu, c, grad, None, shadow.d)
+            holds, row["lbnd_slack"] = check_reduction_lbnd(
+                merit.tau, merit.nu, c, grad, None, shadow.d
+            )
+            row["resid_true"] = kkt_residual(grad, jac, c, shadow.y)
+            slop = 1e-12
+            if row["xi_trial"] < merit.xi - slop:
+                summary.xi_violations += 1
+                if summary.first_xi_violation is None:
+                    summary.first_xi_violation = k
+            if tau_tr < merit.tau - slop:
+                summary.tau_violations += 1
+                if summary.first_tau_violation is None:
+                    summary.first_tau_violation = k
+            if merit.tau <= tau_tr and not holds:
+                summary.lbnd_violations += 1
+            if alpha_k > 1.0:
+                summary.alpha_above_one += 1
+        for name, value in row.items():
+            columns[name][i] = value
+    return columns, x_next, summary
 
 
 def random_spd(rng, n, lo=0.5, hi=2.0):

@@ -246,15 +246,10 @@ class TestMultiplierTrace:
         trace = MultiplierTrace.from_run(result.trace)
         assert len(trace) == 40
         assert np.array_equal(trace.ys, result.trace.y)
-        assert np.array_equal(trace.ys_true, result.trace.y_true)
         assert trace.ys is result.trace.y  # a view, not a copy
         avg, kprime = trace.windowed_average(eps=1e9)
         assert kprime == 1
         assert np.array_equal(trace.running_average(), running_averages(result.trace.y)[-1])
-
-    def test_missing_true_multipliers(self):
-        trace = MultiplierTrace(np.zeros((1, 2)), np.ones((1, 1)))
-        assert trace.ys_true is None
 
 
 class TestMultiplierBound:

@@ -216,6 +216,19 @@ class TestRunExperiment:
         assert {"config.json", "reference.json", "summary.json", "columns.txt",
                 "trace_seed1.csv", "trace_seed2.csv"} <= names
 
+    def test_column_notes_list_every_csv_column(self, small_run):
+        config, result = small_run
+        lines = (result.out_dir / "columns.txt").read_text().splitlines()
+        described = [line for line in lines if line.startswith("# column ")]
+        names = [line.split(": ", 1)[1].split(" -- ", 1)[0] for line in described]
+        assert names == csv_columns(config.eps_grid)
+        windowed = [line for line in described if "windowed-average" in line]
+        assert [line.split(" -- ")[1] for line in windowed] == [
+            f"windowed-average multiplier error with window radius eps={eps:g}"
+            for eps in config.eps_grid
+        ]
+        assert all(" dist_y_avg_eps_" in line for line in windowed)
+
     def test_reference_json_records_the_solve(self, small_run):
         _, result = small_run
         ref = result.reference

@@ -286,8 +286,8 @@ class TestRun:
 
 
 class TestLedger:
-    """``run`` computes its diagnostics from a ledger of inner products
-    after the loop; they must equal the row-by-row helpers bit for bit.
+    """A trace computes its diagnostics from its ledger of inner products
+    on each read; they must equal the row-by-row helpers bit for bit.
 
     The exception is ``resid_true``: the ledger forms it as ``||d_true||
     + ||c||``, which equals the row-by-row ``kkt_residual`` in exact
@@ -296,9 +296,9 @@ class TestLedger:
     @staticmethod
     def _assert_same_run(problem, oracle_factory, config):
         result = run(problem, oracle_factory(), config)
-        trace, x_final, summary = row_by_row_run(problem, oracle_factory(), config)
-        for name in Trace._SCALARS + ("x", "y", "y_true"):
-            got, want = getattr(result.trace, name), getattr(trace, name)
+        columns, x_final, summary = row_by_row_run(problem, oracle_factory(), config)
+        for name, want in columns.items():
+            got = getattr(result.trace, name)
             if want is None:
                 assert got is None, name
                 continue
@@ -312,6 +312,13 @@ class TestLedger:
         assert np.array_equal(result.x_final, x_final)
         assert result.summary == summary
         return result
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_trace_stores_floats_per_iteration(self, validate):
+        n, m, iters = 30, 11, 7
+        trace = Trace(n, m, iters, validate, MeritParams())
+        stored = sum(a.nbytes for a in vars(trace).values() if isinstance(a, np.ndarray))
+        assert stored == 8 * iters * Trace.floats_per_iteration(n, m, validate)
 
     @pytest.mark.parametrize("validate", [False, True])
     def test_bundled(self, bundled_instance, validate):
