@@ -63,5 +63,6 @@ drops = np.diff(merit)
 print(f"\nmerit monotone decrease: max increase {drops.max():.2e} (<= 0 expected)")
 print(f"trial values: min xi_trial {np.nanmin(trace.xi_trial):.2f} (>= 1.0), "
       f"min tau_trial {np.nanmin(trace.tau_trial_true):.2f} (>= 0.1)")
-print(f"violations surfaced: {result.summary.xi_violations} ratio, "
-      f"{result.summary.tau_violations} merit")
+summary = trace.validation_summary()
+print(f"violations surfaced: {summary.xi_violations} ratio, "
+      f"{summary.tau_violations} merit")

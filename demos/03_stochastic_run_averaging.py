@@ -13,11 +13,11 @@ import numpy as np
 from stochsqp import (
     BetaSchedule,
     MeritParams,
-    MultiplierTrace,
     SolverConfig,
     load_bundled_instance,
     run,
     running_averages,
+    windowed_averages,
 )
 from stochsqp.harness import compute_reference
 
@@ -59,10 +59,9 @@ print(f"\ntail medians: raw multiplier {np.median(dist_y[tail]):.3f}  "
 # Windowed averages drop multipliers gathered far from the current
 # iterate; with a shrinking window radius they trade noise suppression
 # against staleness.
-mult = MultiplierTrace.from_run(trace)
 print("\nwindowed averages at the final iterate:")
 for eps in (0.01, 0.1, 1.0):
-    avg, start = mult.windowed_average(eps)
+    (avg,), (start,) = windowed_averages(trace.x, trace.y, eps, [iters])
     err = np.linalg.norm(avg - reference.y)
     print(f"  eps={eps:<5g} window [{start:>6d}, {iters}]  error {err:.4f}")
 print(f"  running average over everything       error {dist_avg[-1]:.4f}")

@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 from .averaging import (
     MultiplierTrace,
-    running_average,
     running_averages,
     windowed_average,
     windowed_averages,

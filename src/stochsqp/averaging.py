@@ -9,11 +9,9 @@ are dropped as the run converges).
 
 :func:`prefix_sums` is the one store behind every average: a single
 cumulative-sum pass, from which :func:`running_averages` reads every
-``k`` at once (the trace CSV writer, the replicate summaries and
-:class:`MultiplierTrace` all use it) and :func:`windowed_averages`
-reads every window mean.  :func:`running_average` and
-:func:`windowed_average` are the defining slice mean and scan that the
-fast paths are tested against.
+``k`` at once and :func:`windowed_averages` reads every window mean;
+the library reads only these two.  :func:`windowed_average` is the
+defining scan that the fast path is tested against.
 
 :func:`windowed_averages` finds each window start without rescanning
 the prefix: the history is cut into blocks of :data:`_BLOCK_SIZE`
@@ -38,14 +36,6 @@ import numpy as np
 from .problem import Array
 
 
-def running_average(ys: Array, k: int, kbar: int = 1) -> Array:
-    """Arithmetic mean of the multipliers for iterations ``kbar .. k``."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if not 1 <= kbar <= k <= ys.shape[0]:
-        raise ValueError(f"need 1 <= kbar <= k <= {ys.shape[0]}")
-    return ys[kbar - 1 : k].mean(axis=0)
-
-
 def prefix_sums(ys: Array) -> Array:
     """Zero-padded prefix sums: row ``k`` is ``y_1 + ... + y_k``, row 0 is 0."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -67,6 +57,9 @@ def windowed_average(xs: Array, ys: Array, k: int, eps: float):
     iterate ``x_j`` with ``kprime <= j <= k`` satisfies
     ``||x_j - x_k|| <= eps``; if even the previous iterate is too far,
     the window is just ``{k}``.  Returns ``(mean, kprime)``.
+
+    Only the tests, :class:`MultiplierTrace` and the benchmark's traced
+    mode call this defining scan.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
@@ -213,6 +206,9 @@ class MultiplierTrace:
     averages are read from one :func:`running_averages` pass, made on
     the first query; windowed averages are recomputed by the defining
     scan.  Queries may be issued concurrently.
+
+    Only the tests and the benchmark's traced mode, which wraps its
+    methods, use it; it can go once those wrapped sites are retargeted.
     """
 
     def __init__(self, xs: Array, ys: Array):

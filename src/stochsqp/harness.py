@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaging import MultiplierTrace, running_averages, windowed_averages
+from .averaging import running_averages, windowed_averages
 from .errors import ConfigError, CurvatureError, RankError, ReferenceSolveError, StochSqpError
 from .kkt import null_space_basis, solve_kkt
 from .logreg import ConstrainedLogRegInstance, build_instance, load_bundled_dataset, load_libsvm_file
@@ -230,13 +230,13 @@ class ExperimentConfig:
 
     dataset: str | None = None
     mlin: int = 10
-    batch: int = 16
+    batch: int = SolverConfig.batch_size
     iters: int = 100_000
-    tau: float = 0.1
-    xi: float = 1.0
-    nu: float = 0.5
-    beta1: float = 1.0
-    beta_p: float = 1.0
+    tau: float = MeritParams.tau
+    xi: float = MeritParams.xi
+    nu: float = MeritParams.nu
+    beta1: float = BetaSchedule.beta1
+    beta_p: float = BetaSchedule.p
     seeds: list[int] = field(default_factory=lambda: [0])
     eps_grid: list[float] = field(default_factory=lambda: [0.01, 0.1, 1.0])
     out: str = "runs"
@@ -283,12 +283,14 @@ class ExperimentConfig:
 class RunSummary:
     """Final distances and violation tallies for one replicate.
 
-    ``wall_time`` is the solver run after the trace allocation and
-    ``emit_time`` the trace CSV writing, both in seconds.
-    ``final_dist_y_true`` and the violation counts are ``None`` without
-    validation.  ``first_xi_violation`` and ``first_tau_violation`` are
-    the iteration ``k`` of the first violation of each trial value,
-    ``None`` when there was none or without validation.
+    The distances are :func:`_distance_columns` at the last iteration,
+    so they equal the trace CSV's last row when ``thin`` divides
+    ``iters``; the tallies are :meth:`Trace.validation_summary`'s.
+    ``wall_time`` is the solver loop alone and ``emit_time`` the trace
+    CSV writing, both in seconds.  ``final_dist_y_true`` and the
+    tallies are ``None`` without validation.  ``first_xi_violation`` and
+    ``first_tau_violation`` are the iteration ``k`` of the first
+    violation of each trial value, ``None`` when there was none.
     """
 
     seed: int
@@ -306,11 +308,6 @@ class RunSummary:
     first_tau_violation: int | None
     wall_time: float
     emit_time: float
-
-    def __post_init__(self):
-        distances = [self.final_dist_x, self.final_dist_y, self.final_dist_y_avg]
-        if any(d < 0 for d in distances if not math.isnan(d)):
-            raise ValueError("distances must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -375,28 +372,39 @@ def _write_json(path, obj, **options):
         handle.write("\n")
 
 
-def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: int):
-    """Write the thinned per-iteration trace (rows at k = thin, 2*thin, ...).
+def _distance_columns(trace, reference: ReferenceSolution, eps_grid, rows: slice) -> list:
+    """The trace CSV's distance columns, ``dist_x`` to ``dist_y_avg_eps_*``
+    in order, at the trace rows ``rows``.
 
-    Written atomically (see :func:`_atomic_writer`).  Lines end in CRLF,
-    as the :mod:`csv` module writes them; floats use ``CSV_FLOAT_FMT``.
+    The CSV and the replicate summary both read their distances here.
+    ``rows`` is a slice, so the iterate and multiplier rows are views.
     """
     x_star, y_star = reference.x, reference.y
-    ks = np.arange(thin, len(trace) + 1, thin)
-    rows = slice(thin - 1, None, thin)  # views: no copy of the trace
+    ks = np.arange(1, len(trace) + 1)[rows]
 
     def dist(points, centre):
         return np.linalg.norm(points - centre, axis=1)
 
     # Each column is reduced to its norms before the next is built, so
     # at most one full-length temporary is alive at a time.
-    columns = [
+    return [
         dist(trace.x[rows], x_star),
         dist(trace.y[rows], y_star),
         np.full(len(ks), np.nan) if trace.y_true is None else dist(trace.y_true[rows], y_star),
         dist(running_averages(trace.y)[rows], y_star),
         *(dist(windowed_averages(trace.x, trace.y, eps, ks)[0], y_star) for eps in eps_grid),
     ]
+
+
+def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: int):
+    """Write the thinned per-iteration trace (rows at k = thin, 2*thin, ...).
+
+    Written atomically (see :func:`_atomic_writer`).  Lines end in CRLF,
+    as the :mod:`csv` module writes them; floats use ``CSV_FLOAT_FMT``.
+    """
+    ks = np.arange(thin, len(trace) + 1, thin)
+    rows = slice(thin - 1, None, thin)  # views: no copy of the trace
+    columns = _distance_columns(trace, reference, eps_grid, rows)
     names = csv_columns(eps_grid)
     columns += [getattr(trace, name)[rows] for name in names[1 + len(columns):]]
     table = np.column_stack(columns)
@@ -521,35 +529,25 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
         validate=config.validate,
     )
     result = run(problem, oracle, solver_config)
+    trace = result.trace
 
     path = out_dir / f"trace_seed{seed}.csv"
     started = time.perf_counter()
-    write_trace_csv(path, result.trace, reference, config.eps_grid, config.thin)
+    write_trace_csv(path, trace, reference, config.eps_grid, config.thin)
     emit = time.perf_counter() - started
 
-    trace = result.trace
-    mult = MultiplierTrace.from_run(trace)
-    final_k = len(trace)
-    final_eps = {}
-    for eps in config.eps_grid:
-        w_avg, _ = mult.windowed_average(eps, final_k)
-        final_eps[f"{eps:g}"] = float(np.linalg.norm(w_avg - reference.y))
-    if trace.y_true is not None:
-        final_dy_true = float(np.linalg.norm(trace.y_true[-1] - reference.y))
-    else:
-        final_dy_true = None
-    vs = result.summary
-    tallies = {f.name: None if vs is None else getattr(vs, f.name)
-               for f in fields(ValidationSummary) if f.name != "iterations"}
+    final = _distance_columns(trace, reference, config.eps_grid, slice(-1, None))
+    dist_x, dist_y, dist_y_true, dist_y_avg, *dist_eps = (float(column[0]) for column in final)
+    tallies = trace.validation_summary()  # None without validation
     summary = RunSummary(
         seed=seed,
-        iterations=final_k,
-        final_dist_x=float(np.linalg.norm(trace.x[-1] - reference.x)),
-        final_dist_y=float(np.linalg.norm(trace.y[-1] - reference.y)),
-        final_dist_y_true=final_dy_true,
-        final_dist_y_avg=float(np.linalg.norm(mult.running_average(final_k) - reference.y)),
-        final_dist_y_avg_eps=final_eps,
-        **tallies,
+        iterations=len(trace),
+        final_dist_x=dist_x,
+        final_dist_y=dist_y,
+        final_dist_y_true=None if trace.y_true is None else dist_y_true,
+        final_dist_y_avg=dist_y_avg,
+        final_dist_y_avg_eps={f"{eps:g}": d for eps, d in zip(config.eps_grid, dist_eps)},
+        **{f.name: getattr(tallies, f.name, None) for f in fields(ValidationSummary)},
         wall_time=result.wall_time,
         emit_time=emit,
     )

@@ -18,14 +18,15 @@ In validation mode the loop additionally solves the subproblem with the
 exact gradient (the "shadow" solve).  Inside the loop :func:`run` keeps
 only a ledger of a few inner products per iteration in the
 :class:`Trace`; the diagnostic columns (model reduction, trial values
-and guaranteed-reduction slack) and the violation tallies of a
-:class:`ValidationSummary` are vectorized reads of it, with the same
-bits as the per-step helpers of :mod:`stochsqp.merit`.  Violations are
-surfaced, never fatal: the fixed parameters are a hypothesis, and
-detecting when they fail is part of the job.  The analysis's curvature
-condition on the model matrix is not among them: the identity has unit
-curvature, and ``d'd = u'u + v'v`` with ``u`` orthogonal to ``v`` gives
-``d'd >= (zeta/2) u'u`` for every ``zeta <= 2`` at every step.
+and guaranteed-reduction slack) and :meth:`Trace.validation_summary`'s
+violation tallies are vectorized reads of it, made on each call, with
+the same bits as the per-step helpers of :mod:`stochsqp.merit`.
+Violations are surfaced, never fatal: the fixed parameters are a
+hypothesis, and detecting when they fail is part of the job.  The
+analysis's curvature condition on the model matrix is not among them:
+the identity has unit curvature, and ``d'd = u'u + v'v`` with ``u``
+orthogonal to ``v`` gives ``d'd >= (zeta/2) u'u`` for every
+``zeta <= 2`` at every step.
 
 A run is strictly sequential and owns its state; concurrent replicates
 must use separate configs (seeds) and generators.
@@ -228,7 +229,6 @@ class Trace:
         xi_bad = xi_tr < merit.xi - slop
         tau_bad = tau_tr < merit.tau - slop
         return ValidationSummary(
-            iterations=len(self),
             xi_violations=int(np.count_nonzero(xi_bad)),
             tau_violations=int(np.count_nonzero(tau_bad)),
             lbnd_violations=int(np.count_nonzero((merit.tau <= tau_tr) & ~holds)),
@@ -242,7 +242,6 @@ class Trace:
 class ValidationSummary:
     """Violation tallies from a validation-mode run (diagnostic only)."""
 
-    iterations: int = 0
     xi_violations: int = 0
     tau_violations: int = 0
     lbnd_violations: int = 0
@@ -259,7 +258,6 @@ class ValidationSummary:
 class RunResult:
     trace: Trace
     x_final: Array
-    summary: ValidationSummary | None
     wall_time: float
 
 
@@ -325,8 +323,8 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     Each iteration records the iterate, the multipliers, the step length
     and, in the trace's ledger, the inner products ``g'd``, ``d'd``,
     ``||c||_1``, ``c'c`` and, with ``validate``, the exact-gradient
-    twins ``grad'd_true`` and ``d_true'd_true``.  The summary is
-    :meth:`Trace.validation_summary`.
+    twins ``grad'd_true`` and ``d_true'd_true``.  ``wall_time`` excludes
+    the tallies, which :meth:`Trace.validation_summary` computes on call.
 
     Deterministic given the config seed.  Errors from :func:`iterate`
     propagate, and with ``validate`` a non-finite exact gradient aborts
@@ -365,9 +363,8 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
                 raise EvaluationError(f"iteration {k}: exact gradient returned a non-finite value")
             trace.y_true[i] = shadow.y
 
-    summary = trace.validation_summary()
     wall = time.perf_counter() - start
-    return RunResult(trace=trace, x_final=x_next, summary=summary, wall_time=wall)
+    return RunResult(trace=trace, x_final=x_next, wall_time=wall)
 
 
 def kkt_residual(grad: Array, jac: Array, c: Array, y: Array) -> float:

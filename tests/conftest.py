@@ -3,10 +3,11 @@
 The dense full-matrix KKT solve lives here (not in the library) so the
 null-space implementation is always checked against a second route.
 So do the other oracles only tests use: the exact-gradient subproblem
-solve, the least-squares multiplier, a Gaussian-noise gradient oracle,
-an empirical estimate of an oracle's variance, a central-difference
-check of declared derivatives, the per-token LIBSVM parser and the
-row-by-row diagnostics of a solver run.
+solve, the least-squares multiplier, the slice mean that defines the
+running average, a Gaussian-noise gradient oracle, an empirical
+estimate of an oracle's variance, a central-difference check of
+declared derivatives, the per-token LIBSVM parser and the row-by-row
+diagnostics of a solver run.
 """
 
 import io
@@ -55,6 +56,14 @@ def least_squares_y(jac, grad):
     """Minimizer of ``||g + jac' y||``: the identity solve's multiplier at ``c = 0``."""
     jac = np.asarray(jac, dtype=float)
     return solve_with_factors(factor_jacobian(jac), grad, np.zeros(jac.shape[0])).y
+
+
+def running_average(ys, k, kbar=1):
+    """Arithmetic mean of the multipliers for iterations ``kbar .. k``."""
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    if not 1 <= kbar <= k <= ys.shape[0]:
+        raise ValueError(f"need 1 <= kbar <= k <= {ys.shape[0]}")
+    return ys[kbar - 1 : k].mean(axis=0)
 
 
 def gaussian_oracle(problem, sigma):
@@ -186,7 +195,7 @@ def row_by_row_run(problem, oracle, config):
     columns["x"] = np.empty((iters, problem.n))
     columns["y"] = np.empty((iters, problem.m))
     columns["y_true"] = np.full((iters, problem.m), np.nan) if validate else None
-    summary = ValidationSummary(iterations=iters) if validate else None
+    summary = ValidationSummary() if validate else None
 
     for k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
         problem, oracle, config

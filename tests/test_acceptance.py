@@ -254,7 +254,7 @@ def test_criterion_06_deterministic_convergence(deterministic_run):
     trace = deterministic_run.trace
     reached = np.nonzero(trace.resid_true <= 1e-6)[0]
     first = int(reached[0]) + 1 if reached.size else None
-    summary = deterministic_run.summary
+    summary = deterministic_run.trace.validation_summary()
     ok = (
         first is not None
         and first <= 20_000

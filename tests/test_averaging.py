@@ -6,11 +6,12 @@ import pytest
 from stochsqp import (
     MultiplierTrace,
     averaging,
-    running_average,
     running_averages,
     windowed_average,
     windowed_averages,
 )
+
+from conftest import running_average
 
 BLOCK = averaging._BLOCK_SIZE
 

@@ -269,6 +269,20 @@ class TestRunExperiment:
             assert summary.xi_violations is not None
             assert set(summary.final_dist_y_avg_eps) == {"0.1", "1"}
 
+    def test_summary_distances_are_the_last_csv_row(self, small_run):
+        # thin divides iters, so the last row is the final iteration.
+        config, result = small_run
+        assert config.iters % config.thin == 0
+        entries = json.loads((result.out_dir / "summary.json").read_text())
+        for entry, path in zip(entries, result.trace_paths, strict=True):
+            header, rows = _read_csv(path)
+            last = dict(zip(header, map(float, rows[-1])))
+            assert last["k"] == config.iters
+            for name in ("dist_x", "dist_y", "dist_y_true", "dist_y_avg"):
+                assert entry[f"final_{name}"] == last[name], name
+            for label, value in entry["final_dist_y_avg_eps"].items():
+                assert value == last[f"dist_y_avg_eps_{label}"], label
+
     def test_windowed_columns_match_recomputation(self, small_run):
         from stochsqp import windowed_average, load_bundled_instance
         from stochsqp import BetaSchedule, SolverConfig, run

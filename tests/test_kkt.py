@@ -432,7 +432,7 @@ class TestRangeSpaceRoute:
                               beta=BetaSchedule(p=0.51), max_iters=1500, seed=0,
                               validate=True)
         result = run(problem, bundled_instance.minibatch_oracle(), config)
-        assert result.summary.iterations == 1500
+        assert len(result.trace) == 1500
         assert calls == []
         # The spy is wired: an undecided certificate does reach it.
         factor_jacobian(np.array([[1.0, 0.0], [9e4, 1.0]]))

@@ -212,7 +212,7 @@ class TestRun:
             batch_size=16, max_iters=10_000, seed=5, validate=True,
         )
         result = run(problem, bundled_instance.minibatch_oracle(), config)
-        assert result.summary.clean
+        assert result.trace.validation_summary().clean
         assert np.all(result.trace.xi_trial >= 1.0)
         assert np.all(result.trace.tau_trial_true >= 0.1)
 
@@ -225,7 +225,7 @@ class TestRun:
             validate=True,
         )
         result = run(problem, exact_oracle(problem), config)
-        assert result.summary.clean
+        assert result.trace.validation_summary().clean
         merit = [phi(config.merit.tau, float(problem.objective(x)), problem.constraints(x))
                  for x in result.trace.x]
         assert np.all(np.diff(merit) <= 1e-12)
@@ -237,10 +237,10 @@ class TestRun:
             merit=MeritParams(tau=0.1, xi=50.0), lip_gradf=1.0, lip_jac=1.0,
             max_iters=3, validate=True,
         )
-        result = run(problem, exact_oracle(problem), config)
-        assert result.summary.xi_violations == 3
-        assert result.summary.first_xi_violation == 1
-        assert not result.summary.clean
+        summary = run(problem, exact_oracle(problem), config).trace.validation_summary()
+        assert summary.xi_violations == 3
+        assert summary.first_xi_violation == 1
+        assert not summary.clean
 
     def test_evaluator_failure_reports_iterate_index(self):
         calls = {"n": 0}
@@ -310,7 +310,7 @@ class TestLedger:
                 # Same bits, signed zeros included; NaN matches NaN.
                 assert got[~nan].tobytes() == want[~nan].tobytes(), name
         assert np.array_equal(result.x_final, x_final)
-        assert result.summary == summary
+        assert result.trace.validation_summary() == summary
         return result
 
     @pytest.mark.parametrize("validate", [False, True])
@@ -340,7 +340,7 @@ class TestLedger:
         )
         summary = self._assert_same_run(
             problem, bundled_instance.minibatch_oracle, config
-        ).summary
+        ).trace.validation_summary()
         assert summary.xi_violations and summary.tau_violations
         assert summary.first_xi_violation and summary.first_tau_violation
 
@@ -351,7 +351,7 @@ class TestLedger:
             max_iters=3, validate=True,
         )
         result = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
-        assert result.summary.xi_violations == 3
+        assert result.trace.validation_summary().xi_violations == 3
 
     def test_zero_step(self):
         # At the minimizer (-1, 0) of the sphere toy every step is zero.
@@ -361,7 +361,7 @@ class TestLedger:
         result = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
         assert np.all(result.trace.xi_trial == math.inf)
         assert np.all(result.trace.tau_trial_true == math.inf)
-        assert result.summary.clean
+        assert result.trace.validation_summary().clean
 
 
 class TestModelMatrixRoutes:

@@ -97,7 +97,7 @@ def sanity_check(dataset: Dataset):
         validate=True,
     )
     result = run(instance.problem(), exact_oracle(instance.problem()), config)
-    summary = result.summary
+    summary = result.trace.validation_summary()
     assert summary.clean, f"deterministic run surfaced violations: {summary}"
     best = np.nanmin(result.trace.resid_true)
     assert best <= 1e-6, f"best residual {best:.3e}"
