@@ -230,13 +230,10 @@ class MultiplierTrace:
         """All running averages; row ``k - 1`` is ``mean(y_1..y_k)``."""
         return running_averages(self.ys)
 
-    def running_average(self, k: int | None = None) -> Array:
-        """Running average ``mean(y_1..y_k)``, by default over the whole run."""
-        k = len(self) if k is None else k
-        if not 1 <= k <= len(self):
-            raise ValueError("need 1 <= k <= len(trace)")
-        return self.averages[k - 1]
+    def running_average(self) -> Array:
+        """Running average of the whole run, ``mean(y_1..y_K)``."""
+        return self.averages[-1]
 
-    def windowed_average(self, eps: float, k: int | None = None):
-        k = len(self) if k is None else k
-        return windowed_average(self.xs, self.ys, k, eps)
+    def windowed_average(self, eps: float):
+        """Windowed average at the last iteration, by the defining scan."""
+        return windowed_average(self.xs, self.ys, len(self), eps)

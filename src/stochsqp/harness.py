@@ -35,7 +35,8 @@ from . import __version__
 from .averaging import running_averages, windowed_averages
 from .errors import ConfigError, CurvatureError, RankError, ReferenceSolveError, StochSqpError
 from .kkt import null_space_basis, solve_kkt
-from .logreg import ConstrainedLogRegInstance, build_instance, load_bundled_dataset, load_libsvm_file
+from .logreg import INSTANCE_SEED, M_LIN, ConstrainedLogRegInstance, build_instance
+from .logreg import load_bundled_dataset, load_libsvm_file
 from .merit import MeritParams
 from .problem import Array, Problem, exact_oracle
 from .solver import (
@@ -48,10 +49,6 @@ from .solver import (
 # although nothing in this module calls them.
 from .averaging import windowed_average  # noqa: F401
 from .solver import step_size  # noqa: F401
-
-#: Seed used to draw the constraint data (A, b, x1); replicate seeds
-#: only drive gradient noise, so every replicate sees the same geometry.
-INSTANCE_SEED = 0
 
 CSV_FLOAT_FMT = "%.17g"
 _CSV_CHUNK_ROWS = 1024
@@ -68,6 +65,8 @@ NEWTON_SWITCH_RESIDUAL = 1.0
 #: Newton steps allowed before the reference solve falls back to the
 #: first-order loop.
 NEWTON_MAX_STEPS = 20
+#: Iterations the reference solve takes before it gives up.
+REFERENCE_MAX_ITERS = 50_000
 
 
 @dataclass(frozen=True)
@@ -92,13 +91,13 @@ def compute_reference(
     lip_gradf: float,
     lip_jac: float,
     tol: float = 1e-8,
-    max_iters: int = 50_000,
 ) -> ReferenceSolution:
     """Exact-gradient solve to high accuracy, with a second-order check.
 
     Runs :func:`stochsqp.solver.iterate` with the exact gradient and
     constant unit damping (valid without gradient noise) until the
-    first-order residual drops below ``tol``.
+    first-order residual drops below ``tol``, for at most
+    ``REFERENCE_MAX_ITERS`` iterations.
 
     When the problem has a ``lagrangian_hessian``, the first iterate
     whose residual is at most ``NEWTON_SWITCH_RESIDUAL`` starts one
@@ -119,7 +118,7 @@ def compute_reference(
         lip_gradf=lip_gradf,
         lip_jac=lip_jac,
         beta=BetaSchedule("constant"),
-        max_iters=max_iters,
+        max_iters=REFERENCE_MAX_ITERS,
     )
     newton_pending = problem.lagrangian_hessian is not None
     best = math.inf
@@ -136,7 +135,7 @@ def compute_reference(
                 break
     else:
         raise ReferenceSolveError(
-            f"reference solve did not reach {tol:g} in {max_iters} iterations "
+            f"reference solve did not reach {tol:g} in {REFERENCE_MAX_ITERS} iterations "
             f"(best residual {best:.3e})"
         )
     _check_second_order(problem, reference.x, reference.y)
@@ -224,12 +223,12 @@ class ExperimentConfig:
     ``dataset=None`` selects the bundled synthetic slice.  The step-size
     rule uses the instance's certified Lipschitz bounds, the constraint
     data is drawn with ``INSTANCE_SEED`` and the reference solve has
-    :func:`compute_reference`'s iteration budget.  ``exact`` swaps the
+    ``REFERENCE_MAX_ITERS`` iterations.  ``exact`` swaps the
     mini-batch oracle for full-batch exact gradients (zero variance).
     """
 
     dataset: str | None = None
-    mlin: int = 10
+    mlin: int = M_LIN
     batch: int = SolverConfig.batch_size
     iters: int = 100_000
     tau: float = MeritParams.tau
@@ -283,9 +282,8 @@ class ExperimentConfig:
 class RunSummary:
     """Final distances and violation tallies for one replicate.
 
-    The distances are :func:`_distance_columns` at the last iteration,
-    so they equal the trace CSV's last row when ``thin`` divides
-    ``iters``; the tallies are :meth:`Trace.validation_summary`'s.
+    The distances are the trace CSV's last row, the final iteration;
+    the tallies are :meth:`Trace.validation_summary`'s.
     ``wall_time`` is the solver loop alone and ``emit_time`` the trace
     CSV writing, both in seconds.  ``final_dist_y_true`` and the
     tallies are ``None`` without validation.  ``first_xi_violation`` and
@@ -376,7 +374,6 @@ def _distance_columns(trace, reference: ReferenceSolution, eps_grid, rows: slice
     """The trace CSV's distance columns, ``dist_x`` to ``dist_y_avg_eps_*``
     in order, at the trace rows ``rows``.
 
-    The CSV and the replicate summary both read their distances here.
     ``rows`` is a slice, so the iterate and multiplier rows are views.
     """
     x_star, y_star = reference.x, reference.y
@@ -396,17 +393,19 @@ def _distance_columns(trace, reference: ReferenceSolution, eps_grid, rows: slice
     ]
 
 
-def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: int):
-    """Write the thinned per-iteration trace (rows at k = thin, 2*thin, ...).
+def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: int) -> list:
+    """Write the thinned trace; return its last row's distances as floats.
 
-    Written atomically (see :func:`_atomic_writer`).  Lines end in CRLF,
-    as the :mod:`csv` module writes them; floats use ``CSV_FLOAT_FMT``.
+    Rows are counted back from the final iterate K: k = ..., K - thin, K
+    (k = thin, 2*thin, ..., K when ``thin`` divides K).  Written
+    atomically (see :func:`_atomic_writer`).  Lines end in CRLF, as the
+    :mod:`csv` module writes them; floats use ``CSV_FLOAT_FMT``.
     """
-    ks = np.arange(thin, len(trace) + 1, thin)
-    rows = slice(thin - 1, None, thin)  # views: no copy of the trace
-    columns = _distance_columns(trace, reference, eps_grid, rows)
+    rows = slice((len(trace) - 1) % thin, None, thin)  # views: no copy of the trace
+    ks = np.arange(1, len(trace) + 1)[rows]
+    distances = _distance_columns(trace, reference, eps_grid, rows)
     names = csv_columns(eps_grid)
-    columns += [getattr(trace, name)[rows] for name in names[1 + len(columns):]]
+    columns = distances + [getattr(trace, name)[rows] for name in names[1 + len(distances):]]
     table = np.column_stack(columns)
     template = ",".join(["%d"] + [CSV_FLOAT_FMT] * len(columns)) + "\r\n"
     with _atomic_writer(path) as handle:
@@ -417,6 +416,7 @@ def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: i
             chunk = slice(start, start + _CSV_CHUNK_ROWS)
             rows_text = zip(ks[chunk].tolist(), table[chunk].tolist())
             handle.writelines(template % (k, *row) for k, row in rows_text)
+    return [float(column[-1]) for column in distances]
 
 
 def write_column_notes(path, eps_grid):
@@ -533,11 +533,10 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
 
     path = out_dir / f"trace_seed{seed}.csv"
     started = time.perf_counter()
-    write_trace_csv(path, trace, reference, config.eps_grid, config.thin)
+    final = write_trace_csv(path, trace, reference, config.eps_grid, config.thin)
     emit = time.perf_counter() - started
 
-    final = _distance_columns(trace, reference, config.eps_grid, slice(-1, None))
-    dist_x, dist_y, dist_y_true, dist_y_avg, *dist_eps = (float(column[0]) for column in final)
+    dist_x, dist_y, dist_y_true, dist_y_avg, *dist_eps = final
     tallies = trace.validation_summary()  # None without validation
     summary = RunSummary(
         seed=seed,

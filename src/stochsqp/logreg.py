@@ -27,13 +27,16 @@ from typing import TextIO
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConstructionError, ParseError
+from .errors import ConstructionError, ParseError, RankError
+from .kkt import factor_jacobian
 from .problem import Array, Problem, StochasticGradientOracle
 
-#: Relative singular-value threshold declaring a matrix full row rank.
-RANK_RTOL = 1e-8
 #: Draws of ``(A, b, x1)`` :func:`build_instance` makes before giving up.
 MAX_TRIES = 10
+#: Constraint seed and affine row count of the standard instance.  Replicate
+#: seeds only drive gradient noise, so every replicate sees the same geometry.
+INSTANCE_SEED = 0
+M_LIN = 10
 
 _BUNDLED_NAME = "synthetic200.libsvm"
 
@@ -232,13 +235,6 @@ def load_bundled_dataset() -> Dataset:
     return parse_libsvm(text)
 
 
-def _full_row_rank(matrix: Array) -> bool:
-    if matrix.shape[0] == 0:
-        return True
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return svals[-1] >= RANK_RTOL * svals[0]
-
-
 @dataclass(frozen=True)
 class ConstrainedLogRegInstance:
     """Logistic loss with seeded affine constraints plus the unit sphere.
@@ -401,13 +397,14 @@ def build_instance(
     m_lin: int,
     seed: int,
 ) -> ConstrainedLogRegInstance:
-    """Draw ``(A, b, x1)`` from a seed and verify the rank conditions.
+    """Draw ``(A, b, x1)`` from a seed and verify the rank condition.
 
-    Both ``A`` and the full Jacobian at the initial point must pass the
-    singular-value threshold; a failed draw is retried with fresh
-    standard normals, and :class:`ConstructionError` is raised after
-    ``MAX_TRIES`` attempts.  Identical seeds produce bitwise-identical
-    instances.
+    The start Jacobian ``J = [A; 2 x1']`` must pass the solver's rank
+    gate, :func:`stochsqp.kkt.factor_jacobian`.  That covers ``A`` too: by
+    interlacing, ``sigma_min(A) >= sigma_min(J)`` and ``sigma_max(A) <=
+    sigma_max(J)``.  A failed draw is retried with fresh standard
+    normals, and :class:`ConstructionError` is raised after ``MAX_TRIES``
+    attempts.  Identical seeds produce bitwise-identical instances.
     """
     if dataset.n_samples < 1:
         raise ConstructionError("dataset is empty")
@@ -419,12 +416,14 @@ def build_instance(
         A = rng.standard_normal((m_lin, n))
         b = rng.standard_normal(m_lin)
         x1 = rng.standard_normal(n)
-        jac_at_start = np.vstack([A, 2.0 * x1])
-        if _full_row_rank(A) and _full_row_rank(jac_at_start):
-            return ConstrainedLogRegInstance(dataset=dataset, A=A, b=b, x1=x1)
-    raise ConstructionError(f"rank checks failed in {MAX_TRIES} attempts")
+        try:
+            factor_jacobian(np.vstack([A, 2.0 * x1]))
+        except RankError:
+            continue
+        return ConstrainedLogRegInstance(dataset=dataset, A=A, b=b, x1=x1)
+    raise ConstructionError(f"rank check failed in {MAX_TRIES} attempts")
 
 
-def load_bundled_instance(m_lin: int = 10, seed: int = 0) -> ConstrainedLogRegInstance:
-    """Standard instance over the bundled dataset (fixed constraint seed)."""
-    return build_instance(load_bundled_dataset(), m_lin=m_lin, seed=seed)
+def load_bundled_instance() -> ConstrainedLogRegInstance:
+    """Standard instance over the bundled dataset (``M_LIN``, ``INSTANCE_SEED``)."""
+    return build_instance(load_bundled_dataset(), m_lin=M_LIN, seed=INSTANCE_SEED)

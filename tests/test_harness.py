@@ -59,10 +59,10 @@ class TestComputeReference:
         assert np.array_equal(a.y, b.y)
         assert a.iterations == b.iterations
 
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(ReferenceSolveError, match="best residual"):
-            compute_reference(sphere_problem(), MeritParams(), 0.5, 2.0,
-                              tol=1e-16, max_iters=5)
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "REFERENCE_MAX_ITERS", 5)
+        with pytest.raises(ReferenceSolveError, match="in 5 iterations .best residual"):
+            compute_reference(sphere_problem(), MeritParams(), 0.5, 2.0, tol=1e-16)
 
     @pytest.mark.parametrize("which", ["bundled", "sphere"])
     def test_is_the_solver_loop_cut_short(self, which, bundled_instance):
@@ -269,19 +269,55 @@ class TestRunExperiment:
             assert summary.xi_violations is not None
             assert set(summary.final_dist_y_avg_eps) == {"0.1", "1"}
 
-    def test_summary_distances_are_the_last_csv_row(self, small_run):
-        # thin divides iters, so the last row is the final iteration.
+    @pytest.mark.parametrize("iters, thin, first_k", [
+        (None, None, 10),  # small_run: thin divides iters
+        (45, 10, 5),
+        (5, 10, 5),  # one row, the final iterate
+    ], ids=["thin-divides-iters", "iters45-thin10", "iters5-thin10"])
+    def test_summary_distances_are_the_last_csv_row(
+        self, small_run, tmp_path, iters, thin, first_k
+    ):
         config, result = small_run
-        assert config.iters % config.thin == 0
+        if iters is not None:
+            config = dataclasses.replace(config, iters=iters, thin=thin, out=str(tmp_path))
+            result = run_experiment(config)
         entries = json.loads((result.out_dir / "summary.json").read_text())
         for entry, path in zip(entries, result.trace_paths, strict=True):
             header, rows = _read_csv(path)
+            assert [int(r[0]) for r in rows] == list(range(first_k, config.iters + 1, config.thin))
             last = dict(zip(header, map(float, rows[-1])))
-            assert last["k"] == config.iters
             for name in ("dist_x", "dist_y", "dist_y_true", "dist_y_avg"):
                 assert entry[f"final_{name}"] == last[name], name
             for label, value in entry["final_dist_y_avg_eps"].items():
                 assert value == last[f"dist_y_avg_eps_{label}"], label
+
+    def test_one_distance_pass_per_replicate(self, tmp_path, monkeypatch):
+        calls = []
+        distance_columns = harness._distance_columns
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])
+            return distance_columns(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_distance_columns", counted)
+        config = ExperimentConfig(dataset=None, iters=45, thin=10, seeds=[0, 1],
+                                  out=str(tmp_path))
+        run_experiment(config)
+        assert calls == [slice(4, None, 10)] * 2
+
+    def test_thinned_rows_are_the_full_tables_rows(self, tmp_path):
+        tables = {}
+        for thin in (1, 7):
+            config = ExperimentConfig(dataset=None, iters=60, thin=thin, seeds=[3],
+                                      validate=True, out=str(tmp_path / f"thin{thin}"))
+            path, = run_experiment(config).trace_paths
+            lines = path.read_bytes().split(b"\r\n")
+            assert lines.pop() == b""
+            tables[thin] = {int(line.split(b",", 1)[0]): line for line in lines[1:]}
+        assert list(tables[1]) == list(range(1, 61))
+        assert list(tables[7]) == list(range(4, 61, 7))
+        for k, line in tables[7].items():
+            assert line == tables[1][k], k
 
     def test_windowed_columns_match_recomputation(self, small_run):
         from stochsqp import windowed_average, load_bundled_instance
@@ -442,7 +478,7 @@ class TestWriteTraceCsv:
         text = (tmp_path / "trace.csv").read_bytes().decode()
         header, rows = _read_csv(tmp_path / "trace.csv")
         assert text.count("\r\n") == len(rows) + 1 and "\n" not in text.replace("\r\n", "")
-        assert [int(r[0]) for r in rows] == list(range(7, 201, 7))
+        assert [int(r[0]) for r in rows] == list(range(4, 201, 7))  # back from k = 200
         ix, ia = header.index("dist_x"), header.index("alpha")
         dist_x = np.linalg.norm(trace.x - reference.x, axis=1)
         for row in rows:

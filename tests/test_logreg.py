@@ -16,7 +16,7 @@ from stochsqp import (
     parse_libsvm,
     serialize_libsvm,
 )
-from stochsqp import logreg
+from stochsqp import RankError, factor_jacobian, logreg
 from stochsqp.logreg import Dataset
 
 from conftest import gaussian_oracle, reference_parse_libsvm
@@ -247,6 +247,28 @@ class TestBuildInstance:
     def test_dimension_guard(self, bundled_dataset):
         with pytest.raises(ConstructionError):
             build_instance(bundled_dataset, m_lin=30, seed=0)
+
+    def test_start_jacobian_passes_the_solvers_rank_gate(self, bundled_dataset, monkeypatch):
+        gated = []
+
+        def gate(jac):
+            gated.append(jac)
+            if len(gated) == 1:
+                raise RankError("first draw rejected")
+            return factor_jacobian(jac)
+
+        monkeypatch.setattr(logreg, "factor_jacobian", gate)
+        inst = build_instance(bundled_dataset, m_lin=10, seed=0)
+        assert len(gated) == 2  # the second draw is taken
+        assert np.array_equal(gated[1], inst.jacobian(inst.x1))
+        assert not np.array_equal(gated[0], gated[1])
+
+        def reject(jac):
+            raise RankError("rejected")
+
+        monkeypatch.setattr(logreg, "factor_jacobian", reject)
+        with pytest.raises(ConstructionError, match=f"{logreg.MAX_TRIES} attempts"):
+            build_instance(bundled_dataset, m_lin=10, seed=0)
 
     def test_jacobian_rows_on_the_sphere(self, bundled_instance):
         x = np.zeros(bundled_instance.n)

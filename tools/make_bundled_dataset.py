@@ -38,7 +38,9 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from stochsqp.logreg import Dataset, build_instance, parse_libsvm, serialize_libsvm
+from stochsqp.logreg import (
+    INSTANCE_SEED, M_LIN, Dataset, build_instance, parse_libsvm, serialize_libsvm,
+)
 from stochsqp.merit import MeritParams
 from stochsqp.problem import exact_oracle
 from stochsqp.solver import BetaSchedule, SolverConfig, run
@@ -46,8 +48,6 @@ from stochsqp.solver import BetaSchedule, SolverConfig, run
 GEN_SEED = 201
 N_FEATURES = 30
 N_SAMPLES = 200
-M_LIN = 10
-INSTANCE_SEED = 0
 SPARSITY = 0.30
 FLIP_RATE = 0.15
 N_CORRUPTED = 30
