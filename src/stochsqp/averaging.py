@@ -8,19 +8,34 @@ ball of the current iterate (so stale multipliers from far-away points
 are dropped as the run converges).
 
 :func:`prefix_sums` is the one store behind every average: a single
-cumulative-sum pass, from which :func:`running_averages` reads every
-``k`` at once and :func:`windowed_averages` reads every window mean;
-the library reads only these two.  :func:`windowed_average` is the
-defining scan that the fast path is tested against.
+cumulative-sum pass, from which :func:`window_means` reads the mean of
+any window ``k' .. k``.  The running average is the window that starts
+at 1; :func:`running_averages` reads it for every ``k``, and
+:func:`windowed_averages` reads the windows that :func:`window_starts`
+finds.  A caller that needs several averages of one history, as the
+trace CSV does, makes the prefix sums once and reads them all.
+:func:`windowed_average` is the defining scan that the fast path is
+tested against.
 
-:func:`windowed_averages` finds each window start without rescanning
-the prefix: the history is cut into blocks of :data:`_BLOCK_SIZE`
-iterates, each with a bounding ball, and a block is tested point by
-point only when its ball straddles the eps-sphere around ``x_k``.  The
-starts equal the scan's exactly; the means differ from the scan's slice
-means by prefix-sum rounding only (in the trace's distance columns,
-at most 2e-15 relative on a 3200-iteration bundled trace and 1.4e-14 on
-a 1e5-iteration one).  Emission of a whole trace is therefore roughly
+:func:`window_starts` finds each window start without rescanning the
+prefix: the history is cut into blocks of :data:`_BLOCK_SIZE` iterates,
+each with a bounding ball, and a block is tested point by point only
+when its ball straddles the eps-sphere around ``x_k``.  Those pairs are
+tested by one Gram product per block: with ``h = x_k - c`` and
+``p = x_j - c`` centred on the ball's centre ``c``, the squared distance
+is ``d2 = |h|^2 + |p|^2 - 2 h.p``.  Its rounding, with the centring's,
+is below about ``(2n + 6) * 2**-53 * (|h|^2 + |p|^2)`` for ``n``
+coordinates, and the scan's computed ``norm(x_j - x_k)`` is off by at
+most about ``(n + 4) * 2**-53`` relative.  A pair is therefore decided
+by ``d2`` only when ``|d2 - eps^2|`` exceeds :data:`_BALL_MARGIN`
+(1e-9) times ``|h|^2 + |p|^2 + eps^2``: both errors are far below that
+slack for any ``n`` under 1e6, so such a pair lies on the same side of
+eps as the scan's computed norm.  Every other pair, a non-finite ``d2``
+included, gets the scan's own ``norm(x_j - x_k) > eps``.  The starts
+thus equal the scan's exactly; the means differ from the scan's slice
+means by prefix-sum rounding only (in the trace's distance columns, at
+most 2e-15 relative on a 3200-iteration bundled trace and 1.4e-14 on a
+1e5-iteration one).  Emission of a whole trace is therefore roughly
 linear in its length instead of quadratic.
 
 Iteration numbers ``k`` are 1-based throughout, matching the solver's
@@ -44,10 +59,16 @@ def prefix_sums(ys: Array) -> Array:
     return sums
 
 
+def window_means(sums: Array, ks: Array, kprimes: Array) -> Array:
+    """Row ``i`` is ``mean(y_kprimes[i] .. y_ks[i])``, read from ``sums = prefix_sums(ys)``."""
+    return (sums[ks] - sums[kprimes - 1]) / (ks - kprimes + 1)[:, None]
+
+
 def running_averages(ys: Array) -> Array:
     """Every running average at once: row ``k - 1`` is ``mean(y_1..y_k)``."""
     sums = prefix_sums(ys)
-    return sums[1:] / np.arange(1, sums.shape[0])[:, None]
+    ks = np.arange(1, sums.shape[0])
+    return window_means(sums, ks, np.ones_like(ks))
 
 
 def windowed_average(xs: Array, ys: Array, k: int, eps: float):
@@ -75,33 +96,54 @@ def windowed_average(xs: Array, ys: Array, k: int, eps: float):
     return ys[kprime - 1 : k].mean(axis=0), kprime
 
 
-#: Iterates per bounding ball in :func:`windowed_averages`.
+#: Iterates per bounding ball in :func:`window_starts`.
 _BLOCK_SIZE = 64
 
-#: Relative slack on every ball test.  A computed norm of ``n``
-#: coordinates is off by at most about ``(n + 4) * 2**-53`` relative,
-#: so this slack keeps rounding from ever certifying a wrong side for
-#: any ``n`` below 1e6; a ball it leaves undecided is merely tested
-#: point by point.
+#: Relative slack on every ball test and every Gram-product distance
+#: test.  Rounding moves a computed norm of ``n`` coordinates by at most
+#: about ``(n + 4) * 2**-53`` relative, and a Gram-product squared
+#: distance by about ``(2n + 6) * 2**-53`` of the squared norms it is
+#: formed from, so this slack keeps rounding from ever certifying a
+#: wrong side for any ``n`` below 1e6; a ball or pair it leaves
+#: undecided is merely tested point by point.
 _BALL_MARGIN = 1e-9
+
+#: Smallest normal float.  Added to eps^2 in the Gram slack, it keeps
+#: the slack above the absolute rounding of subnormal squares.
+_TINY = np.finfo(float).tiny
 
 
 def windowed_averages(xs: Array, ys: Array, eps: float, ks) -> tuple[Array, Array]:
     """:func:`windowed_average` for every 1-based iteration in ``ks`` at once.
 
-    Returns ``(means, kprimes)``: row ``i`` belongs to ``ks[i]``.  Each
-    ``kprimes[i]`` equals the scan's window start exactly, because every
-    point whose side of the eps-sphere a bounding ball cannot certify
-    gets the scan's own ``norm(x_j - x_k) > eps`` test.  The means are
-    read from :func:`prefix_sums`, so they match the scan's slice means
-    to rounding, not bit for bit.
+    Returns ``(means, kprimes)``: row ``i`` belongs to ``ks[i]``.  The
+    starts come from :func:`window_starts` and equal the scan's exactly.
+    Where a bounding ball leaves a block on both sides of the eps-sphere,
+    each pair's squared distance is read from a Gram product centred on
+    the ball, ``d2 = |h|^2 + |p|^2 - 2 h.p``, and trusted only when
+    ``|d2 - eps^2| > 1e-9 * (|h|^2 + |p|^2 + eps^2)``.  Its rounding is
+    below about ``(2n + 6) * 2**-53 * (|h|^2 + |p|^2)`` and the scan's
+    computed norm is off by about ``(n + 4) * 2**-53`` relative, so a
+    trusted pair is on the side of eps that the scan computes; every
+    other pair gets the scan's own ``norm(x_j - x_k) > eps``.  The means
+    are read from :func:`prefix_sums` by :func:`window_means`, so they
+    match the scan's slice means to rounding, not bit for bit.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if xs.shape[0] != ys.shape[0]:
         raise ValueError("iterate and multiplier histories must align")
+    ks = np.asarray(ks, dtype=int).reshape(-1)
+    kprimes = window_starts(xs, eps, ks)
+    return window_means(prefix_sums(ys), ks, kprimes), kprimes
+
+
+def window_starts(xs: Array, eps: float, ks) -> Array:
+    """The starts of :func:`windowed_averages` without the means: the
+    scan's window start, exactly, for every 1-based ``k`` in ``ks``."""
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ks = np.asarray(ks, dtype=int).reshape(-1)
     if ks.size and not (1 <= ks.min() and ks.max() <= xs.shape[0]):
         raise ValueError("k out of range")
@@ -116,11 +158,8 @@ def windowed_averages(xs: Array, ys: Array, eps: float, ks) -> tuple[Array, Arra
     rows = ks[order] - 1
     owners, firsts = np.unique(rows // _BLOCK_SIZE, return_index=True)
     for block, lo, hi in zip(owners, firsts, list(firsts[1:]) + [rows.size]):
-        kprimes[order[lo:hi]] = _window_starts(xs, centres, radii, eps, block, rows[lo:hi])
-
-    sums = prefix_sums(ys)
-    means = (sums[ks] - sums[kprimes - 1]) / (ks - kprimes + 1)[:, None]
-    return means, kprimes
+        kprimes[order[lo:hi]] = _block_starts(xs, centres, radii, eps, block, rows[lo:hi])
+    return kprimes
 
 
 def _norms(diffs: Array) -> Array:
@@ -139,7 +178,7 @@ def _sides(dist, radius, eps):
     return inside, outside
 
 
-def _window_starts(xs, centres, radii, eps, block, rows):
+def _block_starts(xs, centres, radii, eps, block, rows):
     """Window starts for sorted 0-based ``rows`` that all lie in ``block``.
 
     The block's own points up to each row come first, then a walk back
@@ -178,7 +217,7 @@ def _settle(points, first, centre, radius, here, eps, kprimes, pending, upto=Non
     the ball ``(centre, radius)``; ``upto`` limits each row to its
     first ``upto + 1`` of them.  A row whose distance to the centre
     puts the whole ball outside starts right after the last point; one
-    that the ball cannot decide gets the exact ``norm > eps`` test.
+    that the ball cannot decide tests each point by :func:`_gram_beyond`.
     """
     open_rows = np.flatnonzero(pending)
     # A row's own block always contains its own point, so ``far`` only
@@ -190,13 +229,43 @@ def _settle(points, first, centre, radius, here, eps, kprimes, pending, upto=Non
     if not unsure.any():
         return
     tested = open_rows[unsure]
-    beyond = _norms(points - here[tested][:, None]) > eps
+    beyond = _gram_beyond(points, centre, here[tested], eps)
     if upto is not None:
         beyond &= np.arange(points.shape[0]) <= upto[tested][:, None]
     hit = beyond.any(axis=1)
     last = beyond.shape[1] - 1 - np.argmax(beyond[hit][:, ::-1], axis=1)
     kprimes[tested[hit]] = first + last + 2
     pending[tested[hit]] = False
+
+
+def _gram_beyond(points, centre, here, eps):
+    """``beyond[i, j]``: the scan's ``norm(points[j] - here[i]) > eps``.
+
+    Both sides are centred on the ball's ``centre``, ``h = here - centre``
+    and ``p = points - centre``, and every squared distance is read from
+    one Gram product, ``d2 = |h|^2 + |p|^2 - 2 h p'``.  A pair is decided
+    by ``d2`` only when ``|d2 - eps^2|`` exceeds
+    ``_BALL_MARGIN * (|h|^2 + |p|^2 + eps^2)``; every other pair, a
+    non-finite ``d2`` included, gets :func:`_exact_beyond`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite d2 stays undecided
+        eps2 = eps * eps
+        h = here - centre
+        p = points - centre
+        scale = np.einsum("ij,ij->i", h, h)[:, None] + np.einsum("ij,ij->i", p, p)
+        gap = scale - 2.0 * (h @ p.T) - eps2
+        slack = _BALL_MARGIN * (scale + (eps2 + _TINY))
+        beyond = gap > slack
+        undecided = ~(np.abs(gap) > slack)
+    if undecided.any():
+        row, col = np.nonzero(undecided)
+        beyond[row, col] = _exact_beyond(points[col], here[row], eps)
+    return beyond
+
+
+def _exact_beyond(points, here, eps):
+    """The scan's own test, ``norm(points - here) > eps``, row by row."""
+    return _norms(points - here) > eps
 
 
 class MultiplierTrace:

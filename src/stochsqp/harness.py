@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaging import running_averages, windowed_averages
+from .averaging import prefix_sums, window_means, window_starts
 from .errors import ConfigError, CurvatureError, RankError, ReferenceSolveError, StochSqpError
 from .kkt import null_space_basis, solve_kkt
 from .logreg import INSTANCE_SEED, M_LIN, ConstrainedLogRegInstance, build_instance
@@ -379,17 +379,23 @@ def _distance_columns(trace, reference: ReferenceSolution, eps_grid, rows: slice
     x_star, y_star = reference.x, reference.y
     ks = np.arange(1, len(trace) + 1)[rows]
 
+    sums = prefix_sums(trace.y)  # one pass serves every average column
+
     def dist(points, centre):
         return np.linalg.norm(points - centre, axis=1)
 
+    def dist_mean(kprimes):
+        return dist(window_means(sums, ks, kprimes), y_star)
+
     # Each column is reduced to its norms before the next is built, so
-    # at most one full-length temporary is alive at a time.
+    # at most one full-length temporary is alive at a time.  The running
+    # average is the window that starts at 1.
     return [
         dist(trace.x[rows], x_star),
         dist(trace.y[rows], y_star),
         np.full(len(ks), np.nan) if trace.y_true is None else dist(trace.y_true[rows], y_star),
-        dist(running_averages(trace.y)[rows], y_star),
-        *(dist(windowed_averages(trace.x, trace.y, eps, ks)[0], y_star) for eps in eps_grid),
+        dist_mean(np.ones_like(ks)),
+        *(dist_mean(window_starts(trace.x, eps, ks)) for eps in eps_grid),
     ]
 
 

@@ -34,9 +34,10 @@ from stochsqp import (
     solve_with_factors,
     step_size,
     windowed_average,
+    windowed_averages,
     xi_trial,
 )
-from stochsqp import kkt
+from stochsqp import averaging, kkt
 from stochsqp.harness import compute_reference
 
 from conftest import dense_kkt_solve, estimate_variance, random_kkt_instance
@@ -327,6 +328,10 @@ def _windowed_oracle(xs, ys, k, eps):
 
 
 def test_criterion_09_windowed_average_correctness():
+    # The defining scan on short histories, then the one-pass fast path
+    # on histories of up to four 64-row blocks, with step sizes from
+    # 0.01 to 0.3 so that windows reach back into earlier blocks and
+    # blocks straddle the eps-sphere (the Gram-product test).
     rng = np.random.default_rng(9)
     worst = 0.0
     for _ in range(1000):
@@ -341,8 +346,28 @@ def test_criterion_09_windowed_average_correctness():
         want_avg, want_start = _windowed_oracle(xs, ys, k, eps)
         assert got_start == want_start
         worst = max(worst, float(np.max(np.abs(got_avg - want_avg))))
-    ok = worst <= 1e-12
-    _report(9, "windowed average correctness", ok, f"max deviation {worst:.2e}")
+
+    block = averaging._BLOCK_SIZE
+    fast_worst, walked_back = 0.0, 0
+    for _ in range(300):
+        length = int(rng.integers(1, 4 * block + 1))
+        dim = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 4))
+        step = 10 ** rng.uniform(-2.0, -0.5)
+        xs = np.cumsum(rng.standard_normal((length, dim)) * step, axis=0)
+        ys = rng.standard_normal((length, m))
+        ks = rng.integers(1, length + 1, size=3)
+        eps = float(rng.uniform(0.05, 2.0))
+        means, starts = windowed_averages(xs, ys, eps, ks)
+        for mean, start, k in zip(means, starts, ks.tolist()):
+            want_avg, want_start = _windowed_oracle(xs, ys, k, eps)
+            assert start == want_start
+            fast_worst = max(fast_worst, float(np.max(np.abs(mean - want_avg))))
+            walked_back += (start - 1) // block < (k - 1) // block
+    ok = worst <= 1e-12 and fast_worst <= 1e-12 and walked_back > 0
+    _report(9, "windowed average correctness", ok,
+            f"scan max deviation {worst:.2e}; fast path max deviation {fast_worst:.2e}, "
+            f"{walked_back} of 900 windows reach an earlier block")
 
 
 def test_criterion_10_curvature_threshold(instance):

@@ -97,6 +97,24 @@ def _assert_matches_scan(xs, ys, eps, ks=None):
     return starts
 
 
+def _spy_pair_tests(monkeypatch):
+    """Count the pairs that the Gram-product test and the exact test see."""
+    counts = {"gram": 0, "exact": 0}
+    gram, exact = averaging._gram_beyond, averaging._exact_beyond
+
+    def gram_spy(points, centre, here, eps):
+        counts["gram"] += len(points) * len(here)
+        return gram(points, centre, here, eps)
+
+    def exact_spy(points, here, eps):
+        counts["exact"] += len(points)
+        return exact(points, here, eps)
+
+    monkeypatch.setattr(averaging, "_gram_beyond", gram_spy)
+    monkeypatch.setattr(averaging, "_exact_beyond", exact_spy)
+    return counts
+
+
 class TestWindowedAverages:
     @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0, 4.0])
     def test_random_walk(self, eps):
@@ -222,6 +240,61 @@ class TestWindowedAverages:
         trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
         for eps in (0.01, 0.1, 1.0):
             _assert_matches_scan(trace.x, trace.y, eps)
+
+    def test_far_from_the_origin(self, monkeypatch):
+        # Coordinates near 1e6 with steps and eps near 1e-3: the squared
+        # norms about the origin are 1e12 and would cancel to nothing in
+        # a Gram product, so the test centres on each ball first.
+        counts = _spy_pair_tests(monkeypatch)
+        rng = np.random.default_rng(18)
+        xs = 1e6 + np.cumsum(rng.standard_normal((4 * BLOCK + 11, 3)) * 3e-4, axis=0)
+        ys = rng.standard_normal((len(xs), 2))
+        for eps in (5e-4, 1e-3, 2e-3):
+            _assert_matches_scan(xs, ys, eps)
+        assert counts["gram"] > 0
+
+    def test_pairs_the_gram_product_cannot_decide(self, monkeypatch):
+        # Jitter of 1e-3 about two points 2e4 apart: within a ball of
+        # radius 1e4 the Gram product cannot resolve eps near 1e-3, so
+        # the pairs go to the scan's own test.
+        counts = _spy_pair_tests(monkeypatch)
+        rng = np.random.default_rng(19)
+        count = 3 * BLOCK + 7
+        xs = 1e4 * (-1.0) ** np.arange(count)[:, None] + 1e-3 * rng.standard_normal((count, 2))
+        ys = rng.standard_normal((count, 1))
+        for eps in (1e-3, 3e-3):
+            _assert_matches_scan(xs, ys, eps)
+        assert counts["exact"] > 0
+
+    def test_history_with_a_nan_row(self):
+        # A NaN iterate is never farther than eps from anything (``nan >
+        # eps`` is false), and a NaN x_k keeps every point: the scan's
+        # reading, which the fast path must give even when a NaN block
+        # centre leaves every Gram product undecided.
+        rng = np.random.default_rng(20)
+        xs = np.cumsum(rng.standard_normal((4 * BLOCK + 3, 2)) * 0.05, axis=0)
+        ys = rng.standard_normal((len(xs), 2))
+        for row in (0, BLOCK + 5, 2 * BLOCK, len(xs) - 1):
+            holed = xs.copy()
+            holed[row, row % 2] = np.nan
+            for eps in (0.1, 0.4):
+                _assert_matches_scan(holed, ys, eps)
+
+    def test_gram_product_decides_almost_every_pair(self, bundled_instance, monkeypatch):
+        # A certificate that always fell back to the exact test would
+        # still give the right starts, only slowly; this guard fails it.
+        from stochsqp import MeritParams, SolverConfig, run
+
+        problem = bundled_instance.problem()
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+                              batch_size=16, max_iters=3200, seed=0)
+        trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
+        counts = _spy_pair_tests(monkeypatch)
+        for eps in (0.01, 0.1, 1.0):
+            _assert_matches_scan(trace.x, trace.y, eps)
+        assert counts["gram"] > 10**5
+        assert counts["exact"] * 10**4 <= counts["gram"]
 
     def test_validation(self):
         xs, ys = np.zeros((4, 2)), np.zeros((4, 1))
