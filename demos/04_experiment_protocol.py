@@ -29,9 +29,10 @@ config = ExperimentConfig(
 )
 result = run_experiment(config)
 
-print(f"reference: residual {result.reference.residual:.1e} after "
-      f"{result.reference.iterations} iterations, the last "
-      f"{result.reference.newton_steps} of them Newton steps")
+reference = result.reference
+print(f"reference: residual {reference.residual:.1e} at iterate {reference.iterations}, "
+      f"after {reference.newton_steps} Newton and "
+      f"{reference.iterations - 1 - reference.newton_steps} identity-model steps")
 print(f"\nfiles in {out}/:")
 for path in sorted(result.out_dir.iterdir()):
     print(f"  {path.name}")

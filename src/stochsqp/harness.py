@@ -30,25 +30,26 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import __version__, kkt
 from .averaging import prefix_sums, window_means, window_starts
-from .errors import ConfigError, CurvatureError, RankError, ReferenceSolveError, StochSqpError
+from .errors import (
+    ConfigError, CurvatureError, EvaluationError, RankError, ReferenceSolveError, StochSqpError,
+)
 from .kkt import null_space_basis, solve_kkt
 from .logreg import INSTANCE_SEED, M_LIN, ConstrainedLogRegInstance, build_instance
 from .logreg import load_bundled_dataset, load_libsvm_file
-from .merit import MeritParams
+from .merit import MeritParams, phi, reduction_from_products, tau_trial_from_products
 from .problem import Array, Problem, exact_oracle
 from .solver import (
-    BetaSchedule, Iteration, SolverConfig, Trace, ValidationSummary, _evaluate, iterate,
-    kkt_residual, run,
+    BetaSchedule, SolverConfig, Trace, ValidationSummary, _evaluate, kkt_residual, run, step_size,
 )
 
-# The benchmark's traced mode (perfbench/spans.py) looks these names up
-# in this module's namespace to wrap them, so they stay bound here
-# although nothing in this module calls them.
+# The benchmark's traced mode (perfbench/spans.py) looks this name up
+# in this module's namespace to wrap it, so it stays bound here
+# although nothing in this module calls it.
 from .averaging import windowed_average  # noqa: F401
-from .solver import step_size  # noqa: F401
 
 CSV_FLOAT_FMT = "%.17g"
 _CSV_CHUNK_ROWS = 1024
@@ -59,23 +60,24 @@ _CSV_CHUNK_ROWS = 1024
 # ---------------------------------------------------------------------------
 
 
-#: Residual at which the reference solve tries Newton steps on the KKT
-#: system, when the problem supplies a Lagrangian Hessian.
-NEWTON_SWITCH_RESIDUAL = 1.0
-#: Newton steps allowed before the reference solve falls back to the
-#: first-order loop.
-NEWTON_MAX_STEPS = 20
 #: Iterations the reference solve takes before it gives up.
 REFERENCE_MAX_ITERS = 50_000
+#: Fraction of the predicted merit reduction a Newton step must achieve
+#: (the Armijo test of the reference solve's line search).
+_ARMIJO = 1e-4
+#: Shortest Newton step the line search tries before the reference
+#: solve takes an identity-model step instead.
+_MIN_STEP = 2.0**-10
 
 
 @dataclass(frozen=True)
 class ReferenceSolution:
     """Reference pair ``(x, y)`` with its first-order residual.
 
-    ``iterations`` counts every step taken; the last ``newton_steps`` of
-    them are Newton steps (0 when the first-order loop reached the
-    tolerance on its own).
+    ``iterations`` is the index of the returned iterate, ``x0`` being
+    iterate 1, so ``iterations - 1`` steps led to it; ``newton_steps``
+    of them are Newton steps, the others identity-model steps (all of
+    them without a ``lagrangian_hessian``).
     """
 
     x: Array
@@ -94,45 +96,30 @@ def compute_reference(
 ) -> ReferenceSolution:
     """Exact-gradient solve to high accuracy, with a second-order check.
 
-    Runs :func:`stochsqp.solver.iterate` with the exact gradient and
-    constant unit damping (valid without gradient noise) until the
-    first-order residual drops below ``tol``, for at most
-    ``REFERENCE_MAX_ITERS`` iterations.
-
-    When the problem has a ``lagrangian_hessian``, the first iterate
-    whose residual is at most ``NEWTON_SWITCH_RESIDUAL`` starts one
-    attempt of Newton's method on the KKT system (local SQP with the
-    exact Lagrangian Hessian, Nocedal & Wright, *Numerical Optimization*,
-    2nd ed., section 18.1).  The attempt returns the first Newton iterate
-    with residual at most ``tol``; the residual need not fall at every
-    step.  It gives up after ``NEWTON_MAX_STEPS`` steps, on a non-finite
-    value, or when a step raises :class:`RankError` or
-    :class:`CurvatureError`.  The first-order loop then continues where
-    it stopped, exactly as without a Hessian.
+    Returns the first iterate, of at most ``REFERENCE_MAX_ITERS``, whose
+    first-order residual is at most ``tol``.  With a
+    ``lagrangian_hessian``, each step from ``x0`` on is a Newton step on
+    the KKT system, globalized by a backtracking line search on
+    :func:`stochsqp.merit.phi` (Nocedal & Wright, *Numerical
+    Optimization*, 2nd ed., Algorithm 18.3; see :func:`_newton_step`),
+    after which the pair is ``(x + alpha d, y_new)``.  Without one, or
+    where that step fails, the step is the one
+    :func:`stochsqp.solver.iterate` takes with the exact gradient and
+    constant unit damping (valid without gradient noise), and the next
+    iterate is paired with its own multiplier.  So a problem whose
+    Hessian never yields an accepted step gets the iterates of
+    :func:`~stochsqp.solver.iterate` bit for bit.
 
     The candidate must then pass :func:`_check_second_order`, which
     rejects saddle points and constrained maxima.
     """
-    config = SolverConfig(
-        merit=merit,
-        lip_gradf=lip_gradf,
-        lip_jac=lip_jac,
-        beta=BetaSchedule("constant"),
-        max_iters=REFERENCE_MAX_ITERS,
-    )
-    newton_pending = problem.lagrangian_hessian is not None
+    if problem.x0 is None:
+        raise ConfigError("problem must supply an initial point x0")
     best = math.inf
-    for step in iterate(problem, exact_oracle(problem), config):
-        residual = kkt_residual(step.g, step.jac, step.c, step.sol.y)
-        best = min(best, residual)
-        if residual <= tol:
-            reference = ReferenceSolution(step.x, step.sol.y, residual, step.k)
+    for reference in _reference_iterates(problem, merit, lip_gradf, lip_jac):
+        if reference.residual <= tol:
             break
-        if newton_pending and residual <= NEWTON_SWITCH_RESIDUAL:
-            newton_pending = False
-            reference = _newton_kkt(problem, step, tol)
-            if reference is not None:
-                break
+        best = min(best, reference.residual)
     else:
         raise ReferenceSolveError(
             f"reference solve did not reach {tol:g} in {REFERENCE_MAX_ITERS} iterations "
@@ -142,29 +129,73 @@ def compute_reference(
     return reference
 
 
-def _newton_kkt(problem: Problem, start: Iteration, tol: float) -> ReferenceSolution | None:
-    """Newton's method on the KKT system from a loop iterate, or ``None``.
+def _reference_iterates(problem, merit, lip_gradf, lip_jac):
+    """The reference candidates, one per iterate from ``x0`` on.
 
-    Each step solves the subproblem with the Lagrangian Hessian at
-    ``(x, y)``, symmetrized as :func:`_check_second_order` does, and
-    moves to ``(x + d, y_new)``.
+    Each step is a Newton step where :func:`_newton_step` gives one and
+    otherwise the identity-model step.  Evaluation and rank failures
+    carry the iterate index, as in :func:`stochsqp.solver.iterate`.
     """
-    x, y, grad, jac, c = start.x, start.sol.y, start.g, start.jac, start.c
-    for steps in range(1, NEWTON_MAX_STEPS + 1):
-        hess = np.asarray(problem.lagrangian_hessian(x, y), dtype=float)
-        if not np.all(np.isfinite(hess)):
-            return None
-        try:
-            sol = solve_kkt(0.5 * (hess + hess.T), jac, grad, c)
-        except (RankError, CurvatureError):
-            return None
-        x, y = x + sol.d, sol.y
+    alpha = step_size(merit.tau, merit.xi, lip_gradf, lip_jac, 1.0)  # the identity-model step's
+    x = np.array(problem.x0, dtype=float)
+    y = f = None  # after a Newton step, its multiplier and the objective at x
+    tau, newton_steps = merit.tau, 0
+    for k in range(1, REFERENCE_MAX_ITERS + 1):
         grad, jac, c = _evaluate(problem, x)
-        residual = kkt_residual(grad, jac, c, y)
-        if not (math.isfinite(residual) and np.all(np.isfinite(x))):
-            return None
-        if residual <= tol:
-            return ReferenceSolution(x, y, residual, start.k + steps, newton_steps=steps)
+        try:
+            if not (np.isfinite(c).all() and np.isfinite(jac).all() and np.isfinite(grad).all()):
+                raise EvaluationError("problem evaluator returned a non-finite value")
+            identity = kkt.solve_with_factors(kkt.factor_jacobian(jac), grad, c)
+        except (RankError, EvaluationError) as exc:
+            raise type(exc)(f"iteration {k}: {exc}") from exc
+        if y is None:
+            y = identity.y
+        yield ReferenceSolution(x, y, kkt_residual(grad, jac, c, y), k, newton_steps)
+
+        step = _newton_step(problem, merit.nu, tau, x, y, f, grad, jac, c)
+        if step is None:
+            x, y, f = x + alpha * identity.d, None, None
+            if not np.isfinite(x).all():
+                raise EvaluationError(f"iteration {k}: iterate became non-finite")
+        else:
+            x, y, f, tau = step
+            newton_steps += 1
+
+
+def _newton_step(problem, nu, tau, x, y, f, grad, jac, c):
+    """One Newton step from ``(x, y)`` with a backtracking line search.
+
+    The subproblem is solved with the symmetric part of the Lagrangian
+    Hessian ``H`` at ``(x, y)``.  The merit parameter is lowered to
+    ``min(tau, tau_trial)``, and the step length halves from 1 until
+    ``phi`` falls by ``_ARMIJO`` times the length times the model
+    reduction.  Returns ``(x_new, y_new, f(x_new), tau)``, or ``None``
+    when the problem has no ``lagrangian_hessian``, ``H`` is not finite,
+    ``z' H z`` is not positive definite or the length falls below
+    ``_MIN_STEP``.  ``f`` is the objective at ``x``,
+    ``None`` if not evaluated yet.
+    """
+    if problem.lagrangian_hessian is None:
+        return None
+    hess = np.asarray(problem.lagrangian_hessian(x, y), dtype=float)
+    if not np.isfinite(hess).all():
+        return None
+    hess = 0.5 * (hess + hess.T)
+    try:
+        sol = solve_kkt(hess, jac, grad, c)
+    except CurvatureError:
+        return None
+    gd, dhd, l1 = float(grad @ sol.d), float(sol.d @ hess @ sol.d), float(np.abs(c).sum())
+    tau = min(tau, float(tau_trial_from_products(nu, gd, dhd, l1)))
+    predicted = float(reduction_from_products(tau, gd, dhd, l1))
+    start = phi(tau, problem.objective(x) if f is None else f, c)
+    alpha = 1.0
+    while alpha >= _MIN_STEP:
+        trial = x + alpha * sol.d
+        f_trial = float(problem.objective(trial))
+        if phi(tau, f_trial, problem.constraints(trial)) <= start - _ARMIJO * alpha * predicted:
+            return trial, sol.y, f_trial, tau
+        alpha *= 0.5
     return None
 
 
@@ -464,10 +495,17 @@ def _check_replicate_fits(config: ExperimentConfig, n: int, m: int) -> None:
     np.empty((config.iters, Trace.floats_per_iteration(n, m, config.validate)))
 
 
+#: Environment variables that cap the BLAS and OpenMP thread pools;
+#: ``config.json`` records each as set, or ``null``.
+_THREAD_CAPS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full protocol and write all output files.
 
-    Writes, inside ``config.out``: ``config.json`` (resolved settings),
+    Writes, inside ``config.out``: ``config.json`` (resolved settings,
+    library versions, CPU count, thread caps and the reference solve's
+    wall time in seconds),
     ``reference.json``, ``columns.txt``, one ``trace_seed<seed>.csv``
     per replicate, and ``summary.json``.
     """
@@ -479,7 +517,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     problem = instance.problem()
     lip_gradf, lip_jac = instance.lipschitz_bounds()
+    started = time.perf_counter()
     reference = compute_reference(problem, config.merit(), lip_gradf, lip_jac, tol=config.ref_tol)
+    reference_seconds = time.perf_counter() - started
 
     echo = asdict(config)
     echo.update(
@@ -490,6 +530,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "instance_n": instance.n,
             "instance_m": instance.m,
             "package_version": __version__,
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "thread_caps": {name: os.environ.get(name) for name in _THREAD_CAPS},
+            "reference_seconds": reference_seconds,
         }
     )
     _write_json(out_dir / "config.json", echo, sort_keys=True)
@@ -681,7 +726,7 @@ def main(argv=None) -> int:
 
     reference = result.reference
     print(f"reference residual {reference.residual:.3e} after "
-          f"{reference.iterations - reference.newton_steps} first-order + "
+          f"{reference.iterations - 1 - reference.newton_steps} first-order + "
           f"{reference.newton_steps} Newton iterations")
     for summary in result.summaries:
         print(

@@ -8,11 +8,11 @@ runs; the built-in power family ``beta1 * k**-p`` enforces
 ``1/2 < p <= 1``.  A constant schedule is also provided but is accepted
 only with an oracle declared exact, where the square-summability
 requirement plays no role and the fixed step gives plain linear
-convergence for reference solves.
+convergence; the reference solve in :mod:`stochsqp.harness` takes that
+step wherever it takes no Newton step.
 
 :func:`iterate` is the iteration itself.  :func:`run` records a trace
-from it, and the reference solve in :mod:`stochsqp.harness` runs it with
-exact gradients until the first-order residual is small.
+from it.
 
 In validation mode the loop additionally solves the subproblem with the
 exact gradient (the "shadow" solve).  Inside the loop :func:`run` keeps
@@ -281,10 +281,10 @@ def iterate(
 ) -> Iterator[Iteration]:
     """The SQP iteration: one :class:`Iteration` per step, up to ``max_iters``.
 
-    Shared by :func:`run` and the reference solve, which stops pulling
-    once its residual is small.  The objective is never evaluated here;
-    consumers that record it evaluate it themselves.  A rank failure of
-    the Jacobian aborts with the iterate index attached; a
+    Consumed by :func:`run`; a caller may stop pulling early.  The
+    objective is never evaluated here; consumers that record it evaluate
+    it themselves.  A rank failure of the Jacobian aborts with the
+    iterate index attached; a
     non-finite constraint, Jacobian, gradient or iterate aborts with
     :class:`EvaluationError`.
     """

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from stochsqp import (
     BetaSchedule,
@@ -87,8 +88,7 @@ class TestComputeReference:
         newton = compute_reference(problem, MeritParams(), lip_gradf, lip_jac)
         plain = compute_reference(dataclasses.replace(problem, lagrangian_hessian=None),
                                   MeritParams(), lip_gradf, lip_jac)
-        assert 0 < newton.newton_steps <= harness.NEWTON_MAX_STEPS
-        assert newton.iterations < plain.iterations
+        assert 0 < newton.newton_steps < newton.iterations <= 30 < plain.iterations
         assert newton.residual <= 1e-8
         assert np.linalg.norm(newton.x - plain.x) <= 1e-6 * np.linalg.norm(plain.x)
         assert np.linalg.norm(newton.y - plain.y) <= 1e-7
@@ -109,6 +109,32 @@ class TestComputeReference:
         assert np.linalg.norm(ref.x - x_star) <= 1e-12
         assert np.linalg.norm(ref.y - y_star) <= 1e-12
 
+    def test_line_search_backtracks_and_falls_back_on_the_sphere(self):
+        # At (0.3, 1) the identity-model multiplier is -0.117, so the
+        # first Hessian 2 y I is indefinite; later, some full Newton
+        # steps raise the merit function and the line search shortens
+        # them.
+        gradient_at, objective_at = [], []
+        toy = sphere_problem()
+
+        def objective(x):
+            objective_at.append(tuple(x))
+            return toy.objective(x)
+
+        def gradient(x):
+            gradient_at.append(tuple(x))
+            return toy.gradient(x)
+
+        problem = dataclasses.replace(toy, objective=objective, gradient=gradient,
+                                      lagrangian_hessian=lambda x, y: 2.0 * y[0] * np.eye(2))
+        ref = compute_reference(problem, MeritParams(), 0.5, 2.0, tol=1e-12)
+        # Every iterate has its gradient evaluated once; a rejected trial
+        # point has only its objective.
+        assert set(objective_at) - set(gradient_at)
+        assert 0 < ref.newton_steps < ref.iterations - 1  # identity-model steps too
+        assert np.linalg.norm(ref.x - [-1.0, 0.0]) <= 1e-12
+        assert abs(ref.y[0] - 0.5) <= 1e-12
+
     def test_newton_takes_a_hessian_with_rounding_level_skew(self):
         # solve_kkt rejects a skew of 1e-9 here; the Newton step solves
         # with the symmetric part, as the second-order check uses it.
@@ -120,30 +146,30 @@ class TestComputeReference:
         assert ref.newton_steps >= 1
         assert ref.residual <= tol
 
-    @pytest.mark.parametrize("which, calls", [
-        ("indefinite", 1),  # CurvatureError at the first step
-        ("non-finite", 1),
-        ("too-weak", harness.NEWTON_MAX_STEPS),  # tiny steps use up the budget
+    @pytest.mark.parametrize("which", [
+        "indefinite",  # CurvatureError at every step
+        "non-finite",
+        "rejected",  # steps about 1e6 too long: the line search reaches its floor
     ])
-    def test_failed_attempt_falls_back_bit_for_bit(self, bundled_instance, which, calls):
+    def test_failed_attempt_falls_back_bit_for_bit(self, bundled_instance, which):
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        value = {"indefinite": -1.0, "non-finite": np.nan, "too-weak": 1e3}[which]
+        plain = compute_reference(dataclasses.replace(problem, lagrangian_hessian=None),
+                                  MeritParams(), lip_gradf, lip_jac)
+        value = {"indefinite": -1.0, "non-finite": np.nan, "rejected": 1e-6}[which]
         made = []
 
         def hessian(x, y):
-            # The Newton attempt gets the fake; the final second-order
-            # check gets the true Hessian.
+            # Each of the plain.iterations - 1 steps gets the fake; the
+            # final second-order check gets the true Hessian.
             made.append(1)
-            if len(made) > calls:
+            if len(made) >= plain.iterations:
                 return problem.lagrangian_hessian(x, y)
             return value * np.eye(problem.n)
 
         fallback = compute_reference(dataclasses.replace(problem, lagrangian_hessian=hessian),
                                      MeritParams(), lip_gradf, lip_jac)
-        plain = compute_reference(dataclasses.replace(problem, lagrangian_hessian=None),
-                                  MeritParams(), lip_gradf, lip_jac)
-        assert len(made) == calls + 1
+        assert len(made) == plain.iterations
         assert fallback.newton_steps == 0
         assert np.array_equal(fallback.x, plain.x)
         assert np.array_equal(fallback.y, plain.y)
@@ -152,7 +178,7 @@ class TestComputeReference:
     def test_a9a_shaped_reference_takes_newton_steps(self, a9a_shaped_instance):
         lip_gradf, lip_jac = a9a_shaped_instance.lipschitz_bounds()
         ref = compute_reference(a9a_shaped_instance.problem(), MeritParams(), lip_gradf, lip_jac)
-        assert ref.newton_steps > 0
+        assert 0 < ref.newton_steps < ref.iterations <= 30
         assert ref.residual <= 1e-8
 
     @pytest.mark.parametrize("hessian", [None, lambda x, y: 2.0 * y[0] * np.eye(2)],
@@ -165,8 +191,9 @@ class TestComputeReference:
             compute_reference(problem, MeritParams(), 0.5, 2.0)
 
     def test_non_finite_hessian_at_the_candidate_is_rejected(self):
-        # The Newton attempt gives up on the NaN, the first-order loop
-        # converges, and the check at its candidate meets the NaN again.
+        # Every Newton attempt gives up on the NaN, the identity-model
+        # steps converge, and the check at their candidate meets the NaN
+        # again.
         problem = dataclasses.replace(
             sphere_problem(), lagrangian_hessian=lambda x, y: np.full((2, 2), np.nan))
         with pytest.raises(ReferenceSolveError, match="not finite"):
@@ -244,6 +271,20 @@ class TestRunExperiment:
         assert echo["seeds"] == [1, 2]
         assert echo["resolved_lip_jac"] == 2.0
         assert echo["instance_n"] == 30
+
+    def test_config_records_provenance(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run_experiment(ExperimentConfig(reference_only=True, out=str(tmp_path)))
+        text = (tmp_path / "config.json").read_text()
+        echo = json.loads(text, parse_constant=lambda name: pytest.fail(f"bare {name}"))
+        assert echo["numpy_version"] == np.__version__
+        assert echo["scipy_version"] == scipy.__version__
+        assert echo["cpu_count"] == os.cpu_count()
+        assert echo["thread_caps"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+        assert 0 < echo["reference_seconds"] < 60
 
     def test_seeds_differ_only_in_noise(self, small_run):
         config, result = small_run
@@ -652,7 +693,8 @@ class TestCli:
     def test_reference_line_splits_the_step_count(self, tmp_path, capsys):
         assert main(["--reference-only", "--out", str(tmp_path)]) == 0
         saved = json.loads((tmp_path / "reference.json").read_text())
-        first_order = saved["iterations"] - saved["newton_steps"]
+        # iterations counts x0, so one fewer step led to the reference.
+        first_order = saved["iterations"] - 1 - saved["newton_steps"]
         assert capsys.readouterr().out.splitlines()[0] == (
             f"reference residual {saved['residual']:.3e} after {first_order} first-order "
             f"+ {saved['newton_steps']} Newton iterations"
