@@ -57,7 +57,6 @@ from .logreg import (
 from .merit import (
     MeritParams,
     check_reduction_lbnd,
-    model_q,
     phi,
     reduction_delta_q,
     tau_trial_true,

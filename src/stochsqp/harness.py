@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -489,10 +490,10 @@ def _load_instance(config: ExperimentConfig) -> ConstrainedLogRegInstance:
 
 
 def _check_replicate_fits(config: ExperimentConfig, n: int, m: int) -> None:
-    """Raise :class:`MemoryError` if one replicate's trace cannot be
-    allocated.  ``np.empty`` reserves address space without touching a
-    page, so the check costs no resident memory."""
-    np.empty((config.iters, Trace.floats_per_iteration(n, m, config.validate)))
+    """Raise :class:`MemoryError` if one replicate's trace and step schedule
+    (``beta`` and ``alpha``, 2 floats per iteration) cannot be allocated.
+    ``np.empty`` reserves address space without touching a page."""
+    np.empty((config.iters, Trace.floats_per_iteration(n, m, config.validate) + 2))
 
 
 #: Environment variables that cap the BLAS and OpenMP thread pools;
@@ -621,14 +622,15 @@ def parse_config_file(path) -> dict:
     """Read a plain ``key=value`` file mirroring the CLI flags.
 
     Keys use flag names (dashes or underscores); ``seed`` and ``eps``
-    take comma-separated lists; booleans accept true/false/1/0.  Unknown
+    take comma-separated lists; booleans accept true/false/1/0.  A ``#``
+    starts a comment only at a line's start or after whitespace.  Unknown
     keys and empty values are rejected.  The result maps :class:`ExperimentConfig`
     field names (``seeds``, ``eps_grid``, ...) to the values the file sets.
     """
     known = {"dataset", "out"} | _FLAG_KEYS | _CASTS.keys()
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

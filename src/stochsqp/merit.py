@@ -98,20 +98,11 @@ def lbnd_from_products(tau: float, nu: float, gd, dhd, l1):
     return slack >= -1e-10 * (1.0 + np.abs(lhs)), slack
 
 
-def model_q(
-    tau: float, f: float, c: Array, jac: Array, grad: Array, hess: Array | None, d: Array
-) -> float:
-    """Local merit model ``tau (f + g'd + max(d'hd, 0)/2) + ||c + jac d||_1``."""
-    return tau * (f + float(grad @ d) + 0.5 * float(_clamp(_dhd(hess, d)))) + float(
-        np.abs(c + jac @ d).sum()
-    )
-
-
 def reduction_delta_q(tau: float, c: Array, grad: Array, hess: Array | None, d: Array) -> float:
     """Model reduction ``-tau (g'd + max(d'hd, 0)/2) + ||c||_1``.
 
-    Equals ``model_q`` at zero minus ``model_q`` at ``d`` whenever the
-    step satisfies the linearized constraint ``c + jac d = 0``.
+    Equals ``q(0) - q(d)`` for the local model ``q`` whenever the step
+    satisfies the linearized constraint ``c + jac d = 0``.
     """
     return float(
         reduction_from_products(tau, float(grad @ d), _dhd(hess, d), float(np.abs(c).sum()))

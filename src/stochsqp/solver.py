@@ -12,7 +12,8 @@ convergence; the reference solve in :mod:`stochsqp.harness` takes that
 step wherever it takes no Newton step.
 
 :func:`iterate` is the iteration itself.  :func:`run` records a trace
-from it.
+from it.  The step schedule is a function of ``k`` and the config, so
+:func:`iterate` computes it once and the trace recomputes it on read.
 
 In validation mode the loop additionally solves the subproblem with the
 exact gradient (the "shadow" solve).  Inside the loop :func:`run` keeps
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -64,26 +65,29 @@ from .merit import (  # noqa: F401
 )
 
 
-def step_size(tau: float, xi: float, lip_gradf: float, lip_jac: float, beta_k: float) -> float:
+@np.errstate(all="ignore")
+def step_size(tau: float, xi: float, lip_gradf: float, lip_jac: float, beta):
     """Step length ``beta_k * tau * xi / (tau * lip_gradf + lip_jac)``.
 
-    The formula does not guarantee a value in (0, 1]; callers that care
-    should inspect the result (the run summary counts values above 1).
-    Inputs so large that the quotient overflows or underflows raise
+    ``beta`` is one ``beta_k`` (the result is a float) or an array of
+    them (an array, each element with the scalar's bits).  The formula
+    does not guarantee a value in (0, 1]; the run summary counts values
+    above 1.  A quotient that overflows or underflows raises
     :class:`ValueError`.
     """
     for label, value in (("tau", tau), ("xi", xi), ("lip_gradf", lip_gradf), ("lip_jac", lip_jac)):
         if not value > 0:
             raise ValueError(f"{label} must be > 0")
-    if not 0 < beta_k <= 1:
+    betas = np.asarray(beta, dtype=float)
+    if not ((0 < betas) & (betas <= 1)).all():
         raise ValueError("beta_k must lie in (0, 1]")
-    alpha = beta_k * tau * xi / (tau * lip_gradf + lip_jac)
-    if not 0 < alpha < math.inf:
-        raise ValueError(
-            f"step size {alpha!r} is not positive and finite for tau={tau!r}, xi={xi!r}, "
-            f"lip_gradf={lip_gradf!r}, lip_jac={lip_jac!r}, beta_k={beta_k!r}"
+    alphas = betas * tau * xi / (tau * lip_gradf + lip_jac)
+    if not (ok := (0 < alphas) & (alphas < math.inf)).all():
+        raise ValueError(  # names the first step that fails
+            f"step size {alphas[~ok].item(0)!r} is not positive and finite for tau={tau!r}, "
+            f"xi={xi!r}, lip_gradf={lip_gradf!r}, lip_jac={lip_jac!r}, beta={betas[~ok].item(0)!r}"
         )
-    return alpha
+    return alphas if alphas.ndim else float(alphas)
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,13 @@ class BetaSchedule:
                 "power schedule needs 1/2 < p <= 1 to be unsummable but square-summable"
             )
 
-    def __call__(self, k: int) -> float:
-        if k < 1:
-            raise ValueError("iteration index starts at 1")
+    def sequence(self, iters: int) -> Array:
+        """``beta_1, ..., beta_iters``, each the scalar ``beta1 * float(k) ** -p``
+        of Python's ``pow`` (numpy's vector power can differ in the last bit)."""
         if self.family == "constant":
-            return self.beta1
-        return self.beta1 * float(k) ** (-self.p)
+            return np.full(iters, self.beta1)
+        beta1, p = self.beta1, self.p
+        return np.fromiter((beta1 * float(k) ** -p for k in range(1, iters + 1)), float, iters)
 
 
 @dataclass
@@ -150,7 +155,7 @@ class SolverConfig:
 
 
 class Trace:
-    """Struct-of-arrays iteration history.
+    """Struct-of-arrays history of a run of ``config.max_iters`` iterations.
 
     ``len(trace)`` is the iteration count; row ``i`` of every array
     (``trace.x``, ``trace.y``, ``trace.alpha``, ...) belongs to iteration
@@ -159,34 +164,43 @@ class Trace:
     other per-iterate vectors (gradient estimate, step and its parts)
     are not kept; :func:`iterate` yields them.
 
-    The diagnostic columns (``norm_c``, ``dq_stoch``, ``xi_trial``,
-    ``tau_trial_true``, ``lbnd_slack``, ``resid_true``) are computed from
-    ``trace.ledger`` and ``trace.merit`` on each read.  The ledger starts
-    as NaN, so without validation the exact-gradient columns read NaN.
+    Only ``x``, ``y``, ``y_true`` and ``trace.ledger`` are stored.  On
+    each read, ``alpha`` and ``beta`` are computed from ``trace.config``,
+    and the diagnostic columns (``norm_c``, ``dq_stoch``, ``xi_trial``,
+    ``tau_trial_true``, ``lbnd_slack``, ``resid_true``) from the ledger
+    and ``trace.merit``.  The ledger starts as NaN, so without
+    validation the exact-gradient columns read NaN.
     """
 
     #: The inner products :func:`run` records per iteration, one ledger
     #: row each, in this order.
     _LEDGER = ("gd", "dd", "l1", "cc", "gd_true", "dd_true")
 
-    def __init__(self, n: int, m: int, iters: int, validate: bool, merit: MeritParams):
-        self.merit = merit
-        self.alpha = np.full(iters, np.nan)
-        self.beta = np.full(iters, np.nan)
+    def __init__(self, n: int, m: int, config: SolverConfig):
+        self.config = replace(config)  # a copy: the schedule columns read it
+        self.merit, iters = config.merit, config.max_iters
         self.ledger = np.full((len(self._LEDGER), iters), np.nan)
         self.x = np.empty((iters, n))
         self.y = np.empty((iters, m))
-        self.y_true = np.full((iters, m), np.nan) if validate else None
+        self.y_true = np.full((iters, m), np.nan) if config.validate else None
 
     def __len__(self) -> int:
-        return len(self.alpha)
+        return len(self.x)
 
     @classmethod
     def floats_per_iteration(cls, n: int, m: int, validate: bool) -> int:
-        """Float64 values one iteration of :func:`run` stores: ``alpha``,
-        ``beta``, the ledger rows, ``x``, ``y`` and, with ``validate``,
-        ``y_true``."""
-        return 2 + len(cls._LEDGER) + n + m * (1 + validate)
+        """Float64 values one iteration of :func:`run` stores: the ledger
+        rows, ``x``, ``y`` and, with ``validate``, ``y_true``."""
+        return len(cls._LEDGER) + n + m * (1 + validate)
+
+    @property
+    def beta(self) -> Array:
+        return self.config.beta.sequence(len(self))
+
+    @property
+    def alpha(self) -> Array:
+        config, merit = self.config, self.merit
+        return step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, self.beta)
 
     @property
     def norm_c(self) -> Array:
@@ -271,7 +285,6 @@ class Iteration(NamedTuple):
     g: Array
     factors: kkt.JacobianFactors
     sol: kkt.KktSolution
-    beta: float
     alpha: float
     x_next: Array
 
@@ -283,20 +296,21 @@ def iterate(
 
     Consumed by :func:`run`; a caller may stop pulling early.  The
     objective is never evaluated here; consumers that record it evaluate
-    it themselves.  A rank failure of the Jacobian aborts with the
-    iterate index attached; a
-    non-finite constraint, Jacobian, gradient or iterate aborts with
-    :class:`EvaluationError`.
+    it themselves.  The step lengths are computed and checked before the
+    first step.  A rank failure of the Jacobian aborts with the iterate
+    index attached; a non-finite constraint, Jacobian, gradient or
+    iterate aborts with :class:`EvaluationError`.
     """
     if problem.x0 is None:
         raise ConfigError("problem must supply an initial point x0")
     if config.beta.family == "constant" and not oracle.exact:
         raise ConfigError("constant beta schedule is reserved for exact-gradient runs")
 
-    merit = config.merit
+    alphas = step_size(config.merit.tau, config.merit.xi, config.lip_gradf, config.lip_jac,
+                       config.beta.sequence(config.max_iters))
     rng = np.random.default_rng(config.seed)
     x = np.array(problem.x0, dtype=float)
-    for k in range(1, config.max_iters + 1):
+    for k, alpha_k in enumerate(alphas, start=1):
         try:
             c = np.asarray(problem.constraints(x), dtype=float)
             jac = np.asarray(problem.jacobian(x), dtype=float)
@@ -308,10 +322,8 @@ def iterate(
         except (kkt.RankError, EvaluationError) as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
 
-        beta_k = config.beta(k)
-        alpha_k = step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, beta_k)
         x_next = x + alpha_k * sol.d
-        yield Iteration(k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next)
+        yield Iteration(k, x, c, jac, g, factors, sol, alpha_k, x_next)
         if not np.isfinite(x_next).all():
             raise EvaluationError(f"iteration {k}: iterate became non-finite")
         x = x_next
@@ -320,10 +332,10 @@ def iterate(
 def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig) -> RunResult:
     """Run the full iteration budget of :func:`iterate` and return the trace.
 
-    Each iteration records the iterate, the multipliers, the step length
-    and, in the trace's ledger, the inner products ``g'd``, ``d'd``,
-    ``||c||_1``, ``c'c`` and, with ``validate``, the exact-gradient
-    twins ``grad'd_true`` and ``d_true'd_true``.  ``wall_time`` excludes
+    Each iteration records the iterate, the multipliers and, in the
+    trace's ledger, the inner products ``g'd``, ``d'd``, ``||c||_1``,
+    ``c'c`` and, with ``validate``, the exact-gradient twins
+    ``grad'd_true`` and ``d_true'd_true``.  ``wall_time`` excludes
     the tallies, which :meth:`Trace.validation_summary` computes on call.
 
     Deterministic given the config seed.  Errors from :func:`iterate`
@@ -332,17 +344,13 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     so a caller that wants merit values computes ``merit.phi(tau, f(x),
     c(x))`` at the ``trace.x`` rows it needs.
     """
-    trace = Trace(problem.n, problem.m, config.max_iters, config.validate, config.merit)
+    trace = Trace(problem.n, problem.m, config)
     gd, dd, l1, cc, gd_true, dd_true = trace.ledger
     validate = config.validate
 
     start = time.perf_counter()
-    for k, x, c, _jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
-        problem, oracle, config
-    ):
+    for k, x, c, _jac, g, factors, sol, _alpha, x_next in iterate(problem, oracle, config):
         i = k - 1
-        trace.alpha[i] = alpha_k
-        trace.beta[i] = beta_k
         trace.x[i] = x
         trace.y[i] = sol.y
         gd[i] = g @ sol.d

@@ -4,10 +4,10 @@ The dense full-matrix KKT solve lives here (not in the library) so the
 null-space implementation is always checked against a second route.
 So do the other oracles only tests use: the exact-gradient subproblem
 solve, the least-squares multiplier, the slice mean that defines the
-running average, a Gaussian-noise gradient oracle, an empirical
-estimate of an oracle's variance, a central-difference check of
-declared derivatives, the per-token LIBSVM parser and the row-by-row
-diagnostics of a solver run.
+running average, the local merit model, a Gaussian-noise gradient
+oracle, an empirical estimate of an oracle's variance, a
+central-difference check of declared derivatives, the per-token LIBSVM
+parser and the row-by-row diagnostics of a solver run.
 """
 
 import io
@@ -29,7 +29,15 @@ from stochsqp import (
 )
 from stochsqp.logreg import Dataset
 from stochsqp.merit import check_reduction_lbnd, reduction_delta_q, tau_trial_true, xi_trial
-from stochsqp.solver import ValidationSummary, iterate, kkt_residual
+from stochsqp.solver import ValidationSummary, iterate, kkt_residual, step_size
+
+
+def model_q(tau, f, c, jac, grad, hess, d):
+    """Local merit model ``tau (f + g'd + max(d'hd, 0)/2) + ||c + jac d||_1``;
+    ``hess=None`` is the identity.  ``max`` is Python's: NaN and ``-0.0``
+    pass through."""
+    dhd = float(d @ d if hess is None else d @ (hess @ d))
+    return tau * (f + float(grad @ d) + 0.5 * max(dhd, 0.0)) + float(np.abs(c + jac @ d).sum())
 
 
 def dense_kkt_solve(hess, jac, grad, c):
@@ -179,11 +187,12 @@ def reference_parse_libsvm(source, n_features=None):
 def row_by_row_run(problem, oracle, config):
     """Independent oracle: ``solver.run`` with its diagnostics per row.
 
-    Consumes ``iterate`` and calls the vector merit helpers at every
-    iteration, tallying violations as it goes.  ``run`` must give a
-    trace with bitwise-equal columns, final iterate and summary, except
-    that its ``resid_true`` comes from the ledger and matches to
-    rounding.  Returns ``(columns, x_final, summary)``, ``columns``
+    Consumes ``iterate``, takes ``beta_k`` and ``alpha_k`` from the scalar
+    formulas (and checks that ``iterate`` stepped by that ``alpha_k``),
+    and calls the vector merit helpers at every iteration, tallying
+    violations as it goes.  ``run`` must give a trace with bitwise-equal
+    columns, final iterate and summary, except that its ``resid_true``
+    comes from the ledger and matches to rounding.  Returns ``(columns, x_final, summary)``, ``columns``
     mapping each trace column's name to its array (``y_true`` is
     ``None`` without validation).
     """
@@ -196,19 +205,23 @@ def row_by_row_run(problem, oracle, config):
     columns["y"] = np.empty((iters, problem.m))
     columns["y_true"] = np.full((iters, problem.m), np.nan) if validate else None
     summary = ValidationSummary() if validate else None
+    schedule = config.beta
 
-    for k, x, c, jac, g, factors, sol, beta_k, alpha_k, x_next in iterate(
-        problem, oracle, config
-    ):
+    for k, x, c, jac, g, factors, sol, alpha_k, x_next in iterate(problem, oracle, config):
         i = k - 1
+        if schedule.family == "constant":
+            beta_k = schedule.beta1
+        else:
+            beta_k = schedule.beta1 * float(k) ** -schedule.p
         row = {
-            "alpha": alpha_k,
+            "alpha": step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, beta_k),
             "beta": beta_k,
             "norm_c": math.sqrt(float(c @ c)),
             "dq_stoch": reduction_delta_q(merit.tau, c, g, None, sol.d),
             "x": x,
             "y": sol.y,
         }
+        assert alpha_k == row["alpha"], k
         row["xi_trial"] = xi_trial(merit.tau, row["dq_stoch"], sol.d)
         if validate:
             grad = np.asarray(problem.gradient(x), dtype=float)
@@ -230,7 +243,7 @@ def row_by_row_run(problem, oracle, config):
                     summary.first_tau_violation = k
             if merit.tau <= tau_tr and not holds:
                 summary.lbnd_violations += 1
-            if alpha_k > 1.0:
+            if row["alpha"] > 1.0:
                 summary.alpha_above_one += 1
         for name, value in row.items():
             columns[name][i] = value

@@ -24,7 +24,6 @@ from stochsqp import (
     iterate,
     kkt_residual,
     load_bundled_instance,
-    model_q,
     multiplier_operator,
     null_space_basis,
     reduction_delta_q,
@@ -40,7 +39,7 @@ from stochsqp import (
 from stochsqp import averaging, kkt
 from stochsqp.harness import compute_reference
 
-from conftest import dense_kkt_solve, estimate_variance, random_kkt_instance
+from conftest import dense_kkt_solve, estimate_variance, model_q, random_kkt_instance
 
 
 def _report(number, name, ok, detail=""):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -572,22 +573,30 @@ class TestCli:
         assert len(rows) == 6
 
     def test_config_file_with_flag_override(self, tmp_path):
+        # A "#" inside a value is kept; one after whitespace starts a comment.
+        data = tmp_path / "a#b.libsvm"
+        bundled = resources.files("stochsqp.data").joinpath("synthetic200.libsvm")
+        data.write_text(bundled.read_text())
+        out = tmp_path / "run#1"
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "# experiment settings\n"
-            "iters = 50\n"
+            "iters = 50  # note\n"
             "tau = 0.3\n"
             "thin = 25\n"
             "seed = 5, 6\n"
             "validate = true\n"
+            f"dataset = {data}\n"
+            f"out = {out}\t# the run directory\n"
         )
-        out = tmp_path / "out"
-        code = main(["--config", str(cfg), "--tau", "0.1", "--out", str(out)])
+        code = main(["--config", str(cfg), "--tau", "0.1"])
         assert code == 0
         echo = json.loads((out / "config.json").read_text())
         assert echo["iters"] == 50  # from file
         assert echo["tau"] == 0.1  # flag overrides file
         assert echo["seeds"] == [5, 6]
+        assert echo["dataset"] == str(data) and echo["out"] == str(out)
+        assert (out / "summary.json").exists()
 
     def test_flags_replace_file_lists(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -10,7 +10,6 @@ from stochsqp import (
     MeritParams,
     check_reduction_lbnd,
     factor_jacobian,
-    model_q,
     phi,
     reduction_delta_q,
     solve_kkt,
@@ -26,7 +25,7 @@ from stochsqp.merit import (
     xi_trial_from_products,
 )
 
-from conftest import random_kkt_instance
+from conftest import model_q, random_kkt_instance
 
 # Shared worked case: identity model matrix, jac=[1 0], grad=(1,1), c=0.5
 # gives the step d=(-0.5,-1) with multiplier -0.5.

@@ -33,12 +33,14 @@ from conftest import (
     sphere_problem,
     true_shadow,
 )
+from stochsqp import solver
 from stochsqp.solver import Trace
 
 
 class TestStepSize:
     def test_worked_value(self):
         alpha = step_size(0.1, 1.0, 1.0, 1.0, 1.0)
+        assert type(alpha) is float
         assert alpha == 1.0 * 0.1 * 1.0 / (0.1 * 1.0 + 1.0)
         assert alpha == pytest.approx(0.09090909090909091, abs=1e-15)
 
@@ -50,11 +52,14 @@ class TestStepSize:
         tau, xi, lip, jac = 0.1, 1.0, 3.0, 2.0
         assert step_size(tau, xi, lip, jac, 1.0) == tau * xi / (tau * lip + jac)
 
-    # The last two are valid inputs whose step size overflows (tau *
-    # lip_gradf is inf) or underflows to 0.
+    # The fifth and sixth are valid inputs whose step size overflows (tau *
+    # lip_gradf is inf) or underflows to 0; the last two are arrays with
+    # one bad element.
     @pytest.mark.parametrize("bad", [dict(tau=0.0), dict(xi=-1.0), dict(beta_k=0.0), dict(beta_k=1.5),
                                      dict(tau=1e308, lip_gradf=10.0),
-                                     dict(tau=1e-300, beta_k=1e-300)])
+                                     dict(tau=1e-300, beta_k=1e-300),
+                                     dict(beta_k=np.array([1.0, 1.5])),
+                                     dict(tau=1e-300, beta_k=np.array([1.0, 1e-300]))])
     def test_input_validation(self, bad):
         kwargs = dict(tau=0.1, xi=1.0, lip_gradf=1.0, lip_jac=1.0, beta_k=1.0)
         kwargs.update(bad)
@@ -62,12 +67,34 @@ class TestStepSize:
             step_size(kwargs["tau"], kwargs["xi"], kwargs["lip_gradf"],
                       kwargs["lip_jac"], kwargs["beta_k"])
 
+    def test_array_names_the_first_failing_step(self):
+        with pytest.raises(ValueError, match=r"^step size 0\.0 .* beta=1e-300$"):
+            step_size(1e-300, 1.0, 1.0, 1.0, np.array([1.0, 1e-300, 1e-310]))
+
 
 class TestBetaSchedule:
     def test_default_family(self):
-        beta = BetaSchedule()
-        assert beta(1) == 1.0
-        assert beta(4) == 0.25
+        beta = BetaSchedule().sequence(4)
+        assert beta[0] == 1.0
+        assert beta[3] == 0.25
+
+    @pytest.mark.parametrize("schedule", [BetaSchedule(p=0.51), BetaSchedule(p=1.0),
+                                          BetaSchedule("constant", beta1=0.3)],
+                             ids=["p=0.51", "p=1", "constant"])
+    def test_sequence_has_the_scalar_bits(self, schedule):
+        # numpy's vector power differs from the scalar one in the last bit
+        # for some k, so the sequence must be built from the scalar.
+        iters = 100_000
+        tau, xi, lip_gradf, lip_jac = 0.1, 1.0, 3.7, 2.3
+        if schedule.family == "constant":
+            scalar = [schedule.beta1] * iters
+        else:
+            scalar = [schedule.beta1 * float(k) ** -schedule.p for k in range(1, iters + 1)]
+        betas = schedule.sequence(iters)
+        assert betas.tobytes() == np.array(scalar).tobytes()
+        den = tau * lip_gradf + lip_jac
+        alphas = step_size(tau, xi, lip_gradf, lip_jac, betas)
+        assert alphas.tobytes() == np.array([b * tau * xi / den for b in scalar]).tobytes()
 
     def test_decay_exponent_contract(self):
         with pytest.raises(ConfigError):
@@ -175,6 +202,21 @@ class TestRun:
         alpha1, beta1 = trace.alpha[0], trace.beta[0]
         assert np.allclose(trace.alpha, trace.beta * alpha1 / beta1, rtol=1e-14)
         assert np.all(trace.alpha <= alpha1)
+
+    @pytest.mark.parametrize("iters", [1, 40])
+    def test_schedule_is_computed_once_per_run(self, monkeypatch, iters):
+        calls = []
+
+        def counting_step_size(*args):
+            calls.append(args)
+            return step_size(*args)
+
+        monkeypatch.setattr(solver, "step_size", counting_step_size)
+        problem = _worked_problem()
+        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0,
+                              max_iters=iters, validate=True)
+        trace = run(problem, exact_oracle(problem), config).trace
+        assert len(calls) == 1 and len(trace) == iters
 
     def test_stored_iterates_satisfy_update_exactly(self):
         problem = _worked_problem()
@@ -316,7 +358,7 @@ class TestLedger:
     @pytest.mark.parametrize("validate", [False, True])
     def test_trace_stores_floats_per_iteration(self, validate):
         n, m, iters = 30, 11, 7
-        trace = Trace(n, m, iters, validate, MeritParams())
+        trace = Trace(n, m, SolverConfig(max_iters=iters, validate=validate))
         stored = sum(a.nbytes for a in vars(trace).values() if isinstance(a, np.ndarray))
         assert stored == 8 * iters * Trace.floats_per_iteration(n, m, validate)
 
