@@ -33,18 +33,16 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, kkt
+from . import __version__
 from .averaging import prefix_sums, window_means, window_starts
-from .errors import (
-    ConfigError, CurvatureError, EvaluationError, RankError, ReferenceSolveError, StochSqpError,
-)
+from .errors import ConfigError, CurvatureError, EvaluationError, ReferenceSolveError, StochSqpError
 from .kkt import null_space_basis, solve_kkt
 from .logreg import INSTANCE_SEED, M_LIN, ConstrainedLogRegInstance, build_instance
 from .logreg import load_bundled_dataset, load_libsvm_file
 from .merit import MeritParams, phi, reduction_from_products, tau_trial_from_products
 from .problem import Array, Problem, exact_oracle
 from .solver import (
-    BetaSchedule, SolverConfig, Trace, ValidationSummary, _evaluate, kkt_residual, run, step_size,
+    BetaSchedule, SolverConfig, Trace, ValidationSummary, kkt_residual, run, step_size, subproblem,
 )
 
 # The benchmark's traced mode (perfbench/spans.py) looks this name up
@@ -98,60 +96,41 @@ def compute_reference(
     """Exact-gradient solve to high accuracy, with a second-order check.
 
     Returns the first iterate, of at most ``REFERENCE_MAX_ITERS``, whose
-    first-order residual is at most ``tol``.  With a
-    ``lagrangian_hessian``, each step from ``x0`` on is a Newton step on
-    the KKT system, globalized by a backtracking line search on
-    :func:`stochsqp.merit.phi` (Nocedal & Wright, *Numerical
-    Optimization*, 2nd ed., Algorithm 18.3; see :func:`_newton_step`),
-    after which the pair is ``(x + alpha d, y_new)``.  Without one, or
-    where that step fails, the step is the one
-    :func:`stochsqp.solver.iterate` takes with the exact gradient and
-    constant unit damping (valid without gradient noise), and the next
-    iterate is paired with its own multiplier.  So a problem whose
-    Hessian never yields an accepted step gets the iterates of
-    :func:`~stochsqp.solver.iterate` bit for bit.
+    first-order residual is at most ``tol`` (finite and positive).  Each
+    iterate is evaluated by :func:`stochsqp.solver.subproblem` with the
+    exact oracle.  With a ``lagrangian_hessian``, each step from ``x0``
+    on is a Newton step on the KKT system, globalized by a backtracking
+    line search on :func:`stochsqp.merit.phi` (Nocedal & Wright,
+    *Numerical Optimization*, 2nd ed., Algorithm 18.3; see
+    :func:`_newton_step`), after which the pair is ``(x + alpha d,
+    y_new)``.  Without one, or where that step fails, the step is that
+    subproblem's with constant unit damping (valid without gradient
+    noise), and the next iterate is paired with its own multiplier.  So
+    a problem whose Hessian never yields an accepted step gets the
+    iterates of :func:`~stochsqp.solver.iterate` bit for bit: both take
+    the same step function.
 
     The candidate must then pass :func:`_check_second_order`, which
     rejects saddle points and constrained maxima.
     """
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and > 0, got {tol}")
     if problem.x0 is None:
         raise ConfigError("problem must supply an initial point x0")
-    best = math.inf
-    for reference in _reference_iterates(problem, merit, lip_gradf, lip_jac):
-        if reference.residual <= tol:
-            break
-        best = min(best, reference.residual)
-    else:
-        raise ReferenceSolveError(
-            f"reference solve did not reach {tol:g} in {REFERENCE_MAX_ITERS} iterations "
-            f"(best residual {best:.3e})"
-        )
-    _check_second_order(problem, reference.x, reference.y)
-    return reference
-
-
-def _reference_iterates(problem, merit, lip_gradf, lip_jac):
-    """The reference candidates, one per iterate from ``x0`` on.
-
-    Each step is a Newton step where :func:`_newton_step` gives one and
-    otherwise the identity-model step.  Evaluation and rank failures
-    carry the iterate index, as in :func:`stochsqp.solver.iterate`.
-    """
+    oracle = exact_oracle(problem)  # draws nothing, so it needs no generator
     alpha = step_size(merit.tau, merit.xi, lip_gradf, lip_jac, 1.0)  # the identity-model step's
     x = np.array(problem.x0, dtype=float)
     y = f = None  # after a Newton step, its multiplier and the objective at x
-    tau, newton_steps = merit.tau, 0
+    tau, newton_steps, best = merit.tau, 0, math.inf
     for k in range(1, REFERENCE_MAX_ITERS + 1):
-        grad, jac, c = _evaluate(problem, x)
-        try:
-            if not (np.isfinite(c).all() and np.isfinite(jac).all() and np.isfinite(grad).all()):
-                raise EvaluationError("problem evaluator returned a non-finite value")
-            identity = kkt.solve_with_factors(kkt.factor_jacobian(jac), grad, c)
-        except (RankError, EvaluationError) as exc:
-            raise type(exc)(f"iteration {k}: {exc}") from exc
+        c, jac, grad, _, identity = subproblem(problem, oracle, 1, None, x, k)
         if y is None:
             y = identity.y
-        yield ReferenceSolution(x, y, kkt_residual(grad, jac, c, y), k, newton_steps)
+        residual = kkt_residual(grad, jac, c, y)
+        if residual <= tol:
+            _check_second_order(problem, x, y)
+            return ReferenceSolution(x, y, residual, k, newton_steps)
+        best = min(best, residual)
 
         step = _newton_step(problem, merit.nu, tau, x, y, f, grad, jac, c)
         if step is None:
@@ -161,6 +140,10 @@ def _reference_iterates(problem, merit, lip_gradf, lip_jac):
         else:
             x, y, f, tau = step
             newton_steps += 1
+    raise ReferenceSolveError(
+        f"reference solve did not reach {tol:g} in {REFERENCE_MAX_ITERS} iterations "
+        f"(best residual {best:.3e})"
+    )
 
 
 def _newton_step(problem, nu, tau, x, y, f, grad, jac, c):
@@ -221,8 +204,8 @@ def _check_second_order(problem: Problem, x: Array, y: Array) -> Array:
     else:
 
         def lagrangian_gradient(point):
-            grad, jac, _ = _evaluate(problem, point)
-            return grad + jac.T @ y
+            jac = np.asarray(problem.jacobian(point), dtype=float)
+            return np.asarray(problem.gradient(point), dtype=float) + jac.T @ y
 
         h = math.sqrt(np.finfo(float).eps) * max(1.0, float(np.linalg.norm(x)))
         base = lagrangian_gradient(x)

@@ -11,9 +11,10 @@ requirement plays no role and the fixed step gives plain linear
 convergence; the reference solve in :mod:`stochsqp.harness` takes that
 step wherever it takes no Newton step.
 
-:func:`iterate` is the iteration itself.  :func:`run` records a trace
+:func:`iterate` is the iteration itself, and :func:`subproblem` the
+step it shares with the reference solve.  :func:`run` records a trace
 from it.  The step schedule is a function of ``k`` and the config, so
-:func:`iterate` computes it once and the trace recomputes it on read.
+:func:`iterate` computes it once and the trace once more, on first read.
 
 In validation mode the loop additionally solves the subproblem with the
 exact gradient (the "shadow" solve).  Inside the loop :func:`run` keeps
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -164,11 +166,12 @@ class Trace:
     other per-iterate vectors (gradient estimate, step and its parts)
     are not kept; :func:`iterate` yields them.
 
-    Only ``x``, ``y``, ``y_true`` and ``trace.ledger`` are stored.  On
-    each read, ``alpha`` and ``beta`` are computed from ``trace.config``,
-    and the diagnostic columns (``norm_c``, ``dq_stoch``, ``xi_trial``,
-    ``tau_trial_true``, ``lbnd_slack``, ``resid_true``) from the ledger
-    and ``trace.merit``.  The ledger starts as NaN, so without
+    Only ``x``, ``y``, ``y_true`` and ``trace.ledger`` are stored.
+    ``alpha`` and ``beta`` are computed from ``trace.config`` on first
+    read and kept as read-only arrays; the diagnostic columns
+    (``norm_c``, ``dq_stoch``, ``xi_trial``, ``tau_trial_true``,
+    ``lbnd_slack``, ``resid_true``) are computed from the ledger and
+    ``trace.merit`` on each read.  The ledger starts as NaN, so without
     validation the exact-gradient columns read NaN.
     """
 
@@ -193,14 +196,18 @@ class Trace:
         rows, ``x``, ``y`` and, with ``validate``, ``y_true``."""
         return len(cls._LEDGER) + n + m * (1 + validate)
 
-    @property
+    @cached_property
     def beta(self) -> Array:
-        return self.config.beta.sequence(len(self))
+        beta = self.config.beta.sequence(len(self))
+        beta.flags.writeable = False
+        return beta
 
-    @property
+    @cached_property
     def alpha(self) -> Array:
         config, merit = self.config, self.merit
-        return step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, self.beta)
+        alpha = step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, self.beta)
+        alpha.flags.writeable = False
+        return alpha
 
     @property
     def norm_c(self) -> Array:
@@ -289,17 +296,39 @@ class Iteration(NamedTuple):
     x_next: Array
 
 
+def subproblem(problem: Problem, oracle: StochasticGradientOracle, batch: int,
+               rng: np.random.Generator | None, x: Array, k: int):
+    """Evaluate at ``x`` and solve iteration ``k``'s identity-model subproblem.
+
+    Returns ``(c, jac, g, factors, sol)``, ``g`` being a ``batch`` draw
+    of ``oracle`` with ``rng``.  A non-finite evaluation raises
+    :class:`EvaluationError` and a rank-deficient Jacobian
+    :class:`~stochsqp.errors.RankError`, each prefixed ``iteration k:``.
+    """
+    try:
+        c = np.asarray(problem.constraints(x), dtype=float)
+        jac = np.asarray(problem.jacobian(x), dtype=float)
+        if not (np.isfinite(c).all() and np.isfinite(jac).all()):
+            raise EvaluationError("problem evaluator returned a non-finite value")
+        g = sample_gradient(oracle, x, batch, rng)
+        factors = kkt.factor_jacobian(jac)
+        sol = kkt.solve_with_factors(factors, g, c)
+    except (kkt.RankError, EvaluationError) as exc:
+        raise type(exc)(f"iteration {k}: {exc}") from exc
+    return c, jac, g, factors, sol
+
+
 def iterate(
     problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
 ) -> Iterator[Iteration]:
     """The SQP iteration: one :class:`Iteration` per step, up to ``max_iters``.
 
-    Consumed by :func:`run`; a caller may stop pulling early.  The
-    objective is never evaluated here; consumers that record it evaluate
-    it themselves.  The step lengths are computed and checked before the
-    first step.  A rank failure of the Jacobian aborts with the iterate
-    index attached; a non-finite constraint, Jacobian, gradient or
-    iterate aborts with :class:`EvaluationError`.
+    Consumed by :func:`run`; a caller may stop pulling early.  Each step
+    solves :func:`subproblem` at the iterate and moves along its ``d``.
+    The objective is never evaluated here; consumers that record it
+    evaluate it themselves.  The step lengths are computed and checked
+    before the first step.  Errors from :func:`subproblem` propagate,
+    and a non-finite iterate aborts with :class:`EvaluationError`.
     """
     if problem.x0 is None:
         raise ConfigError("problem must supply an initial point x0")
@@ -311,17 +340,7 @@ def iterate(
     rng = np.random.default_rng(config.seed)
     x = np.array(problem.x0, dtype=float)
     for k, alpha_k in enumerate(alphas, start=1):
-        try:
-            c = np.asarray(problem.constraints(x), dtype=float)
-            jac = np.asarray(problem.jacobian(x), dtype=float)
-            if not (np.isfinite(c).all() and np.isfinite(jac).all()):
-                raise EvaluationError("problem evaluator returned a non-finite value")
-            g = sample_gradient(oracle, x, config.batch_size, rng)
-            factors = kkt.factor_jacobian(jac)
-            sol = kkt.solve_with_factors(factors, g, c)
-        except (kkt.RankError, EvaluationError) as exc:
-            raise type(exc)(f"iteration {k}: {exc}") from exc
-
+        c, jac, g, factors, sol = subproblem(problem, oracle, config.batch_size, rng, x, k)
         x_next = x + alpha_k * sol.d
         yield Iteration(k, x, c, jac, g, factors, sol, alpha_k, x_next)
         if not np.isfinite(x_next).all():
@@ -383,16 +402,9 @@ def kkt_residual(grad: Array, jac: Array, c: Array, y: Array) -> float:
     return math.sqrt(float(r @ r)) + math.sqrt(float(c @ c))
 
 
-def _evaluate(problem: Problem, x: Array):
-    """``(grad, jac, c)`` at ``x`` as float arrays."""
-    x = np.asarray(x, dtype=float)
-    return (
-        np.asarray(problem.gradient(x), dtype=float),
-        np.asarray(problem.jacobian(x), dtype=float),
-        np.asarray(problem.constraints(x), dtype=float),
-    )
-
-
 def stationarity_residual(problem: Problem, x: Array, y: Array) -> float:
     """First-order violation ``||grad f + jac' y||_2 + ||c||_2`` at ``x``."""
-    return kkt_residual(*_evaluate(problem, x), y)
+    x = np.asarray(x, dtype=float)
+    grad, jac, c = (np.asarray(fn(x), dtype=float)
+                    for fn in (problem.gradient, problem.jacobian, problem.constraints))
+    return kkt_residual(grad, jac, c, y)

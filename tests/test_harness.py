@@ -17,7 +17,9 @@ import scipy
 from stochsqp import (
     BetaSchedule,
     ConfigError,
+    EvaluationError,
     MeritParams,
+    RankError,
     ReferenceSolveError,
     SolverConfig,
     exact_oracle,
@@ -65,6 +67,48 @@ class TestComputeReference:
         monkeypatch.setattr(harness, "REFERENCE_MAX_ITERS", 5)
         with pytest.raises(ReferenceSolveError, match="in 5 iterations .best residual"):
             compute_reference(sphere_problem(), MeritParams(), 0.5, 2.0, tol=1e-16)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        def unexpected(*_):
+            raise AssertionError("the problem was evaluated")
+
+        problem = dataclasses.replace(sphere_problem(), objective=unexpected, gradient=unexpected,
+                                      constraints=unexpected, jacobian=unexpected)
+        with pytest.raises(ConfigError, match="tol must be finite and > 0"):
+            compute_reference(problem, MeritParams(), 0.5, 2.0, tol=tol)
+
+    @pytest.mark.parametrize("solve", ["compute_reference", "run"])
+    @pytest.mark.parametrize("fault, error, message", [
+        ("nan-constraints", EvaluationError, "problem evaluator returned a non-finite value"),
+        ("rank-deficient", RankError,
+         "jacobian is rank deficient: sigma_min=0.000e+00, sigma_max=0.000e+00"),
+    ])
+    def test_failure_names_its_iterate_as_run_does(self, solve, fault, error, message):
+        # Without a Hessian both solves evaluate c and J once per iterate,
+        # so the 3rd evaluation belongs to iteration 3.
+        toy, evaluations = sphere_problem(), []
+
+        def from_third(evaluator, bad):
+            def evaluate(x):
+                evaluations.append(1)
+                return bad if len(evaluations) >= 3 else evaluator(x)
+            return evaluate
+
+        if fault == "nan-constraints":
+            problem = dataclasses.replace(
+                toy, constraints=from_third(toy.constraints, np.array([np.nan])))
+        else:
+            problem = dataclasses.replace(toy, jacobian=from_third(toy.jacobian, np.zeros((1, 2))))
+        merit = MeritParams()
+        with pytest.raises(error) as raised:
+            if solve == "compute_reference":
+                compute_reference(problem, merit, 0.5, 2.0)
+            else:
+                config = SolverConfig(merit=merit, lip_gradf=0.5, lip_jac=2.0,
+                                      beta=BetaSchedule("constant"), max_iters=10)
+                run(problem, exact_oracle(problem), config)
+        assert str(raised.value) == f"iteration 3: {message}"
 
     @pytest.mark.parametrize("which", ["bundled", "sphere"])
     def test_is_the_solver_loop_cut_short(self, which, bundled_instance):
@@ -346,6 +390,23 @@ class TestRunExperiment:
                                   out=str(tmp_path))
         run_experiment(config)
         assert calls == [slice(4, None, 10)] * 2
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_schedule_is_built_twice_per_replicate(self, tmp_path, monkeypatch, validate):
+        # Once in iterate and once for the trace's alpha and beta columns,
+        # which the tallies and the CSV then share.
+        builds = []
+        sequence = BetaSchedule.sequence
+
+        def counted(schedule, iters):
+            builds.append(iters)
+            return sequence(schedule, iters)
+
+        monkeypatch.setattr(BetaSchedule, "sequence", counted)
+        config = ExperimentConfig(dataset=None, iters=400, seeds=[1, 2], validate=validate,
+                                  out=str(tmp_path))
+        run_experiment(config)
+        assert builds == [400] * 4
 
     def test_thinned_rows_are_the_full_tables_rows(self, tmp_path):
         tables = {}

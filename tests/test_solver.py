@@ -218,6 +218,17 @@ class TestRun:
         trace = run(problem, exact_oracle(problem), config).trace
         assert len(calls) == 1 and len(trace) == iters
 
+    def test_schedule_columns_are_cached_read_only_arrays(self):
+        problem = _worked_problem()
+        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0, max_iters=5)
+        trace = run(problem, exact_oracle(problem), config).trace
+        for name in ("alpha", "beta"):
+            column = getattr(trace, name)
+            assert getattr(trace, name) is column
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.5
+        assert np.array_equal(trace.beta, config.beta.sequence(5))
+
     def test_stored_iterates_satisfy_update_exactly(self):
         problem = _worked_problem()
         config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0, max_iters=5)
