@@ -271,6 +271,8 @@ class ExperimentConfig:
             raise ConfigError("batch must be >= 1")
         if self.mlin < 1:
             raise ConfigError("mlin must be >= 1")
+        if not 0 < self.ref_tol < math.inf:
+            raise ConfigError(f"tol must be finite and > 0, got {self.ref_tol}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         if min(self.seeds) < 0:
@@ -592,57 +594,46 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
 # CLI
 # ---------------------------------------------------------------------------
 
-#: Config-file keys of the repeatable flags, with the fields they set.
-_LIST_KEYS = {"seed": "seeds", "eps": "eps_grid"}
-_FLAG_KEYS = {"validate", "reference_only", "exact"}
-_CASTS = {
-    "seed": int, "mlin": int, "batch": int, "iters": int, "thin": int,
-    "eps": float, "tau": float, "xi": float, "nu": float, "beta1": float, "beta_p": float,
-}
-
-
 def parse_config_file(path) -> dict:
     """Read a plain ``key=value`` file mirroring the CLI flags.
 
-    Keys use flag names (dashes or underscores); ``seed`` and ``eps``
-    take comma-separated lists; booleans accept true/false/1/0.  A ``#``
-    starts a comment only at a line's start or after whitespace.  Unknown
-    keys and empty values are rejected.  The result maps :class:`ExperimentConfig`
-    field names (``seeds``, ``eps_grid``, ...) to the values the file sets.
+    A key is a flag of :func:`build_arg_parser` without its ``--``, with
+    dashes or underscores (``beta-p``, ``beta_p``); ``help`` and
+    ``config`` are not keys.  Each line is parsed by that flag, so its
+    value is converted and rejected as on the command line, and every
+    error starts ``path:line:``.  The repeatable flags (``seed``, ``eps``)
+    take comma-separated lists; switches take true/false/1/0.  A ``#``
+    starts a comment only at a line's start or after whitespace.  Empty
+    values are rejected.  The result maps :class:`ExperimentConfig` field
+    names (``seeds``, ``eps_grid``, ...) to the values the file sets.
     """
-    known = {"dataset", "out"} | _FLAG_KEYS | _CASTS.keys()
+    parser = build_arg_parser()
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}:"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where} expected key=value")
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        action = parser._option_string_actions.get(flag)
+        if action is None or action.dest in ("help", "config"):
+            raise ConfigError(f"{where} unknown key {key!r}")
         if not value.strip(", "):  # also a list of separators only
-            raise ConfigError(f"{path}:{lineno}: no value for {key}")
-        if key in _FLAG_KEYS:
+            raise ConfigError(f"{where} no value for {key}")
+        if action.nargs == 0:
             if value.lower() not in ("true", "false", "1", "0"):
-                raise ConfigError(f"{path}:{lineno}: boolean expected for {key}")
-            values[key] = value.lower() in ("true", "1")
-        elif key in _CASTS:
-            cast = _CASTS[key]
-            try:
-                if key in _LIST_KEYS:
-                    parsed = [cast(p.strip()) for p in value.split(",") if p.strip()]
-                else:
-                    parsed = cast(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad {cast.__name__} value for {key}: {value!r}"
-                ) from None
-            values[_LIST_KEYS.get(key, key)] = parsed
-        else:
-            values[key] = value
+                raise ConfigError(f"{where} boolean expected for {key}")
+            values[action.dest] = value.lower() in ("true", "1")
+            continue
+        parts = value.split(",") if isinstance(action, argparse._AppendAction) else [value]
+        tokens = [f"{flag}={part.strip()}" for part in parts if part.strip()]
+        try:
+            values.update(vars(parser.parse_args(tokens)))
+        except ConfigError as exc:
+            raise ConfigError(f"{where} {exc}") from None
     return values
 
 

@@ -97,12 +97,14 @@ def sample_gradient(
     """Draw one mini-batch gradient estimate.
 
     Deterministic given ``(x, batch)`` and the generator state; the
-    generator is advanced in place.
+    generator is advanced in place.  A non-finite draw raises
+    :class:`EvaluationError`, naming an ``exact`` oracle's draw the exact
+    gradient.
     """
     if batch < 1:
         raise ValueError("batch size must be >= 1")
     g = np.asarray(oracle.sample(np.asarray(x, dtype=float), int(batch), rng), dtype=float)
-    _check_finite(g, "stochastic gradient", x)
+    _check_finite(g, "exact gradient" if oracle.exact else "stochastic gradient", x)
     return g
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -109,6 +110,26 @@ class TestComputeReference:
                                       beta=BetaSchedule("constant"), max_iters=10)
                 run(problem, exact_oracle(problem), config)
         assert str(raised.value) == f"iteration 3: {message}"
+
+    @pytest.mark.parametrize("solve", ["compute_reference", "run"])
+    def test_exact_gradient_failure_is_named_exact(self, solve):
+        # Both solves draw one exact gradient per iterate.
+        toy, calls = sphere_problem(), []
+
+        def gradient(x):
+            calls.append(1)
+            return np.array([np.nan, 0.0]) if len(calls) >= 3 else toy.gradient(x)
+
+        problem, merit = dataclasses.replace(toy, gradient=gradient), MeritParams()
+        with pytest.raises(EvaluationError) as raised:
+            if solve == "compute_reference":
+                compute_reference(problem, merit, 0.5, 2.0)
+            else:
+                config = SolverConfig(merit=merit, lip_gradf=0.5, lip_jac=2.0,
+                                      beta=BetaSchedule("constant"), max_iters=10)
+                run(problem, exact_oracle(problem), config)
+        assert str(raised.value).startswith(
+            "iteration 3: exact gradient returned a non-finite value at x=")
 
     @pytest.mark.parametrize("which", ["bundled", "sphere"])
     def test_is_the_solver_loop_cut_short(self, which, bundled_instance):
@@ -519,6 +540,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(tau=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_ref_tol_is_checked_before_any_output(self, tmp_path, tol):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=re.escape(f"tol must be finite and > 0, got {tol}")):
+            run_experiment(ExperimentConfig(ref_tol=tol, out=str(out)))
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def short_trace(bundled_instance):
@@ -924,10 +952,48 @@ class TestCli:
         assert lines[0].startswith(f"error: {cfg}:2: ") and key in lines[0]
 
     @pytest.mark.parametrize(
-        "text", ["mystery = 3\n", "validate = maybe\n", "just a line\n"]
+        "text", ["mystery = 3\n", "validate = maybe\n", "just a line\n", "config = x.cfg\n",
+                 "help = 1\n", "it = 5\n", "validate = yes\n"]
     )
-    def test_config_file_rejects_bad_input(self, tmp_path, text):
+    def test_config_file_rejects_bad_input(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:1: ")):
             parse_config_file(cfg)
+        assert capsys.readouterr().out == ""  # "help" prints nothing
+
+    @pytest.mark.parametrize(
+        "flag", [a.option_strings[-1] for a in harness.build_arg_parser()._actions
+                 if a.dest not in ("help", "config")]
+    )
+    def test_every_flag_is_a_config_key(self, tmp_path, flag):
+        parser = harness.build_arg_parser()
+        action = parser._option_string_actions[flag]
+        if action.nargs == 0:
+            value, expected = "true", vars(parser.parse_args([flag]))
+        else:
+            value = {int: "-7", float: "-0.5", None: "runs/a b"}[action.type]
+            expected = vars(parser.parse_args([flag, value]))
+        cfg = tmp_path / "exp.cfg"
+        for key in (flag[2:], flag[2:].replace("-", "_")):
+            cfg.write_text(f"{key} = {value}\n")
+            assert parse_config_file(cfg) == expected
+
+    def test_values_may_start_with_a_dash(self, tmp_path):
+        # On the command line "--tau -1e-3" reads -1e-3 as a flag.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("tau = -1e-3\nseed = -2, 3\n")
+        assert parse_config_file(cfg) == {"tau": -1e-3, "seeds": [-2, 3]}
+
+    def test_a_new_flag_is_a_config_key(self, tmp_path, monkeypatch):
+        build = harness.build_arg_parser
+
+        def extended():
+            parser = build()
+            parser.add_argument("--max-seconds", type=float)
+            return parser
+
+        monkeypatch.setattr(harness, "build_arg_parser", extended)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("max-seconds = 2.5\niters = 5\n")
+        assert parse_config_file(cfg) == {"max_seconds": 2.5, "iters": 5}

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from stochsqp import (
+    EvaluationError,
     Problem,
+    StochasticGradientOracle,
     exact_oracle,
     sample_gradient,
 )
@@ -26,6 +28,12 @@ class TestSampleGradient:
         x = bundled_instance.x1
         g = sample_gradient(oracle, x, bundled_instance.dataset.n_samples, rng)
         assert np.linalg.norm(g - bundled_instance.gradient(x)) <= 1e-12
+
+    @pytest.mark.parametrize("exact, name", [(True, "exact"), (False, "stochastic")])
+    def test_non_finite_draw_names_the_oracle_kind(self, exact, name):
+        oracle = StochasticGradientOracle(lambda x, batch, rng: np.full(2, np.nan), exact=exact)
+        with pytest.raises(EvaluationError, match=f"^{name} gradient returned a non-finite value"):
+            sample_gradient(oracle, np.zeros(2), 1, np.random.default_rng(0))
 
     def test_zero_batch_rejected(self):
         oracle = exact_oracle(sphere_problem())
