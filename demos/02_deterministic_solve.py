@@ -1,10 +1,12 @@
 """Exact-gradient solves: a hand-checkable toy, then the bundled instance.
 
 With exact gradients a constant damping factor is admissible and the
-iteration contracts linearly, which is how high-accuracy reference
-solutions are produced.  Along the way the merit function decreases
-monotonically and the fixed merit/ratio parameters stay below their
-per-iteration trial values.
+iteration contracts linearly.  Along the way the merit function
+decreases monotonically and the fixed merit/ratio parameters stay below
+their per-iteration trial values.  High-accuracy reference solutions
+come from Newton steps on the KKT system where the problem has a
+Lagrangian Hessian; the sphere toy has none, so its reference solve
+takes these constant-damping steps throughout.
 """
 
 import numpy as np

@@ -10,16 +10,9 @@ almost the same accuracy.
 
 import numpy as np
 
-from stochsqp import (
-    BetaSchedule,
-    MeritParams,
-    SolverConfig,
-    load_bundled_instance,
-    run,
-    running_averages,
-    windowed_averages,
-)
-from stochsqp.harness import compute_reference
+from stochsqp import BetaSchedule, MeritParams, SolverConfig, load_bundled_instance, run
+from stochsqp.averaging import window_starts
+from stochsqp.harness import compute_reference, distance_columns
 
 instance = load_bundled_instance()
 problem = instance.problem()
@@ -39,10 +32,10 @@ result = run(problem, instance.minibatch_oracle(), config)
 trace = result.trace
 iters = len(trace)
 
-dist_x = np.linalg.norm(trace.x - reference.x, axis=1)
-dist_y = np.linalg.norm(trace.y - reference.y, axis=1)
-dist_y_true = np.linalg.norm(trace.y_true - reference.y, axis=1)
-dist_avg = np.linalg.norm(running_averages(trace.y) - reference.y, axis=1)
+# Every row's distances, as the trace CSV computes them.
+eps_grid = (0.01, 0.1, 1.0)
+dist_x, dist_y, dist_y_true, dist_avg, *dist_eps = distance_columns(
+    trace, reference, eps_grid, slice(None))
 
 print(f"\n{'k':>6s} {'||x_k - x*||':>13s} {'||y_k - y*||':>13s} "
       f"{'||y_k_exact - y*||':>18s} {'||y_avg_k - y*||':>16s}")
@@ -60,8 +53,7 @@ print(f"\ntail medians: raw multiplier {np.median(dist_y[tail]):.3f}  "
 # iterate; with a shrinking window radius they trade noise suppression
 # against staleness.
 print("\nwindowed averages at the final iterate:")
-for eps in (0.01, 0.1, 1.0):
-    (avg,), (start,) = windowed_averages(trace.x, trace.y, eps, [iters])
-    err = np.linalg.norm(avg - reference.y)
-    print(f"  eps={eps:<5g} window [{start:>6d}, {iters}]  error {err:.4f}")
+for eps, dist in zip(eps_grid, dist_eps):
+    (start,) = window_starts(trace.x, eps, [iters])
+    print(f"  eps={eps:<5g} window [{start:>6d}, {iters}]  error {dist[-1]:.4f}")
 print(f"  running average over everything       error {dist_avg[-1]:.4f}")

@@ -18,12 +18,7 @@ not imported with it; import its names from the module::
 
 __version__ = "0.1.0"
 
-from .averaging import (
-    MultiplierTrace,
-    running_averages,
-    windowed_average,
-    windowed_averages,
-)
+from .averaging import MultiplierTrace, windowed_average
 from .errors import (
     ConfigError,
     ConstructionError,

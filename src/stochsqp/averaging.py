@@ -7,15 +7,14 @@ average over the trailing iterations whose primal points stay within a
 ball of the current iterate (so stale multipliers from far-away points
 are dropped as the run converges).
 
-:func:`prefix_sums` is the one store behind every average: a single
-cumulative-sum pass, from which :func:`window_means` reads the mean of
-any window ``k' .. k``.  The running average is the window that starts
-at 1; :func:`running_averages` reads it for every ``k``, and
-:func:`windowed_averages` reads the windows that :func:`window_starts`
-finds.  A caller that needs several averages of one history, as the
-trace CSV does, makes the prefix sums once and reads them all.
-:func:`windowed_average` is the defining scan that the fast path is
-tested against.
+The one read path: :func:`prefix_sums` makes the store, a single
+cumulative-sum pass, and :func:`window_means` reads from it the mean of
+any window ``k' .. k``; the window starts come from
+:func:`window_starts`, and the running average is the window that
+starts at 1.  ``stochsqp.harness.distance_columns`` composes the three
+for the trace CSV and for every other reader of a trace, making the
+prefix sums once per trace.  :func:`windowed_average` is the defining
+scan that the fast path is tested against.
 
 :func:`window_starts` finds each window start without rescanning the
 prefix: the history is cut into blocks of :data:`_BLOCK_SIZE` iterates,
@@ -44,8 +43,6 @@ records; sample positions inside arrays remain 0-based.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .problem import Array
@@ -62,13 +59,6 @@ def prefix_sums(ys: Array) -> Array:
 def window_means(sums: Array, ks: Array, kprimes: Array) -> Array:
     """Row ``i`` is ``mean(y_kprimes[i] .. y_ks[i])``, read from ``sums = prefix_sums(ys)``."""
     return (sums[ks] - sums[kprimes - 1]) / (ks - kprimes + 1)[:, None]
-
-
-def running_averages(ys: Array) -> Array:
-    """Every running average at once: row ``k - 1`` is ``mean(y_1..y_k)``."""
-    sums = prefix_sums(ys)
-    ks = np.arange(1, sums.shape[0])
-    return window_means(sums, ks, np.ones_like(ks))
 
 
 def windowed_average(xs: Array, ys: Array, k: int, eps: float):
@@ -113,34 +103,8 @@ _BALL_MARGIN = 1e-9
 _TINY = np.finfo(float).tiny
 
 
-def windowed_averages(xs: Array, ys: Array, eps: float, ks) -> tuple[Array, Array]:
-    """:func:`windowed_average` for every 1-based iteration in ``ks`` at once.
-
-    Returns ``(means, kprimes)``: row ``i`` belongs to ``ks[i]``.  The
-    starts come from :func:`window_starts` and equal the scan's exactly.
-    Where a bounding ball leaves a block on both sides of the eps-sphere,
-    each pair's squared distance is read from a Gram product centred on
-    the ball, ``d2 = |h|^2 + |p|^2 - 2 h.p``, and trusted only when
-    ``|d2 - eps^2| > 1e-9 * (|h|^2 + |p|^2 + eps^2)``.  Its rounding is
-    below about ``(2n + 6) * 2**-53 * (|h|^2 + |p|^2)`` and the scan's
-    computed norm is off by about ``(n + 4) * 2**-53`` relative, so a
-    trusted pair is on the side of eps that the scan computes; every
-    other pair gets the scan's own ``norm(x_j - x_k) > eps``.  The means
-    are read from :func:`prefix_sums` by :func:`window_means`, so they
-    match the scan's slice means to rounding, not bit for bit.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError("iterate and multiplier histories must align")
-    ks = np.asarray(ks, dtype=int).reshape(-1)
-    kprimes = window_starts(xs, eps, ks)
-    return window_means(prefix_sums(ys), ks, kprimes), kprimes
-
-
 def window_starts(xs: Array, eps: float, ks) -> Array:
-    """The starts of :func:`windowed_averages` without the means: the
-    scan's window start, exactly, for every 1-based ``k`` in ``ks``."""
+    """The scan's window start, exactly, for every 1-based ``k`` in ``ks``."""
     if not eps > 0:
         raise ValueError("eps must be > 0")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -271,10 +235,10 @@ def _exact_beyond(points, here, eps):
 class MultiplierTrace:
     """Read-only view of a run's iterate and multiplier arrays.
 
-    Holds the arrays it is given, without copying them.  Running
-    averages are read from one :func:`running_averages` pass, made on
-    the first query; windowed averages are recomputed by the defining
-    scan.  Queries may be issued concurrently.
+    Holds the arrays it is given, without copying them.  The running
+    average is read by :func:`window_means` from :func:`prefix_sums`;
+    the windowed average is recomputed by the defining scan.  Queries
+    may be issued concurrently.
 
     Only the tests and the benchmark's traced mode, which wraps its
     methods, use it; it can go once those wrapped sites are retargeted.
@@ -294,14 +258,10 @@ class MultiplierTrace:
     def __len__(self) -> int:
         return self.ys.shape[0]
 
-    @cached_property
-    def averages(self) -> Array:
-        """All running averages; row ``k - 1`` is ``mean(y_1..y_k)``."""
-        return running_averages(self.ys)
-
     def running_average(self) -> Array:
         """Running average of the whole run, ``mean(y_1..y_K)``."""
-        return self.averages[-1]
+        last = np.array([len(self)])
+        return window_means(prefix_sums(self.ys), last, np.ones_like(last))[0]
 
     def windowed_average(self, eps: float):
         """Windowed average at the last iteration, by the defining scan."""

@@ -115,8 +115,6 @@ def compute_reference(
     """
     if not 0 < tol < math.inf:
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
-    if problem.x0 is None:
-        raise ConfigError("problem must supply an initial point x0")
     oracle = exact_oracle(problem)  # draws nothing, so it needs no generator
     alpha = step_size(merit.tau, merit.xi, lip_gradf, lip_jac, 1.0)  # the identity-model step's
     x = np.array(problem.x0, dtype=float)
@@ -387,11 +385,14 @@ def _write_json(path, obj, **options):
         handle.write("\n")
 
 
-def _distance_columns(trace, reference: ReferenceSolution, eps_grid, rows: slice) -> list:
+def distance_columns(trace, reference: ReferenceSolution, eps_grid, rows) -> list:
     """The trace CSV's distance columns, ``dist_x`` to ``dist_y_avg_eps_*``
-    in order, at the trace rows ``rows``.
+    in order, at the 0-based trace rows ``rows``.
 
-    ``rows`` is a slice, so the iterate and multiplier rows are views.
+    The one code that turns a trace into distances to the reference:
+    the trace CSV, the summary and every other reader call it.  ``rows``
+    is a slice, whose iterate and multiplier rows are views, or an index
+    array.
     """
     x_star, y_star = reference.x, reference.y
     ks = np.arange(1, len(trace) + 1)[rows]
@@ -426,7 +427,7 @@ def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: i
     """
     rows = slice((len(trace) - 1) % thin, None, thin)  # views: no copy of the trace
     ks = np.arange(1, len(trace) + 1)[rows]
-    distances = _distance_columns(trace, reference, eps_grid, rows)
+    distances = distance_columns(trace, reference, eps_grid, rows)
     names = csv_columns(eps_grid)
     columns = distances + [getattr(trace, name)[rows] for name in names[1 + len(distances):]]
     table = np.column_stack(columns)
@@ -601,14 +602,16 @@ def parse_config_file(path) -> dict:
     dashes or underscores (``beta-p``, ``beta_p``); ``help`` and
     ``config`` are not keys.  Each line is parsed by that flag, so its
     value is converted and rejected as on the command line, and every
-    error starts ``path:line:``.  The repeatable flags (``seed``, ``eps``)
-    take comma-separated lists; switches take true/false/1/0.  A ``#``
+    error starts ``path:line:``.  A key may be named once, in either
+    spelling.  The repeatable flags (``seed``, ``eps``) take
+    comma-separated lists; switches take true/false/1/0.  A ``#``
     starts a comment only at a line's start or after whitespace.  Empty
     values are rejected.  The result maps :class:`ExperimentConfig` field
     names (``seeds``, ``eps_grid``, ...) to the values the file sets.
     """
     parser = build_arg_parser()
     values: dict = {}
+    first_lines: dict = {}  # flag -> line that named it
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
@@ -621,6 +624,9 @@ def parse_config_file(path) -> dict:
         action = parser._option_string_actions.get(flag)
         if action is None or action.dest in ("help", "config"):
             raise ConfigError(f"{where} unknown key {key!r}")
+        if flag in first_lines:
+            raise ConfigError(f"{where} key {key!r} repeated (first on line {first_lines[flag]})")
+        first_lines[flag] = lineno
         if not value.strip(", "):  # also a list of separators only
             raise ConfigError(f"{where} no value for {key}")
         if action.nargs == 0:

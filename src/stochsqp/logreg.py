@@ -79,16 +79,15 @@ class Dataset:
         return self.features.shape[0]
 
 
-def parse_libsvm(source: str | TextIO, n_features: int | None = None) -> Dataset:
+def parse_libsvm(source: str | TextIO) -> Dataset:
     """Parse LIBSVM text ("label idx:val idx:val ...", 1-based indices).
 
     One line is one sample; blank lines are skipped.  Labels in
     ``{0, 1}`` and ``{-1, +1}`` are both accepted: a positive label maps
     to +1 and any other to -1.  Indices must be strictly increasing
-    within each line.  The feature dimension is the largest index seen
-    unless ``n_features`` overrides it (the override must cover every
-    index).  An empty stream yields an empty dataset, which instance
-    construction later rejects.
+    within each line.  The feature dimension is the largest index seen.
+    An empty stream yields an empty dataset, which instance construction
+    later rejects.
 
     The text is read ``CHUNK_SAMPLES`` lines at a time.  Each block's
     ``idx:val`` tokens are split in one pass, converted by numpy with
@@ -118,10 +117,7 @@ def parse_libsvm(source: str | TextIO, n_features: int | None = None) -> Dataset
         if idx.size:
             max_index = max(max_index, int(idx.max()))
 
-    n = max_index if n_features is None else int(n_features)
-    if n < max_index:
-        raise ParseError(f"n_features={n} is smaller than the largest index {max_index}")
-    features = np.zeros((sum(block.size for block in labels), n))
+    features = np.zeros((sum(block.size for block in labels), max_index))
     row = 0
     for idx, val, counts in entries:
         features[np.repeat(np.arange(row, row + counts.size), counts), idx - 1] = val
@@ -215,7 +211,7 @@ def serialize_libsvm(dataset: Dataset) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_libsvm_file(path, n_features: int | None = None) -> Dataset:
+def load_libsvm_file(path) -> Dataset:
     """Parse a LIBSVM file; a :class:`ParseError` names the file and line.
 
     The file must be ASCII.  Other bytes are decoded as lone surrogates
@@ -224,7 +220,7 @@ def load_libsvm_file(path, n_features: int | None = None) -> Dataset:
     """
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         try:
-            return parse_libsvm(handle, n_features=n_features)
+            return parse_libsvm(handle)
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from None
 

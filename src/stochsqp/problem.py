@@ -38,7 +38,7 @@ class Problem:
         constraints: ``x -> c(x)`` (m-vector).
         jacobian: ``x -> J(x)`` with shape ``(m, n)``; row ``i`` is the
             gradient of the i-th constraint component.
-        x0: optional initial point used by solver runs.
+        x0: initial point of solver runs and of the reference solve.
         lagrangian_hessian: optional ``(x, y) -> H`` with shape
             ``(n, n)``, the Hessian of the Lagrangian ``f(x) + c(x)' y``
             in ``x`` (the multiplier sign of :mod:`stochsqp.kkt`, where
@@ -56,13 +56,13 @@ class Problem:
     gradient: Callable[[Array], Array]
     constraints: Callable[[Array], Array]
     jacobian: Callable[[Array], Array]
-    x0: Array | None = None
+    x0: Array
     lagrangian_hessian: Callable[[Array, Array], Array] | None = None
 
     def __post_init__(self):
         if not (1 <= self.m <= self.n):
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
-        if self.x0 is not None and np.shape(self.x0) != (self.n,):
+        if np.shape(self.x0) != (self.n,):
             raise ValueError("x0 has wrong dimension")
 
 

@@ -330,8 +330,6 @@ def iterate(
     before the first step.  Errors from :func:`subproblem` propagate,
     and a non-finite iterate aborts with :class:`EvaluationError`.
     """
-    if problem.x0 is None:
-        raise ConfigError("problem must supply an initial point x0")
     if config.beta.family == "constant" and not oracle.exact:
         raise ConfigError("constant beta schedule is reserved for exact-gradient runs")
 

@@ -131,7 +131,7 @@ def finite_difference_check(problem, rng, center, probes=20, h=1e-5):
     return grad_err, jac_err
 
 
-def reference_parse_libsvm(source, n_features=None):
+def reference_parse_libsvm(source):
     """Independent oracle: the LIBSVM parser one token at a time.
 
     Converts each ``idx:val`` token with ``int()`` and ``float()`` and
@@ -174,10 +174,7 @@ def reference_parse_libsvm(source, n_features=None):
         labels.append(1.0 if raw_label > 0 else -1.0)
         rows.append(entries)
 
-    n = max_index if n_features is None else int(n_features)
-    if n < max_index:
-        raise ParseError(f"n_features={n} is smaller than the largest index {max_index}")
-    features = np.zeros((len(rows), n))
+    features = np.zeros((len(rows), max_index))
     for j, entries in enumerate(rows):
         for idx, val in entries:
             features[j, idx - 1] = val

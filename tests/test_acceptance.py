@@ -7,6 +7,9 @@ solver runs are shared through session fixtures:
 * a deterministic exact-gradient run (constant damping, 2e4 iterations),
 * three stochastic replicates of the bundled protocol (batch 16, 1e5
   iterations, decay exponent 0.51, validation mode).
+
+Criteria 7 and 12 read their distances from the trace with
+:func:`stochsqp.harness.distance_columns`, as the trace CSV does.
 """
 
 import time
@@ -33,11 +36,11 @@ from stochsqp import (
     solve_with_factors,
     step_size,
     windowed_average,
-    windowed_averages,
     xi_trial,
 )
 from stochsqp import averaging, kkt
-from stochsqp.harness import compute_reference
+from stochsqp.averaging import prefix_sums, window_means, window_starts
+from stochsqp.harness import compute_reference, distance_columns
 
 from conftest import dense_kkt_solve, estimate_variance, model_q, random_kkt_instance
 
@@ -277,11 +280,8 @@ def test_criterion_07_figure_qualitative_reproduction(protocol_runs, reference):
         trace = result.trace
         iters = len(trace)
         tail = slice(int(0.9 * iters), None)
-        dist_x = np.linalg.norm(trace.x - reference.x, axis=1)
-        dist_y = np.linalg.norm(trace.y - reference.y, axis=1)
-        dist_y_true = np.linalg.norm(trace.y_true - reference.y, axis=1)
-        averages = np.cumsum(trace.y, axis=0) / np.arange(1, iters + 1)[:, None]
-        dist_avg = np.linalg.norm(averages - reference.y, axis=1)
+        dist_x, dist_y, dist_y_true, dist_avg = distance_columns(
+            trace, reference, [], slice(None))
 
         gain_tail = float(np.median(dist_y[tail]) / np.median(dist_avg[tail]))
         gain_all = float(np.median(dist_y) / np.median(dist_avg[tail]))
@@ -327,10 +327,11 @@ def _windowed_oracle(xs, ys, k, eps):
 
 
 def test_criterion_09_windowed_average_correctness():
-    # The defining scan on short histories, then the one-pass fast path
-    # on histories of up to four 64-row blocks, with step sizes from
-    # 0.01 to 0.3 so that windows reach back into earlier blocks and
-    # blocks straddle the eps-sphere (the Gram-product test).
+    # The defining scan on short histories, then the one-pass fast path,
+    # composed as the trace CSV composes it, on histories of up to four
+    # 64-row blocks, with step sizes from 0.01 to 0.3 so that windows
+    # reach back into earlier blocks and blocks straddle the eps-sphere
+    # (the Gram-product test).
     rng = np.random.default_rng(9)
     worst = 0.0
     for _ in range(1000):
@@ -357,7 +358,8 @@ def test_criterion_09_windowed_average_correctness():
         ys = rng.standard_normal((length, m))
         ks = rng.integers(1, length + 1, size=3)
         eps = float(rng.uniform(0.05, 2.0))
-        means, starts = windowed_averages(xs, ys, eps, ks)
+        starts = window_starts(xs, eps, ks)
+        means = window_means(prefix_sums(ys), ks, starts)
         for mean, start, k in zip(means, starts, ks.tolist()):
             want_avg, want_start = _windowed_oracle(xs, ys, k, eps)
             assert start == want_start
@@ -396,3 +398,26 @@ def test_criterion_10_curvature_threshold(instance):
     _report(10, "identity-model curvature", ok,
             f"{len(dd)} steps, |d'd - u'u - v'v| / d'd <= {split_worst:.1e}, "
             f"min (d'd - u'u/2) / u'u {ratio_floor:.6f}")
+
+
+def test_criterion_12_averaging_on_the_solver_trace(protocol_runs, reference):
+    # The paper's averaging claim on the solver's own multipliers: the
+    # running average's error decays at about criterion 8's k^(-1/2)
+    # law while the raw multiplier's does not, and at the last iteration
+    # the eps = 0.1 window is no worse than the running average.
+    started = time.perf_counter()
+    ks = np.unique(np.logspace(3, 5, 200).astype(int))
+    log_ks = np.log(ks)
+    details = []
+    ok = True
+    for seed, result in protocol_runs.items():
+        assert ks[-1] == len(result.trace)
+        _, dist_y, _, dist_avg, dist_window = distance_columns(
+            result.trace, reference, [0.1], ks - 1)
+        slope_avg = float(linregress(log_ks, np.log(dist_avg)).slope)
+        slope_raw = float(linregress(log_ks, np.log(dist_y)).slope)
+        ok = ok and slope_avg <= -0.35 and slope_raw >= -0.1 and dist_window[-1] <= dist_avg[-1]
+        details.append(f"seed {seed}: slopes {slope_avg:.2f} averaged, {slope_raw:+.2f} raw; "
+                       f"at k={ks[-1]} window {dist_window[-1]:.2e}, running {dist_avg[-1]:.2e}")
+    elapsed = time.perf_counter() - started
+    _report(12, "averaging on the solver trace", ok, "; ".join(details) + f"; {elapsed:.2f}s")

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from stochsqp import (
-    MultiplierTrace,
-    averaging,
-    running_averages,
-    windowed_average,
-    windowed_averages,
-)
+from stochsqp import MultiplierTrace, averaging, windowed_average
+from stochsqp.averaging import prefix_sums, window_means, window_starts
 
 from conftest import running_average
 
@@ -33,7 +28,8 @@ class TestRunningAverage:
     def test_prefix_sums_match_slice_means_on_long_trace(self):
         rng = np.random.default_rng(0)
         ys = rng.standard_normal((100_000, 2))
-        averages = running_averages(ys)
+        ks = np.arange(1, len(ys) + 1)
+        averages = window_means(prefix_sums(ys), ks, np.ones_like(ks))
         assert averages.shape == ys.shape
         for k in (1, 10, 999, 50_000, 100_000):
             direct = running_average(ys, k)
@@ -85,9 +81,11 @@ class TestWindowedAverage:
 
 
 def _assert_matches_scan(xs, ys, eps, ks=None):
-    """Every row of the one-pass path against the defining scan."""
-    ks = list(range(1, len(xs) + 1)) if ks is None else list(ks)
-    means, starts = windowed_averages(xs, ys, eps, ks)
+    """Every row of the one-pass path, composed as the trace CSV composes
+    it, against the defining scan."""
+    ks = np.arange(1, len(xs) + 1) if ks is None else np.asarray(list(ks), dtype=int)
+    starts = window_starts(xs, eps, ks)
+    means = window_means(prefix_sums(ys), ks, starts)
     assert means.shape == (len(ks), ys.shape[1])
     assert starts.shape == (len(ks),)
     for mean, start, k in zip(means, starts, ks):
@@ -216,8 +214,9 @@ class TestWindowedAverages:
             _assert_matches_scan(xs, ys, eps, range(7, len(xs) + 1, 7))
             _assert_matches_scan(xs, ys, eps, range(100, len(xs) + 1, 100))
             _assert_matches_scan(xs, ys, eps, [len(xs), 1, 3 * BLOCK, 3 * BLOCK, 5])
-        means, starts = windowed_averages(xs, ys, 1.0, [])
-        assert means.shape == (0, 2) and starts.shape == (0,)
+        starts = window_starts(xs, 1.0, [])
+        assert starts.shape == (0,)
+        assert window_means(prefix_sums(ys), np.arange(1, 1), starts).shape == (0, 2)
 
     def test_tiny_and_huge_eps(self):
         rng = np.random.default_rng(15)
@@ -297,15 +296,13 @@ class TestWindowedAverages:
         assert counts["exact"] * 10**4 <= counts["gram"]
 
     def test_validation(self):
-        xs, ys = np.zeros((4, 2)), np.zeros((4, 1))
+        xs = np.zeros((4, 2))
         for eps in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
-                windowed_averages(xs, ys, eps, [1])
+                window_starts(xs, eps, [1])
         for ks in ([0], [5], [1, 5]):
             with pytest.raises(ValueError):
-                windowed_averages(xs, ys, 1.0, ks)
-        with pytest.raises(ValueError):
-            windowed_averages(xs, ys[:3], 1.0, [1])
+                window_starts(xs, 1.0, ks)
 
 
 class TestMultiplierTrace:
@@ -323,7 +320,7 @@ class TestMultiplierTrace:
         assert trace.ys is result.trace.y  # a view, not a copy
         avg, kprime = trace.windowed_average(eps=1e9)
         assert kprime == 1
-        assert np.array_equal(trace.running_average(), running_averages(result.trace.y)[-1])
+        assert np.array_equal(trace.running_average(), prefix_sums(result.trace.y)[-1] / 40)
 
 
 class TestMultiplierBound:

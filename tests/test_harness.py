@@ -400,13 +400,13 @@ class TestRunExperiment:
 
     def test_one_distance_pass_per_replicate(self, tmp_path, monkeypatch):
         calls = []
-        distance_columns = harness._distance_columns
+        distance_columns = harness.distance_columns
 
         def counted(*args, **kwargs):
             calls.append(args[-1])
             return distance_columns(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "_distance_columns", counted)
+        monkeypatch.setattr(harness, "distance_columns", counted)
         config = ExperimentConfig(dataset=None, iters=45, thin=10, seeds=[0, 1],
                                   out=str(tmp_path))
         run_experiment(config)
@@ -573,6 +573,18 @@ class TestWriteTraceCsv:
         assert calls == []
         _, rows = _read_csv(tmp_path / "trace.csv")
         assert len(rows) == 200
+
+    def test_index_rows_read_the_slice_rows_bits(self, short_trace):
+        # Criterion 12 reads log-spaced rows by index, the CSV thinned rows
+        # by slice: both must see the same distances.
+        trace, reference = short_trace
+        eps_grid = [0.01, 0.1, 1.0]
+        whole = harness.distance_columns(trace, reference, eps_grid, slice(None))
+        rows = np.array([199, 0, 63, 64, 150, 63])
+        picked = harness.distance_columns(trace, reference, eps_grid, rows)
+        assert len(picked) == len(whole) == 4 + len(eps_grid)
+        for part, full in zip(picked, whole):
+            assert np.array_equal(part, full[rows], equal_nan=True)
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, short_trace):
         real_open = open
@@ -953,14 +965,23 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text", ["mystery = 3\n", "validate = maybe\n", "just a line\n", "config = x.cfg\n",
-                 "help = 1\n", "it = 5\n", "validate = yes\n"]
+                 "help = 1\n", "it = 5\n", "validate = yes\n", "seed = 1\nseed = 2\n"]
     )
     def test_config_file_rejects_bad_input(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
-        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:1: ")):
+        last = text.count("\n")  # the bad line is the file's last
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:{last}: ")):
             parse_config_file(cfg)
         assert capsys.readouterr().out == ""  # "help" prints nothing
+
+    @pytest.mark.parametrize("first, again", [("seed", "seed"), ("beta_p", "beta-p")])
+    def test_repeated_key_names_both_lines(self, tmp_path, first, again):
+        cfg = tmp_path / "rep.cfg"
+        cfg.write_text(f"{first} = 1\niters = 5\n{again} = 1\n")
+        message = f"{cfg}:3: key {again!r} repeated (first on line 1)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_file(cfg)
 
     @pytest.mark.parametrize(
         "flag", [a.option_strings[-1] for a in harness.build_arg_parser()._actions

@@ -142,4 +142,4 @@ class TestProblem:
         p = sphere_problem()
         with pytest.raises(ValueError):
             Problem(n=1, m=2, objective=p.objective, gradient=p.gradient,
-                    constraints=p.constraints, jacobian=p.jacobian)
+                    constraints=p.constraints, jacobian=p.jacobian, x0=np.zeros(1))

@@ -331,11 +331,12 @@ class TestRun:
 
     def test_missing_initial_point_rejected(self):
         base = sphere_problem()
-        problem = Problem(n=2, m=1, objective=base.objective, gradient=base.gradient,
-                          constraints=base.constraints, jacobian=base.jacobian)
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0, max_iters=2)
-        with pytest.raises(ConfigError):
-            run(problem, exact_oracle(problem), config)
+        callables = dict(objective=base.objective, gradient=base.gradient,
+                         constraints=base.constraints, jacobian=base.jacobian)
+        with pytest.raises(TypeError, match="x0"):
+            Problem(n=2, m=1, **callables)
+        with pytest.raises(ValueError, match="x0 has wrong dimension"):
+            Problem(n=2, m=1, x0=None, **callables)
 
 
 class TestLedger:
