@@ -51,6 +51,8 @@ from .solver import (
 from .averaging import windowed_average  # noqa: F401
 
 CSV_FLOAT_FMT = "%.17g"
+#: The name of an eps value in CSV columns and summary keys.
+_eps_label = "{:g}".format
 _CSV_CHUNK_ROWS = 1024
 
 
@@ -61,6 +63,8 @@ _CSV_CHUNK_ROWS = 1024
 
 #: Iterations the reference solve takes before it gives up.
 REFERENCE_MAX_ITERS = 50_000
+#: First-order residual the reference solve stops at.
+REFERENCE_TOL = 1e-8
 #: Fraction of the predicted merit reduction a Newton step must achieve
 #: (the Armijo test of the reference solve's line search).
 _ARMIJO = 1e-4
@@ -91,7 +95,7 @@ def compute_reference(
     merit: MeritParams,
     lip_gradf: float,
     lip_jac: float,
-    tol: float = 1e-8,
+    tol: float = REFERENCE_TOL,
 ) -> ReferenceSolution:
     """Exact-gradient solve to high accuracy, with a second-order check.
 
@@ -126,7 +130,7 @@ def compute_reference(
             y = identity.y
         residual = kkt_residual(grad, jac, c, y)
         if residual <= tol:
-            _check_second_order(problem, x, y)
+            _check_second_order(problem, x, y, jac, grad)
             return ReferenceSolution(x, y, residual, k, newton_steps)
         best = min(best, residual)
 
@@ -181,34 +185,31 @@ def _newton_step(problem, nu, tau, x, y, f, grad, jac, c):
     return None
 
 
-def _check_second_order(problem: Problem, x: Array, y: Array) -> Array:
+def _check_second_order(problem: Problem, x: Array, y: Array, jac: Array, grad: Array) -> Array:
     """Require ``z' H z`` to be positive semidefinite at ``(x, y)``.
 
     ``H`` is the Hessian of the Lagrangian and ``z`` an orthonormal basis
-    of the Jacobian null space, so this is the second-order condition on
-    the whole tangent space (Nocedal & Wright, *Numerical Optimization*,
-    2nd ed., Theorems 12.5 and 12.6).  Without ``lagrangian_hessian``,
-    ``H z`` comes from forward differences of ``grad f + jac' y`` along
-    the columns of ``z``.  The eigenvalue floor ``-1e-6 max(1, max|lambda|)``
-    leaves room for the difference error, about 1e-8.  Returns the
-    eigenvalues of the symmetrized ``z' H z`` in ascending order (none
-    when ``m == n``).
+    of the null space of ``jac`` (the Jacobian at ``x``; ``grad`` is the
+    gradient there): the second-order condition on the whole tangent space
+    (Nocedal & Wright, *Numerical Optimization*, 2nd ed., Thms 12.5, 12.6).
+    Without ``lagrangian_hessian``, ``H z`` comes from forward
+    differences of ``grad f + jac' y`` along the columns of ``z``.  The
+    eigenvalue floor ``-1e-6 max(1, max|lambda|)`` leaves room for the
+    difference error, about 1e-8.  Returns the eigenvalues of the
+    symmetrized ``z' H z`` in ascending order (none when ``m == n``).
     """
-    z = null_space_basis(np.asarray(problem.jacobian(x), dtype=float))
+    z = null_space_basis(jac)
     if z.shape[1] == 0:
         return np.empty(0)
     if problem.lagrangian_hessian is not None:
         reduced = z.T @ np.asarray(problem.lagrangian_hessian(x, y), dtype=float) @ z
     else:
-
-        def lagrangian_gradient(point):
-            jac = np.asarray(problem.jacobian(point), dtype=float)
-            return np.asarray(problem.gradient(point), dtype=float) + jac.T @ y
-
         h = math.sqrt(np.finfo(float).eps) * max(1.0, float(np.linalg.norm(x)))
-        base = lagrangian_gradient(x)
-        hz = np.column_stack([lagrangian_gradient(x + h * col) - base for col in z.T])
-        reduced = z.T @ hz / h
+        base, hz = grad + jac.T @ y, []
+        for point in x + h * z.T:  # x + h z_j for each column z_j of z
+            jac_at = np.asarray(problem.jacobian(point), dtype=float)
+            hz.append(np.asarray(problem.gradient(point), dtype=float) + jac_at.T @ y - base)
+        reduced = z.T @ np.column_stack(hz) / h
     reduced = 0.5 * (reduced + reduced.T)
     if not np.all(np.isfinite(reduced)):
         raise ReferenceSolveError(
@@ -235,9 +236,9 @@ class ExperimentConfig:
 
     ``dataset=None`` selects the bundled synthetic slice.  The step-size
     rule uses the instance's certified Lipschitz bounds, the constraint
-    data is drawn with ``INSTANCE_SEED`` and the reference solve has
-    ``REFERENCE_MAX_ITERS`` iterations.  ``exact`` swaps the
-    mini-batch oracle for full-batch exact gradients (zero variance).
+    data is drawn with ``INSTANCE_SEED`` and the reference solve stops at
+    ``REFERENCE_TOL`` within ``REFERENCE_MAX_ITERS`` iterations.  ``exact``
+    (full-batch gradients) also admits ``beta_p <= 1/2``, 0 being constant damping.
     """
 
     dataset: str | None = None
@@ -256,7 +257,7 @@ class ExperimentConfig:
     validate: bool = False
     reference_only: bool = False
     exact: bool = False
-    ref_tol: float = 1e-8
+    ref_tol = REFERENCE_TOL  # not a field: for readers that check the written reference
 
     def __post_init__(self):
         if self.thin < 1:
@@ -269,8 +270,6 @@ class ExperimentConfig:
             raise ConfigError("batch must be >= 1")
         if self.mlin < 1:
             raise ConfigError("mlin must be >= 1")
-        if not 0 < self.ref_tol < math.inf:
-            raise ConfigError(f"tol must be finite and > 0, got {self.ref_tol}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         if min(self.seeds) < 0:
@@ -278,19 +277,18 @@ class ExperimentConfig:
         for eps in self.eps_grid:
             if not 0 < eps < math.inf:
                 raise ConfigError(f"eps values must be finite and > 0, got {eps}")
-        # The label names the CSV column and the summary key.
-        labels = [f"{eps:g}" for eps in self.eps_grid]
+        labels = list(map(_eps_label, self.eps_grid))
         if len(set(labels)) < len(labels):
             raise ConfigError(f"eps values must have distinct labels, got {labels}")
-        # Built here only to reject bad values before any solve runs.
+        # Built here only to reject bad values before any output.
         self.merit()
-        self.beta_schedule()
+        self.beta_schedule().check_oracle(self.exact)
 
     def merit(self) -> MeritParams:
         return MeritParams(tau=self.tau, xi=self.xi, nu=self.nu)
 
     def beta_schedule(self) -> BetaSchedule:
-        return BetaSchedule(family="power", beta1=self.beta1, p=self.beta_p)
+        return BetaSchedule(beta1=self.beta1, p=self.beta_p)
 
 
 @dataclass
@@ -353,7 +351,7 @@ def _column_notes(eps_grid) -> list[tuple[str, str]]:
     return [
         (name.format(eps=label), note.format(eps=label))
         for name, note in _COLUMNS.items()
-        for label in ([f"{eps:g}" for eps in eps_grid] if "{eps}" in name else [None])
+        for label in (map(_eps_label, eps_grid) if "{eps}" in name else [None])
     ]
 
 
@@ -444,7 +442,7 @@ def write_trace_csv(path, trace, reference: ReferenceSolution, eps_grid, thin: i
 
 
 def write_column_notes(path, eps_grid):
-    lines = ["# trace CSV columns (comma-separated, header row, %.17g floats)"]
+    lines = [f"# trace CSV columns (comma-separated, header row, {CSV_FLOAT_FMT} floats)"]
     lines += [
         f"# column {index}: {name} -- {note}"
         for index, (name, note) in enumerate(_column_notes(eps_grid), start=1)
@@ -505,7 +503,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     problem = instance.problem()
     lip_gradf, lip_jac = instance.lipschitz_bounds()
     started = time.perf_counter()
-    reference = compute_reference(problem, config.merit(), lip_gradf, lip_jac, tol=config.ref_tol)
+    reference = compute_reference(problem, config.merit(), lip_gradf, lip_jac)
     reference_seconds = time.perf_counter() - started
 
     echo = asdict(config)
@@ -583,7 +581,7 @@ def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed,
         final_dist_y=dist_y,
         final_dist_y_true=None if trace.y_true is None else dist_y_true,
         final_dist_y_avg=dist_y_avg,
-        final_dist_y_avg_eps={f"{eps:g}": d for eps, d in zip(config.eps_grid, dist_eps)},
+        final_dist_y_avg_eps={_eps_label(eps): d for eps, d in zip(config.eps_grid, dist_eps)},
         **{f.name: getattr(tallies, f.name, None) for f in fields(ValidationSummary)},
         wall_time=result.wall_time,
         emit_time=emit,
@@ -654,6 +652,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     """The CLI parser.  Every ``dest`` but ``config`` is an
     :class:`ExperimentConfig` field, and a flag that is not given is
     left out of the namespace, so the defaults are the dataclass's."""
+    defaults = ExperimentConfig()
+    seeds, radii = (" ".join(map(str, values)) for values in (defaults.seeds, defaults.eps_grid))
     parser = _ArgumentParser(
         prog="stochsqp-experiment",
         description="Run the constrained logistic-regression experiment protocol.",
@@ -671,9 +671,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--beta-p", dest="beta_p", type=float,
                         help="damping decay exponent, 1/2 < p <= 1")
     parser.add_argument("--seed", dest="seeds", metavar="SEED", action="append", type=int,
-                        help="replicate seed (repeatable; default 0)")
+                        help=f"replicate seed (repeatable; default {seeds})")
     parser.add_argument("--eps", dest="eps_grid", metavar="EPS", action="append", type=float,
-                        help="windowed-average radius (repeatable; default 0.01 0.1 1.0)")
+                        help=f"windowed-average radius (repeatable; default {radii})")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--thin", type=int, help="record every k-th iteration")
     parser.add_argument("--validate", action="store_true",

@@ -98,12 +98,13 @@ def parse_libsvm(source: str | TextIO) -> Dataset:
 
     A block that fails a check is scanned again line by line, only to
     raise the :class:`ParseError` of its first bad line (``line N:
-    ...``).  An index past the int64 range is a parse error of its line.
+    ...``).  An index past the int64 range is a parse error of its line,
+    as is the largest index if its matrix cannot be allocated.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
     labels: list[Array] = []
     entries: list[tuple[Array, Array, Array]] = []  # per block: idx, val, entries per line
-    max_index = 0
+    max_index = max_line = 0
     first = 1
     while lines := list(itertools.islice(stream, CHUNK_SAMPLES)):
         try:
@@ -111,13 +112,19 @@ def parse_libsvm(source: str | TextIO) -> Dataset:
         except (ValueError, OverflowError):
             _raise_first_bad_line(lines, first)
             raise
-        first += len(lines)
         labels.append(block_labels)
         entries.append((idx, val, counts))
-        if idx.size:
-            max_index = max(max_index, int(idx.max()))
+        if idx.size and (block_max := int(idx.max())) > max_index:
+            # The line of its first entry; counts has no entry for a blank line.
+            sample = np.searchsorted(np.cumsum(counts), idx.argmax(), side="right")
+            max_line = [n for n, line in enumerate(lines, first) if line.split(None, 1)][sample]
+            max_index = block_max
+        first += len(lines)
 
-    features = np.zeros((sum(block.size for block in labels), max_index))
+    try:
+        features = np.zeros((sum(block.size for block in labels), max_index))
+    except (ValueError, MemoryError):  # "array is too big", or out of memory
+        raise ParseError(f"line {max_line}: feature index {max_index} is too large") from None
     row = 0
     for idx, val, counts in entries:
         features[np.repeat(np.arange(row, row + counts.size), counts), idx - 1] = val
@@ -338,15 +345,13 @@ class ConstrainedLogRegInstance:
         n_samples = self.dataset.n_samples
 
         def sample(x, batch, rng):
-            if batch < 1:
-                raise ValueError("batch size must be >= 1")
             idx = rng.integers(0, n_samples, size=batch)
             return logistic_minibatch_gradient(self, x, idx)
 
         return StochasticGradientOracle(sample)
 
     def lipschitz_bounds(self):
-        """Certified ``(lip_gradf, lip_jac)`` for this instance family.
+        """Certified ``(lip_gradf, lip_jac)`` for this instance.
 
         The logistic Hessian is ``(1/N) D' W D`` with ``W`` diagonal and
         bounded by 1/4, so ``||D||_2^2 / (4N)`` bounds the gradient

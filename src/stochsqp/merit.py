@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .problem import Array
 
 
@@ -42,11 +43,11 @@ class MeritParams:
 
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
-            raise ValueError("tau must be positive and finite")
+            raise ConfigError("tau must be positive and finite")
         if not 0 < self.xi < math.inf:
-            raise ValueError("xi must be positive and finite")
+            raise ConfigError("xi must be positive and finite")
         if not 0 < self.nu < 1:
-            raise ValueError("nu must lie in (0, 1)")
+            raise ConfigError("nu must lie in (0, 1)")
 
 
 def phi(tau: float, f: float, c: Array) -> float:

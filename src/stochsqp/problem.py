@@ -72,9 +72,10 @@ class StochasticGradientOracle:
 
     ``sample(x, batch, rng)`` must return the average of ``batch``
     i.i.d. per-sample gradient estimates, each unbiased for
-    ``grad f(x)``.  ``exact`` declares that every draw is the exact
-    gradient, which a constant ``beta`` schedule requires; the step size
-    uses no variance bound, so an oracle declares none.
+    ``grad f(x)``; :func:`sample_gradient` checks ``batch >= 1`` first.
+    ``exact`` declares that every draw is the exact gradient, which a
+    ``beta`` schedule with ``p <= 1/2`` requires; the step size uses no
+    variance bound, so an oracle declares none.
     """
 
     sample: Callable[[Array, int, np.random.Generator], Array]
@@ -112,8 +113,6 @@ def exact_oracle(problem: Problem) -> StochasticGradientOracle:
     """Oracle returning the exact gradient, declared ``exact``."""
 
     def sample(x, batch, rng):
-        if batch < 1:
-            raise ValueError("batch size must be >= 1")
         return np.asarray(problem.gradient(x), dtype=float)
 
     return StochasticGradientOracle(sample=sample, exact=True)

@@ -2,13 +2,12 @@
 
 Each iteration draws a mini-batch gradient estimate, solves the
 constrained subproblem with the identity model matrix, and moves by
-``alpha_k = beta_k * tau * xi / (tau * lip_gradf + lip_jac)``.  The
-``beta`` sequence must be unsummable but square-summable for stochastic
-runs; the built-in power family ``beta1 * k**-p`` enforces
-``1/2 < p <= 1``.  A constant schedule is also provided but is accepted
-only with an oracle declared exact, where the square-summability
-requirement plays no role and the fixed step gives plain linear
-convergence; the reference solve in :mod:`stochsqp.harness` takes that
+``alpha_k = beta_k * tau * xi / (tau * lip_gradf + lip_jac)`` with
+``beta_k = beta1 * k**-p``.  For stochastic runs the sequence must be
+unsummable but square-summable, ``1/2 < p <= 1``; with an oracle
+declared exact any ``0 <= p <= 1`` is accepted, and ``p = 0`` is
+constant damping, whose fixed step gives plain linear convergence.
+The reference solve in :mod:`stochsqp.harness` takes the unit-damping
 step wherever it takes no Newton step.
 
 :func:`iterate` is the iteration itself, and :func:`subproblem` the
@@ -94,33 +93,30 @@ def step_size(tau: float, xi: float, lip_gradf: float, lip_jac: float, beta):
 
 @dataclass(frozen=True)
 class BetaSchedule:
-    """Step-size damping sequence ``beta_k``.
+    """Step-size damping sequence ``beta_k = beta1 * k**-p``, ``0 <= p <= 1``.
 
-    family "power": ``beta_k = beta1 * k**-p`` with ``1/2 < p <= 1``
-    (unsummable, square-summable).  family "constant": ``beta_k =
-    beta1``; valid only for exact-gradient runs and rejected by
-    :func:`iterate` when the oracle does not declare itself exact.
+    :meth:`check_oracle` states which ``p`` a run admits.  ``p = 0`` is
+    constant damping: ``float(k) ** -0.0 == 1.0``, so ``beta_k = beta1``.
     """
 
-    family: str = "power"
     beta1: float = 1.0
     p: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("power", "constant"):
-            raise ConfigError(f"unknown beta family {self.family!r}")
         if not 0 < self.beta1 <= 1:
             raise ConfigError("beta1 must lie in (0, 1]")
-        if self.family == "power" and not 0.5 < self.p <= 1:
-            raise ConfigError(
-                "power schedule needs 1/2 < p <= 1 to be unsummable but square-summable"
-            )
+        if not 0 <= self.p <= 1:
+            raise ConfigError("damping decay exponent p must lie in [0, 1]")
+
+    def check_oracle(self, exact: bool) -> None:
+        """Raise :class:`ConfigError` for noisy gradients (not ``exact``) and ``p <= 1/2``."""
+        if not (exact or self.p > 0.5):
+            raise ConfigError(f"damping decay exponent p={self.p} is reserved for exact-gradient "
+                              "runs; stochastic gradients need 1/2 < p <= 1")
 
     def sequence(self, iters: int) -> Array:
         """``beta_1, ..., beta_iters``, each the scalar ``beta1 * float(k) ** -p``
         of Python's ``pow`` (numpy's vector power can differ in the last bit)."""
-        if self.family == "constant":
-            return np.full(iters, self.beta1)
         beta1, p = self.beta1, self.p
         return np.fromiter((beta1 * float(k) ** -p for k in range(1, iters + 1)), float, iters)
 
@@ -326,13 +322,11 @@ def iterate(
     Consumed by :func:`run`; a caller may stop pulling early.  Each step
     solves :func:`subproblem` at the iterate and moves along its ``d``.
     The objective is never evaluated here; consumers that record it
-    evaluate it themselves.  The step lengths are computed and checked
+    evaluate it themselves.  The schedule and step lengths are checked
     before the first step.  Errors from :func:`subproblem` propagate,
     and a non-finite iterate aborts with :class:`EvaluationError`.
     """
-    if config.beta.family == "constant" and not oracle.exact:
-        raise ConfigError("constant beta schedule is reserved for exact-gradient runs")
-
+    config.beta.check_oracle(oracle.exact)
     alphas = step_size(config.merit.tau, config.merit.xi, config.lip_gradf, config.lip_jac,
                        config.beta.sequence(config.max_iters))
     rng = np.random.default_rng(config.seed)

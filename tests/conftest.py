@@ -206,10 +206,7 @@ def row_by_row_run(problem, oracle, config):
 
     for k, x, c, jac, g, factors, sol, alpha_k, x_next in iterate(problem, oracle, config):
         i = k - 1
-        if schedule.family == "constant":
-            beta_k = schedule.beta1
-        else:
-            beta_k = schedule.beta1 * float(k) ** -schedule.p
+        beta_k = schedule.beta1 * float(k) ** -schedule.p
         row = {
             "alpha": step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, beta_k),
             "beta": beta_k,

@@ -336,7 +336,7 @@ class TestMultiplierBound:
         merit = MeritParams()
         reference = compute_reference(problem, merit, lip_gradf, lip_jac)
         config = SolverConfig(merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
-                              beta=BetaSchedule(family="constant"), max_iters=400,
+                              beta=BetaSchedule(p=0.0), max_iters=400,
                               validate=True)
         trace = run(problem, exact_oracle(problem), config).trace
         dist_x = np.linalg.norm(trace.x[199:] - reference.x, axis=1)

@@ -107,7 +107,7 @@ class TestComputeReference:
                 compute_reference(problem, merit, 0.5, 2.0)
             else:
                 config = SolverConfig(merit=merit, lip_gradf=0.5, lip_jac=2.0,
-                                      beta=BetaSchedule("constant"), max_iters=10)
+                                      beta=BetaSchedule(p=0.0), max_iters=10)
                 run(problem, exact_oracle(problem), config)
         assert str(raised.value) == f"iteration 3: {message}"
 
@@ -126,10 +126,29 @@ class TestComputeReference:
                 compute_reference(problem, merit, 0.5, 2.0)
             else:
                 config = SolverConfig(merit=merit, lip_gradf=0.5, lip_jac=2.0,
-                                      beta=BetaSchedule("constant"), max_iters=10)
+                                      beta=BetaSchedule(p=0.0), max_iters=10)
                 run(problem, exact_oracle(problem), config)
         assert str(raised.value).startswith(
             "iteration 3: exact gradient returned a non-finite value at x=")
+
+    @pytest.mark.parametrize("hessian", [None, lambda x, y: 2.0 * y[0] * np.eye(2)],
+                             ids=["differences", "analytic"])
+    def test_each_iterate_is_evaluated_once(self, hessian):
+        # The second-order check reuses the candidate's Jacobian and
+        # gradient; only the difference route evaluates n - m more points.
+        toy, calls = sphere_problem(), {"jacobian": 0, "gradient": 0}
+
+        def counted(name):
+            def evaluate(x):
+                calls[name] += 1
+                return getattr(toy, name)(x)
+            return evaluate
+
+        problem = dataclasses.replace(toy, jacobian=counted("jacobian"),
+                                      gradient=counted("gradient"), lagrangian_hessian=hessian)
+        ref = compute_reference(problem, MeritParams(), 0.5, 2.0)
+        points = ref.iterations + (0 if hessian else problem.n - problem.m)
+        assert calls == {"jacobian": points, "gradient": points}
 
     @pytest.mark.parametrize("which", ["bundled", "sphere"])
     def test_is_the_solver_loop_cut_short(self, which, bundled_instance):
@@ -142,7 +161,7 @@ class TestComputeReference:
         merit = MeritParams()
         ref = compute_reference(problem, merit, lip_gradf, lip_jac)
         config = SolverConfig(merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
-                              beta=BetaSchedule("constant"), max_iters=ref.iterations)
+                              beta=BetaSchedule(p=0.0), max_iters=ref.iterations)
         trace = run(problem, exact_oracle(problem), config).trace
         assert np.array_equal(trace.x[-1], ref.x)
         assert np.array_equal(trace.y[-1], ref.y)
@@ -269,9 +288,10 @@ class TestComputeReference:
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         ref = compute_reference(problem, MeritParams(), lip_gradf, lip_jac)
-        analytic = harness._check_second_order(problem, ref.x, ref.y)
+        at_ref = ref.x, ref.y, problem.jacobian(ref.x), problem.gradient(ref.x)
+        analytic = harness._check_second_order(problem, *at_ref)
         differences = harness._check_second_order(
-            dataclasses.replace(problem, lagrangian_hessian=None), ref.x, ref.y)
+            dataclasses.replace(problem, lagrangian_hessian=None), *at_ref)
         assert len(analytic) == problem.n - problem.m
         assert analytic[0] > 0
         assert differences[0] == pytest.approx(analytic[0], rel=1e-5)
@@ -445,7 +465,7 @@ class TestRunExperiment:
 
     def test_windowed_columns_match_recomputation(self, small_run):
         from stochsqp import windowed_average, load_bundled_instance
-        from stochsqp import BetaSchedule, SolverConfig, run
+        from stochsqp import SolverConfig, run
 
         config, result = small_run
         inst = load_bundled_instance()
@@ -453,7 +473,7 @@ class TestRunExperiment:
         lip_gradf, lip_jac = inst.lipschitz_bounds()
         solver_config = SolverConfig(
             merit=config.merit(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-            beta=BetaSchedule("power", config.beta1, config.beta_p),
+            beta=config.beta_schedule(),
             batch_size=config.batch, max_iters=config.iters, seed=1,
             validate=True,
         )
@@ -537,15 +557,18 @@ class TestRunExperiment:
             ExperimentConfig(mlin=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(beta_p=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ExperimentConfig(tau=0.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
-    def test_ref_tol_is_checked_before_any_output(self, tmp_path, tol):
+    def test_constant_damping_needs_exact_gradients(self, tmp_path):
         out = tmp_path / "out"
-        with pytest.raises(ConfigError, match=re.escape(f"tol must be finite and > 0, got {tol}")):
-            run_experiment(ExperimentConfig(ref_tol=tol, out=str(out)))
+        with pytest.raises(ConfigError, match="exact-gradient"):
+            run_experiment(ExperimentConfig(beta_p=0.0, iters=20, thin=10, out=str(out)))
         assert not out.exists()
+        result = run_experiment(
+            ExperimentConfig(beta_p=0.0, exact=True, iters=20, thin=10, out=str(out)))
+        header, rows = _read_csv(result.trace_paths[0])
+        assert [row[header.index("beta")] for row in rows] == ["1", "1"]
 
 
 @pytest.fixture(scope="module")
@@ -726,8 +749,7 @@ class TestCli:
         assert vars(parser.parse_args([])) == {}
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         dests = {a.dest for a in parser._actions} - {"help", "config"}
-        assert dests <= fields
-        assert fields - dests == {"ref_tol"}
+        assert fields == dests
         # The help of the repeatable flags quotes the dataclass defaults.
         defaults = ExperimentConfig()
         for action in parser._actions:
@@ -848,7 +870,7 @@ class TestCli:
         ["config-value", "libsvm-parse", "libsvm-nan", "too-many-constraints", "zero-tau",
          "nan-eps", "inf-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau",
          "duplicate-seed", "config-duplicate-seed", "same-eps-label", "negative-seed",
-         "config-negative-seed"],
+         "config-negative-seed", "libsvm-too-wide"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -859,6 +881,9 @@ class TestCli:
         nan_data.write_text("+1 1:0.5 2:1\n-1 1:nan 2:1\n")
         utf8_data = tmp_path / "utf8.libsvm"
         utf8_data.write_bytes("+1 1:0.5\n-1 1:\u00e9\n".encode("utf-8"))
+        # The largest int64 index parses, but no matrix is that wide.
+        wide_data = tmp_path / "wide.libsvm"
+        wide_data.write_text(f"+1 1:1\n-1 {2**63 - 1}:1\n")
         seeds_cfg = tmp_path / "seeds.cfg"
         seeds_cfg.write_text("seed = 1, 1\n")
         negative_cfg = tmp_path / "negative.cfg"
@@ -874,6 +899,7 @@ class TestCli:
             "flag-value": ["--iters", "abc"],
             "unknown-flag": ["--bogus"],
             "libsvm-utf8": ["--dataset", str(utf8_data)],
+            "libsvm-too-wide": ["--dataset", str(wide_data)],
             "inf-tau": ["--tau", "inf"],
             # tau * lip_gradf overflows, so the step size would be 0.
             "overflow-tau": ["--tau", "1e308"],
@@ -890,6 +916,8 @@ class TestCli:
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if case == "libsvm-too-wide":
+            assert lines[0].startswith(f"error: {wide_data}: line 2: feature index {2**63 - 1} ")
         if case == "libsvm-parse":
             assert lines[0].startswith(f"error: {data}: line 1: malformed entry")
         if case == "libsvm-nan":

@@ -181,13 +181,22 @@ class TestParseMatchesReference:
             parse_libsvm(text)
         with pytest.raises((ValueError, OverflowError, MemoryError)):
             reference_parse_libsvm(text)
-        # The largest int64 index still parses; neither parser can then
-        # allocate a matrix that wide.
+        # The largest int64 index still parses, but no matrix is that
+        # wide: the parser names the line of the largest index.
         widest = text.replace(str(huge), str(huge - 1))
-        for parse in (parse_libsvm, reference_parse_libsvm):
-            with pytest.raises((ValueError, MemoryError)) as info:
-                parse(widest)
-            assert not isinstance(info.value, ParseError)
+        message = rf"^line {position + 1}: feature index {huge - 1} is too large$"
+        with pytest.raises(ParseError, match=message):
+            parse_libsvm(widest)
+        with pytest.raises((ValueError, MemoryError)) as info:
+            reference_parse_libsvm(widest)
+        assert not isinstance(info.value, ParseError)
+
+    def test_too_wide_matrix_counts_blank_lines(self, monkeypatch):
+        monkeypatch.setattr(logreg, "CHUNK_SAMPLES", 3)
+        widest = 2**63 - 1
+        text = f"+1 1:1\n\n  \n+1 2:1\n\n-1 1:1 3:1 {widest}:1\n+1 {widest}:1\n"
+        with pytest.raises(ParseError, match=rf"^line 6: feature index {widest} "):
+            parse_libsvm(text)
 
     def test_bundled_file_matches_reference(self):
         from importlib import resources

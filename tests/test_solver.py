@@ -79,17 +79,14 @@ class TestBetaSchedule:
         assert beta[3] == 0.25
 
     @pytest.mark.parametrize("schedule", [BetaSchedule(p=0.51), BetaSchedule(p=1.0),
-                                          BetaSchedule("constant", beta1=0.3)],
+                                          BetaSchedule(beta1=0.3, p=0.0)],
                              ids=["p=0.51", "p=1", "constant"])
     def test_sequence_has_the_scalar_bits(self, schedule):
         # numpy's vector power differs from the scalar one in the last bit
         # for some k, so the sequence must be built from the scalar.
         iters = 100_000
         tau, xi, lip_gradf, lip_jac = 0.1, 1.0, 3.7, 2.3
-        if schedule.family == "constant":
-            scalar = [schedule.beta1] * iters
-        else:
-            scalar = [schedule.beta1 * float(k) ** -schedule.p for k in range(1, iters + 1)]
+        scalar = [schedule.beta1 * float(k) ** -schedule.p for k in range(1, iters + 1)]
         betas = schedule.sequence(iters)
         assert betas.tobytes() == np.array(scalar).tobytes()
         den = tau * lip_gradf + lip_jac
@@ -97,11 +94,20 @@ class TestBetaSchedule:
         assert alphas.tobytes() == np.array([b * tau * xi / den for b in scalar]).tobytes()
 
     def test_decay_exponent_contract(self):
-        with pytest.raises(ConfigError):
-            BetaSchedule(p=0.4)
-        with pytest.raises(ConfigError):
-            BetaSchedule(p=1.2)
-        BetaSchedule(p=0.51)  # boundary-interior value accepted
+        # Any p in [0, 1] is a schedule; whether the oracle admits it is
+        # check_oracle's question.
+        for bad in (-0.1, 1.2, math.nan):
+            with pytest.raises(ConfigError):
+                BetaSchedule(p=bad)
+        for p in (0.0, 0.4, 0.5, 0.51, 1.0):
+            BetaSchedule(p=p).check_oracle(exact=True)
+        with pytest.raises(ConfigError, match="exact-gradient"):
+            BetaSchedule(p=0.4).check_oracle(exact=False)
+        BetaSchedule(p=0.51).check_oracle(exact=False)  # boundary-interior value accepted
+
+    def test_zero_exponent_is_constant_damping(self):
+        n = 10_000
+        assert BetaSchedule(beta1=0.3, p=0.0).sequence(n).tobytes() == np.full(n, 0.3).tobytes()
 
     def test_beta1_range(self):
         with pytest.raises(ConfigError):
@@ -110,14 +116,16 @@ class TestBetaSchedule:
             BetaSchedule(beta1=1.5)
 
     def test_constant_family_requires_exact_oracle(self):
+        # p <= 1/2, constant damping (p = 0) among them, needs exact gradients.
         problem = sphere_problem()
-        config = SolverConfig(
-            merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
-            beta=BetaSchedule(family="constant"), max_iters=5,
-        )
-        with pytest.raises(ConfigError, match="exact-gradient"):
-            run(problem, gaussian_oracle(problem, sigma=1.0), config)
-        run(problem, exact_oracle(problem), config)  # accepted
+        for p in (0.0, 0.3, 0.5):
+            config = SolverConfig(
+                merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
+                beta=BetaSchedule(p=p), max_iters=5,
+            )
+            with pytest.raises(ConfigError, match="exact-gradient"):
+                next(iterate(problem, gaussian_oracle(problem, sigma=1.0), config))
+            run(problem, exact_oracle(problem), config)  # accepted
 
 
 class TestSolverConfig:
@@ -164,7 +172,7 @@ class TestRun:
         lip = float(np.linalg.norm(p_mat, 2))
         config = SolverConfig(
             merit=MeritParams(), lip_gradf=lip, lip_jac=1e-6,
-            beta=BetaSchedule(family="constant"), max_iters=10_000,
+            beta=BetaSchedule(p=0.0), max_iters=10_000,
             validate=True,
         )
         result = run(problem, exact_oracle(problem), config)
@@ -261,7 +269,7 @@ class TestRun:
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
             merit=MeritParams(tau=0.1, xi=1.0), lip_gradf=lip_gradf, lip_jac=lip_jac,
-            beta=BetaSchedule(family="power", beta1=1.0, p=1.0),
+            beta=BetaSchedule(beta1=1.0, p=1.0),
             batch_size=16, max_iters=10_000, seed=5, validate=True,
         )
         result = run(problem, bundled_instance.minibatch_oracle(), config)
@@ -274,7 +282,7 @@ class TestRun:
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
             merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-            beta=BetaSchedule(family="constant"), max_iters=3_000,
+            beta=BetaSchedule(p=0.0), max_iters=3_000,
             validate=True,
         )
         result = run(problem, exact_oracle(problem), config)
@@ -444,7 +452,7 @@ class TestModelMatrixRoutes:
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-                              beta=BetaSchedule("constant"), max_iters=50, validate=True)
+                              beta=BetaSchedule(p=0.0), max_iters=50, validate=True)
         trace = run(problem, exact_oracle(problem), config).trace
         assert np.array_equal(trace.y, trace.y_true)
 

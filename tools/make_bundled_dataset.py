@@ -91,7 +91,7 @@ def sanity_check(dataset: Dataset):
         merit=MeritParams(tau=0.1, xi=1.0, nu=0.5),
         lip_gradf=lip_gradf,
         lip_jac=lip_jac,
-        beta=BetaSchedule(family="constant", beta1=1.0),
+        beta=BetaSchedule(beta1=1.0, p=0.0),
         batch_size=1,
         max_iters=20_000,
         validate=True,
