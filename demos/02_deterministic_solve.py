@@ -1,19 +1,18 @@
 """Exact-gradient solves: a hand-checkable toy, then the bundled instance.
 
 With exact gradients a constant damping factor, the schedule
-``beta1 * k**-p`` at ``p = 0``, is admissible and the iteration
+``k**-p`` at ``p = 0``, is admissible and the iteration
 contracts linearly.  Along the way the merit function
 decreases monotonically and the fixed merit/ratio parameters stay below
 their per-iteration trial values.  High-accuracy reference solutions
 come from Newton steps on the KKT system where the problem has a
 Lagrangian Hessian; the sphere toy has none, so its reference solve
-takes these constant-damping steps, with ``beta1 = 1``, throughout.
+takes these constant-damping steps, ``beta_k = 1``, throughout.
 """
 
 import numpy as np
 
 from stochsqp import (
-    BetaSchedule,
     MeritParams,
     Problem,
     SolverConfig,
@@ -48,7 +47,7 @@ print(f"\nbundled instance: n={instance.n}, m={instance.m}, "
 config = SolverConfig(
     merit=MeritParams(tau=0.1, xi=1.0),
     lip_gradf=lip_gradf, lip_jac=lip_jac,
-    beta=BetaSchedule(p=0.0),
+    beta_p=0.0,
     max_iters=3000, validate=True,
 )
 result = run(problem, exact_oracle(problem), config)

@@ -10,7 +10,7 @@ almost the same accuracy.
 
 import numpy as np
 
-from stochsqp import BetaSchedule, MeritParams, SolverConfig, load_bundled_instance, run
+from stochsqp import MeritParams, SolverConfig, load_bundled_instance, run
 from stochsqp.averaging import window_starts
 from stochsqp.harness import compute_reference, distance_columns
 
@@ -25,7 +25,7 @@ print(f"reference solved to residual {reference.residual:.1e} "
 
 config = SolverConfig(
     merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
-    beta=BetaSchedule(beta1=1.0, p=0.51),
+    beta_p=0.51,
     batch_size=16, max_iters=20_000, seed=1, validate=True,
 )
 result = run(problem, instance.minibatch_oracle(), config)

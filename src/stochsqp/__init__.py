@@ -64,7 +64,6 @@ from .problem import (
     sample_gradient,
 )
 from .solver import (
-    BetaSchedule,
     Iteration,
     RunResult,
     SolverConfig,

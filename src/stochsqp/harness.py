@@ -27,7 +27,7 @@ import os
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .logreg import load_bundled_dataset, load_libsvm_file
 from .merit import MeritParams, phi, reduction_from_products, tau_trial_from_products
 from .problem import Array, Problem, exact_oracle
 from .solver import (
-    BetaSchedule, SolverConfig, Trace, ValidationSummary, kkt_residual, run, step_size, subproblem,
+    SolverConfig, Trace, ValidationSummary, kkt_residual, run, step_size, subproblem,
 )
 
 # The benchmark's traced mode (perfbench/spans.py) looks this name up
@@ -230,7 +230,7 @@ def _check_second_order(problem: Problem, x: Array, y: Array, jac: Array, grad: 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved settings for one experiment invocation.
 
@@ -248,8 +248,7 @@ class ExperimentConfig:
     tau: float = MeritParams.tau
     xi: float = MeritParams.xi
     nu: float = MeritParams.nu
-    beta1: float = BetaSchedule.beta1
-    beta_p: float = BetaSchedule.p
+    beta_p: float = SolverConfig.beta_p
     seeds: list[int] = field(default_factory=lambda: [0])
     eps_grid: list[float] = field(default_factory=lambda: [0.01, 0.1, 1.0])
     out: str = "runs"
@@ -281,14 +280,18 @@ class ExperimentConfig:
         if len(set(labels)) < len(labels):
             raise ConfigError(f"eps values must have distinct labels, got {labels}")
         # Built here only to reject bad values before any output.
-        self.merit()
-        self.beta_schedule().check_oracle(self.exact)
+        self.solver_config().check_oracle(self.exact)
 
-    def merit(self) -> MeritParams:
-        return MeritParams(tau=self.tau, xi=self.xi, nu=self.nu)
-
-    def beta_schedule(self) -> BetaSchedule:
-        return BetaSchedule(beta1=self.beta1, p=self.beta_p)
+    def solver_config(self) -> SolverConfig:
+        """The replicates' solver settings, with the library's default
+        Lipschitz bounds and seed; :func:`run_experiment` sets those."""
+        return SolverConfig(
+            merit=MeritParams(tau=self.tau, xi=self.xi, nu=self.nu),
+            beta_p=self.beta_p,
+            batch_size=self.batch,
+            max_iters=self.iters,
+            validate=self.validate,
+        )
 
 
 @dataclass
@@ -497,14 +500,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     instance = _load_instance(config)
     if not config.reference_only:
         _check_replicate_fits(config, instance.n, instance.m)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     problem = instance.problem()
     lip_gradf, lip_jac = instance.lipschitz_bounds()
+    solver_config = replace(config.solver_config(), lip_gradf=lip_gradf, lip_jac=lip_jac)
     started = time.perf_counter()
-    reference = compute_reference(problem, config.merit(), lip_gradf, lip_jac)
+    reference = compute_reference(problem, solver_config.merit, lip_gradf, lip_jac)
     reference_seconds = time.perf_counter() - started
+    out_dir = Path(config.out)  # made only now, so a failed solve leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     echo = asdict(config)
     echo.update(
@@ -543,7 +547,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         oracle = exact_oracle(problem) if config.exact else instance.minibatch_oracle()
         for seed in config.seeds:
             summary, path = _run_replicate(
-                config, problem, oracle, reference, lip_gradf, lip_jac, seed, out_dir
+                config, problem, oracle, reference, replace(solver_config, seed=seed), out_dir
             )
             summaries.append(summary)
             trace_paths.append(path)
@@ -553,19 +557,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _run_replicate(config, problem, oracle, reference, lip_gradf, lip_jac, seed, out_dir):
-    solver_config = SolverConfig(
-        merit=config.merit(),
-        lip_gradf=lip_gradf,
-        lip_jac=lip_jac,
-        beta=config.beta_schedule(),
-        batch_size=config.batch,
-        max_iters=config.iters,
-        seed=seed,
-        validate=config.validate,
-    )
+def _run_replicate(config, problem, oracle, reference, solver_config, out_dir):
     result = run(problem, oracle, solver_config)
     trace = result.trace
+    seed = solver_config.seed
 
     path = out_dir / f"trace_seed{seed}.csv"
     started = time.perf_counter()
@@ -667,9 +662,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tau", type=float, help="merit parameter")
     parser.add_argument("--xi", type=float, help="ratio parameter")
     parser.add_argument("--nu", type=float, help="reduction fraction")
-    parser.add_argument("--beta1", type=float, help="initial damping factor")
     parser.add_argument("--beta-p", dest="beta_p", type=float,
-                        help="damping decay exponent, 1/2 < p <= 1")
+                        help="damping decay exponent, beta_k = k**-p with 0 <= p <= 1 "
+                             "(p <= 1/2 needs --exact)")
     parser.add_argument("--seed", dest="seeds", metavar="SEED", action="append", type=int,
                         help=f"replicate seed (repeatable; default {seeds})")
     parser.add_argument("--eps", dest="eps_grid", metavar="EPS", action="append", type=float,

@@ -3,10 +3,12 @@
 Each iteration draws a mini-batch gradient estimate, solves the
 constrained subproblem with the identity model matrix, and moves by
 ``alpha_k = beta_k * tau * xi / (tau * lip_gradf + lip_jac)`` with
-``beta_k = beta1 * k**-p``.  For stochastic runs the sequence must be
+``beta_k = k**-p``.  For stochastic runs the sequence must be
 unsummable but square-summable, ``1/2 < p <= 1``; with an oracle
 declared exact any ``0 <= p <= 1`` is accepted, and ``p = 0`` is
 constant damping, whose fixed step gives plain linear convergence.
+A constant factor on ``beta_k`` would only rescale ``xi``, so the
+schedule is the one exponent ``SolverConfig.beta_p``.
 The reference solve in :mod:`stochsqp.harness` takes the unit-damping
 step wherever it takes no Newton step.
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
@@ -92,36 +94,6 @@ def step_size(tau: float, xi: float, lip_gradf: float, lip_jac: float, beta):
 
 
 @dataclass(frozen=True)
-class BetaSchedule:
-    """Step-size damping sequence ``beta_k = beta1 * k**-p``, ``0 <= p <= 1``.
-
-    :meth:`check_oracle` states which ``p`` a run admits.  ``p = 0`` is
-    constant damping: ``float(k) ** -0.0 == 1.0``, so ``beta_k = beta1``.
-    """
-
-    beta1: float = 1.0
-    p: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.beta1 <= 1:
-            raise ConfigError("beta1 must lie in (0, 1]")
-        if not 0 <= self.p <= 1:
-            raise ConfigError("damping decay exponent p must lie in [0, 1]")
-
-    def check_oracle(self, exact: bool) -> None:
-        """Raise :class:`ConfigError` for noisy gradients (not ``exact``) and ``p <= 1/2``."""
-        if not (exact or self.p > 0.5):
-            raise ConfigError(f"damping decay exponent p={self.p} is reserved for exact-gradient "
-                              "runs; stochastic gradients need 1/2 < p <= 1")
-
-    def sequence(self, iters: int) -> Array:
-        """``beta_1, ..., beta_iters``, each the scalar ``beta1 * float(k) ** -p``
-        of Python's ``pow`` (numpy's vector power can differ in the last bit)."""
-        beta1, p = self.beta1, self.p
-        return np.fromiter((beta1 * float(k) ** -p for k in range(1, iters + 1)), float, iters)
-
-
-@dataclass
 class SolverConfig:
     """Fixed parameters for one run.
 
@@ -130,12 +102,16 @@ class SolverConfig:
     symmetric model matrix, solve single subproblems with
     :func:`stochsqp.kkt.solve_kkt`.  The identity has unit curvature
     on the Jacobian null space, so no curvature setting is needed.
+
+    The damping sequence is ``beta_k = k**-p``, ``p = beta_p`` in
+    ``[0, 1]``; :meth:`check_oracle` states which ``p`` a run admits.
+    ``p = 0`` is constant damping: ``float(k) ** -0.0 == 1.0``.
     """
 
     merit: MeritParams = field(default_factory=MeritParams)
     lip_gradf: float = 1.0
     lip_jac: float = 1.0
-    beta: BetaSchedule = field(default_factory=BetaSchedule)
+    beta_p: float = 1.0
     batch_size: int = 16
     max_iters: int = 1000
     seed: int = 0
@@ -144,12 +120,26 @@ class SolverConfig:
     def __post_init__(self):
         if not self.lip_gradf > 0 or not self.lip_jac > 0:
             raise ConfigError("Lipschitz constants must be > 0")
+        if not 0 <= self.beta_p <= 1:
+            raise ConfigError("damping decay exponent p must lie in [0, 1]")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+
+    def check_oracle(self, exact: bool) -> None:
+        """Raise :class:`ConfigError` for noisy gradients (not ``exact``) and ``p <= 1/2``."""
+        if not (exact or self.beta_p > 0.5):
+            raise ConfigError(f"damping decay exponent p={self.beta_p} is reserved for "
+                              "exact-gradient runs; stochastic gradients need 1/2 < p <= 1")
+
+    def damping(self) -> Array:
+        """``beta_1, ..., beta_max_iters``, each the scalar ``float(k) ** -p``
+        of Python's ``pow`` (numpy's vector power can differ in the last bit)."""
+        p, iters = self.beta_p, self.max_iters
+        return np.fromiter((float(k) ** -p for k in range(1, iters + 1)), float, iters)
 
 
 class Trace:
@@ -176,7 +166,7 @@ class Trace:
     _LEDGER = ("gd", "dd", "l1", "cc", "gd_true", "dd_true")
 
     def __init__(self, n: int, m: int, config: SolverConfig):
-        self.config = replace(config)  # a copy: the schedule columns read it
+        self.config = config  # frozen, so the schedule columns read it as given
         self.merit, iters = config.merit, config.max_iters
         self.ledger = np.full((len(self._LEDGER), iters), np.nan)
         self.x = np.empty((iters, n))
@@ -194,7 +184,7 @@ class Trace:
 
     @cached_property
     def beta(self) -> Array:
-        beta = self.config.beta.sequence(len(self))
+        beta = self.config.damping()
         beta.flags.writeable = False
         return beta
 
@@ -326,9 +316,9 @@ def iterate(
     before the first step.  Errors from :func:`subproblem` propagate,
     and a non-finite iterate aborts with :class:`EvaluationError`.
     """
-    config.beta.check_oracle(oracle.exact)
+    config.check_oracle(oracle.exact)
     alphas = step_size(config.merit.tau, config.merit.xi, config.lip_gradf, config.lip_jac,
-                       config.beta.sequence(config.max_iters))
+                       config.damping())
     rng = np.random.default_rng(config.seed)
     x = np.array(problem.x0, dtype=float)
     for k, alpha_k in enumerate(alphas, start=1):

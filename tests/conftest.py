@@ -202,11 +202,10 @@ def row_by_row_run(problem, oracle, config):
     columns["y"] = np.empty((iters, problem.m))
     columns["y_true"] = np.full((iters, problem.m), np.nan) if validate else None
     summary = ValidationSummary() if validate else None
-    schedule = config.beta
 
     for k, x, c, jac, g, factors, sol, alpha_k, x_next in iterate(problem, oracle, config):
         i = k - 1
-        beta_k = schedule.beta1 * float(k) ** -schedule.p
+        beta_k = float(k) ** -config.beta_p
         row = {
             "alpha": step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, beta_k),
             "beta": beta_k,

@@ -19,7 +19,6 @@ import pytest
 from scipy.stats import linregress
 
 from stochsqp import (
-    BetaSchedule,
     MeritParams,
     SolverConfig,
     exact_oracle,
@@ -83,7 +82,7 @@ def deterministic_run(instance):
     config = SolverConfig(
         merit=MeritParams(tau=0.1, xi=1.0, nu=0.5),
         lip_gradf=lip_gradf, lip_jac=lip_jac,
-        beta=BetaSchedule(beta1=1.0, p=0.0),
+        beta_p=0.0,
         batch_size=1, max_iters=20_000, validate=True,
     )
     return run(problem, exact_oracle(problem), config)
@@ -99,7 +98,7 @@ def protocol_runs(instance):
         config = SolverConfig(
             merit=MeritParams(tau=0.1, xi=1.0, nu=0.5),
             lip_gradf=lip_gradf, lip_jac=lip_jac,
-            beta=BetaSchedule(beta1=1.0, p=0.51),
+            beta_p=0.51,
             batch_size=16, max_iters=100_000, seed=seed,
             validate=True,
         )
@@ -380,7 +379,7 @@ def test_criterion_10_curvature_threshold(instance):
     config = SolverConfig(
         merit=MeritParams(tau=0.1, xi=1.0, nu=0.5),
         lip_gradf=lip_gradf, lip_jac=lip_jac,
-        beta=BetaSchedule(beta1=1.0, p=0.51),
+        beta_p=0.51,
         batch_size=16, max_iters=5_000, seed=1,
     )
     products = []

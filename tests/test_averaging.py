@@ -307,7 +307,7 @@ class TestWindowedAverages:
 
 class TestMultiplierTrace:
     def test_from_run_alignment(self, bundled_instance):
-        from stochsqp import BetaSchedule, MeritParams, SolverConfig, run
+        from stochsqp import MeritParams, SolverConfig, run
 
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
@@ -328,7 +328,7 @@ class TestMultiplierBound:
         # With exact gradients the multiplier error follows the primal
         # error: from k = 200 on, dist_y_true / dist_x stays finite and
         # at most 1e6.
-        from stochsqp import BetaSchedule, MeritParams, SolverConfig, exact_oracle, run
+        from stochsqp import MeritParams, SolverConfig, exact_oracle, run
         from stochsqp.harness import compute_reference
 
         problem = bundled_instance.problem()
@@ -336,7 +336,7 @@ class TestMultiplierBound:
         merit = MeritParams()
         reference = compute_reference(problem, merit, lip_gradf, lip_jac)
         config = SolverConfig(merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
-                              beta=BetaSchedule(p=0.0), max_iters=400,
+                              beta_p=0.0, max_iters=400,
                               validate=True)
         trace = run(problem, exact_oracle(problem), config).trace
         dist_x = np.linalg.norm(trace.x[199:] - reference.x, axis=1)

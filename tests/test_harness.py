@@ -16,7 +16,6 @@ import pytest
 import scipy
 
 from stochsqp import (
-    BetaSchedule,
     ConfigError,
     EvaluationError,
     MeritParams,
@@ -107,7 +106,7 @@ class TestComputeReference:
                 compute_reference(problem, merit, 0.5, 2.0)
             else:
                 config = SolverConfig(merit=merit, lip_gradf=0.5, lip_jac=2.0,
-                                      beta=BetaSchedule(p=0.0), max_iters=10)
+                                      beta_p=0.0, max_iters=10)
                 run(problem, exact_oracle(problem), config)
         assert str(raised.value) == f"iteration 3: {message}"
 
@@ -126,7 +125,7 @@ class TestComputeReference:
                 compute_reference(problem, merit, 0.5, 2.0)
             else:
                 config = SolverConfig(merit=merit, lip_gradf=0.5, lip_jac=2.0,
-                                      beta=BetaSchedule(p=0.0), max_iters=10)
+                                      beta_p=0.0, max_iters=10)
                 run(problem, exact_oracle(problem), config)
         assert str(raised.value).startswith(
             "iteration 3: exact gradient returned a non-finite value at x=")
@@ -161,7 +160,7 @@ class TestComputeReference:
         merit = MeritParams()
         ref = compute_reference(problem, merit, lip_gradf, lip_jac)
         config = SolverConfig(merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
-                              beta=BetaSchedule(p=0.0), max_iters=ref.iterations)
+                              beta_p=0.0, max_iters=ref.iterations)
         trace = run(problem, exact_oracle(problem), config).trace
         assert np.array_equal(trace.x[-1], ref.x)
         assert np.array_equal(trace.y[-1], ref.y)
@@ -437,13 +436,13 @@ class TestRunExperiment:
         # Once in iterate and once for the trace's alpha and beta columns,
         # which the tallies and the CSV then share.
         builds = []
-        sequence = BetaSchedule.sequence
+        damping = SolverConfig.damping
 
-        def counted(schedule, iters):
-            builds.append(iters)
-            return sequence(schedule, iters)
+        def counted(config):
+            builds.append(config.max_iters)
+            return damping(config)
 
-        monkeypatch.setattr(BetaSchedule, "sequence", counted)
+        monkeypatch.setattr(SolverConfig, "damping", counted)
         config = ExperimentConfig(dataset=None, iters=400, seeds=[1, 2], validate=validate,
                                   out=str(tmp_path))
         run_experiment(config)
@@ -471,12 +470,8 @@ class TestRunExperiment:
         inst = load_bundled_instance()
         problem = inst.problem()
         lip_gradf, lip_jac = inst.lipschitz_bounds()
-        solver_config = SolverConfig(
-            merit=config.merit(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-            beta=config.beta_schedule(),
-            batch_size=config.batch, max_iters=config.iters, seed=1,
-            validate=True,
-        )
+        solver_config = dataclasses.replace(
+            config.solver_config(), lip_gradf=lip_gradf, lip_jac=lip_jac, seed=1)
         rerun = run(problem, inst.minibatch_oracle(), solver_config)
         reference = result.reference
         header, rows = _read_csv(result.trace_paths[0])
@@ -559,6 +554,8 @@ class TestRunExperiment:
             ExperimentConfig(beta_p=2.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(tau=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExperimentConfig().iters = 5
 
     def test_constant_damping_needs_exact_gradients(self, tmp_path):
         out = tmp_path / "out"
@@ -870,7 +867,7 @@ class TestCli:
         ["config-value", "libsvm-parse", "libsvm-nan", "too-many-constraints", "zero-tau",
          "nan-eps", "inf-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau",
          "duplicate-seed", "config-duplicate-seed", "same-eps-label", "negative-seed",
-         "config-negative-seed", "libsvm-too-wide"],
+         "config-negative-seed", "libsvm-too-wide", "removed-beta1"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -908,10 +905,10 @@ class TestCli:
             "duplicate-seed": ["--seed", "1", "--seed", "1"],
             "config-duplicate-seed": ["--config", str(seeds_cfg)],
             "same-eps-label": ["--eps", "0.1", "--eps", "0.10000000001"],
-            # numpy rejects a negative generator seed, but only after the
-            # reference solve.
             "negative-seed": ["--seed", "-1"],
             "config-negative-seed": ["--config", str(negative_cfg)],
+            # The damping scale is xi's: --beta1 b --xi x is --xi b*x.
+            "removed-beta1": ["--beta1", "0.5"],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -936,7 +933,15 @@ class TestCli:
             assert lines[0] == "error: seeds must be >= 0, got [-1]"
         if case == "config-negative-seed":
             assert lines[0] == "error: seeds must be >= 0, got [-2]"
-        assert not (tmp_path / "out" / "reference.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_reference_solve_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "REFERENCE_MAX_ITERS", 1)
+        out = tmp_path / "out"
+        assert main(["--iters", "5", "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: reference solve did not reach")
+        assert not out.exists()
 
     def test_budget_too_large_to_allocate_prints_one_error_line(
         self, tmp_path, capsys, monkeypatch
@@ -993,14 +998,17 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text", ["mystery = 3\n", "validate = maybe\n", "just a line\n", "config = x.cfg\n",
-                 "help = 1\n", "it = 5\n", "validate = yes\n", "seed = 1\nseed = 2\n"]
+                 "help = 1\n", "it = 5\n", "beta1 = 0.5\n", "validate = yes\n",
+                 "seed = 1\nseed = 2\n"]
     )
     def test_config_file_rejects_bad_input(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         last = text.count("\n")  # the bad line is the file's last
-        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:{last}: ")):
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg}:{last}: ")) as raised:
             parse_config_file(cfg)
+        if text.startswith("beta1"):  # a removed setting is an unknown key
+            assert str(raised.value) == f"{cfg}:1: unknown key 'beta1'"
         assert capsys.readouterr().out == ""  # "help" prints nothing
 
     @pytest.mark.parametrize("first, again", [("seed", "seed"), ("beta_p", "beta-p")])

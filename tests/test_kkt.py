@@ -11,7 +11,6 @@ from scipy.linalg.lapack import dtrtri
 from stochsqp import kkt
 
 from stochsqp import (
-    BetaSchedule,
     CurvatureError,
     MeritParams,
     RankError,
@@ -429,7 +428,7 @@ class TestRangeSpaceRoute:
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-                              beta=BetaSchedule(p=0.51), max_iters=1500, seed=0,
+                              beta_p=0.51, max_iters=1500, seed=0,
                               validate=True)
         result = run(problem, bundled_instance.minibatch_oracle(), config)
         assert len(result.trace) == 1500
@@ -447,7 +446,7 @@ class TestRangeSpaceRoute:
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-                              beta=BetaSchedule(p=0.51), max_iters=300, seed=4)
+                              beta_p=0.51, max_iters=300, seed=4)
         for step in iterate(problem, bundled_instance.minibatch_oracle(), config):
             sol = self._check(step.jac, step.g, step.c)
             assert np.array_equal(step.sol.d, sol.d)

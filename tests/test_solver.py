@@ -1,12 +1,12 @@
 """Iteration loop, step-size rule, schedules, and run diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from stochsqp import (
-    BetaSchedule,
     ConfigError,
     EvaluationError,
     MeritParams,
@@ -73,21 +73,21 @@ class TestStepSize:
 
 
 class TestBetaSchedule:
+    """The damping sequence ``beta_k = k**-p`` of ``SolverConfig.beta_p``."""
+
     def test_default_family(self):
-        beta = BetaSchedule().sequence(4)
+        beta = SolverConfig(max_iters=4).damping()
         assert beta[0] == 1.0
         assert beta[3] == 0.25
 
-    @pytest.mark.parametrize("schedule", [BetaSchedule(p=0.51), BetaSchedule(p=1.0),
-                                          BetaSchedule(beta1=0.3, p=0.0)],
-                             ids=["p=0.51", "p=1", "constant"])
-    def test_sequence_has_the_scalar_bits(self, schedule):
+    @pytest.mark.parametrize("p", [0.51, 1.0, 0.0], ids=["p=0.51", "p=1", "constant"])
+    def test_sequence_has_the_scalar_bits(self, p):
         # numpy's vector power differs from the scalar one in the last bit
         # for some k, so the sequence must be built from the scalar.
         iters = 100_000
         tau, xi, lip_gradf, lip_jac = 0.1, 1.0, 3.7, 2.3
-        scalar = [schedule.beta1 * float(k) ** -schedule.p for k in range(1, iters + 1)]
-        betas = schedule.sequence(iters)
+        scalar = [float(k) ** -p for k in range(1, iters + 1)]
+        betas = SolverConfig(beta_p=p, max_iters=iters).damping()
         assert betas.tobytes() == np.array(scalar).tobytes()
         den = tau * lip_gradf + lip_jac
         alphas = step_size(tau, xi, lip_gradf, lip_jac, betas)
@@ -96,24 +96,19 @@ class TestBetaSchedule:
     def test_decay_exponent_contract(self):
         # Any p in [0, 1] is a schedule; whether the oracle admits it is
         # check_oracle's question.
+        message = r"^damping decay exponent p must lie in \[0, 1\]$"
         for bad in (-0.1, 1.2, math.nan):
-            with pytest.raises(ConfigError):
-                BetaSchedule(p=bad)
+            with pytest.raises(ConfigError, match=message):
+                SolverConfig(beta_p=bad)
         for p in (0.0, 0.4, 0.5, 0.51, 1.0):
-            BetaSchedule(p=p).check_oracle(exact=True)
+            SolverConfig(beta_p=p).check_oracle(exact=True)
         with pytest.raises(ConfigError, match="exact-gradient"):
-            BetaSchedule(p=0.4).check_oracle(exact=False)
-        BetaSchedule(p=0.51).check_oracle(exact=False)  # boundary-interior value accepted
+            SolverConfig(beta_p=0.4).check_oracle(exact=False)
+        SolverConfig(beta_p=0.51).check_oracle(exact=False)  # boundary-interior value accepted
 
     def test_zero_exponent_is_constant_damping(self):
         n = 10_000
-        assert BetaSchedule(beta1=0.3, p=0.0).sequence(n).tobytes() == np.full(n, 0.3).tobytes()
-
-    def test_beta1_range(self):
-        with pytest.raises(ConfigError):
-            BetaSchedule(beta1=0.0)
-        with pytest.raises(ConfigError):
-            BetaSchedule(beta1=1.5)
+        assert SolverConfig(beta_p=0.0, max_iters=n).damping().tobytes() == np.ones(n).tobytes()
 
     def test_constant_family_requires_exact_oracle(self):
         # p <= 1/2, constant damping (p = 0) among them, needs exact gradients.
@@ -121,7 +116,7 @@ class TestBetaSchedule:
         for p in (0.0, 0.3, 0.5):
             config = SolverConfig(
                 merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
-                beta=BetaSchedule(p=p), max_iters=5,
+                beta_p=p, max_iters=5,
             )
             with pytest.raises(ConfigError, match="exact-gradient"):
                 next(iterate(problem, gaussian_oracle(problem, sigma=1.0), config))
@@ -134,6 +129,11 @@ class TestSolverConfig:
     def test_bad_values_rejected(self, name, value):
         with pytest.raises(ConfigError):
             SolverConfig(**{name: value})
+
+    def test_is_frozen(self):
+        config = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.max_iters = 5
 
 
 def _worked_problem():
@@ -172,7 +172,7 @@ class TestRun:
         lip = float(np.linalg.norm(p_mat, 2))
         config = SolverConfig(
             merit=MeritParams(), lip_gradf=lip, lip_jac=1e-6,
-            beta=BetaSchedule(p=0.0), max_iters=10_000,
+            beta_p=0.0, max_iters=10_000,
             validate=True,
         )
         result = run(problem, exact_oracle(problem), config)
@@ -204,12 +204,12 @@ class TestRun:
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
             merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-            beta=BetaSchedule(p=0.7), batch_size=4, max_iters=200,
+            beta_p=0.7, batch_size=4, max_iters=200,
         )
         trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
-        alpha1, beta1 = trace.alpha[0], trace.beta[0]
-        assert np.allclose(trace.alpha, trace.beta * alpha1 / beta1, rtol=1e-14)
-        assert np.all(trace.alpha <= alpha1)
+        alpha_1, beta_1 = trace.alpha[0], trace.beta[0]
+        assert np.allclose(trace.alpha, trace.beta * alpha_1 / beta_1, rtol=1e-14)
+        assert np.all(trace.alpha <= alpha_1)
 
     @pytest.mark.parametrize("iters", [1, 40])
     def test_schedule_is_computed_once_per_run(self, monkeypatch, iters):
@@ -235,7 +235,7 @@ class TestRun:
             assert getattr(trace, name) is column
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0.5
-        assert np.array_equal(trace.beta, config.beta.sequence(5))
+        assert np.array_equal(trace.beta, config.damping())
 
     def test_stored_iterates_satisfy_update_exactly(self):
         problem = _worked_problem()
@@ -269,7 +269,7 @@ class TestRun:
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
             merit=MeritParams(tau=0.1, xi=1.0), lip_gradf=lip_gradf, lip_jac=lip_jac,
-            beta=BetaSchedule(beta1=1.0, p=1.0),
+            beta_p=1.0,
             batch_size=16, max_iters=10_000, seed=5, validate=True,
         )
         result = run(problem, bundled_instance.minibatch_oracle(), config)
@@ -282,7 +282,7 @@ class TestRun:
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
             merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-            beta=BetaSchedule(p=0.0), max_iters=3_000,
+            beta_p=0.0, max_iters=3_000,
             validate=True,
         )
         result = run(problem, exact_oracle(problem), config)
@@ -452,7 +452,7 @@ class TestModelMatrixRoutes:
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
-                              beta=BetaSchedule(p=0.0), max_iters=50, validate=True)
+                              beta_p=0.0, max_iters=50, validate=True)
         trace = run(problem, exact_oracle(problem), config).trace
         assert np.array_equal(trace.y, trace.y_true)
 

@@ -43,7 +43,7 @@ from stochsqp.logreg import (
 )
 from stochsqp.merit import MeritParams
 from stochsqp.problem import exact_oracle
-from stochsqp.solver import BetaSchedule, SolverConfig, run
+from stochsqp.solver import SolverConfig, run
 
 GEN_SEED = 201
 N_FEATURES = 30
@@ -91,7 +91,7 @@ def sanity_check(dataset: Dataset):
         merit=MeritParams(tau=0.1, xi=1.0, nu=0.5),
         lip_gradf=lip_gradf,
         lip_jac=lip_jac,
-        beta=BetaSchedule(beta1=1.0, p=0.0),
+        beta_p=0.0,
         batch_size=1,
         max_iters=20_000,
         validate=True,
