@@ -13,7 +13,6 @@ takes these constant-damping steps, ``beta_k = 1``, throughout.
 import numpy as np
 
 from stochsqp import (
-    MeritParams,
     Problem,
     SolverConfig,
     exact_oracle,
@@ -33,7 +32,7 @@ toy = Problem(
     jacobian=lambda x: np.array([2.0 * x]),
     x0=np.array([0.3, 1.0]),
 )
-ref = compute_reference(toy, MeritParams(), lip_gradf=0.5, lip_jac=2.0, tol=1e-10)
+ref = compute_reference(toy, SolverConfig(lip_gradf=0.5, lip_jac=2.0), tol=1e-10)
 print("sphere toy: x* =", np.round(ref.x, 8), " y* =", np.round(ref.y, 8),
       f" ({ref.iterations} iterations, residual {ref.residual:.1e})")
 
@@ -45,15 +44,14 @@ print(f"\nbundled instance: n={instance.n}, m={instance.m}, "
       f"N={instance.dataset.n_samples}, lip bounds ({lip_gradf:.2f}, {lip_jac:.1f})")
 
 config = SolverConfig(
-    merit=MeritParams(tau=0.1, xi=1.0),
+    tau=0.1, xi=1.0,
     lip_gradf=lip_gradf, lip_jac=lip_jac,
     beta_p=0.0,
     max_iters=3000, validate=True,
 )
-result = run(problem, exact_oracle(problem), config)
-trace = result.trace
+trace = run(problem, exact_oracle(problem), config)
 # The run records no merit values; evaluate them at the recorded iterates.
-merit = np.array([phi(config.merit.tau, problem.objective(x), problem.constraints(x))
+merit = np.array([phi(config.tau, problem.objective(x), problem.constraints(x))
                   for x in trace.x])
 
 print(f"step size alpha = {trace.alpha[0]:.4f} (constant)")

@@ -10,26 +10,26 @@ almost the same accuracy.
 
 import numpy as np
 
-from stochsqp import MeritParams, SolverConfig, load_bundled_instance, run
+from stochsqp import SolverConfig, load_bundled_instance, run
 from stochsqp.averaging import window_starts
 from stochsqp.harness import compute_reference, distance_columns
 
 instance = load_bundled_instance()
 problem = instance.problem()
 lip_gradf, lip_jac = instance.lipschitz_bounds()
-merit = MeritParams(tau=0.1, xi=1.0)
-
-reference = compute_reference(problem, merit, lip_gradf, lip_jac)
-print(f"reference solved to residual {reference.residual:.1e} "
-      f"in {reference.iterations} iterations ({reference.newton_steps} Newton)")
-
+# One config for both solves: the reference solve reads its step rule
+# and ignores the damping, batch, budget and seed.
 config = SolverConfig(
-    merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
+    tau=0.1, xi=1.0, lip_gradf=lip_gradf, lip_jac=lip_jac,
     beta_p=0.51,
     batch_size=16, max_iters=20_000, seed=1, validate=True,
 )
-result = run(problem, instance.minibatch_oracle(), config)
-trace = result.trace
+
+reference = compute_reference(problem, config)
+print(f"reference solved to residual {reference.residual:.1e} "
+      f"in {reference.iterations} iterations ({reference.newton_steps} Newton)")
+
+trace = run(problem, instance.minibatch_oracle(), config)
 iters = len(trace)
 
 # Every row's distances, as the trace CSV computes them.

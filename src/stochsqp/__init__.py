@@ -50,7 +50,6 @@ from .logreg import (
     serialize_libsvm,
 )
 from .merit import (
-    MeritParams,
     check_reduction_lbnd,
     phi,
     reduction_delta_q,
@@ -65,7 +64,6 @@ from .problem import (
 )
 from .solver import (
     Iteration,
-    RunResult,
     SolverConfig,
     Trace,
     ValidationSummary,

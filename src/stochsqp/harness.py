@@ -27,7 +27,7 @@ import os
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import ConfigError, CurvatureError, EvaluationError, ReferenceSolve
 from .kkt import null_space_basis, solve_kkt
 from .logreg import INSTANCE_SEED, M_LIN, ConstrainedLogRegInstance, build_instance
 from .logreg import load_bundled_dataset, load_libsvm_file
-from .merit import MeritParams, phi, reduction_from_products, tau_trial_from_products
+from .merit import phi, reduction_from_products, tau_trial_from_products
 from .problem import Array, Problem, exact_oracle
 from .solver import (
     SolverConfig, Trace, ValidationSummary, kkt_residual, run, step_size, subproblem,
@@ -91,13 +91,14 @@ class ReferenceSolution:
 
 
 def compute_reference(
-    problem: Problem,
-    merit: MeritParams,
-    lip_gradf: float,
-    lip_jac: float,
-    tol: float = REFERENCE_TOL,
+    problem: Problem, config: SolverConfig, tol: float = REFERENCE_TOL
 ) -> ReferenceSolution:
     """Exact-gradient solve to high accuracy, with a second-order check.
+
+    It reads the step rule of ``config`` (``tau``, ``xi``, ``nu``,
+    ``lip_gradf`` and ``lip_jac``) at unit damping, so one config serves
+    the reference solve and the run; it ignores ``beta_p``,
+    ``batch_size``, ``max_iters``, ``seed`` and ``validate``.
 
     Returns the first iterate, of at most ``REFERENCE_MAX_ITERS``, whose
     first-order residual is at most ``tol`` (finite and positive).  Each
@@ -120,10 +121,10 @@ def compute_reference(
     if not 0 < tol < math.inf:
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
     oracle = exact_oracle(problem)  # draws nothing, so it needs no generator
-    alpha = step_size(merit.tau, merit.xi, lip_gradf, lip_jac, 1.0)  # the identity-model step's
+    alpha = step_size(config, 1.0)  # the identity-model step's
     x = np.array(problem.x0, dtype=float)
     y = f = None  # after a Newton step, its multiplier and the objective at x
-    tau, newton_steps, best = merit.tau, 0, math.inf
+    tau, newton_steps, best = config.tau, 0, math.inf
     for k in range(1, REFERENCE_MAX_ITERS + 1):
         c, jac, grad, _, identity = subproblem(problem, oracle, 1, None, x, k)
         if y is None:
@@ -134,7 +135,7 @@ def compute_reference(
             return ReferenceSolution(x, y, residual, k, newton_steps)
         best = min(best, residual)
 
-        step = _newton_step(problem, merit.nu, tau, x, y, f, grad, jac, c)
+        step = _newton_step(problem, config.nu, tau, x, y, f, grad, jac, c)
         if step is None:
             x, y, f = x + alpha * identity.d, None, None
             if not np.isfinite(x).all():
@@ -245,12 +246,12 @@ class ExperimentConfig:
     mlin: int = M_LIN
     batch: int = SolverConfig.batch_size
     iters: int = 100_000
-    tau: float = MeritParams.tau
-    xi: float = MeritParams.xi
-    nu: float = MeritParams.nu
+    tau: float = SolverConfig.tau
+    xi: float = SolverConfig.xi
+    nu: float = SolverConfig.nu
     beta_p: float = SolverConfig.beta_p
-    seeds: list[int] = field(default_factory=lambda: [0])
-    eps_grid: list[float] = field(default_factory=lambda: [0.01, 0.1, 1.0])
+    seeds: tuple[int, ...] = (0,)
+    eps_grid: tuple[float, ...] = (0.01, 0.1, 1.0)
     out: str = "runs"
     thin: int = 1
     validate: bool = False
@@ -259,6 +260,10 @@ class ExperimentConfig:
     ref_tol = REFERENCE_TOL  # not a field: for readers that check the written reference
 
     def __post_init__(self):
+        # Lists, as the CLI's repeatable flags give them, become tuples:
+        # the value stays frozen and hashable.
+        for name in ("seeds", "eps_grid"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.thin < 1:
             raise ConfigError("thin must be >= 1")
         if not self.seeds:
@@ -270,9 +275,9 @@ class ExperimentConfig:
         if self.mlin < 1:
             raise ConfigError("mlin must be >= 1")
         if len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
+            raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
         if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
         for eps in self.eps_grid:
             if not 0 < eps < math.inf:
                 raise ConfigError(f"eps values must be finite and > 0, got {eps}")
@@ -286,7 +291,7 @@ class ExperimentConfig:
         """The replicates' solver settings, with the library's default
         Lipschitz bounds and seed; :func:`run_experiment` sets those."""
         return SolverConfig(
-            merit=MeritParams(tau=self.tau, xi=self.xi, nu=self.nu),
+            tau=self.tau, xi=self.xi, nu=self.nu,
             beta_p=self.beta_p,
             batch_size=self.batch,
             max_iters=self.iters,
@@ -478,9 +483,12 @@ def _load_instance(config: ExperimentConfig) -> ConstrainedLogRegInstance:
 
 def _check_replicate_fits(config: ExperimentConfig, n: int, m: int) -> None:
     """Raise :class:`MemoryError` if one replicate's trace and step schedule
-    (``beta`` and ``alpha``, 2 floats per iteration) cannot be allocated.
+    (``beta`` and ``alpha``, 2 floats per iteration) or, unless ``exact``,
+    a mini-batch's ``(batch, n)`` row gather cannot be allocated.
     ``np.empty`` reserves address space without touching a page."""
     np.empty((config.iters, Trace.floats_per_iteration(n, m, config.validate) + 2))
+    if not config.exact:
+        np.empty((config.batch, n))
 
 
 #: Environment variables that cap the BLAS and OpenMP thread pools;
@@ -505,7 +513,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     lip_gradf, lip_jac = instance.lipschitz_bounds()
     solver_config = replace(config.solver_config(), lip_gradf=lip_gradf, lip_jac=lip_jac)
     started = time.perf_counter()
-    reference = compute_reference(problem, solver_config.merit, lip_gradf, lip_jac)
+    reference = compute_reference(problem, solver_config)
     reference_seconds = time.perf_counter() - started
     out_dir = Path(config.out)  # made only now, so a failed solve leaves no directory
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -558,8 +566,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_replicate(config, problem, oracle, reference, solver_config, out_dir):
-    result = run(problem, oracle, solver_config)
-    trace = result.trace
+    trace = run(problem, oracle, solver_config)
     seed = solver_config.seed
 
     path = out_dir / f"trace_seed{seed}.csv"
@@ -578,7 +585,7 @@ def _run_replicate(config, problem, oracle, reference, solver_config, out_dir):
         final_dist_y_avg=dist_y_avg,
         final_dist_y_avg_eps={_eps_label(eps): d for eps, d in zip(config.eps_grid, dist_eps)},
         **{f.name: getattr(tallies, f.name, None) for f in fields(ValidationSummary)},
-        wall_time=result.wall_time,
+        wall_time=trace.wall_time,
         emit_time=emit,
     )
     return summary, path

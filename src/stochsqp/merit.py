@@ -9,7 +9,10 @@ has the closed form implemented by :func:`reduction_delta_q`.
 The trial values bound how large ``xi`` and ``tau`` may be while the
 step-size rule still guarantees sufficient decrease.  They are computed
 for monitoring only: the solver runs with fixed parameters and surfaces
-violations instead of adapting.
+violations instead of adapting.  Those parameters, the merit parameter
+``tau``, the ratio parameter ``xi`` and the reduction fraction ``nu``,
+are fields of :class:`stochsqp.solver.SolverConfig`, which checks them;
+the functions here take them as plain floats.
 
 Each of the reduction, the two trial values and the reduction lower
 bound has one formula, in an inner-product form (``*_from_products``)
@@ -22,32 +25,9 @@ scalars; the vector helpers form them for one step, with a model matrix
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError
 from .problem import Array
-
-
-@dataclass(frozen=True)
-class MeritParams:
-    """Fixed merit parameter ``tau``, ratio parameter ``xi`` and the
-    reduction fraction ``nu`` used by the trial values.  ``tau`` and
-    ``xi`` must be finite: the step size divides by them."""
-
-    tau: float = 0.1
-    xi: float = 1.0
-    nu: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.tau < math.inf:
-            raise ConfigError("tau must be positive and finite")
-        if not 0 < self.xi < math.inf:
-            raise ConfigError("xi must be positive and finite")
-        if not 0 < self.nu < 1:
-            raise ConfigError("nu must lie in (0, 1)")
 
 
 def phi(tau: float, f: float, c: Array) -> float:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
@@ -48,7 +48,6 @@ import numpy as np
 from . import kkt
 from .errors import ConfigError, EvaluationError
 from .merit import (
-    MeritParams,
     lbnd_from_products,
     reduction_from_products,
     tau_trial_from_products,
@@ -69,8 +68,9 @@ from .merit import (  # noqa: F401
 
 
 @np.errstate(all="ignore")
-def step_size(tau: float, xi: float, lip_gradf: float, lip_jac: float, beta):
-    """Step length ``beta_k * tau * xi / (tau * lip_gradf + lip_jac)``.
+def step_size(config: SolverConfig, beta):
+    """Step length ``beta_k * tau * xi / (tau * lip_gradf + lip_jac)``
+    with ``config``'s parameters.
 
     ``beta`` is one ``beta_k`` (the result is a float) or an array of
     them (an array, each element with the scalar's bits).  The formula
@@ -78,9 +78,7 @@ def step_size(tau: float, xi: float, lip_gradf: float, lip_jac: float, beta):
     above 1.  A quotient that overflows or underflows raises
     :class:`ValueError`.
     """
-    for label, value in (("tau", tau), ("xi", xi), ("lip_gradf", lip_gradf), ("lip_jac", lip_jac)):
-        if not value > 0:
-            raise ValueError(f"{label} must be > 0")
+    tau, xi, lip_gradf, lip_jac = config.tau, config.xi, config.lip_gradf, config.lip_jac
     betas = np.asarray(beta, dtype=float)
     if not ((0 < betas) & (betas <= 1)).all():
         raise ValueError("beta_k must lie in (0, 1]")
@@ -103,12 +101,17 @@ class SolverConfig:
     :func:`stochsqp.kkt.solve_kkt`.  The identity has unit curvature
     on the Jacobian null space, so no curvature setting is needed.
 
+    ``tau`` is the merit parameter, ``xi`` the ratio parameter and
+    ``nu`` the reduction fraction the trial values use; ``tau`` and
+    ``xi`` must be finite, as the step size divides by them.
     The damping sequence is ``beta_k = k**-p``, ``p = beta_p`` in
     ``[0, 1]``; :meth:`check_oracle` states which ``p`` a run admits.
     ``p = 0`` is constant damping: ``float(k) ** -0.0 == 1.0``.
     """
 
-    merit: MeritParams = field(default_factory=MeritParams)
+    tau: float = 0.1
+    xi: float = 1.0
+    nu: float = 0.5
     lip_gradf: float = 1.0
     lip_jac: float = 1.0
     beta_p: float = 1.0
@@ -118,6 +121,12 @@ class SolverConfig:
     validate: bool = False
 
     def __post_init__(self):
+        if not 0 < self.tau < math.inf:
+            raise ConfigError("tau must be positive and finite")
+        if not 0 < self.xi < math.inf:
+            raise ConfigError("xi must be positive and finite")
+        if not 0 < self.nu < 1:
+            raise ConfigError("nu must lie in (0, 1)")
         if not self.lip_gradf > 0 or not self.lip_jac > 0:
             raise ConfigError("Lipschitz constants must be > 0")
         if not 0 <= self.beta_p <= 1:
@@ -157,8 +166,12 @@ class Trace:
     read and kept as read-only arrays; the diagnostic columns
     (``norm_c``, ``dq_stoch``, ``xi_trial``, ``tau_trial_true``,
     ``lbnd_slack``, ``resid_true``) are computed from the ledger and
-    ``trace.merit`` on each read.  The ledger starts as NaN, so without
-    validation the exact-gradient columns read NaN.
+    the config's ``tau`` and ``nu`` on each read.  The ledger starts as
+    NaN, so without validation the exact-gradient columns read NaN.
+
+    :func:`run` also sets ``x_final``, the iterate after the last step,
+    and ``wall_time``, the seconds its loop took; both are ``None``
+    until then.
     """
 
     #: The inner products :func:`run` records per iteration, one ledger
@@ -167,11 +180,13 @@ class Trace:
 
     def __init__(self, n: int, m: int, config: SolverConfig):
         self.config = config  # frozen, so the schedule columns read it as given
-        self.merit, iters = config.merit, config.max_iters
+        iters = config.max_iters
         self.ledger = np.full((len(self._LEDGER), iters), np.nan)
         self.x = np.empty((iters, n))
         self.y = np.empty((iters, m))
         self.y_true = np.full((iters, m), np.nan) if config.validate else None
+        self.x_final: Array | None = None
+        self.wall_time: float | None = None
 
     def __len__(self) -> int:
         return len(self.x)
@@ -190,8 +205,7 @@ class Trace:
 
     @cached_property
     def alpha(self) -> Array:
-        config, merit = self.config, self.merit
-        alpha = step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, self.beta)
+        alpha = step_size(self.config, self.beta)
         alpha.flags.writeable = False
         return alpha
 
@@ -201,20 +215,20 @@ class Trace:
 
     @property
     def dq_stoch(self) -> Array:
-        return reduction_from_products(self.merit.tau, *self.ledger[:3])  # g'd, d'd, ||c||_1
+        return reduction_from_products(self.config.tau, *self.ledger[:3])  # g'd, d'd, ||c||_1
 
     @property
     def xi_trial(self) -> Array:
-        return xi_trial_from_products(self.merit.tau, self.dq_stoch, self.ledger[1])
+        return xi_trial_from_products(self.config.tau, self.dq_stoch, self.ledger[1])
 
     @property
     def tau_trial_true(self) -> Array:
         _, _, l1, _, gd_true, dd_true = self.ledger
-        return tau_trial_from_products(self.merit.nu, gd_true, dd_true, l1)
+        return tau_trial_from_products(self.config.nu, gd_true, dd_true, l1)
 
     def _lbnd(self):
         _, _, l1, _, gd_true, dd_true = self.ledger
-        return lbnd_from_products(self.merit.tau, self.merit.nu, gd_true, dd_true, l1)
+        return lbnd_from_products(self.config.tau, self.config.nu, gd_true, dd_true, l1)
 
     @property
     def lbnd_slack(self) -> Array:
@@ -230,15 +244,15 @@ class Trace:
         """The violation tallies over every row; ``None`` without validation."""
         if self.y_true is None:
             return None
-        merit = self.merit
+        config = self.config
         xi_tr, tau_tr, (holds, _) = self.xi_trial, self.tau_trial_true, self._lbnd()
         slop = 1e-12
-        xi_bad = xi_tr < merit.xi - slop
-        tau_bad = tau_tr < merit.tau - slop
+        xi_bad = xi_tr < config.xi - slop
+        tau_bad = tau_tr < config.tau - slop
         return ValidationSummary(
             xi_violations=int(np.count_nonzero(xi_bad)),
             tau_violations=int(np.count_nonzero(tau_bad)),
-            lbnd_violations=int(np.count_nonzero((merit.tau <= tau_tr) & ~holds)),
+            lbnd_violations=int(np.count_nonzero((config.tau <= tau_tr) & ~holds)),
             alpha_above_one=int(np.count_nonzero(self.alpha > 1.0)),
             first_xi_violation=int(np.argmax(xi_bad)) + 1 if xi_bad.any() else None,
             first_tau_violation=int(np.argmax(tau_bad)) + 1 if tau_bad.any() else None,
@@ -259,13 +273,6 @@ class ValidationSummary:
     @property
     def clean(self) -> bool:
         return self.xi_violations == 0 and self.tau_violations == 0 and self.lbnd_violations == 0
-
-
-@dataclass
-class RunResult:
-    trace: Trace
-    x_final: Array
-    wall_time: float
 
 
 class Iteration(NamedTuple):
@@ -317,8 +324,7 @@ def iterate(
     and a non-finite iterate aborts with :class:`EvaluationError`.
     """
     config.check_oracle(oracle.exact)
-    alphas = step_size(config.merit.tau, config.merit.xi, config.lip_gradf, config.lip_jac,
-                       config.damping())
+    alphas = step_size(config, config.damping())
     rng = np.random.default_rng(config.seed)
     x = np.array(problem.x0, dtype=float)
     for k, alpha_k in enumerate(alphas, start=1):
@@ -330,14 +336,16 @@ def iterate(
         x = x_next
 
 
-def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig) -> RunResult:
+def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig) -> Trace:
     """Run the full iteration budget of :func:`iterate` and return the trace.
 
     Each iteration records the iterate, the multipliers and, in the
     trace's ledger, the inner products ``g'd``, ``d'd``, ``||c||_1``,
     ``c'c`` and, with ``validate``, the exact-gradient twins
-    ``grad'd_true`` and ``d_true'd_true``.  ``wall_time`` excludes
-    the tallies, which :meth:`Trace.validation_summary` computes on call.
+    ``grad'd_true`` and ``d_true'd_true``.  The trace's ``x_final`` is
+    the iterate after the last step, and its ``wall_time`` the loop's
+    seconds; that excludes the tallies, which
+    :meth:`Trace.validation_summary` computes on call.
 
     Deterministic given the config seed.  Errors from :func:`iterate`
     propagate, and with ``validate`` a non-finite exact gradient aborts
@@ -372,8 +380,9 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
                 raise EvaluationError(f"iteration {k}: exact gradient returned a non-finite value")
             trace.y_true[i] = shadow.y
 
-    wall = time.perf_counter() - start
-    return RunResult(trace=trace, x_final=x_next, wall_time=wall)
+    trace.wall_time = time.perf_counter() - start
+    trace.x_final = x_next
+    return trace
 
 
 def kkt_residual(grad: Array, jac: Array, c: Array, y: Array) -> float:

@@ -193,7 +193,7 @@ def row_by_row_run(problem, oracle, config):
     mapping each trace column's name to its array (``y_true`` is
     ``None`` without validation).
     """
-    merit = config.merit
+    tau, xi, nu = config.tau, config.xi, config.nu
     iters, validate = config.max_iters, config.validate
     names = ("alpha", "beta", "norm_c", "dq_stoch", "xi_trial", "tau_trial_true",
              "lbnd_slack", "resid_true")
@@ -207,34 +207,34 @@ def row_by_row_run(problem, oracle, config):
         i = k - 1
         beta_k = float(k) ** -config.beta_p
         row = {
-            "alpha": step_size(merit.tau, merit.xi, config.lip_gradf, config.lip_jac, beta_k),
+            "alpha": step_size(config, beta_k),
             "beta": beta_k,
             "norm_c": math.sqrt(float(c @ c)),
-            "dq_stoch": reduction_delta_q(merit.tau, c, g, None, sol.d),
+            "dq_stoch": reduction_delta_q(tau, c, g, None, sol.d),
             "x": x,
             "y": sol.y,
         }
         assert alpha_k == row["alpha"], k
-        row["xi_trial"] = xi_trial(merit.tau, row["dq_stoch"], sol.d)
+        row["xi_trial"] = xi_trial(tau, row["dq_stoch"], sol.d)
         if validate:
             grad = np.asarray(problem.gradient(x), dtype=float)
             shadow = solve_with_factors(factors, grad, c)
             row["y_true"] = shadow.y
-            row["tau_trial_true"] = tau_tr = tau_trial_true(merit.nu, c, grad, None, shadow.d)
+            row["tau_trial_true"] = tau_tr = tau_trial_true(nu, c, grad, None, shadow.d)
             holds, row["lbnd_slack"] = check_reduction_lbnd(
-                merit.tau, merit.nu, c, grad, None, shadow.d
+                tau, nu, c, grad, None, shadow.d
             )
             row["resid_true"] = kkt_residual(grad, jac, c, shadow.y)
             slop = 1e-12
-            if row["xi_trial"] < merit.xi - slop:
+            if row["xi_trial"] < xi - slop:
                 summary.xi_violations += 1
                 if summary.first_xi_violation is None:
                     summary.first_xi_violation = k
-            if tau_tr < merit.tau - slop:
+            if tau_tr < tau - slop:
                 summary.tau_violations += 1
                 if summary.first_tau_violation is None:
                     summary.first_tau_violation = k
-            if merit.tau <= tau_tr and not holds:
+            if tau <= tau_tr and not holds:
                 summary.lbnd_violations += 1
             if row["alpha"] > 1.0:
                 summary.alpha_above_one += 1

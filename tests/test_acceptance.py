@@ -19,7 +19,6 @@ import pytest
 from scipy.stats import linregress
 
 from stochsqp import (
-    MeritParams,
     SolverConfig,
     exact_oracle,
     factor_jacobian,
@@ -70,7 +69,8 @@ def instance():
 @pytest.fixture(scope="session")
 def reference(instance):
     lip_gradf, lip_jac = instance.lipschitz_bounds()
-    return compute_reference(instance.problem(), MeritParams(), lip_gradf, lip_jac, tol=1e-8)
+    config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac)
+    return compute_reference(instance.problem(), config, tol=1e-8)
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +80,7 @@ def deterministic_run(instance):
     lip_gradf, lip_jac = instance.lipschitz_bounds()
     problem = instance.problem()
     config = SolverConfig(
-        merit=MeritParams(tau=0.1, xi=1.0, nu=0.5),
+        tau=0.1, xi=1.0, nu=0.5,
         lip_gradf=lip_gradf, lip_jac=lip_jac,
         beta_p=0.0,
         batch_size=1, max_iters=20_000, validate=True,
@@ -93,17 +93,17 @@ def protocol_runs(instance):
     """Three replicates of the bundled protocol (tuned decay 0.51)."""
     lip_gradf, lip_jac = instance.lipschitz_bounds()
     problem = instance.problem()
-    results = {}
+    traces = {}
     for seed in (1, 2, 3):
         config = SolverConfig(
-            merit=MeritParams(tau=0.1, xi=1.0, nu=0.5),
+            tau=0.1, xi=1.0, nu=0.5,
             lip_gradf=lip_gradf, lip_jac=lip_jac,
             beta_p=0.51,
             batch_size=16, max_iters=100_000, seed=seed,
             validate=True,
         )
-        results[seed] = run(problem, instance.minibatch_oracle(), config)
-    return results
+        traces[seed] = run(problem, instance.minibatch_oracle(), config)
+    return traces
 
 
 def test_criterion_01_kkt_correctness(suite_instances):
@@ -202,12 +202,11 @@ def test_criterion_04_merit_machinery(suite_instances, deterministic_run, protoc
     worked = (
         abs(dq - 0.5875) <= 1e-15
         and abs(xi_trial(tau, dq, d) - 4.7) <= 1e-14
-        and abs(step_size(0.1, 1.0, 1.0, 1.0, 1.0) - 0.090909090909090909) <= 1e-15
+        and abs(step_size(SolverConfig(), 1.0) - 0.090909090909090909) <= 1e-15
     )
 
     worst_slack = 0.0
-    for result in [deterministic_run, *protocol_runs.values()]:
-        trace = result.trace
+    for trace in [deterministic_run, *protocol_runs.values()]:
         admissible = trace.tau_trial_true >= tau
         slack_floor = float(np.min(trace.lbnd_slack[admissible]))
         worst_slack = min(worst_slack, slack_floor)
@@ -253,30 +252,29 @@ def test_criterion_05_oracle_statistics(instance):
 
 
 def test_criterion_06_deterministic_convergence(deterministic_run):
-    trace = deterministic_run.trace
+    trace = deterministic_run
     reached = np.nonzero(trace.resid_true <= 1e-6)[0]
     first = int(reached[0]) + 1 if reached.size else None
-    summary = deterministic_run.trace.validation_summary()
+    summary = trace.validation_summary()
     ok = (
         first is not None
         and first <= 20_000
         and summary.xi_violations == 0
         and summary.tau_violations == 0
         and summary.lbnd_violations == 0
-        and deterministic_run.wall_time < 60.0
+        and trace.wall_time < 60.0
     )
     _report(6, "deterministic convergence", ok,
             f"residual <= 1e-6 at iteration {first}, violations "
             f"{summary.xi_violations}/{summary.tau_violations}/{summary.lbnd_violations}, "
-            f"{deterministic_run.wall_time:.1f}s")
+            f"{trace.wall_time:.1f}s")
 
 
 def test_criterion_07_figure_qualitative_reproduction(protocol_runs, reference):
     tail_ratios = []
     details = []
     ok = True
-    for seed, result in protocol_runs.items():
-        trace = result.trace
+    for seed, trace in protocol_runs.items():
         iters = len(trace)
         tail = slice(int(0.9 * iters), None)
         dist_x, dist_y, dist_y_true, dist_avg = distance_columns(
@@ -292,7 +290,7 @@ def test_criterion_07_figure_qualitative_reproduction(protocol_runs, reference):
             and gain_all >= 2.0
             and np.isfinite(tail_ratio)
             and contraction <= 0.1
-            and result.wall_time < 600.0
+            and trace.wall_time < 600.0
         )
         ok = ok and seed_ok
         details.append(f"seed {seed}: gain {gain_tail:.1f}, tracking {tail_ratio:.2f}, "
@@ -377,7 +375,7 @@ def test_criterion_10_curvature_threshold(instance):
     lip_gradf, lip_jac = instance.lipschitz_bounds()
     problem = instance.problem()
     config = SolverConfig(
-        merit=MeritParams(tau=0.1, xi=1.0, nu=0.5),
+        tau=0.1, xi=1.0, nu=0.5,
         lip_gradf=lip_gradf, lip_jac=lip_jac,
         beta_p=0.51,
         batch_size=16, max_iters=5_000, seed=1,
@@ -409,10 +407,10 @@ def test_criterion_12_averaging_on_the_solver_trace(protocol_runs, reference):
     log_ks = np.log(ks)
     details = []
     ok = True
-    for seed, result in protocol_runs.items():
-        assert ks[-1] == len(result.trace)
+    for seed, trace in protocol_runs.items():
+        assert ks[-1] == len(trace)
         _, dist_y, _, dist_avg, dist_window = distance_columns(
-            result.trace, reference, [0.1], ks - 1)
+            trace, reference, [0.1], ks - 1)
         slope_avg = float(linregress(log_ks, np.log(dist_avg)).slope)
         slope_raw = float(linregress(log_ks, np.log(dist_y)).slope)
         ok = ok and slope_avg <= -0.35 and slope_raw >= -0.1 and dist_window[-1] <= dist_avg[-1]

@@ -230,13 +230,13 @@ class TestWindowedAverages:
             assert np.all(starts == 1)
 
     def test_solver_trajectory(self, bundled_instance):
-        from stochsqp import MeritParams, SolverConfig, run
+        from stochsqp import SolverConfig, run
 
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac,
                               batch_size=16, max_iters=600, seed=4)
-        trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
+        trace = run(problem, bundled_instance.minibatch_oracle(), config)
         for eps in (0.01, 0.1, 1.0):
             _assert_matches_scan(trace.x, trace.y, eps)
 
@@ -282,13 +282,13 @@ class TestWindowedAverages:
     def test_gram_product_decides_almost_every_pair(self, bundled_instance, monkeypatch):
         # A certificate that always fell back to the exact test would
         # still give the right starts, only slowly; this guard fails it.
-        from stochsqp import MeritParams, SolverConfig, run
+        from stochsqp import SolverConfig, run
 
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac,
                               batch_size=16, max_iters=3200, seed=0)
-        trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
+        trace = run(problem, bundled_instance.minibatch_oracle(), config)
         counts = _spy_pair_tests(monkeypatch)
         for eps in (0.01, 0.1, 1.0):
             _assert_matches_scan(trace.x, trace.y, eps)
@@ -307,20 +307,20 @@ class TestWindowedAverages:
 
 class TestMultiplierTrace:
     def test_from_run_alignment(self, bundled_instance):
-        from stochsqp import MeritParams, SolverConfig, run
+        from stochsqp import SolverConfig, run
 
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac,
                               batch_size=8, max_iters=40, validate=True)
-        result = run(problem, bundled_instance.minibatch_oracle(), config)
-        trace = MultiplierTrace.from_run(result.trace)
+        solver_trace = run(problem, bundled_instance.minibatch_oracle(), config)
+        trace = MultiplierTrace.from_run(solver_trace)
         assert len(trace) == 40
-        assert np.array_equal(trace.ys, result.trace.y)
-        assert trace.ys is result.trace.y  # a view, not a copy
+        assert np.array_equal(trace.ys, solver_trace.y)
+        assert trace.ys is solver_trace.y  # a view, not a copy
         avg, kprime = trace.windowed_average(eps=1e9)
         assert kprime == 1
-        assert np.array_equal(trace.running_average(), prefix_sums(result.trace.y)[-1] / 40)
+        assert np.array_equal(trace.running_average(), prefix_sums(solver_trace.y)[-1] / 40)
 
 
 class TestMultiplierBound:
@@ -328,17 +328,16 @@ class TestMultiplierBound:
         # With exact gradients the multiplier error follows the primal
         # error: from k = 200 on, dist_y_true / dist_x stays finite and
         # at most 1e6.
-        from stochsqp import MeritParams, SolverConfig, exact_oracle, run
+        from stochsqp import SolverConfig, exact_oracle, run
         from stochsqp.harness import compute_reference
 
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        merit = MeritParams()
-        reference = compute_reference(problem, merit, lip_gradf, lip_jac)
-        config = SolverConfig(merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac,
                               beta_p=0.0, max_iters=400,
                               validate=True)
-        trace = run(problem, exact_oracle(problem), config).trace
+        reference = compute_reference(problem, config)
+        trace = run(problem, exact_oracle(problem), config)
         dist_x = np.linalg.norm(trace.x[199:] - reference.x, axis=1)
         dist_y_true = np.linalg.norm(trace.y_true[199:] - reference.y, axis=1)
         ratio = dist_y_true / dist_x

@@ -18,7 +18,6 @@ import scipy
 from stochsqp import (
     ConfigError,
     EvaluationError,
-    MeritParams,
     RankError,
     ReferenceSolveError,
     SolverConfig,
@@ -41,24 +40,27 @@ from stochsqp.harness import (
 
 from conftest import constrained_quadratic, sphere_problem
 
+#: The sphere toy's Lipschitz bounds and the default step rule.
+SPHERE = SolverConfig(lip_gradf=0.5, lip_jac=2.0)
+
 
 class TestComputeReference:
     def test_toy_qp_matches_closed_form(self):
         rng = np.random.default_rng(0)
         problem, p_mat, x_star, y_star = constrained_quadratic(rng)
         lip = float(np.linalg.norm(p_mat, 2))
-        ref = compute_reference(problem, MeritParams(), lip, 1e-6, tol=1e-8)
+        ref = compute_reference(problem, SolverConfig(lip_gradf=lip, lip_jac=1e-6), tol=1e-8)
         assert np.linalg.norm(ref.x - x_star) <= 1e-8
         assert np.linalg.norm(ref.y - y_star) <= 1e-8
 
     def test_sphere_toy_lagrange_conditions(self):
-        ref = compute_reference(sphere_problem(), MeritParams(), 0.5, 2.0, tol=1e-10)
+        ref = compute_reference(sphere_problem(), SPHERE, tol=1e-10)
         assert np.allclose(ref.x, [-1.0, 0.0], atol=1e-9)
         assert ref.y == pytest.approx(0.5, abs=1e-9)
 
     def test_deterministic_reruns_identical(self):
-        a = compute_reference(sphere_problem(), MeritParams(), 0.5, 2.0)
-        b = compute_reference(sphere_problem(), MeritParams(), 0.5, 2.0)
+        a = compute_reference(sphere_problem(), SPHERE)
+        b = compute_reference(sphere_problem(), SPHERE)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
         assert a.iterations == b.iterations
@@ -66,7 +68,7 @@ class TestComputeReference:
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(harness, "REFERENCE_MAX_ITERS", 5)
         with pytest.raises(ReferenceSolveError, match="in 5 iterations .best residual"):
-            compute_reference(sphere_problem(), MeritParams(), 0.5, 2.0, tol=1e-16)
+            compute_reference(sphere_problem(), SPHERE, tol=1e-16)
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_tol_must_be_finite_and_positive(self, tol):
@@ -76,7 +78,7 @@ class TestComputeReference:
         problem = dataclasses.replace(sphere_problem(), objective=unexpected, gradient=unexpected,
                                       constraints=unexpected, jacobian=unexpected)
         with pytest.raises(ConfigError, match="tol must be finite and > 0"):
-            compute_reference(problem, MeritParams(), 0.5, 2.0, tol=tol)
+            compute_reference(problem, SPHERE, tol=tol)
 
     @pytest.mark.parametrize("solve", ["compute_reference", "run"])
     @pytest.mark.parametrize("fault, error, message", [
@@ -100,14 +102,12 @@ class TestComputeReference:
                 toy, constraints=from_third(toy.constraints, np.array([np.nan])))
         else:
             problem = dataclasses.replace(toy, jacobian=from_third(toy.jacobian, np.zeros((1, 2))))
-        merit = MeritParams()
         with pytest.raises(error) as raised:
             if solve == "compute_reference":
-                compute_reference(problem, merit, 0.5, 2.0)
+                compute_reference(problem, SPHERE)
             else:
-                config = SolverConfig(merit=merit, lip_gradf=0.5, lip_jac=2.0,
-                                      beta_p=0.0, max_iters=10)
-                run(problem, exact_oracle(problem), config)
+                run(problem, exact_oracle(problem),
+                    dataclasses.replace(SPHERE, beta_p=0.0, max_iters=10))
         assert str(raised.value) == f"iteration 3: {message}"
 
     @pytest.mark.parametrize("solve", ["compute_reference", "run"])
@@ -119,14 +119,13 @@ class TestComputeReference:
             calls.append(1)
             return np.array([np.nan, 0.0]) if len(calls) >= 3 else toy.gradient(x)
 
-        problem, merit = dataclasses.replace(toy, gradient=gradient), MeritParams()
+        problem = dataclasses.replace(toy, gradient=gradient)
         with pytest.raises(EvaluationError) as raised:
             if solve == "compute_reference":
-                compute_reference(problem, merit, 0.5, 2.0)
+                compute_reference(problem, SPHERE)
             else:
-                config = SolverConfig(merit=merit, lip_gradf=0.5, lip_jac=2.0,
-                                      beta_p=0.0, max_iters=10)
-                run(problem, exact_oracle(problem), config)
+                run(problem, exact_oracle(problem),
+                    dataclasses.replace(SPHERE, beta_p=0.0, max_iters=10))
         assert str(raised.value).startswith(
             "iteration 3: exact gradient returned a non-finite value at x=")
 
@@ -145,7 +144,7 @@ class TestComputeReference:
 
         problem = dataclasses.replace(toy, jacobian=counted("jacobian"),
                                       gradient=counted("gradient"), lagrangian_hessian=hessian)
-        ref = compute_reference(problem, MeritParams(), 0.5, 2.0)
+        ref = compute_reference(problem, SPHERE)
         points = ref.iterations + (0 if hessian else problem.n - problem.m)
         assert calls == {"jacobian": points, "gradient": points}
 
@@ -157,21 +156,36 @@ class TestComputeReference:
             lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         else:
             problem, lip_gradf, lip_jac = sphere_problem(), 0.5, 2.0
-        merit = MeritParams()
-        ref = compute_reference(problem, merit, lip_gradf, lip_jac)
-        config = SolverConfig(merit=merit, lip_gradf=lip_gradf, lip_jac=lip_jac,
-                              beta_p=0.0, max_iters=ref.iterations)
-        trace = run(problem, exact_oracle(problem), config).trace
-        assert np.array_equal(trace.x[-1], ref.x)
-        assert np.array_equal(trace.y[-1], ref.y)
+        # One config for both: the reference solve ignores the budget.
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac, beta_p=0.0)
+        ref = compute_reference(problem, config)
+        trace = run(problem, exact_oracle(problem), config)
+        assert ref.iterations < len(trace)
+        assert np.array_equal(trace.x[ref.iterations - 1], ref.x)
+        assert np.array_equal(trace.y[ref.iterations - 1], ref.y)
         assert ref.newton_steps == 0
+
+    @pytest.mark.parametrize("which", ["bundled", "sphere"])
+    def test_reads_only_the_step_rule(self, which, bundled_instance):
+        if which == "bundled":
+            problem = bundled_instance.problem()
+            lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+            config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac)
+        else:
+            problem, config = sphere_problem(), SPHERE
+        run_only = dataclasses.replace(config, beta_p=0.51, batch_size=1, max_iters=3, seed=7,
+                                       validate=True)
+        a, b = compute_reference(problem, config), compute_reference(problem, run_only)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+        assert (a.residual, a.iterations, a.newton_steps) == (
+            b.residual, b.iterations, b.newton_steps)
 
     def test_newton_reference_agrees_with_first_order_on_bundled(self, bundled_instance):
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        newton = compute_reference(problem, MeritParams(), lip_gradf, lip_jac)
-        plain = compute_reference(dataclasses.replace(problem, lagrangian_hessian=None),
-                                  MeritParams(), lip_gradf, lip_jac)
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac)
+        newton = compute_reference(problem, config)
+        plain = compute_reference(dataclasses.replace(problem, lagrangian_hessian=None), config)
         assert 0 < newton.newton_steps < newton.iterations <= 30 < plain.iterations
         assert newton.residual <= 1e-8
         assert np.linalg.norm(newton.x - plain.x) <= 1e-6 * np.linalg.norm(plain.x)
@@ -188,7 +202,8 @@ class TestComputeReference:
             problem, p_mat, x_star, y_star = constrained_quadratic(np.random.default_rng(0))
             problem = dataclasses.replace(problem, lagrangian_hessian=lambda x, y: p_mat)
             lip_gradf, lip_jac = float(np.linalg.norm(p_mat, 2)), 1e-6
-        ref = compute_reference(problem, MeritParams(), lip_gradf, lip_jac, tol=1e-12)
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac)
+        ref = compute_reference(problem, config, tol=1e-12)
         assert ref.newton_steps > 0
         assert np.linalg.norm(ref.x - x_star) <= 1e-12
         assert np.linalg.norm(ref.y - y_star) <= 1e-12
@@ -211,7 +226,7 @@ class TestComputeReference:
 
         problem = dataclasses.replace(toy, objective=objective, gradient=gradient,
                                       lagrangian_hessian=lambda x, y: 2.0 * y[0] * np.eye(2))
-        ref = compute_reference(problem, MeritParams(), 0.5, 2.0, tol=1e-12)
+        ref = compute_reference(problem, SPHERE, tol=1e-12)
         # Every iterate has its gradient evaluated once; a rejected trial
         # point has only its objective.
         assert set(objective_at) - set(gradient_at)
@@ -226,7 +241,7 @@ class TestComputeReference:
         problem = dataclasses.replace(
             sphere_problem(), lagrangian_hessian=lambda x, y: 2.0 * y[0] * np.eye(2) + skew)
         tol = 1e-12
-        ref = compute_reference(problem, MeritParams(), 0.5, 2.0, tol=tol)
+        ref = compute_reference(problem, SPHERE, tol=tol)
         assert ref.newton_steps >= 1
         assert ref.residual <= tol
 
@@ -238,8 +253,8 @@ class TestComputeReference:
     def test_failed_attempt_falls_back_bit_for_bit(self, bundled_instance, which):
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        plain = compute_reference(dataclasses.replace(problem, lagrangian_hessian=None),
-                                  MeritParams(), lip_gradf, lip_jac)
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac)
+        plain = compute_reference(dataclasses.replace(problem, lagrangian_hessian=None), config)
         value = {"indefinite": -1.0, "non-finite": np.nan, "rejected": 1e-6}[which]
         made = []
 
@@ -252,7 +267,7 @@ class TestComputeReference:
             return value * np.eye(problem.n)
 
         fallback = compute_reference(dataclasses.replace(problem, lagrangian_hessian=hessian),
-                                     MeritParams(), lip_gradf, lip_jac)
+                                     config)
         assert len(made) == plain.iterations
         assert fallback.newton_steps == 0
         assert np.array_equal(fallback.x, plain.x)
@@ -261,7 +276,8 @@ class TestComputeReference:
 
     def test_a9a_shaped_reference_takes_newton_steps(self, a9a_shaped_instance):
         lip_gradf, lip_jac = a9a_shaped_instance.lipschitz_bounds()
-        ref = compute_reference(a9a_shaped_instance.problem(), MeritParams(), lip_gradf, lip_jac)
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac)
+        ref = compute_reference(a9a_shaped_instance.problem(), config)
         assert 0 < ref.newton_steps < ref.iterations <= 30
         assert ref.residual <= 1e-8
 
@@ -272,7 +288,7 @@ class TestComputeReference:
         # with residual 0, and the reduced Lagrangian Hessian is [-1].
         problem = dataclasses.replace(sphere_problem(x0=(1.0, 0.0)), lagrangian_hessian=hessian)
         with pytest.raises(ReferenceSolveError, match=r"lambda_min -1\.000e\+00"):
-            compute_reference(problem, MeritParams(), 0.5, 2.0)
+            compute_reference(problem, SPHERE)
 
     def test_non_finite_hessian_at_the_candidate_is_rejected(self):
         # Every Newton attempt gives up on the NaN, the identity-model
@@ -281,12 +297,12 @@ class TestComputeReference:
         problem = dataclasses.replace(
             sphere_problem(), lagrangian_hessian=lambda x, y: np.full((2, 2), np.nan))
         with pytest.raises(ReferenceSolveError, match="not finite"):
-            compute_reference(problem, MeritParams(), 0.5, 2.0)
+            compute_reference(problem, SPHERE)
 
     def test_difference_route_matches_the_analytic_hessian(self, bundled_instance):
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        ref = compute_reference(problem, MeritParams(), lip_gradf, lip_jac)
+        ref = compute_reference(problem, SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac))
         at_ref = ref.x, ref.y, problem.jacobian(ref.x), problem.gradient(ref.x)
         analytic = harness._check_second_order(problem, *at_ref)
         differences = harness._check_second_order(
@@ -478,7 +494,7 @@ class TestRunExperiment:
         col = header.index("dist_y_avg_eps_0.1")
         for row in (rows[0], rows[-1]):
             k = int(row[0])
-            avg, _ = windowed_average(rerun.trace.x, rerun.trace.y, k, 0.1)
+            avg, _ = windowed_average(rerun.x, rerun.y, k, 0.1)
             assert float(row[col]) == pytest.approx(
                 float(np.linalg.norm(avg - reference.y)), rel=1e-12
             )
@@ -556,6 +572,11 @@ class TestRunExperiment:
             ExperimentConfig(tau=0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExperimentConfig().iters = 5
+        # Lists are taken as tuples, so the value is frozen and hashable.
+        config = ExperimentConfig(seeds=[1, 2], eps_grid=[0.1])
+        assert (config.seeds, config.eps_grid) == ((1, 2), (0.1,))
+        assert hash(config) == hash(ExperimentConfig(seeds=(1, 2), eps_grid=(0.1,)))
+        assert type(ExperimentConfig().seeds) is type(ExperimentConfig().eps_grid) is tuple
 
     def test_constant_damping_needs_exact_gradients(self, tmp_path):
         out = tmp_path / "out"
@@ -572,9 +593,9 @@ class TestRunExperiment:
 def short_trace(bundled_instance):
     problem = bundled_instance.problem()
     lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-    config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+    config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac,
                           batch_size=16, max_iters=200, seed=0)
-    trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
+    trace = run(problem, bundled_instance.minibatch_oracle(), config)
     return trace, ReferenceSolution(x=trace.x[-1], y=trace.y[-1], residual=0.0, iterations=0)
 
 
@@ -867,7 +888,7 @@ class TestCli:
         ["config-value", "libsvm-parse", "libsvm-nan", "too-many-constraints", "zero-tau",
          "nan-eps", "inf-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau",
          "duplicate-seed", "config-duplicate-seed", "same-eps-label", "negative-seed",
-         "config-negative-seed", "libsvm-too-wide", "removed-beta1"],
+         "config-negative-seed", "libsvm-too-wide", "removed-beta1", "huge-batch"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -909,6 +930,8 @@ class TestCli:
             "config-negative-seed": ["--config", str(negative_cfg)],
             # The damping scale is xi's: --beta1 b --xi x is --xi b*x.
             "removed-beta1": ["--beta1", "0.5"],
+            # Its (batch, n) row gather is reserved before the reference solve.
+            "huge-batch": ["--batch", "1000000000000"],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -933,6 +956,8 @@ class TestCli:
             assert lines[0] == "error: seeds must be >= 0, got [-1]"
         if case == "config-negative-seed":
             assert lines[0] == "error: seeds must be >= 0, got [-2]"
+        if case == "huge-batch":
+            assert lines[0].startswith("error: out of memory: ")
         assert not (tmp_path / "out").exists()
 
     def test_failed_reference_solve_leaves_no_directory(self, tmp_path, capsys, monkeypatch):

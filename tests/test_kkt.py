@@ -12,7 +12,6 @@ from stochsqp import kkt
 
 from stochsqp import (
     CurvatureError,
-    MeritParams,
     RankError,
     SolverConfig,
     factor_jacobian,
@@ -427,11 +426,11 @@ class TestRangeSpaceRoute:
         monkeypatch.setattr(kkt, "dgesdd", counting_dgesdd)
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac,
                               beta_p=0.51, max_iters=1500, seed=0,
                               validate=True)
-        result = run(problem, bundled_instance.minibatch_oracle(), config)
-        assert len(result.trace) == 1500
+        trace = run(problem, bundled_instance.minibatch_oracle(), config)
+        assert len(trace) == 1500
         assert calls == []
         # The spy is wired: an undecided certificate does reach it.
         factor_jacobian(np.array([[1.0, 0.0], [9e4, 1.0]]))
@@ -445,7 +444,7 @@ class TestRangeSpaceRoute:
     def test_bundled_solver_trajectory(self, bundled_instance):
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac,
                               beta_p=0.51, max_iters=300, seed=4)
         for step in iterate(problem, bundled_instance.minibatch_oracle(), config):
             sol = self._check(step.jac, step.g, step.c)

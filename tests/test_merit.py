@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from stochsqp import (
-    MeritParams,
     check_reduction_lbnd,
     factor_jacobian,
     phi,
+    SolverConfig,
     reduction_delta_q,
     solve_kkt,
     solve_with_factors,
@@ -45,9 +45,9 @@ class TestPhi:
         assert phi(0.25, 3.0, np.zeros(4)) == 0.75
 
     def test_protocol_defaults(self):
-        params = MeritParams()
-        assert params.tau == 0.1
-        assert params.xi == 1.0
+        config = SolverConfig()
+        assert config.tau == 0.1
+        assert config.xi == 1.0
 
 
 class TestModelQ:
@@ -258,11 +258,3 @@ class TestProductForms:
         assert math.isnan(tau[2]) and tau[3] == 0.25
         holds, slack = lbnd_from_products(TAU, 0.5, np.array([math.nan]), np.ones(1), np.ones(1))
         assert not holds[0] and math.isnan(slack[0])
-
-
-class TestMeritParams:
-    @pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"xi": -1.0}, {"nu": 1.0}, {"nu": 0.0},
-                                        {"tau": math.inf}, {"xi": math.inf}])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            MeritParams(**kwargs)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from stochsqp import (
     ConfigError,
     EvaluationError,
-    MeritParams,
     Problem,
     SolverConfig,
     StochasticGradientOracle,
@@ -39,19 +39,21 @@ from stochsqp.solver import Trace
 
 class TestStepSize:
     def test_worked_value(self):
-        alpha = step_size(0.1, 1.0, 1.0, 1.0, 1.0)
+        alpha = step_size(SolverConfig(), 1.0)
         assert type(alpha) is float
         assert alpha == 1.0 * 0.1 * 1.0 / (0.1 * 1.0 + 1.0)
         assert alpha == pytest.approx(0.09090909090909091, abs=1e-15)
 
     def test_linear_in_beta(self):
-        full = step_size(0.1, 1.0, 1.0, 1.0, 1.0)
-        assert step_size(0.1, 1.0, 1.0, 1.0, 0.5) == 0.5 * full
+        full = step_size(SolverConfig(), 1.0)
+        assert step_size(SolverConfig(), 0.5) == 0.5 * full
 
     def test_protocol_first_step(self):
         tau, xi, lip, jac = 0.1, 1.0, 3.0, 2.0
-        assert step_size(tau, xi, lip, jac, 1.0) == tau * xi / (tau * lip + jac)
+        config = SolverConfig(tau=tau, xi=xi, lip_gradf=lip, lip_jac=jac)
+        assert step_size(config, 1.0) == tau * xi / (tau * lip + jac)
 
+    # The first two are rejected by SolverConfig before step_size runs.
     # The fifth and sixth are valid inputs whose step size overflows (tau *
     # lip_gradf is inf) or underflows to 0; the last two are arrays with
     # one bad element.
@@ -63,13 +65,13 @@ class TestStepSize:
     def test_input_validation(self, bad):
         kwargs = dict(tau=0.1, xi=1.0, lip_gradf=1.0, lip_jac=1.0, beta_k=1.0)
         kwargs.update(bad)
+        beta_k = kwargs.pop("beta_k")
         with pytest.raises(ValueError):
-            step_size(kwargs["tau"], kwargs["xi"], kwargs["lip_gradf"],
-                      kwargs["lip_jac"], kwargs["beta_k"])
+            step_size(SolverConfig(**kwargs), beta_k)
 
     def test_array_names_the_first_failing_step(self):
         with pytest.raises(ValueError, match=r"^step size 0\.0 .* beta=1e-300$"):
-            step_size(1e-300, 1.0, 1.0, 1.0, np.array([1.0, 1e-300, 1e-310]))
+            step_size(SolverConfig(tau=1e-300), np.array([1.0, 1e-300, 1e-310]))
 
 
 class TestBetaSchedule:
@@ -90,7 +92,8 @@ class TestBetaSchedule:
         betas = SolverConfig(beta_p=p, max_iters=iters).damping()
         assert betas.tobytes() == np.array(scalar).tobytes()
         den = tau * lip_gradf + lip_jac
-        alphas = step_size(tau, xi, lip_gradf, lip_jac, betas)
+        config = SolverConfig(tau=tau, xi=xi, lip_gradf=lip_gradf, lip_jac=lip_jac)
+        alphas = step_size(config, betas)
         assert alphas.tobytes() == np.array([b * tau * xi / den for b in scalar]).tobytes()
 
     def test_decay_exponent_contract(self):
@@ -115,7 +118,7 @@ class TestBetaSchedule:
         problem = sphere_problem()
         for p in (0.0, 0.3, 0.5):
             config = SolverConfig(
-                merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
+                lip_gradf=1.0, lip_jac=2.0,
                 beta_p=p, max_iters=5,
             )
             with pytest.raises(ConfigError, match="exact-gradient"):
@@ -123,12 +126,34 @@ class TestBetaSchedule:
             run(problem, exact_oracle(problem), config)  # accepted
 
 
+def _bad_config(message, **kwargs):
+    return pytest.param(kwargs, message, id="-".join(f"{k}-{v}" for k, v in kwargs.items()))
+
+
+_TAU, _XI, _NU = ("tau must be positive and finite", "xi must be positive and finite",
+                  "nu must lie in (0, 1)")
+
+
 class TestSolverConfig:
-    @pytest.mark.parametrize("name, value", [("lip_gradf", 0.0), ("lip_jac", -1.0),
-                                             ("batch_size", 0), ("max_iters", 0), ("seed", -1)])
-    def test_bad_values_rejected(self, name, value):
-        with pytest.raises(ConfigError):
-            SolverConfig(**{name: value})
+    # The merit parameters are checked first: tau=0 with batch_size=0
+    # names tau.
+    @pytest.mark.parametrize("kwargs, message", [
+        _bad_config("Lipschitz constants must be > 0", lip_gradf=0.0),
+        _bad_config("Lipschitz constants must be > 0", lip_jac=-1.0),
+        _bad_config("batch_size must be >= 1", batch_size=0),
+        _bad_config("max_iters must be >= 1", max_iters=0),
+        _bad_config("seed must be >= 0", seed=-1),
+        _bad_config(_TAU, tau=0.0),
+        _bad_config(_XI, xi=-1.0),
+        _bad_config(_NU, nu=1.0),
+        _bad_config(_NU, nu=0.0),
+        _bad_config(_TAU, tau=math.inf),
+        _bad_config(_XI, xi=math.inf),
+        _bad_config(_TAU, tau=0.0, batch_size=0),
+    ])
+    def test_bad_values_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SolverConfig(**kwargs)
 
     def test_is_frozen(self):
         config = SolverConfig()
@@ -152,15 +177,14 @@ class TestRun:
     def test_single_iteration_hand_arithmetic(self):
         problem = _worked_problem()
         config = SolverConfig(
-            merit=MeritParams(tau=0.1, xi=1.0), lip_gradf=1.0, lip_jac=1.0,
+            tau=0.1, xi=1.0, lip_gradf=1.0, lip_jac=1.0,
             max_iters=1, validate=True,
         )
-        result = run(problem, exact_oracle(problem), config)
+        trace = run(problem, exact_oracle(problem), config)
         alpha = 0.1 / 1.1
         assert np.array_equal(
-            result.x_final, problem.x0 + alpha * np.array([-0.5, -1.0])
+            trace.x_final, problem.x0 + alpha * np.array([-0.5, -1.0])
         )
-        trace = result.trace
         assert trace.alpha[0] == alpha
         assert trace.dq_stoch[0] == pytest.approx(0.5875, abs=1e-15)
         assert trace.xi_trial[0] == pytest.approx(4.7, abs=1e-14)
@@ -171,26 +195,26 @@ class TestRun:
         problem, p_mat, x_star, y_star = constrained_quadratic(rng)
         lip = float(np.linalg.norm(p_mat, 2))
         config = SolverConfig(
-            merit=MeritParams(), lip_gradf=lip, lip_jac=1e-6,
+            lip_gradf=lip, lip_jac=1e-6,
             beta_p=0.0, max_iters=10_000,
             validate=True,
         )
-        result = run(problem, exact_oracle(problem), config)
-        assert np.nanmin(result.trace.resid_true) <= 1e-6
-        assert np.linalg.norm(result.x_final - x_star) <= 1e-6
-        assert np.linalg.norm(result.trace.y[-1] - y_star) <= 1e-6
+        trace = run(problem, exact_oracle(problem), config)
+        assert np.nanmin(trace.resid_true) <= 1e-6
+        assert np.linalg.norm(trace.x_final - x_star) <= 1e-6
+        assert np.linalg.norm(trace.y[-1] - y_star) <= 1e-6
 
     def test_bit_reproducible_given_seed(self, bundled_instance):
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
-            merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+            lip_gradf=lip_gradf, lip_jac=lip_jac,
             batch_size=16, max_iters=50, seed=9, validate=True,
         )
         first = run(problem, bundled_instance.minibatch_oracle(), config)
         second = run(problem, bundled_instance.minibatch_oracle(), config)
-        assert np.array_equal(first.trace.x, second.trace.x)
-        assert np.array_equal(first.trace.y, second.trace.y)
+        assert np.array_equal(first.x, second.x)
+        assert np.array_equal(first.y, second.y)
         assert np.array_equal(first.x_final, second.x_final)
 
         def gradients():
@@ -203,10 +227,10 @@ class TestRun:
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
-            merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+            lip_gradf=lip_gradf, lip_jac=lip_jac,
             beta_p=0.7, batch_size=4, max_iters=200,
         )
-        trace = run(problem, bundled_instance.minibatch_oracle(), config).trace
+        trace = run(problem, bundled_instance.minibatch_oracle(), config)
         alpha_1, beta_1 = trace.alpha[0], trace.beta[0]
         assert np.allclose(trace.alpha, trace.beta * alpha_1 / beta_1, rtol=1e-14)
         assert np.all(trace.alpha <= alpha_1)
@@ -221,15 +245,15 @@ class TestRun:
 
         monkeypatch.setattr(solver, "step_size", counting_step_size)
         problem = _worked_problem()
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0,
+        config = SolverConfig(lip_gradf=1.0, lip_jac=1.0,
                               max_iters=iters, validate=True)
-        trace = run(problem, exact_oracle(problem), config).trace
+        trace = run(problem, exact_oracle(problem), config)
         assert len(calls) == 1 and len(trace) == iters
 
     def test_schedule_columns_are_cached_read_only_arrays(self):
         problem = _worked_problem()
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0, max_iters=5)
-        trace = run(problem, exact_oracle(problem), config).trace
+        config = SolverConfig(lip_gradf=1.0, lip_jac=1.0, max_iters=5)
+        trace = run(problem, exact_oracle(problem), config)
         for name in ("alpha", "beta"):
             column = getattr(trace, name)
             assert getattr(trace, name) is column
@@ -239,8 +263,8 @@ class TestRun:
 
     def test_stored_iterates_satisfy_update_exactly(self):
         problem = _worked_problem()
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0, max_iters=5)
-        trace = run(problem, exact_oracle(problem), config).trace
+        config = SolverConfig(lip_gradf=1.0, lip_jac=1.0, max_iters=5)
+        trace = run(problem, exact_oracle(problem), config)
         steps = list(iterate(problem, exact_oracle(problem), config))
         for i in range(4):
             expected = trace.x[i] + trace.alpha[i] * steps[i].sol.d
@@ -257,7 +281,7 @@ class TestRun:
 
         problem = Problem(n=2, m=1, objective=objective, gradient=base.gradient,
                           constraints=base.constraints, jacobian=base.jacobian, x0=base.x0)
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
+        config = SolverConfig(lip_gradf=1.0, lip_jac=2.0,
                               max_iters=20, validate=validate)
         run(problem, gaussian_oracle(problem, sigma=0.5), config)
         assert calls == []
@@ -268,37 +292,37 @@ class TestRun:
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
-            merit=MeritParams(tau=0.1, xi=1.0), lip_gradf=lip_gradf, lip_jac=lip_jac,
+            tau=0.1, xi=1.0, lip_gradf=lip_gradf, lip_jac=lip_jac,
             beta_p=1.0,
             batch_size=16, max_iters=10_000, seed=5, validate=True,
         )
-        result = run(problem, bundled_instance.minibatch_oracle(), config)
-        assert result.trace.validation_summary().clean
-        assert np.all(result.trace.xi_trial >= 1.0)
-        assert np.all(result.trace.tau_trial_true >= 0.1)
+        trace = run(problem, bundled_instance.minibatch_oracle(), config)
+        assert trace.validation_summary().clean
+        assert np.all(trace.xi_trial >= 1.0)
+        assert np.all(trace.tau_trial_true >= 0.1)
 
     def test_deterministic_merit_descent(self, bundled_instance):
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
-            merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+            lip_gradf=lip_gradf, lip_jac=lip_jac,
             beta_p=0.0, max_iters=3_000,
             validate=True,
         )
-        result = run(problem, exact_oracle(problem), config)
-        assert result.trace.validation_summary().clean
-        merit = [phi(config.merit.tau, float(problem.objective(x)), problem.constraints(x))
-                 for x in result.trace.x]
+        trace = run(problem, exact_oracle(problem), config)
+        assert trace.validation_summary().clean
+        merit = [phi(config.tau, float(problem.objective(x)), problem.constraints(x))
+                 for x in trace.x]
         assert np.all(np.diff(merit) <= 1e-12)
 
     def test_violations_are_surfaced_not_fatal(self):
         # An oversized ratio parameter cannot stay below its trial value.
         problem = _worked_problem()
         config = SolverConfig(
-            merit=MeritParams(tau=0.1, xi=50.0), lip_gradf=1.0, lip_jac=1.0,
+            tau=0.1, xi=50.0, lip_gradf=1.0, lip_jac=1.0,
             max_iters=3, validate=True,
         )
-        summary = run(problem, exact_oracle(problem), config).trace.validation_summary()
+        summary = run(problem, exact_oracle(problem), config).validation_summary()
         assert summary.xi_violations == 3
         assert summary.first_xi_violation == 1
         assert not summary.clean
@@ -316,7 +340,7 @@ class TestRun:
         problem = Problem(n=2, m=1, objective=base.objective, gradient=flaky_gradient,
                           constraints=base.constraints, jacobian=base.jacobian,
                           x0=np.array([0.3, 1.0]))
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0, max_iters=50)
+        config = SolverConfig(lip_gradf=1.0, lip_jac=2.0, max_iters=50)
         with pytest.raises(EvaluationError, match="iteration"):
             run(problem, exact_oracle(problem), config)
 
@@ -332,7 +356,7 @@ class TestRun:
 
         problem = Problem(n=2, m=1, objective=base.objective, gradient=flaky_gradient,
                           constraints=base.constraints, jacobian=base.jacobian, x0=base.x0)
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
+        config = SolverConfig(lip_gradf=1.0, lip_jac=2.0,
                               max_iters=10, validate=True)
         with pytest.raises(EvaluationError, match="^iteration 4: exact gradient"):
             run(problem, exact_oracle(base), config)
@@ -357,10 +381,10 @@ class TestLedger:
 
     @staticmethod
     def _assert_same_run(problem, oracle_factory, config):
-        result = run(problem, oracle_factory(), config)
+        trace = run(problem, oracle_factory(), config)
         columns, x_final, summary = row_by_row_run(problem, oracle_factory(), config)
         for name, want in columns.items():
-            got = getattr(result.trace, name)
+            got = getattr(trace, name)
             if want is None:
                 assert got is None, name
                 continue
@@ -371,9 +395,9 @@ class TestLedger:
             else:
                 # Same bits, signed zeros included; NaN matches NaN.
                 assert got[~nan].tobytes() == want[~nan].tobytes(), name
-        assert np.array_equal(result.x_final, x_final)
-        assert result.trace.validation_summary() == summary
-        return result
+        assert np.array_equal(trace.x_final, x_final)
+        assert trace.validation_summary() == summary
+        return trace
 
     @pytest.mark.parametrize("validate", [False, True])
     def test_trace_stores_floats_per_iteration(self, validate):
@@ -387,7 +411,7 @@ class TestLedger:
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
-            merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+            lip_gradf=lip_gradf, lip_jac=lip_jac,
             batch_size=16, max_iters=300, seed=2, validate=validate,
         )
         self._assert_same_run(problem, bundled_instance.minibatch_oracle, config)
@@ -397,33 +421,33 @@ class TestLedger:
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         config = SolverConfig(
-            merit=MeritParams(tau=20.0), lip_gradf=lip_gradf, lip_jac=lip_jac,
+            tau=20.0, lip_gradf=lip_gradf, lip_jac=lip_jac,
             batch_size=16, max_iters=200, seed=4, validate=True,
         )
         summary = self._assert_same_run(
             problem, bundled_instance.minibatch_oracle, config
-        ).trace.validation_summary()
+        ).validation_summary()
         assert summary.xi_violations and summary.tau_violations
         assert summary.first_xi_violation and summary.first_tau_violation
 
     def test_violations_of_the_worked_problem(self):
         problem = _worked_problem()
         config = SolverConfig(
-            merit=MeritParams(tau=0.1, xi=50.0), lip_gradf=1.0, lip_jac=1.0,
+            tau=0.1, xi=50.0, lip_gradf=1.0, lip_jac=1.0,
             max_iters=3, validate=True,
         )
-        result = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
-        assert result.trace.validation_summary().xi_violations == 3
+        trace = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
+        assert trace.validation_summary().xi_violations == 3
 
     def test_zero_step(self):
         # At the minimizer (-1, 0) of the sphere toy every step is zero.
         problem = sphere_problem(x0=(-1.0, 0.0))
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=2.0,
+        config = SolverConfig(lip_gradf=1.0, lip_jac=2.0,
                               max_iters=3, validate=True)
-        result = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
-        assert np.all(result.trace.xi_trial == math.inf)
-        assert np.all(result.trace.tau_trial_true == math.inf)
-        assert result.trace.validation_summary().clean
+        trace = self._assert_same_run(problem, lambda: exact_oracle(problem), config)
+        assert np.all(trace.xi_trial == math.inf)
+        assert np.all(trace.tau_trial_true == math.inf)
+        assert trace.validation_summary().clean
 
 
 class TestModelMatrixRoutes:
@@ -432,11 +456,11 @@ class TestModelMatrixRoutes:
     def test_steps_match_dense_oracle(self):
         problem, p_mat, _, _ = constrained_quadratic(np.random.default_rng(21))
         config = SolverConfig(
-            merit=MeritParams(), lip_gradf=float(np.linalg.norm(p_mat, 2)), lip_jac=1e-6,
+            lip_gradf=float(np.linalg.norm(p_mat, 2)), lip_jac=1e-6,
             max_iters=60, seed=3, validate=True,
         )
         oracle = gaussian_oracle(problem, sigma=0.5)
-        trace = run(problem, oracle, config).trace
+        trace = run(problem, oracle, config)
         steps = list(iterate(problem, oracle, config))
         assert len(steps) == len(trace)
         eye = np.eye(problem.n)
@@ -451,9 +475,9 @@ class TestModelMatrixRoutes:
     def test_exact_oracle_shadow_multiplier_is_bitwise_equal(self, bundled_instance):
         problem = bundled_instance.problem()
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
-        config = SolverConfig(merit=MeritParams(), lip_gradf=lip_gradf, lip_jac=lip_jac,
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac,
                               beta_p=0.0, max_iters=50, validate=True)
-        trace = run(problem, exact_oracle(problem), config).trace
+        trace = run(problem, exact_oracle(problem), config)
         assert np.array_equal(trace.y, trace.y_true)
 
 
@@ -462,7 +486,7 @@ class TestTrueShadow:
         problem = _worked_problem()
         x = problem.x0
         d, y = true_shadow(problem, x, np.eye(2))
-        config = SolverConfig(merit=MeritParams(), lip_gradf=1.0, lip_jac=1.0, max_iters=1)
+        config = SolverConfig(lip_gradf=1.0, lip_jac=1.0, max_iters=1)
         step = next(iterate(problem, exact_oracle(problem), config))
         assert np.array_equal(step.sol.d, d)
         assert np.array_equal(step.sol.y, y)

@@ -41,7 +41,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from stochsqp.logreg import (
     INSTANCE_SEED, M_LIN, Dataset, build_instance, parse_libsvm, serialize_libsvm,
 )
-from stochsqp.merit import MeritParams
 from stochsqp.problem import exact_oracle
 from stochsqp.solver import SolverConfig, run
 
@@ -88,7 +87,9 @@ def sanity_check(dataset: Dataset):
     instance = build_instance(dataset, m_lin=M_LIN, seed=INSTANCE_SEED)
     lip_gradf, lip_jac = instance.lipschitz_bounds()
     config = SolverConfig(
-        merit=MeritParams(tau=0.1, xi=1.0, nu=0.5),
+        tau=0.1,
+        xi=1.0,
+        nu=0.5,
         lip_gradf=lip_gradf,
         lip_jac=lip_jac,
         beta_p=0.0,
@@ -96,12 +97,12 @@ def sanity_check(dataset: Dataset):
         max_iters=20_000,
         validate=True,
     )
-    result = run(instance.problem(), exact_oracle(instance.problem()), config)
-    summary = result.trace.validation_summary()
+    trace = run(instance.problem(), exact_oracle(instance.problem()), config)
+    summary = trace.validation_summary()
     assert summary.clean, f"deterministic run surfaced violations: {summary}"
-    best = np.nanmin(result.trace.resid_true)
+    best = np.nanmin(trace.resid_true)
     assert best <= 1e-6, f"best residual {best:.3e}"
-    first = int(np.argmax(result.trace.resid_true <= 1e-6)) + 1
+    first = int(np.argmax(trace.resid_true <= 1e-6)) + 1
     print(f"deterministic residual <= 1e-6 first reached at iteration {first}")
     print(f"per-sample gradient variance at x1: {instance.per_sample_variance(instance.x1):.1f}")
     print(f"lipschitz bounds: grad {lip_gradf:.3f}, jacobian {lip_jac:.3f}")
