@@ -32,7 +32,6 @@ to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -56,8 +55,7 @@ class JacobianFactors(NamedTuple):
     r_upper: Array  # (m, m), upper triangular
 
 
-@dataclass(frozen=True)
-class KktSolution:
+class KktSolution(NamedTuple):
     """Step ``d = u + v`` and multiplier ``y``.
 
     ``u`` lies in the Jacobian null space and ``v`` in its row space.
@@ -155,7 +153,7 @@ def solve_with_factors(factors: JacobianFactors, grad: Array, c: Array) -> KktSo
     d = u + v
     y, info = dtrtrs(r, -qg - w)
     _check_info("dtrtrs", info)
-    return KktSolution(d=d, y=y, u=u, v=v)
+    return KktSolution(d, y, u, v)
 
 
 def solve_kkt(hess: Array, jac: Array, grad: Array, c: Array) -> KktSolution:
@@ -198,7 +196,7 @@ def _null_space_solve(
     d = u + v
 
     y = scipy.linalg.solve_triangular(r, q1.T @ (-grad - hess @ d))
-    return KktSolution(d=d, y=y, u=u, v=v)
+    return KktSolution(d, y, u, v)
 
 
 def _reduced_cholesky(hess: Array, z: Array):

@@ -265,10 +265,15 @@ class ConstrainedLogRegInstance:
         return self.m_lin + 1
 
     @cached_property
+    def _neg_labels(self) -> Array:
+        """``-labels``, negated once per instance for the loss weights."""
+        return -self.dataset.labels
+
+    @cached_property
     def _blocks(self) -> list[tuple[Array, Array]]:
         """``(features, -labels)`` of ``CHUNK_SAMPLES`` samples each, as
         views built on first use, so that a full pass slices nothing."""
-        features, neg_labels = self.dataset.features, -self.dataset.labels
+        features, neg_labels = self.dataset.features, self._neg_labels
         return [
             (features[start : start + CHUNK_SAMPLES], neg_labels[start : start + CHUNK_SAMPLES])
             for start in range(0, self.dataset.n_samples, CHUNK_SAMPLES)
@@ -290,10 +295,17 @@ class ConstrainedLogRegInstance:
         return grad
 
     def constraints(self, x: Array) -> Array:
-        return np.concatenate([self.A @ x - self.b, [float(x @ x) - 1.0]])
+        c = np.empty(self.A.shape[0] + 1)
+        lin = np.matmul(self.A, x, out=c[:-1])
+        lin -= self.b
+        c[-1] = x @ x - 1.0
+        return c
 
     def jacobian(self, x: Array) -> Array:
-        return np.vstack([self.A, 2.0 * x])
+        jac = np.empty((self.A.shape[0] + 1, self.A.shape[1]))
+        jac[:-1] = self.A
+        np.multiply(2.0, x, out=jac[-1])
+        return jac
 
     def lagrangian_hessian(self, x: Array, y: Array) -> Array:
         """Hessian of ``f + c'y``: ``(1/N) D' diag(s(1-s)) D + 2 y_sphere I``.
@@ -341,12 +353,14 @@ class ConstrainedLogRegInstance:
         return total / n_samples
 
     def minibatch_oracle(self) -> StochasticGradientOracle:
-        """Mini-batch oracle sampling with replacement (i.i.d. averaging)."""
+        """Mini-batch oracle sampling with replacement (i.i.d. averaging); the
+        indices it draws are in range, so its kernel takes them unchecked."""
+        features, neg_labels = self.dataset.features, self._neg_labels
         n_samples = self.dataset.n_samples
 
         def sample(x, batch, rng):
             idx = rng.integers(0, n_samples, size=batch)
-            return logistic_minibatch_gradient(self, x, idx)
+            return _minibatch_gradient(features, neg_labels, x, idx)
 
         return StochasticGradientOracle(sample)
 
@@ -375,15 +389,23 @@ def logistic_minibatch_gradient(instance: ConstrainedLogRegInstance, x: Array, i
 
     The per-sample gradient is ``-gamma_i * sigmoid(-gamma_i <d_i, x>) d_i``;
     the sigmoid saturates to 0 without overflow for large margins.
+    ``indices`` must be a nonempty 1-d integer array in ``[0, N)``; anything
+    else (a boolean mask, floats, a nested list) raises ``ValueError``.
     """
     idx = np.asarray(indices)
-    if idx.size == 0:
-        raise ValueError("indices must be nonempty")
+    if idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError("indices must be a nonempty 1-d integer array")
     if idx.min() < 0 or idx.max() >= instance.dataset.n_samples:
         raise ValueError("sample index out of range")
-    rows = instance.dataset.features[idx]
-    w = _loss_weights(rows, -instance.dataset.labels[idx], np.asarray(x, dtype=float))
-    return w @ rows / idx.size
+    features, neg_labels = instance.dataset.features, instance._neg_labels
+    return _minibatch_gradient(features, neg_labels, np.asarray(x, dtype=float), idx)
+
+
+def _minibatch_gradient(features: Array, neg_labels: Array, x: Array, idx: Array) -> Array:
+    """:func:`logistic_minibatch_gradient` on ``idx`` trusted to be a
+    nonempty 1-d integer array in range, with the labels negated."""
+    rows = features[idx]
+    return _loss_weights(rows, neg_labels[idx], x) @ rows / idx.size
 
 
 def _loss_weights(rows: Array, neg_labels: Array, x: Array) -> Array:

@@ -50,6 +50,18 @@ class TestSolve:
         assert np.allclose(sol.v, [-0.5, 0.0], atol=1e-14)
         assert np.allclose(sol.u, [0.0, -1.0], atol=1e-14)
 
+    def test_solutions_are_immutable_and_read_by_name(self):
+        for sol in (
+            solve_kkt(**WORKED),
+            solve_with_factors(factor_jacobian(WORKED["jac"]), WORKED["grad"], WORKED["c"]),
+        ):
+            assert isinstance(sol, kkt.KktSolution)
+            assert sol._fields == ("d", "y", "u", "v")
+            assert (sol.d, sol.y, sol.u, sol.v) == tuple(sol)
+            with pytest.raises(AttributeError):
+                sol.d = np.zeros(2)
+            assert np.allclose(sol.d, [-0.5, -1.0], atol=1e-14)
+
     def test_stationary_point_identity(self):
         rng = np.random.default_rng(0)
         hess, jac, _, _ = random_kkt_instance(rng, 7, 3)

@@ -292,6 +292,25 @@ class TestBuildInstance:
             chord = lam * bundled_instance.objective(a) + (1 - lam) * bundled_instance.objective(b)
             assert mid <= chord + 1e-10
 
+    def test_constraints_and_jacobian_match_the_stacked_forms(self, bundled_instance):
+        inst = bundled_instance
+        x, x2 = np.random.default_rng(5).standard_normal((2, inst.n))
+        c, jac = inst.constraints(x), inst.jacobian(x)
+        assert np.array_equal(c, np.concatenate([inst.A @ x - inst.b, [float(x @ x) - 1.0]]))
+        assert np.array_equal(jac, np.vstack([inst.A, 2.0 * x]))
+        assert c.shape == (inst.m,) and jac.shape == (inst.m, inst.n)
+        # Every call returns a new array: a second call leaves the first as it was.
+        c_first, jac_first = c.copy(), jac.copy()
+        c2, jac2 = inst.constraints(x2), inst.jacobian(x2)
+        assert not np.shares_memory(c, c2) and not np.shares_memory(jac, jac2)
+        assert np.array_equal(c, c_first) and np.array_equal(jac, jac_first)
+        assert not np.array_equal(c, c2) and not np.array_equal(jac, jac2)
+        # ... and owns its memory, so writing to it leaves the instance alone.
+        a_before = inst.A.copy()
+        jac[:] = 0.0
+        assert np.array_equal(inst.A, a_before)
+        assert not np.shares_memory(jac2, inst.A)
+
     def test_logreg_instance_at_zero(self, bundled_instance):
         # At x = 0 every logistic term is log 2 and the constraints
         # reduce to (-b, -1).
@@ -349,6 +368,63 @@ class TestMinibatchGradient:
             logistic_minibatch_gradient(bundled_instance, bundled_instance.x1, [])
         with pytest.raises(ValueError):
             logistic_minibatch_gradient(bundled_instance, bundled_instance.x1, [10_000])
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            [[3, 5]],  # 2-d: the gather would give a (1, 1, n) result
+            np.array(3),  # 0-d
+            [1.0, 2.0],  # floats: numpy would raise IndexError
+            [True] + [False] * 199,  # a boolean list would be taken as a mask
+            np.ones(200, dtype=bool),
+            np.array([], dtype=np.int64),
+            [-1],
+            [0, 200],
+        ],
+        ids=["2d", "0d", "float", "bool-list", "bool-array", "empty-int", "negative", "past-end"],
+    )
+    def test_index_must_be_a_nonempty_1d_integer_array_in_range(self, bundled_instance, indices):
+        with pytest.raises(ValueError):
+            logistic_minibatch_gradient(bundled_instance, bundled_instance.x1, indices)
+
+    def test_any_integer_dtype_is_accepted(self, bundled_instance):
+        x = bundled_instance.x1
+        expected = logistic_minibatch_gradient(bundled_instance, x, [3, 5, 127])
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+            got = logistic_minibatch_gradient(bundled_instance, x, np.array([3, 5, 127], dtype=dtype))
+            assert np.array_equal(got, expected)
+            assert got.shape == (bundled_instance.n,)
+
+
+def assert_oracle_draw_is_the_checked_gradient(inst, x, batch, seed):
+    """The oracle's unchecked kernel gives the bits of the public function
+    on the indices a twin generator draws, and advances its generator alike."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = inst.minibatch_oracle().sample(x, batch, rng)
+    idx = twin.integers(0, inst.dataset.n_samples, size=batch)
+    assert np.array_equal(drawn, logistic_minibatch_gradient(inst, x, idx))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestMinibatchKernel:
+    @pytest.mark.parametrize("batch", [1, 16, 199, 200, 457])
+    def test_bundled_instance(self, bundled_instance, batch):
+        x = np.random.default_rng(batch).standard_normal(bundled_instance.n)
+        for seed in range(3):
+            assert_oracle_draw_is_the_checked_gradient(bundled_instance, x, batch, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_random_datasets(self, seed):
+        # Batches past N draw repeated indices for certain.
+        rng = np.random.default_rng(seed)
+        n_samples, n = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+        labels = rng.choice([-1.0, 1.0], size=n_samples)
+        inst = build_instance(
+            Dataset(features=rng.standard_normal((n_samples, n)), labels=labels), m_lin=1, seed=seed
+        )
+        x = 3.0 * rng.standard_normal(n)
+        for batch in (1, 2, n_samples, n_samples + 1, 4 * n_samples + 3):
+            assert_oracle_draw_is_the_checked_gradient(inst, x, batch, seed + 100)
 
 
 class TestBundledData:
