@@ -59,6 +59,7 @@ from .merit import (
 from .problem import (
     Problem,
     StochasticGradientOracle,
+    evaluate_gradient,
     exact_oracle,
     sample_gradient,
 )

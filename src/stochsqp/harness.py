@@ -42,7 +42,8 @@ from .logreg import load_bundled_dataset, load_libsvm_file
 from .merit import phi, reduction_from_products, tau_trial_from_products
 from .problem import Array, Problem, exact_oracle
 from .solver import (
-    SolverConfig, Trace, ValidationSummary, kkt_residual, run, step_size, subproblem,
+    SolverConfig, Trace, ValidationSummary, kkt_residual, rows_per_block, run, step_size,
+    subproblem,
 )
 
 # The benchmark's traced mode (perfbench/spans.py) looks this name up
@@ -120,13 +121,14 @@ def compute_reference(
     """
     if not 0 < tol < math.inf:
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
-    oracle = exact_oracle(problem)  # draws nothing, so it needs no generator
+    oracle = exact_oracle(problem)
+    row = oracle.draw(None, 1, 1)[0]  # empty: the exact oracle needs no generator
     alpha = step_size(config, 1.0)  # the identity-model step's
     x = np.array(problem.x0, dtype=float)
     y = f = None  # after a Newton step, its multiplier and the objective at x
     tau, newton_steps, best = config.tau, 0, math.inf
     for k in range(1, REFERENCE_MAX_ITERS + 1):
-        c, jac, grad, _, identity = subproblem(problem, oracle, 1, None, x, k)
+        c, jac, grad, _, identity = subproblem(problem, oracle, row, x, k)
         if y is None:
             y = identity.y
         residual = kkt_residual(grad, jac, c, y)
@@ -484,11 +486,13 @@ def _load_instance(config: ExperimentConfig) -> ConstrainedLogRegInstance:
 def _check_replicate_fits(config: ExperimentConfig, n: int, m: int) -> None:
     """Raise :class:`MemoryError` if one replicate's trace and step schedule
     (``beta`` and ``alpha``, 2 floats per iteration) or, unless ``exact``,
-    a mini-batch's ``(batch, n)`` row gather cannot be allocated.
+    a mini-batch's ``(batch, n)`` row gather together with the block of
+    indices it is drawn from cannot be allocated.
     ``np.empty`` reserves address space without touching a page."""
     np.empty((config.iters, Trace.floats_per_iteration(n, m, config.validate) + 2))
     if not config.exact:
-        np.empty((config.batch, n))
+        block = (min(rows_per_block(config.batch), config.iters), config.batch)
+        _ = np.empty((config.batch, n)), np.empty(block, dtype=np.int64)  # alive together
 
 
 #: Environment variables that cap the BLAS and OpenMP thread pools;

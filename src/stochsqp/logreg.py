@@ -20,7 +20,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from typing import TextIO
 
@@ -353,16 +353,20 @@ class ConstrainedLogRegInstance:
         return total / n_samples
 
     def minibatch_oracle(self) -> StochasticGradientOracle:
-        """Mini-batch oracle sampling with replacement (i.i.d. averaging); the
-        indices it draws are in range, so its kernel takes them unchecked."""
-        features, neg_labels = self.dataset.features, self._neg_labels
+        """Mini-batch oracle sampling with replacement (i.i.d. averaging).
+
+        A row is ``batch`` sample indices; ``count`` rows are one
+        ``rng.integers`` call.  The indices it draws are in range, so its
+        kernel takes them unchecked.
+        """
         n_samples = self.dataset.n_samples
 
-        def sample(x, batch, rng):
-            idx = rng.integers(0, n_samples, size=batch)
-            return _minibatch_gradient(features, neg_labels, x, idx)
+        def draw(rng, batch, count):
+            return rng.integers(0, n_samples, size=(count, batch))
 
-        return StochasticGradientOracle(sample)
+        return StochasticGradientOracle(
+            draw, partial(_minibatch_gradient, self.dataset.features, self._neg_labels)
+        )
 
     def lipschitz_bounds(self):
         """Certified ``(lip_gradf, lip_jac)`` for this instance.

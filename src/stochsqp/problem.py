@@ -5,13 +5,19 @@ A :class:`Problem` bundles plain-callable evaluators for an objective
 The solver only ever talks to these callables, so an instance can wrap
 anything from a two-line toy to a data-fitting loss over a sample set.
 
-A :class:`StochasticGradientOracle` declares only whether its draws are
-exact: the gradient-noise variance enters the analysis, not the method.
+A :class:`StochasticGradientOracle` is two calls: ``draw`` makes the
+random input of many gradient draws at once, and ``evaluate`` turns one
+row of it into a gradient at a point.  A draw does not depend on the
+point, so a run draws its rows a block at a time, one generator call
+per block, ahead of the iterates they are evaluated at.  The oracle
+declares only whether its draws are exact: the gradient-noise variance
+enters the analysis, not the method.
 
 Randomness is always threaded through an explicit
-``numpy.random.Generator``: oracles receive the generator as an
-argument and mutate nothing else, so replicated runs are reproducible
-and parallel replicates can own independent streams.
+``numpy.random.Generator``: ``draw`` receives the generator as an
+argument and mutates nothing else, and the oracle keeps no state, so
+replicates can share one oracle, replicated runs are reproducible and
+parallel replicates can own independent streams.
 """
 
 from __future__ import annotations
@@ -70,16 +76,26 @@ class Problem:
 class StochasticGradientOracle:
     """Unbiased stochastic estimator of a problem's objective gradient.
 
-    ``sample(x, batch, rng)`` must return the average of ``batch``
-    i.i.d. per-sample gradient estimates, each unbiased for
-    ``grad f(x)``; :func:`sample_gradient` checks ``batch >= 1`` first.
-    ``exact`` declares that every draw is the exact gradient, which a
-    ``beta`` schedule with ``p <= 1/2`` requires; the step size uses no
-    variance bound, so an oracle declares none.
+    ``draw(rng, batch, count)`` returns ``count`` rows of random input,
+    one per gradient draw of ``batch`` samples, made by one call on
+    ``rng``; ``count`` rows drawn at once must equal, bit for bit and
+    in generator state, ``count`` one-row draws made in turn.
+    ``evaluate(x, row)`` is deterministic: the average of ``batch``
+    i.i.d. per-sample gradient estimates at ``x`` named by ``row``, each
+    unbiased for ``grad f(x)``.  Neither call keeps state, so one oracle
+    serves every replicate.  ``exact`` declares that every draw is the
+    exact gradient, which a ``beta`` schedule with ``p <= 1/2``
+    requires; the step size uses no variance bound, so an oracle
+    declares none.
     """
 
-    sample: Callable[[Array, int, np.random.Generator], Array]
+    draw: Callable[[np.random.Generator, int, int], Array]
+    evaluate: Callable[[Array, Array], Array]
     exact: bool = False
+
+    def sample(self, x: Array, batch: int, rng: np.random.Generator) -> Array:
+        """One gradient draw: ``evaluate`` on a one-row ``draw``."""
+        return self.evaluate(x, self.draw(rng, batch, 1)[0])
 
 
 def _check_finite(value, component: str, point: Array):
@@ -87,6 +103,17 @@ def _check_finite(value, component: str, point: Array):
         raise EvaluationError(
             f"{component} returned a non-finite value at x={np.asarray(point)!r}"
         )
+
+
+def evaluate_gradient(oracle: StochasticGradientOracle, x: Array, row: Array) -> Array:
+    """The gradient estimate at ``x`` named by one row of ``oracle.draw``.
+
+    A non-finite value raises :class:`EvaluationError`, naming an
+    ``exact`` oracle's draw the exact gradient.
+    """
+    g = np.asarray(oracle.evaluate(np.asarray(x, dtype=float), row), dtype=float)
+    _check_finite(g, "exact gradient" if oracle.exact else "stochastic gradient", x)
+    return g
 
 
 def sample_gradient(
@@ -98,21 +125,22 @@ def sample_gradient(
     """Draw one mini-batch gradient estimate.
 
     Deterministic given ``(x, batch)`` and the generator state; the
-    generator is advanced in place.  A non-finite draw raises
-    :class:`EvaluationError`, naming an ``exact`` oracle's draw the exact
-    gradient.
+    generator is advanced in place.  The draw is one row of
+    ``oracle.draw``, checked by :func:`evaluate_gradient`.
     """
     if batch < 1:
         raise ValueError("batch size must be >= 1")
-    g = np.asarray(oracle.sample(np.asarray(x, dtype=float), int(batch), rng), dtype=float)
-    _check_finite(g, "exact gradient" if oracle.exact else "stochastic gradient", x)
-    return g
+    return evaluate_gradient(oracle, x, oracle.draw(rng, int(batch), 1)[0])
 
 
 def exact_oracle(problem: Problem) -> StochasticGradientOracle:
-    """Oracle returning the exact gradient, declared ``exact``."""
+    """Oracle returning the exact gradient, declared ``exact``.  Its rows
+    are empty and it never touches the generator, which may be ``None``."""
 
-    def sample(x, batch, rng):
+    def draw(rng, batch, count):
+        return np.empty((count, 0))
+
+    def evaluate(x, row):
         return np.asarray(problem.gradient(x), dtype=float)
 
-    return StochasticGradientOracle(sample=sample, exact=True)
+    return StochasticGradientOracle(draw, evaluate, exact=True)

@@ -53,7 +53,7 @@ from .merit import (
     tau_trial_from_products,
     xi_trial_from_products,
 )
-from .problem import Array, Problem, StochasticGradientOracle, sample_gradient
+from .problem import Array, Problem, StochasticGradientOracle, evaluate_gradient
 
 # The benchmark's traced mode (perfbench/spans.py) looks these names up
 # in this module's namespace to wrap them, so they stay bound here
@@ -65,6 +65,16 @@ from .merit import (  # noqa: F401
     tau_trial_true,
     xi_trial,
 )
+from .problem import sample_gradient  # noqa: F401
+
+#: Index elements per generator call of :func:`iterate`: 128 KB of int64
+#: indices, unless one row alone is larger (see :func:`rows_per_block`).
+DRAW_BLOCK = 2**14
+
+
+def rows_per_block(batch: int) -> int:
+    """Steps whose mini-batch rows :func:`iterate` draws in one call."""
+    return max(1, DRAW_BLOCK // batch)
 
 
 @np.errstate(all="ignore")
@@ -289,12 +299,12 @@ class Iteration(NamedTuple):
     x_next: Array
 
 
-def subproblem(problem: Problem, oracle: StochasticGradientOracle, batch: int,
-               rng: np.random.Generator | None, x: Array, k: int):
+def subproblem(problem: Problem, oracle: StochasticGradientOracle, row: Array, x: Array, k: int):
     """Evaluate at ``x`` and solve iteration ``k``'s identity-model subproblem.
 
-    Returns ``(c, jac, g, factors, sol)``, ``g`` being a ``batch`` draw
-    of ``oracle`` with ``rng``.  A non-finite evaluation raises
+    Returns ``(c, jac, g, factors, sol)``, ``g`` being the gradient
+    estimate of ``oracle`` for ``row``, one row of its ``draw``.  A
+    non-finite evaluation raises
     :class:`EvaluationError` and a rank-deficient Jacobian
     :class:`~stochsqp.errors.RankError`, each prefixed ``iteration k:``.
     """
@@ -303,7 +313,7 @@ def subproblem(problem: Problem, oracle: StochasticGradientOracle, batch: int,
         jac = np.asarray(problem.jacobian(x), dtype=float)
         if not (np.isfinite(c).all() and np.isfinite(jac).all()):
             raise EvaluationError("problem evaluator returned a non-finite value")
-        g = sample_gradient(oracle, x, batch, rng)
+        g = evaluate_gradient(oracle, x, row)
         factors = kkt.factor_jacobian(jac)
         sol = kkt.solve_with_factors(factors, g, c)
     except (kkt.RankError, EvaluationError) as exc:
@@ -318,6 +328,10 @@ def iterate(
 
     Consumed by :func:`run`; a caller may stop pulling early.  Each step
     solves :func:`subproblem` at the iterate and moves along its ``d``.
+    A mini-batch does not depend on the iterate, so the oracle draws the
+    rows of :func:`rows_per_block` steps in one call, the last block
+    trimmed to the steps left: the generator ends where one draw per
+    step would leave it, with the same rows.
     The objective is never evaluated here; consumers that record it
     evaluate it themselves.  The schedule and step lengths are checked
     before the first step.  Errors from :func:`subproblem` propagate,
@@ -326,9 +340,13 @@ def iterate(
     config.check_oracle(oracle.exact)
     alphas = step_size(config, config.damping())
     rng = np.random.default_rng(config.seed)
+    batch, iters = config.batch_size, config.max_iters
+    per_block = rows_per_block(batch)
     x = np.array(problem.x0, dtype=float)
     for k, alpha_k in enumerate(alphas, start=1):
-        c, jac, g, factors, sol = subproblem(problem, oracle, config.batch_size, rng, x, k)
+        if (k - 1) % per_block == 0:
+            rows = iter(oracle.draw(rng, batch, min(per_block, iters - k + 1)))
+        c, jac, g, factors, sol = subproblem(problem, oracle, next(rows), x, k)
         x_next = x + alpha_k * sol.d
         yield Iteration(k, x, c, jac, g, factors, sol, alpha_k, x_next)
         if not np.isfinite(x_next).all():

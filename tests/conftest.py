@@ -29,7 +29,7 @@ from stochsqp import (
 )
 from stochsqp.logreg import Dataset
 from stochsqp.merit import check_reduction_lbnd, reduction_delta_q, tau_trial_true, xi_trial
-from stochsqp.solver import ValidationSummary, iterate, kkt_residual, step_size
+from stochsqp.solver import ValidationSummary, iterate, kkt_residual, rows_per_block, step_size
 
 
 def model_q(tau, f, c, jac, grad, hess, d):
@@ -79,16 +79,41 @@ def gaussian_oracle(problem, sigma):
 
     A single sample has ``E||g_1 - grad f(x)||^2 = sigma**2``; a batch
     of ``b`` samples averages to noise with second moment
-    ``sigma**2 / b``, drawn directly at the reduced scale.  The oracle
-    declares itself exact when ``sigma == 0``.
+    ``sigma**2 / b``, drawn directly at the reduced scale: a row is that
+    noise vector.  The oracle declares itself exact when ``sigma == 0``.
     """
     n = problem.n
 
-    def sample(x, batch, rng):
-        grad = np.asarray(problem.gradient(x), dtype=float)
-        return grad + sigma / math.sqrt(n * batch) * rng.standard_normal(n)
+    def draw(rng, batch, count):
+        return sigma / math.sqrt(n * batch) * rng.standard_normal((count, n))
 
-    return StochasticGradientOracle(sample=sample, exact=(sigma == 0))
+    def evaluate(x, noise):
+        return np.asarray(problem.gradient(x), dtype=float) + noise
+
+    return StochasticGradientOracle(draw, evaluate, exact=(sigma == 0))
+
+
+def assert_iterate_draws_one_sample_per_step(problem, oracle, config):
+    """``iterate``'s gradients have the bits of ``oracle.sample`` called
+    once per step on a twin generator, the run's generator ends in the
+    twin's state, and the run drew its rows in ``ceil(max_iters /
+    rows_per_block)`` calls of ``oracle.draw``."""
+    generators = []
+
+    def draw(rng, batch, count):
+        generators.append(rng)
+        return oracle.draw(rng, batch, count)
+
+    recording = StochasticGradientOracle(draw, oracle.evaluate, oracle.exact)
+    twin = np.random.default_rng(config.seed)
+    steps = 0
+    for step in iterate(problem, recording, config):
+        expected = oracle.sample(step.x, config.batch_size, twin)
+        assert step.g.tobytes() == np.asarray(expected, dtype=float).tobytes(), step.k
+        steps += 1
+    assert steps == config.max_iters
+    assert generators[-1].bit_generator.state == twin.bit_generator.state
+    assert len(generators) == -(-config.max_iters // rows_per_block(config.batch_size))
 
 
 def estimate_variance(oracle, problem, x, batch, trials, rng):

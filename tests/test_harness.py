@@ -25,7 +25,7 @@ from stochsqp import (
     run,
 )
 import stochsqp
-from stochsqp import averaging, harness
+from stochsqp import averaging, harness, solver
 from stochsqp.logreg import ConstrainedLogRegInstance
 from stochsqp.harness import (
     ExperimentConfig,
@@ -537,12 +537,17 @@ class TestRunExperiment:
 
         counted("minibatch_oracle")
         counted("per_sample_variance")
-        config = ExperimentConfig(dataset=None, iters=20, thin=10, seeds=[0, 1, 2],
-                                  out=str(tmp_path))
+        # Past one block of draws at the default batch of 16.
+        config = ExperimentConfig(dataset=None, iters=1100, thin=100, seeds=[1, 2, 3],
+                                  out=str(tmp_path / "shared"))
         result = run_experiment(config)
         assert len(result.summaries) == 3
         # Building the oracle makes no pass over the data.
         assert calls == ["minibatch_oracle"]
+        # No draw state passes from one replicate to the next.
+        for seed, path in zip(config.seeds, result.trace_paths):
+            alone = run_experiment(dataclasses.replace(config, seeds=[seed], out=str(tmp_path / f"{seed}")))
+            assert path.read_bytes() == alone.trace_paths[0].read_bytes()
 
     def test_reference_only_skips_traces(self, tmp_path):
         config = ExperimentConfig(dataset=None, reference_only=True, out=str(tmp_path))
@@ -930,8 +935,9 @@ class TestCli:
             "config-negative-seed": ["--config", str(negative_cfg)],
             # The damping scale is xi's: --beta1 b --xi x is --xi b*x.
             "removed-beta1": ["--beta1", "0.5"],
-            # Its (batch, n) row gather is reserved before the reference solve.
-            "huge-batch": ["--batch", "1000000000000"],
+            # Its (batch, n) row gather and its block of drawn indices, one
+            # row past DRAW_BLOCK, are reserved before the reference solve.
+            "huge-batch": ["--batch", str(10**12)],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -959,6 +965,16 @@ class TestCli:
         if case == "huge-batch":
             assert lines[0].startswith("error: out of memory: ")
         assert not (tmp_path / "out").exists()
+
+    def test_replicate_fits_reserves_the_draw_block(self):
+        # With no features the row gather is empty, so only the block of
+        # drawn indices, one (1, batch) row past DRAW_BLOCK, is too large;
+        # the exact oracle draws no block.
+        config = ExperimentConfig(batch=10**12, iters=5)
+        assert config.batch > solver.DRAW_BLOCK
+        harness._check_replicate_fits(dataclasses.replace(config, exact=True), 0, 1)
+        with pytest.raises(MemoryError, match=r"shape \(1, 1000000000000\)"):
+            harness._check_replicate_fits(config, 0, 1)
 
     def test_failed_reference_solve_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "REFERENCE_MAX_ITERS", 1)

@@ -398,12 +398,18 @@ class TestMinibatchGradient:
 
 def assert_oracle_draw_is_the_checked_gradient(inst, x, batch, seed):
     """The oracle's unchecked kernel gives the bits of the public function
-    on the indices a twin generator draws, and advances its generator alike."""
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = inst.minibatch_oracle().sample(x, batch, rng)
-    idx = twin.integers(0, inst.dataset.n_samples, size=batch)
-    assert np.array_equal(drawn, logistic_minibatch_gradient(inst, x, idx))
-    assert rng.bit_generator.state == twin.bit_generator.state
+    on the indices a twin generator draws, one row per call, both for a
+    one-off ``sample`` and for rows drawn in one call, and advances its
+    generator alike."""
+    oracle = inst.minibatch_oracle()
+    for count in (1, 5):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = ([oracle.sample(x, batch, rng)] if count == 1
+                 else [oracle.evaluate(x, row) for row in oracle.draw(rng, batch, count)])
+        for got in drawn:
+            idx = twin.integers(0, inst.dataset.n_samples, size=batch)
+            assert np.array_equal(got, logistic_minibatch_gradient(inst, x, idx))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestMinibatchKernel:

@@ -31,7 +31,11 @@ class TestSampleGradient:
 
     @pytest.mark.parametrize("exact, name", [(True, "exact"), (False, "stochastic")])
     def test_non_finite_draw_names_the_oracle_kind(self, exact, name):
-        oracle = StochasticGradientOracle(lambda x, batch, rng: np.full(2, np.nan), exact=exact)
+        oracle = StochasticGradientOracle(
+            lambda rng, batch, count: np.empty((count, 0)),
+            lambda x, row: np.full(2, np.nan),
+            exact=exact,
+        )
         with pytest.raises(EvaluationError, match=f"^{name} gradient returned a non-finite value"):
             sample_gradient(oracle, np.zeros(2), 1, np.random.default_rng(0))
 

@@ -25,6 +25,7 @@ from stochsqp import (
 )
 
 from conftest import (
+    assert_iterate_draws_one_sample_per_step,
     constrained_quadratic,
     dense_kkt_solve,
     gaussian_oracle,
@@ -34,6 +35,7 @@ from conftest import (
     true_shadow,
 )
 from stochsqp import solver
+from stochsqp.logreg import Dataset, build_instance
 from stochsqp.solver import Trace
 
 
@@ -369,6 +371,54 @@ class TestRun:
             Problem(n=2, m=1, **callables)
         with pytest.raises(ValueError, match="x0 has wrong dimension"):
             Problem(n=2, m=1, x0=None, **callables)
+
+
+@pytest.fixture(scope="module")
+def instances_by_samples(bundled_instance):
+    """Logistic instances with N = 1, 200 (the bundled data) and 32561 (a9a's N)."""
+    def random_instance(n_samples, n=6):
+        rng = np.random.default_rng(n_samples)
+        labels = rng.choice([-1.0, 1.0], size=n_samples)
+        dataset = Dataset(features=rng.standard_normal((n_samples, n)), labels=labels)
+        return build_instance(dataset, m_lin=2, seed=0)
+
+    return {1: random_instance(1), 200: bundled_instance, 32561: random_instance(32561)}
+
+
+def _steps_around_a_block(batch):
+    """Run lengths below, at and across the first block boundary."""
+    per_block = solver.rows_per_block(batch)
+    return sorted({max(1, per_block - 1), per_block, per_block + 1})
+
+
+class TestBlockDraws:
+    """A run draws its mini-batches a block of steps per generator call,
+    with the rows and final generator state of one draw per step."""
+
+    @pytest.mark.parametrize("block", ["one-row", 1, 16])
+    @pytest.mark.parametrize("oracle", [1, 200, 32561, "gaussian"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_are_one_draw_per_step(self, instances_by_samples, monkeypatch, seed, oracle, block):
+        # A small block puts its boundaries within a few dozen steps.
+        monkeypatch.setattr(solver, "DRAW_BLOCK", 64)
+        batch = solver.DRAW_BLOCK + 1 if block == "one-row" else block
+        inst = instances_by_samples[200 if oracle == "gaussian" else oracle]
+        problem = inst.problem()
+        draws = gaussian_oracle(problem, 1.0) if oracle == "gaussian" else inst.minibatch_oracle()
+        lip_gradf, lip_jac = inst.lipschitz_bounds()
+        for iters in _steps_around_a_block(batch):
+            config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac, batch_size=batch,
+                                  max_iters=iters, seed=seed)
+            assert_iterate_draws_one_sample_per_step(problem, draws, config)
+
+    @pytest.mark.parametrize("batch", [16, solver.DRAW_BLOCK + 1])
+    @pytest.mark.parametrize("n_samples", [1, 200, 32561])
+    def test_shipped_block_size(self, instances_by_samples, n_samples, batch):
+        inst = instances_by_samples[n_samples]
+        lip_gradf, lip_jac = inst.lipschitz_bounds()
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac, batch_size=batch,
+                              max_iters=_steps_around_a_block(batch)[-1], seed=n_samples)
+        assert_iterate_draws_one_sample_per_step(inst.problem(), inst.minibatch_oracle(), config)
 
 
 class TestLedger:
