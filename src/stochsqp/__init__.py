@@ -10,15 +10,16 @@ The package is organized as a small numpy/scipy library:
 * :mod:`stochsqp.averaging` - running and windowed multiplier averages
 * :mod:`stochsqp.harness` - experiment driver, reference solves, CSV traces
 
-The package namespace re-exports the library.  The experiment driver is
-not imported with it; import its names from the module::
+The package namespace re-exports what a library user calls; the names
+only the tests or the benchmark use (reference forms, and the helpers the
+benchmark wraps or imports) stay in their modules.  The experiment driver
+is not imported with the package; import its names from the module::
 
     from stochsqp.harness import ExperimentConfig, compute_reference, run_experiment
 """
 
 __version__ = "0.1.0"
 
-from .averaging import MultiplierTrace, windowed_average
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -45,23 +46,15 @@ from .logreg import (
     load_bundled_dataset,
     load_bundled_instance,
     load_libsvm_file,
-    logistic_minibatch_gradient,
     parse_libsvm,
     serialize_libsvm,
 )
-from .merit import (
-    check_reduction_lbnd,
-    phi,
-    reduction_delta_q,
-    tau_trial_true,
-    xi_trial,
-)
+from .merit import phi
 from .problem import (
     Problem,
     StochasticGradientOracle,
     evaluate_gradient,
     exact_oracle,
-    sample_gradient,
 )
 from .solver import (
     Iteration,
@@ -71,6 +64,5 @@ from .solver import (
     iterate,
     kkt_residual,
     run,
-    stationarity_residual,
     step_size,
 )

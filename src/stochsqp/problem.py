@@ -93,10 +93,6 @@ class StochasticGradientOracle:
     evaluate: Callable[[Array, Array], Array]
     exact: bool = False
 
-    def sample(self, x: Array, batch: int, rng: np.random.Generator) -> Array:
-        """One gradient draw: ``evaluate`` on a one-row ``draw``."""
-        return self.evaluate(x, self.draw(rng, batch, 1)[0])
-
 
 def _check_finite(value, component: str, point: Array):
     if not np.isfinite(value).all():

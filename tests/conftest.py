@@ -23,12 +23,12 @@ from stochsqp import (
     build_instance,
     factor_jacobian,
     load_bundled_dataset,
-    sample_gradient,
     solve_kkt,
     solve_with_factors,
 )
 from stochsqp.logreg import Dataset
 from stochsqp.merit import check_reduction_lbnd, reduction_delta_q, tau_trial_true, xi_trial
+from stochsqp.problem import sample_gradient
 from stochsqp.solver import ValidationSummary, iterate, kkt_residual, rows_per_block, step_size
 
 
@@ -94,7 +94,7 @@ def gaussian_oracle(problem, sigma):
 
 
 def assert_iterate_draws_one_sample_per_step(problem, oracle, config):
-    """``iterate``'s gradients have the bits of ``oracle.sample`` called
+    """``iterate``'s gradients have the bits of ``sample_gradient`` called
     once per step on a twin generator, the run's generator ends in the
     twin's state, and the run drew its rows in ``ceil(max_iters /
     rows_per_block)`` calls of ``oracle.draw``."""
@@ -108,7 +108,7 @@ def assert_iterate_draws_one_sample_per_step(problem, oracle, config):
     twin = np.random.default_rng(config.seed)
     steps = 0
     for step in iterate(problem, recording, config):
-        expected = oracle.sample(step.x, config.batch_size, twin)
+        expected = sample_gradient(oracle, step.x, config.batch_size, twin)
         assert step.g.tobytes() == np.asarray(expected, dtype=float).tobytes(), step.k
         steps += 1
     assert steps == config.max_iters

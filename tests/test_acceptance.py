@@ -27,18 +27,16 @@ from stochsqp import (
     load_bundled_instance,
     multiplier_operator,
     null_space_basis,
-    reduction_delta_q,
     run,
-    sample_gradient,
     solve_kkt,
     solve_with_factors,
     step_size,
-    windowed_average,
-    xi_trial,
 )
 from stochsqp import averaging, kkt
-from stochsqp.averaging import prefix_sums, window_means, window_starts
+from stochsqp.averaging import prefix_sums, window_means, window_starts, windowed_average
 from stochsqp.harness import compute_reference, distance_columns
+from stochsqp.merit import reduction_delta_q, xi_trial
+from stochsqp.problem import sample_gradient
 
 from conftest import dense_kkt_solve, estimate_variance, model_q, random_kkt_instance
 
@@ -224,7 +222,7 @@ def _unbiased_at(instance, seed, batch=16, draws=100_000):
     rng = np.random.default_rng(seed)
     total = np.zeros_like(grad)
     for _ in range(draws):
-        total += oracle.sample(x, batch, rng)
+        total += sample_gradient(oracle, x, batch, rng)
     err = np.abs(total / draws - grad)
 
     z = instance.dataset.labels * (instance.dataset.features @ x)

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from stochsqp import MultiplierTrace, averaging, windowed_average
-from stochsqp.averaging import prefix_sums, window_means, window_starts
+from stochsqp import averaging
+from stochsqp.averaging import (
+    MultiplierTrace,
+    prefix_sums,
+    window_means,
+    window_starts,
+    windowed_average,
+)
 
 from conftest import running_average
 

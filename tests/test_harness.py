@@ -479,8 +479,8 @@ class TestRunExperiment:
             assert line == tables[1][k], k
 
     def test_windowed_columns_match_recomputation(self, small_run):
-        from stochsqp import windowed_average, load_bundled_instance
-        from stochsqp import SolverConfig, run
+        from stochsqp import SolverConfig, load_bundled_instance, run
+        from stochsqp.averaging import windowed_average
 
         config, result = small_run
         inst = load_bundled_instance()
@@ -544,10 +544,13 @@ class TestRunExperiment:
         assert len(result.summaries) == 3
         # Building the oracle makes no pass over the data.
         assert calls == ["minibatch_oracle"]
-        # No draw state passes from one replicate to the next.
+        # No draw state passes from one replicate to the next, and the
+        # reference solve does not depend on the seeds.
+        reference = (result.out_dir / "reference.json").read_bytes()
         for seed, path in zip(config.seeds, result.trace_paths):
             alone = run_experiment(dataclasses.replace(config, seeds=[seed], out=str(tmp_path / f"{seed}")))
             assert path.read_bytes() == alone.trace_paths[0].read_bytes()
+            assert (alone.out_dir / "reference.json").read_bytes() == reference
 
     def test_reference_only_skips_traces(self, tmp_path):
         config = ExperimentConfig(dataset=None, reference_only=True, out=str(tmp_path))
@@ -893,7 +896,8 @@ class TestCli:
         ["config-value", "libsvm-parse", "libsvm-nan", "too-many-constraints", "zero-tau",
          "nan-eps", "inf-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau",
          "duplicate-seed", "config-duplicate-seed", "same-eps-label", "negative-seed",
-         "config-negative-seed", "libsvm-too-wide", "removed-beta1", "huge-batch"],
+         "config-negative-seed", "libsvm-too-wide", "removed-beta1", "huge-batch",
+         "noisy-constant-damping"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -938,6 +942,9 @@ class TestCli:
             # Its (batch, n) row gather and its block of drawn indices, one
             # row past DRAW_BLOCK, are reserved before the reference solve.
             "huge-batch": ["--batch", str(10**12)],
+            # Constant damping is the power schedule at p = 0, which only
+            # exact gradients admit.
+            "noisy-constant-damping": ["--beta-p", "0"],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
         lines = capsys.readouterr().out.splitlines()

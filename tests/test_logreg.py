@@ -12,12 +12,12 @@ from stochsqp import (
     build_instance,
     exact_oracle,
     load_libsvm_file,
-    logistic_minibatch_gradient,
     parse_libsvm,
     serialize_libsvm,
 )
 from stochsqp import RankError, factor_jacobian, logreg
-from stochsqp.logreg import Dataset
+from stochsqp.logreg import Dataset, logistic_minibatch_gradient
+from stochsqp.problem import sample_gradient
 
 from conftest import gaussian_oracle, reference_parse_libsvm
 
@@ -399,12 +399,12 @@ class TestMinibatchGradient:
 def assert_oracle_draw_is_the_checked_gradient(inst, x, batch, seed):
     """The oracle's unchecked kernel gives the bits of the public function
     on the indices a twin generator draws, one row per call, both for a
-    one-off ``sample`` and for rows drawn in one call, and advances its
-    generator alike."""
+    one-off ``sample_gradient`` and for rows drawn in one call, and
+    advances its generator alike."""
     oracle = inst.minibatch_oracle()
     for count in (1, 5):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = ([oracle.sample(x, batch, rng)] if count == 1
+        drawn = ([sample_gradient(oracle, x, batch, rng)] if count == 1
                  else [oracle.evaluate(x, row) for row in oracle.draw(rng, batch, count)])
         for got in drawn:
             idx = twin.integers(0, inst.dataset.n_samples, size=batch)

@@ -7,21 +7,21 @@ import numpy as np
 import pytest
 
 from stochsqp import (
-    check_reduction_lbnd,
     factor_jacobian,
     phi,
     SolverConfig,
-    reduction_delta_q,
     solve_kkt,
     solve_with_factors,
-    tau_trial_true,
-    xi_trial,
 )
 
 from stochsqp.merit import (
+    check_reduction_lbnd,
     lbnd_from_products,
+    reduction_delta_q,
     reduction_from_products,
     tau_trial_from_products,
+    tau_trial_true,
+    xi_trial,
     xi_trial_from_products,
 )
 

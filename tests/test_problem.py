@@ -8,8 +8,8 @@ from stochsqp import (
     Problem,
     StochasticGradientOracle,
     exact_oracle,
-    sample_gradient,
 )
+from stochsqp.problem import sample_gradient
 
 from conftest import estimate_variance, finite_difference_check, gaussian_oracle, sphere_problem
 
@@ -61,7 +61,7 @@ class TestSampleGradient:
         rng = np.random.default_rng(7)
         total = np.zeros_like(grad)
         for _ in range(draws):
-            total += oracle.sample(x, batch, rng)
+            total += sample_gradient(oracle, x, batch, rng)
         err = total / draws - grad
 
         per_sample = bundled_instance.dataset.features * (

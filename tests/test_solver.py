@@ -17,8 +17,6 @@ from stochsqp import (
     iterate,
     kkt_residual,
     run,
-    sample_gradient,
-    stationarity_residual,
     step_size,
     solve_kkt,
     phi,
@@ -36,7 +34,8 @@ from conftest import (
 )
 from stochsqp import solver
 from stochsqp.logreg import Dataset, build_instance
-from stochsqp.solver import Trace
+from stochsqp.problem import sample_gradient
+from stochsqp.solver import Trace, stationarity_residual
 
 
 class TestStepSize:
