@@ -40,7 +40,7 @@ from .kkt import null_space_basis, solve_kkt
 from .logreg import INSTANCE_SEED, M_LIN, ConstrainedLogRegInstance, build_instance
 from .logreg import load_bundled_dataset, load_libsvm_file
 from .merit import phi, reduction_from_products, tau_trial_from_products
-from .problem import Array, Problem, exact_oracle
+from .problem import Array, Problem, all_finite, exact_oracle
 from .solver import (
     SolverConfig, Trace, ValidationSummary, kkt_residual, rows_per_block, run, step_size,
     subproblem,
@@ -140,7 +140,7 @@ def compute_reference(
         step = _newton_step(problem, config.nu, tau, x, y, f, grad, jac, c)
         if step is None:
             x, y, f = x + alpha * identity.d, None, None
-            if not np.isfinite(x).all():
+            if not all_finite(x):
                 raise EvaluationError(f"iteration {k}: iterate became non-finite")
         else:
             x, y, f, tau = step

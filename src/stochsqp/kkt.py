@@ -15,9 +15,12 @@ step ``u`` lies in the Jacobian null space.
 
 * :func:`solve_with_factors` is the identity model matrix (the solver
   loop's ``H_k = I``) on the economic factors of
-  :func:`factor_jacobian`: with ``qg = q1' g`` it returns
-  ``u = q1 qg - g`` and ``y = r^{-1}(-qg - w)``.  It is the loop's hot
-  path, so it calls LAPACK directly.
+  :func:`factor_jacobian`.  It solves the normal step and hands it to
+  :func:`resolve`, which returns ``u = q1 qg - g`` and
+  ``y = r^{-1}(-qg - w)`` with ``qg = q1' g``.  The normal step does
+  not depend on ``g``, so the solver's shadow solve calls
+  :func:`resolve` alone.  This is the loop's hot path, so it calls
+  LAPACK directly.
 * :func:`solve_kkt` takes any symmetric ``h``.  It also forms ``z``, an
   orthonormal basis of the Jacobian null space, from the full ``n x n``
   Q; ``u = z p`` solves the reduced system ``(z' h z) p = -z' (g + h v)``
@@ -25,9 +28,9 @@ step ``u`` lies in the Jacobian null space.
   be positive definite; a failed Cholesky factorization is reported as
   :class:`CurvatureError` rather than silently regularized.
 
-Both solves return ``d``, ``y``, ``u`` and ``v``, none of which depends
-on the choice of null-space basis.  All functions here are pure and safe
-to call concurrently.
+Both solves return ``d``, ``y``, ``u``, ``v`` and ``w``, none of which
+depends on the choice of null-space basis.  All functions here are pure
+and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -58,13 +61,15 @@ class JacobianFactors(NamedTuple):
 class KktSolution(NamedTuple):
     """Step ``d = u + v`` and multiplier ``y``.
 
-    ``u`` lies in the Jacobian null space and ``v`` in its row space.
+    ``u`` lies in the Jacobian null space and ``v = q1 w`` in its row
+    space; ``w`` is the normal step in the range basis ``q1``.
     """
 
     d: Array
     y: Array
     u: Array
     v: Array
+    w: Array
 
 
 def _check_info(routine: str, info: int):
@@ -146,14 +151,24 @@ def solve_with_factors(factors: JacobianFactors, grad: Array, c: Array) -> KktSo
     q1, r = factors
     w, info = dtrtrs(r, -c, trans=1)
     _check_info("dtrtrs", info)
+    return resolve(factors, grad, w, q1 @ w)
+
+
+def resolve(factors: JacobianFactors, grad: Array, w: Array, v: Array) -> KktSolution:
+    """Identity-model solve for ``grad`` from the normal step ``(w, v)``
+    of an earlier solve on the same ``factors`` and ``c``.
+
+    Equals ``solve_with_factors(factors, grad, c)`` bit for bit, without
+    redoing its normal step.  The result shares ``w`` and ``v``.
+    """
+    q1, r = factors
     qg = q1.T @ grad
-    v = q1 @ w
     # With m == n the null space is empty; keep u exactly zero.
     u = q1 @ qg - grad if q1.shape[1] < q1.shape[0] else np.zeros_like(grad)
     d = u + v
     y, info = dtrtrs(r, -qg - w)
     _check_info("dtrtrs", info)
-    return KktSolution(d, y, u, v)
+    return KktSolution(d, y, u, v, w)
 
 
 def solve_kkt(hess: Array, jac: Array, grad: Array, c: Array) -> KktSolution:
@@ -196,7 +211,7 @@ def _null_space_solve(
     d = u + v
 
     y = scipy.linalg.solve_triangular(r, q1.T @ (-grad - hess @ d))
-    return KktSolution(d, y, u, v)
+    return KktSolution(d, y, u, v, w)
 
 
 def _reduced_cholesky(hess: Array, z: Array):

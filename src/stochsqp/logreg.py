@@ -288,8 +288,9 @@ class ConstrainedLogRegInstance:
     def gradient(self, x: Array) -> Array:
         """``(1/N) D' w`` with ``D`` the feature rows and ``w`` the
         per-sample loss weights, summed a block of samples at a time."""
-        grad = np.zeros(self.n)
-        for block, neg_labels in self._blocks:
+        (block, neg_labels), *rest = self._blocks
+        grad = _loss_weights(block, neg_labels, x) @ block
+        for block, neg_labels in rest:
             grad += _loss_weights(block, neg_labels, x) @ block
         grad /= self.dataset.n_samples
         return grad
@@ -409,14 +410,20 @@ def _minibatch_gradient(features: Array, neg_labels: Array, x: Array, idx: Array
     """:func:`logistic_minibatch_gradient` on ``idx`` trusted to be a
     nonempty 1-d integer array in range, with the labels negated."""
     rows = features[idx]
-    return _loss_weights(rows, neg_labels[idx], x) @ rows / idx.size
+    grad = _loss_weights(rows, neg_labels[idx], x) @ rows
+    grad /= idx.size
+    return grad
 
 
 def _loss_weights(rows: Array, neg_labels: Array, x: Array) -> Array:
     """Per-sample weights ``-gamma_i * sigmoid(-gamma_i <d_i, x>)`` of the
     logistic gradient, from the feature ``rows`` and their labels
     ``gamma_i`` negated."""
-    return neg_labels * expit(neg_labels * (rows @ x))
+    weights = rows @ x  # a fresh array, so each step below works in place
+    weights *= neg_labels
+    expit(weights, out=weights)
+    weights *= neg_labels
+    return weights
 
 
 def build_instance(

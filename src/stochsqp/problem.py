@@ -22,10 +22,12 @@ parallel replicates can own independent streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .errors import EvaluationError
 
@@ -94,21 +96,32 @@ class StochasticGradientOracle:
     exact: bool = False
 
 
-def _check_finite(value, component: str, point: Array):
-    if not np.isfinite(value).all():
-        raise EvaluationError(
-            f"{component} returned a non-finite value at x={np.asarray(point)!r}"
-        )
+def all_finite(a: Array) -> bool:
+    """Whether every entry of the float array ``a`` is finite.
+
+    One BLAS ``ddot`` decides the common case: a finite ``a'a`` proves
+    every entry finite, since a NaN or infinite entry makes the sum of
+    squares NaN or ``+inf`` and squares cannot cancel.  Only a
+    non-finite ``a'a`` falls back to the entrywise check, so a finite
+    ``a`` whose squares overflow still passes.  ``ddot`` sets no numpy
+    warning on overflow, where ``a @ a`` would.
+    """
+    flat = a.ravel(order="K")
+    return (flat.size > 0 and math.isfinite(ddot(flat, flat))) or bool(np.isfinite(flat).all())
 
 
 def evaluate_gradient(oracle: StochasticGradientOracle, x: Array, row: Array) -> Array:
     """The gradient estimate at ``x`` named by one row of ``oracle.draw``.
 
     A non-finite value raises :class:`EvaluationError`, naming an
-    ``exact`` oracle's draw the exact gradient.
+    ``exact`` oracle's draw the exact gradient.  The check is
+    :func:`all_finite`: a finite ``g'g`` passes, else every entry must
+    be finite.
     """
     g = np.asarray(oracle.evaluate(np.asarray(x, dtype=float), row), dtype=float)
-    _check_finite(g, "exact gradient" if oracle.exact else "stochastic gradient", x)
+    if not all_finite(g):
+        component = "exact gradient" if oracle.exact else "stochastic gradient"
+        raise EvaluationError(f"{component} returned a non-finite value at x={np.asarray(x)!r}")
     return g
 
 

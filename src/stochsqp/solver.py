@@ -53,7 +53,7 @@ from .merit import (
     tau_trial_from_products,
     xi_trial_from_products,
 )
-from .problem import Array, Problem, StochasticGradientOracle, evaluate_gradient
+from .problem import Array, Problem, StochasticGradientOracle, all_finite, evaluate_gradient
 
 # The benchmark's traced mode (perfbench/spans.py) looks these names up
 # in this module's namespace to wrap them, so they stay bound here
@@ -307,11 +307,14 @@ def subproblem(problem: Problem, oracle: StochasticGradientOracle, row: Array, x
     non-finite evaluation raises
     :class:`EvaluationError` and a rank-deficient Jacobian
     :class:`~stochsqp.errors.RankError`, each prefixed ``iteration k:``.
+    Each of ``c``, ``jac`` and ``g`` is checked by
+    :func:`~stochsqp.problem.all_finite`: a finite sum of squares (one
+    BLAS ``ddot``) passes, else every entry must be finite.
     """
     try:
         c = np.asarray(problem.constraints(x), dtype=float)
         jac = np.asarray(problem.jacobian(x), dtype=float)
-        if not (np.isfinite(c).all() and np.isfinite(jac).all()):
+        if not (all_finite(c) and all_finite(jac)):
             raise EvaluationError("problem evaluator returned a non-finite value")
         g = evaluate_gradient(oracle, x, row)
         factors = kkt.factor_jacobian(jac)
@@ -349,7 +352,7 @@ def iterate(
         c, jac, g, factors, sol = subproblem(problem, oracle, next(rows), x, k)
         x_next = x + alpha_k * sol.d
         yield Iteration(k, x, c, jac, g, factors, sol, alpha_k, x_next)
-        if not np.isfinite(x_next).all():
+        if not all_finite(x_next):
             raise EvaluationError(f"iteration {k}: iterate became non-finite")
         x = x_next
 
@@ -365,9 +368,19 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     seconds; that excludes the tallies, which
     :meth:`Trace.validation_summary` computes on call.
 
+    With ``validate``, the shadow solve for the exact gradient reuses
+    the stochastic solve's normal step (:func:`stochsqp.kkt.resolve`),
+    which depends on ``c`` alone: the same bits as a full
+    ``solve_with_factors``, and the run's own rows are the same bits
+    as without validation.
+
     Deterministic given the config seed.  Errors from :func:`iterate`
-    propagate, and with ``validate`` a non-finite exact gradient aborts
-    with :class:`EvaluationError`.  The objective is never evaluated,
+    propagate; its finiteness guards on ``c``, ``J``, ``g`` and each new
+    iterate are :func:`~stochsqp.problem.all_finite`, where a finite sum
+    of squares (one BLAS ``ddot``) passes and otherwise every entry must
+    be finite.  With ``validate`` a non-finite exact gradient aborts
+    with :class:`EvaluationError`; its entries are checked only when
+    ``d_true'd_true`` is not finite.  The objective is never evaluated,
     so a caller that wants merit values computes ``merit.phi(tau, f(x),
     c(x))`` at the ``trace.x`` rows it needs.
     """
@@ -387,9 +400,11 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
 
         if validate:
             grad = np.asarray(problem.gradient(x), dtype=float)
-            # Cannot raise: the factors passed the rank gate in iterate,
-            # and the identity model has no curvature to fail.
-            shadow = kkt.solve_with_factors(factors, grad, c)
+            # The normal step depends on c alone, so the shadow reuses
+            # the stochastic solve's.  Cannot raise: the factors passed
+            # the rank gate in iterate, and the identity model has no
+            # curvature to fail.
+            shadow = kkt.resolve(factors, grad, sol.w, sol.v)
             gd_true[i] = grad @ shadow.d
             dd_true[i] = shadow.d @ shadow.d
             # A non-finite gradient makes d_true non-finite, so the

@@ -217,6 +217,12 @@ def row_by_row_run(problem, oracle, config):
     comes from the ledger and matches to rounding.  Returns ``(columns, x_final, summary)``, ``columns``
     mapping each trace column's name to its array (``y_true`` is
     ``None`` without validation).
+
+    The shadow solve here is the full ``solve_with_factors(factors, grad,
+    c)`` per row, normal step included, where ``run`` reuses the
+    stochastic solve's normal step through ``kkt.resolve``: so the
+    bitwise comparison checks that shared path against an independent
+    one.
     """
     tau, xi, nu = config.tau, config.xi, config.nu
     iters, validate = config.max_iters, config.validate

@@ -18,6 +18,7 @@ import scipy
 from stochsqp import (
     ConfigError,
     EvaluationError,
+    Problem,
     RankError,
     ReferenceSolveError,
     SolverConfig,
@@ -83,6 +84,7 @@ class TestComputeReference:
     @pytest.mark.parametrize("solve", ["compute_reference", "run"])
     @pytest.mark.parametrize("fault, error, message", [
         ("nan-constraints", EvaluationError, "problem evaluator returned a non-finite value"),
+        ("nan-jacobian", EvaluationError, "problem evaluator returned a non-finite value"),
         ("rank-deficient", RankError,
          "jacobian is rank deficient: sigma_min=0.000e+00, sigma_max=0.000e+00"),
     ])
@@ -100,6 +102,9 @@ class TestComputeReference:
         if fault == "nan-constraints":
             problem = dataclasses.replace(
                 toy, constraints=from_third(toy.constraints, np.array([np.nan])))
+        elif fault == "nan-jacobian":
+            problem = dataclasses.replace(
+                toy, jacobian=from_third(toy.jacobian, np.array([[np.nan, 0.0]])))
         else:
             problem = dataclasses.replace(toy, jacobian=from_third(toy.jacobian, np.zeros((1, 2))))
         with pytest.raises(error) as raised:
@@ -128,6 +133,27 @@ class TestComputeReference:
                     dataclasses.replace(SPHERE, beta_p=0.0, max_iters=10))
         assert str(raised.value).startswith(
             "iteration 3: exact gradient returned a non-finite value at x=")
+
+    @pytest.mark.parametrize("solve", ["compute_reference", "run"])
+    def test_overflowing_step_names_its_iterate_as_run_does(self, solve):
+        # c = x_1 is linear, so only x_2 moves: by alpha * 1e308 a step,
+        # a finite gradient whose square already overflows.
+        toy = Problem(n=2, m=1, objective=lambda x: -1e308 * float(x[1]),
+                      gradient=lambda x: np.array([0.0, -1e308]),
+                      constraints=lambda x: x[:1].copy(),
+                      jacobian=lambda x: np.array([[1.0, 0.0]]), x0=np.zeros(2))
+        alpha, x_2, k = solver.step_size(SPHERE, 1.0), 0.0, 1
+        while math.isfinite(x_2 + alpha * 1e308):
+            x_2, k = x_2 + alpha * 1e308, k + 1
+        # The overflowing step and the residual and ledger products of
+        # the last iterate overflow too; only the guard's error counts.
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError) as raised:
+            if solve == "compute_reference":
+                compute_reference(toy, SPHERE)
+            else:
+                run(toy, exact_oracle(toy), dataclasses.replace(SPHERE, beta_p=0.0, max_iters=100))
+        assert k > 3
+        assert str(raised.value) == f"iteration {k}: iterate became non-finite"
 
     @pytest.mark.parametrize("hessian", [None, lambda x, y: 2.0 * y[0] * np.eye(2)],
                              ids=["differences", "analytic"])

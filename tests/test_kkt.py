@@ -23,7 +23,7 @@ from stochsqp import (
     solve_kkt,
     solve_with_factors,
 )
-from stochsqp.kkt import RANK_RTOL
+from stochsqp.kkt import RANK_RTOL, resolve
 
 from conftest import dense_kkt_solve, least_squares_y, random_kkt_instance
 
@@ -56,8 +56,8 @@ class TestSolve:
             solve_with_factors(factor_jacobian(WORKED["jac"]), WORKED["grad"], WORKED["c"]),
         ):
             assert isinstance(sol, kkt.KktSolution)
-            assert sol._fields == ("d", "y", "u", "v")
-            assert (sol.d, sol.y, sol.u, sol.v) == tuple(sol)
+            assert sol._fields == ("d", "y", "u", "v", "w")
+            assert (sol.d, sol.y, sol.u, sol.v, sol.w) == tuple(sol)
             with pytest.raises(AttributeError):
                 sol.d = np.zeros(2)
             assert np.allclose(sol.d, [-0.5, -1.0], atol=1e-14)
@@ -470,3 +470,44 @@ class TestRangeSpaceRoute:
         assert np.allclose(sol.y, [-0.5], atol=1e-14)
         assert np.allclose(sol.v, [-0.5, 0.0], atol=1e-14)
         assert np.allclose(sol.u, [0.0, -1.0], atol=1e-14)
+
+
+def _random_sizes(rng, count):
+    """``count`` random ``(n, m)`` with ``1 <= m <= n <= 30``, then every
+    square size ``m == n`` up to 30."""
+    sizes = []
+    for _ in range(count):
+        n = int(rng.integers(1, 31))
+        sizes.append((n, int(rng.integers(1, n + 1))))
+    return sizes + [(n, n) for n in range(1, 31)]
+
+
+class TestResolve:
+    """``resolve`` re-solves for another gradient from a solve's normal step."""
+
+    def test_equals_the_full_solve_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        for n, m in _random_sizes(rng, 200):
+            _, jac, grad, c = random_kkt_instance(rng, n, m)
+            factors = factor_jacobian(jac)
+            first = solve_with_factors(factors, rng.standard_normal(n), c)
+            grad = grad * 10.0 ** rng.uniform(-3, 3)
+            full = solve_with_factors(factors, grad, c)
+            reused = resolve(factors, grad, first.w, first.v)
+            for name in kkt.KktSolution._fields:
+                want, got = getattr(full, name), getattr(reused, name)
+                assert got.tobytes() == want.tobytes(), (n, m, name)
+
+    def test_normal_step_is_q1_w(self):
+        # The identity-model solve forms v = q1 w itself, so bit for bit;
+        # solve_kkt takes q1 from the full Q, equal to rounding.
+        rng = np.random.default_rng(41)
+        for n, m in _random_sizes(rng, 50):
+            hess, jac, grad, c = random_kkt_instance(rng, n, m)
+            factors = factor_jacobian(jac)
+            fast = solve_with_factors(factors, grad, c)
+            assert (factors.q_range @ fast.w).tobytes() == fast.v.tobytes(), (n, m)
+            slow = solve_kkt(hess, jac, grad, c)
+            gap = np.linalg.norm(factors.q_range @ slow.w - slow.v)
+            assert gap <= 1e-13 * np.linalg.norm(slow.v), (n, m)
+            assert np.linalg.norm(slow.w - fast.w) <= 1e-13 * np.linalg.norm(fast.w), (n, m)

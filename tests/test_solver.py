@@ -3,9 +3,11 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import ddot
 
 from stochsqp import (
     ConfigError,
@@ -34,7 +36,7 @@ from conftest import (
 )
 from stochsqp import solver
 from stochsqp.logreg import Dataset, build_instance
-from stochsqp.problem import sample_gradient
+from stochsqp.problem import all_finite, evaluate_gradient, sample_gradient
 from stochsqp.solver import Trace, stationarity_residual
 
 
@@ -370,6 +372,66 @@ class TestRun:
             Problem(n=2, m=1, **callables)
         with pytest.raises(ValueError, match="x0 has wrong dimension"):
             Problem(n=2, m=1, x0=None, **callables)
+
+    @pytest.mark.parametrize("instance", ["bundled", "square"])
+    def test_validation_does_not_perturb_the_run(self, bundled_instance, instance):
+        # The shadow solve shares the stochastic solve's normal step and
+        # the iterate; an in-place edit of either would show here.
+        if instance == "bundled":
+            problem = bundled_instance.problem()
+            oracle = bundled_instance.minibatch_oracle()
+            lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        else:  # m == n: no tangential step
+            problem, p_mat, _, _ = constrained_quadratic(np.random.default_rng(22), n=3, m=3)
+            oracle = gaussian_oracle(problem, sigma=0.5)
+            lip_gradf, lip_jac = float(np.linalg.norm(p_mat, 2)), 1e-6
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac, beta_p=0.51,
+                              max_iters=300, seed=5)
+        plain = run(problem, oracle, config)
+        checked = run(problem, oracle, dataclasses.replace(config, validate=True))
+        assert not np.isnan(checked.y_true).any()
+        for name in ("x", "y", "x_final"):
+            assert getattr(checked, name).tobytes() == getattr(plain, name).tobytes(), name
+        # The ledger rows g'd, d'd, ||c||_1 and c'c.
+        assert checked.ledger[:4].tobytes() == plain.ledger[:4].tobytes()
+
+
+class TestFiniteGuards:
+    """Each finiteness guard is one ``ddot``, with the entrywise check only
+    where the sum of squares is not finite."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_fails(self, bad):
+        for shape in ((1,), (7,), (3, 4)):
+            for at in (0, -1):
+                for order in ("C", "F"):
+                    a = np.ones(shape, order=order)
+                    a.flat[at] = bad
+                    assert not all_finite(a), (shape, at, order)
+                    assert not all_finite(a[..., ::-1]), (shape, at, order)
+                    assert not all_finite(a[..., ::-1].T), (shape, at, order)
+        assert all_finite(np.ones((3, 4))[:, ::2])
+        assert all_finite(np.empty(0))
+
+    def test_finite_entries_whose_squares_overflow_pass(self):
+        big = 1e200
+        c = big * np.array([1.0, -2.0])
+        jac = big * np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0]])
+        grad = big * np.array([1.0, 2.0, -3.0])
+        assert not math.isfinite(ddot(c, c)) and not math.isfinite(ddot(grad, grad))
+        problem = Problem(n=3, m=2, objective=lambda x: 0.0, gradient=lambda x: grad,
+                          constraints=lambda x: c, jacobian=lambda x: jac, x0=np.zeros(3))
+        noisy = StochasticGradientOracle(draw=lambda rng, batch, count: np.zeros((count, 3)),
+                                         evaluate=lambda x, row: grad + row)
+        for oracle in (exact_oracle(problem), noisy):
+            row = oracle.draw(np.random.default_rng(0), 1, 1)[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert np.array_equal(evaluate_gradient(oracle, problem.x0, row), grad)
+                c_k, jac_k, g, _, sol = solver.subproblem(problem, oracle, row, problem.x0, 1)
+            assert np.array_equal(c_k, c) and np.array_equal(jac_k, jac)
+            assert np.array_equal(g, grad)
+            assert np.isfinite(sol.d).all() and np.isfinite(sol.y).all()
 
 
 @pytest.fixture(scope="module")
