@@ -17,20 +17,43 @@ prefix sums once per trace.  :func:`windowed_average` is the defining
 scan that the fast path is tested against.
 
 :func:`window_starts` finds each window start without rescanning the
-prefix: the history is cut into blocks of :data:`_BLOCK_SIZE` iterates,
-each with a bounding ball, and a block is tested point by point only
-when its ball straddles the eps-sphere around ``x_k``.  Those pairs are
-tested by one Gram product per block: with ``h = x_k - c`` and
-``p = x_j - c`` centred on the ball's centre ``c``, the squared distance
-is ``d2 = |h|^2 + |p|^2 - 2 h.p``.  Its rounding, with the centring's,
-is below about ``(2n + 6) * 2**-53 * (|h|^2 + |p|^2)`` for ``n``
-coordinates, and the scan's computed ``norm(x_j - x_k)`` is off by at
-most about ``(n + 4) * 2**-53`` relative.  A pair is therefore decided
-by ``d2`` only when ``|d2 - eps^2|`` exceeds :data:`_BALL_MARGIN`
-(1e-9) times ``|h|^2 + |p|^2 + eps^2``: both errors are far below that
-slack for any ``n`` under 1e6, so such a pair lies on the same side of
-eps as the scan's computed norm.  Every other pair, a non-finite ``d2``
-included, gets the scan's own ``norm(x_j - x_k) > eps``.  The starts
+prefix.  The history is cut into blocks of :data:`_BLOCK_SIZE` iterates,
+each with a bounding ball; the requested rows that share a block form a
+row block.  All row blocks go through three stages together:
+
+1. the own stage tests each row against its own block's points up to
+   itself, unless its distance to the block's centre puts the whole
+   ball inside eps;
+2. the plan classes, for every row block still open, each earlier
+   block whose ball is certainly inside or certainly outside eps of the
+   row block's ball.  The nearest outside block stops the walk: a row
+   that nothing above it settles starts right after it;
+3. the walk goes in rounds.  Round ``r`` takes each open row block's
+   ``r``-th block, nearest first, above the stop that is not certainly
+   inside.  A row that the block's ball puts certainly outside starts
+   right after the block, and a row that it cannot decide is tested
+   against each of the block's points.
+
+Each stage runs its ball tests over all its row blocks at once, and its
+point tests in stacked passes of at most :data:`_PAIR_CAP` pairs (the
+stacks of :func:`_stacks`), so the number of numpy calls grows with the
+depth of the walk and the number of pairs, not with the number of row
+blocks, and no temporary outgrows a pass.
+
+The point tests read distances from Gram products: with
+``h = x_k - c`` and ``p = x_j - c`` centred on the ball's centre ``c``,
+the squared distance is ``d2 = |h|^2 + |p|^2 - 2 h.p``.  Its rounding,
+with the centring's, is below about ``(2n + 6) * 2**-53 * (|h|^2 +
+|p|^2)`` for ``n`` coordinates, and the scan's computed
+``norm(x_j - x_k)`` is off by at most about ``(n + 4) * 2**-53``
+relative.  A pair is therefore decided by ``d2`` only when
+``|d2 - eps^2|`` exceeds :data:`_BALL_MARGIN` (1e-9) times
+``|h|^2 + |p|^2 + eps^2``: both errors are far below that slack for any
+``n`` under 1e6, so such a pair lies on the same side of eps as the
+scan's computed norm.  Every other pair, a non-finite ``d2`` included,
+gets the scan's own ``norm(x_j - x_k) > eps``.  The plan reads the
+distances between centres from Gram products under the same slack, and
+every ball test keeps :data:`_BALL_MARGIN` from the sphere.  The starts
 thus equal the scan's exactly; the means differ from the scan's slice
 means by prefix-sum rounding only (in the trace's distance columns, at
 most 2e-15 relative on a 3200-iteration bundled trace and 1.4e-14 on a
@@ -102,6 +125,13 @@ _BALL_MARGIN = 1e-9
 #: the slack above the absolute rounding of subnormal squares.
 _TINY = np.finfo(float).tiny
 
+#: Most pairs that one stacked pass of :func:`window_starts` tests at
+#: once, row against point or row block against block; a pass takes at
+#: least one row block.  It bounds each pass's temporaries (128 KiB per
+#: float array) whatever the history's length, which also keeps them
+#: in cache.
+_PAIR_CAP = 1 << 14
+
 
 def window_starts(xs: Array, eps: float, ks) -> Array:
     """The scan's window start, exactly, for every 1-based ``k`` in ``ks``."""
@@ -112,23 +142,49 @@ def window_starts(xs: Array, eps: float, ks) -> Array:
     if ks.size and not (1 <= ks.min() and ks.max() <= xs.shape[0]):
         raise ValueError("k out of range")
 
-    nblocks = xs.shape[0] // _BLOCK_SIZE
-    blocks = xs[: nblocks * _BLOCK_SIZE].reshape(nblocks, _BLOCK_SIZE, xs.shape[1])
+    # One ball per block, the last (partial) block included: the own
+    # stage tests rows there against it, the walk only full blocks.
+    whole = xs.shape[0] // _BLOCK_SIZE
+    blocks = xs[: whole * _BLOCK_SIZE].reshape(whole, _BLOCK_SIZE, xs.shape[1])
     centres = blocks.mean(axis=1)
-    radii = _norms(blocks - centres[:, None]).max(axis=1)
+    radii = _lengths(blocks - centres[:, None]).max(axis=1)
+    if xs.shape[0] > whole * _BLOCK_SIZE:
+        tail = xs[whole * _BLOCK_SIZE :]
+        centres = np.vstack([centres, tail.mean(axis=0)])
+        radii = np.append(radii, _lengths(tail - centres[-1]).max())
 
-    kprimes = np.empty(ks.size, dtype=int)
     order = np.argsort(ks, kind="stable")
     rows = ks[order] - 1
-    owners, firsts = np.unique(rows // _BLOCK_SIZE, return_index=True)
-    for block, lo, hi in zip(owners, firsts, list(firsts[1:]) + [rows.size]):
-        kprimes[order[lo:hi]] = _block_starts(xs, centres, radii, eps, block, rows[lo:hi])
-    return kprimes
+    owners = rows // _BLOCK_SIZE
+    kprimes = _settle(xs, centres, radii, eps, rows, owners, own=True)
+    live = np.flatnonzero(kprimes == 0)
+    walkers = np.unique(owners[live])
+    stop, rounds = _plan(centres, radii, eps, walkers[walkers > 0])
+    for visitors, visited in rounds:
+        # A row block that visits no block this round visits none later.
+        block = np.full(centres.shape[0], -1)
+        block[visitors] = visited
+        live = live[block[owners[live]] >= 0]
+        kprimes[live] = _settle(xs, centres, radii, eps, rows[live], block[owners[live]])
+        live = live[kprimes[live] == 0]
+    # A row that no visited block settles starts right after its row
+    # block's stop: ``-1 * 64 + 65 == 1`` where there is none.
+    unsettled = kprimes == 0
+    kprimes[unsettled] = stop[owners[unsettled]] * _BLOCK_SIZE + _BLOCK_SIZE + 1
+    starts = np.empty(ks.size, dtype=int)
+    starts[order] = kprimes
+    return starts
 
 
 def _norms(diffs: Array) -> Array:
     """``np.linalg.norm(diffs, axis=-1)`` bit for bit, minus its copies."""
     return np.sqrt(np.add.reduce(diffs * diffs, axis=-1))
+
+
+def _lengths(diffs: Array) -> Array:
+    """Euclidean lengths along the last axis, for the ball tests, whose
+    margin covers their rounding; the scan's own norms are :func:`_norms`."""
+    return np.sqrt(np.einsum("...n,...n->...", diffs, diffs))
 
 
 def _sides(dist, radius, eps):
@@ -142,88 +198,152 @@ def _sides(dist, radius, eps):
     return inside, outside
 
 
-def _block_starts(xs, centres, radii, eps, block, rows):
-    """Window starts for sorted 0-based ``rows`` that all lie in ``block``.
+def _plan(centres, radii, eps, owners):
+    """The walk of every row block in ``owners`` (sorted block numbers).
 
-    The block's own points up to each row come first, then a walk back
-    over the earlier full blocks: a block whose ball is certainly
-    inside the eps-ball of every row is skipped, and the first one that
-    is not decides, or is passed on to :func:`_settle`.
+    Returns ``(stop, rounds)``.  ``stop[o]`` is the nearest earlier
+    block whose ball is certainly outside eps of row block ``o``'s ball
+    (-1 where there is none, or where ``o`` is not in ``owners``), so
+    every row of ``o`` that the blocks above it leave open starts right
+    after it.  Round ``r``, a pair ``(visitors, visited)`` of arrays,
+    pairs each row block with the ``r``-th block, nearest first, above
+    its stop that is not certainly inside; the others are skipped.
+
+    The ball classes are :func:`_sides` on distance bounds read from
+    one Gram product of the centres per pass, as in :func:`_gram_beyond`:
+    ``d2 = |a|^2 + |b|^2 - 2 a.b`` with both centres taken about the
+    pass's last row block, whose rounding is far below the slack
+    ``_BALL_MARGIN * (|a|^2 + |b|^2 + tiny)``, so the centres' distance
+    lies between ``sqrt(d2 - slack)`` and ``sqrt(d2 + slack)``.  A NaN
+    bound leaves a block in neither class, so it is walked.
     """
-    start = block * _BLOCK_SIZE
-    own = xs[start : rows[-1] + 1]
-    here = xs[rows]
-    centre = own.mean(axis=0)
-    spread = _norms(own - centre).max()
-    kprimes = np.ones(rows.size, dtype=int)
-    pending = np.ones(rows.size, dtype=bool)
-    _settle(own, start, centre, spread, here, eps, kprimes, pending, upto=rows - start)
-    if block == 0 or not pending.any():
-        return kprimes
+    stop = np.full(centres.shape[0], -1)
+    visitors, visited, ranks = [], [], []
+    per = max(1, _PAIR_CAP // max(int(owners.max(initial=1)), 1))
+    for lo in range(0, owners.size, per):
+        chunk = owners[lo : lo + per]
+        earlier = np.arange(chunk[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = centres[chunk] - centres[chunk[-1]]
+            b = centres[: chunk[-1]] - centres[chunk[-1]]
+            d2 = -2.0 * (a @ b.T)
+            scale = np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)
+            d2 += scale
+            slack = _BALL_MARGIN * (scale + _TINY)
+            reach = radii[chunk][:, None] + radii[: chunk[-1]]
+            inside = _sides(np.sqrt(d2 + slack), reach, eps)[0]
+            near = np.sqrt(np.maximum(d2 - slack, 0.0))
+            outside = _sides(near, reach, eps)[1] & (earlier < chunk[:, None])
+        hit = outside.any(axis=1)
+        last = np.where(hit, chunk[-1] - 1 - np.argmax(outside[:, ::-1], axis=1), -1)
+        stop[chunk] = last
+        row, col = np.nonzero(~inside & (earlier > last[:, None]) & (earlier < chunk[:, None]))
+        # ``nonzero`` lists each row block's blocks in ascending order.
+        counts = np.bincount(row, minlength=chunk.size)
+        visitors.append(chunk[row])
+        visited.append(col)
+        ranks.append((np.cumsum(counts) - 1)[row] - np.arange(row.size))
+    if not ranks:
+        return stop, []
+    ranks = np.concatenate(ranks)
+    order = np.argsort(ranks, kind="stable")
+    cuts = np.searchsorted(ranks[order], np.arange(1, ranks.max(initial=-1) + 1))
+    return stop, zip(
+        np.split(np.concatenate(visitors)[order], cuts),
+        np.split(np.concatenate(visited)[order], cuts),
+    )
 
-    inside, outside = _sides(_norms(centres[:block] - centre), spread + radii[:block], eps)
-    for h in np.flatnonzero(~inside)[::-1]:
-        first = h * _BLOCK_SIZE
-        if outside[h]:
-            kprimes[pending] = first + _BLOCK_SIZE + 1
-            break
-        points = xs[first : first + _BLOCK_SIZE]
-        _settle(points, first, centres[h], radii[h], here, eps, kprimes, pending)
-        if not pending.any():
-            break
-    return kprimes
 
+def _settle(xs, centres, radii, eps, rows, blocks, own=False):
+    """Window starts that block ``blocks[i]`` settles for row ``rows[i]``, 0 where it settles none.
 
-def _settle(points, first, centre, radius, here, eps, kprimes, pending, upto=None):
-    """Settle the pending rows that have a point of ``points`` outside eps.
-
-    ``points`` are iterates ``first .. first + len - 1`` (0-based) inside
-    the ball ``(centre, radius)``; ``upto`` limits each row to its
-    first ``upto + 1`` of them.  A row whose distance to the centre
-    puts the whole ball outside starts right after the last point; one
-    that the ball cannot decide tests each point by :func:`_gram_beyond`.
+    ``rows`` are sorted 0-based rows, and the rows of one row block
+    share one block.  A row whose distance to the block's centre puts
+    the whole ball outside starts right after the block; one that the
+    ball cannot decide tests each point by :func:`_gram_beyond`, in the
+    stacked passes of :func:`_stacks`.  ``own`` marks each row's own
+    block, whose points count only up to the row itself; the row's own
+    point keeps that ball from being certainly outside.
     """
-    open_rows = np.flatnonzero(pending)
-    # A row's own block always contains its own point, so ``far`` only
-    # ever holds for earlier blocks, where every point is the row's past.
-    inside, far = _sides(_norms(here[open_rows] - centre), radius, eps)
-    unsure = ~inside & ~far
-    kprimes[open_rows[far]] = first + points.shape[0] + 1
-    pending[open_rows[far]] = False
-    if not unsure.any():
+    offset = centres[blocks]
+    offset -= xs[rows]
+    inside, far = _sides(_lengths(offset), radii[blocks], eps)
+    if own:
+        far[:] = False
+    starts = np.where(far, blocks * _BLOCK_SIZE + _BLOCK_SIZE + 1, 0)
+    # Each block's points newest first, so that the first point beyond
+    # eps along a stacked row is the last one in the block.
+    back = _BLOCK_SIZE - 1 - np.arange(_BLOCK_SIZE)
+    for at, group, slot in _stacks(np.flatnonzero(~inside & ~far), rows // _BLOCK_SIZE):
+        head = np.empty(group[-1] + 1, dtype=int)
+        head[group] = blocks[at]
+        centre = centres[head]
+        stacked = np.repeat(centre[:, None], slot.max() + 1, axis=1)  # pads sit on the centre
+        stacked[group, slot] = xs[rows[at]]
+        points = xs[np.minimum(head[:, None] * _BLOCK_SIZE + back, xs.shape[0] - 1)]
+        beyond = _gram_beyond(points, centre, stacked, eps)
+        first = blocks[at] * _BLOCK_SIZE
+        if own:
+            newest = np.zeros(stacked.shape[:2], dtype=int)
+            newest[group, slot] = back[rows[at] - first]
+            beyond &= newest[:, :, None] <= np.arange(_BLOCK_SIZE)
+        step = np.argmax(beyond, axis=2)[group, slot]
+        hit = beyond[group, slot, step]
+        starts[at[hit]] = first[hit] + back[step[hit]] + 2
+    return starts
+
+
+def _stacks(tested, labels):
+    """Cut the positions ``tested`` into the stacks of one Gram pass each.
+
+    The positions of one value of ``labels`` (sorted) form a group.
+    Yields ``(at, group, slot)``: the positions of one stack and each
+    one's group and slot in it.  Every group is padded to the largest,
+    and a stack holds at most :data:`_PAIR_CAP` pairs with the blocks'
+    points, at least one group.
+    """
+    if not tested.size:
         return
-    tested = open_rows[unsure]
-    beyond = _gram_beyond(points, centre, here[tested], eps)
-    if upto is not None:
-        beyond &= np.arange(points.shape[0]) <= upto[tested][:, None]
-    hit = beyond.any(axis=1)
-    last = beyond.shape[1] - 1 - np.argmax(beyond[hit][:, ::-1], axis=1)
-    kprimes[tested[hit]] = first + last + 2
-    pending[tested[hit]] = False
+    label = labels[tested]
+    run = np.cumsum(np.r_[True, label[1:] != label[:-1]]) - 1
+    counts = np.bincount(run)
+    firsts = np.cumsum(counts) - counts
+    slot = np.arange(tested.size) - firsts[run]
+    per = max(1, _PAIR_CAP // (_BLOCK_SIZE * int(counts.max())))
+    ends = np.r_[firsts, tested.size]
+    for first in range(0, counts.size, per):
+        span = slice(ends[first], ends[min(first + per, counts.size)])
+        yield tested[span], run[span] - first, slot[span]
 
 
-def _gram_beyond(points, centre, here, eps):
-    """``beyond[i, j]``: the scan's ``norm(points[j] - here[i]) > eps``.
+def _gram_beyond(points, centres, here, eps):
+    """``beyond[g, i, j]``: the scan's ``norm(points[g, j] - here[g, i]) > eps``.
 
-    Both sides are centred on the ball's ``centre``, ``h = here - centre``
-    and ``p = points - centre``, and every squared distance is read from
-    one Gram product, ``d2 = |h|^2 + |p|^2 - 2 h p'``.  A pair is decided
-    by ``d2`` only when ``|d2 - eps^2|`` exceeds
-    ``_BALL_MARGIN * (|h|^2 + |p|^2 + eps^2)``; every other pair, a
-    non-finite ``d2`` included, gets :func:`_exact_beyond`.
+    Stack ``g`` holds one block's ``points`` and the rows ``here`` that
+    test them.  Both sides are centred on the block's ball, ``h = here -
+    centres[g]`` and ``p = points - centres[g]``, and every squared
+    distance is read from one stacked Gram product, ``d2 = |h|^2 +
+    |p|^2 - 2 h p'``.  A pair is decided by ``d2`` only when
+    ``|d2 - eps^2|`` exceeds ``_BALL_MARGIN * (|h|^2 + |p|^2 + eps^2)``;
+    every other pair, a non-finite ``d2`` included, gets
+    :func:`_exact_beyond`.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite d2 stays undecided
         eps2 = eps * eps
-        h = here - centre
-        p = points - centre
-        scale = np.einsum("ij,ij->i", h, h)[:, None] + np.einsum("ij,ij->i", p, p)
-        gap = scale - 2.0 * (h @ p.T) - eps2
-        slack = _BALL_MARGIN * (scale + (eps2 + _TINY))
+        h = here - centres[:, None]
+        # ``p'``, made contiguous: matmul on a transposed view skips BLAS.
+        pt = np.subtract(points.transpose(0, 2, 1), centres[:, :, None], order="C")
+        hh = np.einsum("gin,gin->gi", h, h)[:, :, None]
+        pp = np.einsum("gnj,gnj->gj", pt, pt)[:, None]
+        gap = (-2.0 * h) @ pt
+        gap += hh
+        gap += pp - eps2
+        slack = _BALL_MARGIN * hh + _BALL_MARGIN * (pp + (eps2 + _TINY))
         beyond = gap > slack
-        undecided = ~(np.abs(gap) > slack)
-    if undecided.any():
-        row, col = np.nonzero(undecided)
-        beyond[row, col] = _exact_beyond(points[col], here[row], eps)
+        decided = np.abs(gap, out=gap) > slack
+    if not decided.all():
+        group, row, col = np.nonzero(~decided)
+        beyond[group, row, col] = _exact_beyond(points[group, col], here[group, row], eps)
     return beyond
 
 

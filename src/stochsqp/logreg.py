@@ -252,6 +252,9 @@ class ConstrainedLogRegInstance:
     b: Array  # (m_lin,)
     x1: Array  # (n,) initial point
 
+    def __post_init__(self):
+        _check_samples(self.dataset)
+
     @property
     def n(self) -> int:
         return self.dataset.n_features
@@ -426,6 +429,13 @@ def _loss_weights(rows: Array, neg_labels: Array, x: Array) -> Array:
     return weights
 
 
+def _check_samples(dataset: Dataset) -> None:
+    """Raise :class:`ConstructionError` for a dataset with no samples,
+    whose loss and gradient are undefined."""
+    if dataset.n_samples < 1:
+        raise ConstructionError("dataset is empty")
+
+
 def build_instance(
     dataset: Dataset,
     m_lin: int,
@@ -440,8 +450,7 @@ def build_instance(
     normals, and :class:`ConstructionError` is raised after ``MAX_TRIES``
     attempts.  Identical seeds produce bitwise-identical instances.
     """
-    if dataset.n_samples < 1:
-        raise ConstructionError("dataset is empty")
+    _check_samples(dataset)
     n = dataset.n_features
     if m_lin + 1 > n:
         raise ConstructionError(f"m_lin + 1 = {m_lin + 1} exceeds the feature dimension {n}")

@@ -102,13 +102,15 @@ def _assert_matches_scan(xs, ys, eps, ks=None):
 
 
 def _spy_pair_tests(monkeypatch):
-    """Count the pairs that the Gram-product test and the exact test see."""
-    counts = {"gram": 0, "exact": 0}
+    """Count the calls and the pairs that the Gram-product test and the
+    exact test see; a stacked Gram pass counts its padding rows too."""
+    counts = {"gram": 0, "exact": 0, "gram_calls": 0}
     gram, exact = averaging._gram_beyond, averaging._exact_beyond
 
-    def gram_spy(points, centre, here, eps):
-        counts["gram"] += len(points) * len(here)
-        return gram(points, centre, here, eps)
+    def gram_spy(points, centres, here, eps):
+        counts["gram"] += points.shape[0] * points.shape[1] * here.shape[1]
+        counts["gram_calls"] += 1
+        return gram(points, centres, here, eps)
 
     def exact_spy(points, here, eps):
         counts["exact"] += len(points)
@@ -300,6 +302,86 @@ class TestWindowedAverages:
             _assert_matches_scan(trace.x, trace.y, eps)
         assert counts["gram"] > 10**5
         assert counts["exact"] * 10**4 <= counts["gram"]
+
+    def test_passes_under_a_small_pair_cap(self, monkeypatch):
+        # A cap of four rows' pairs cuts every stacked pass, and the
+        # plan's ball classes, into many; the starts cannot change.
+        counts = _spy_pair_tests(monkeypatch)
+        monkeypatch.setattr(averaging, "_PAIR_CAP", 4 * BLOCK)
+        rng = np.random.default_rng(22)
+        xs = np.cumsum(rng.standard_normal((9 * BLOCK + 21, 3)) * 0.1, axis=0)
+        ys = rng.standard_normal((len(xs), 2))
+        for eps in (0.2, 0.6, 2.0):
+            _assert_matches_scan(xs, ys, eps)
+        assert counts["gram_calls"] > 9 * 3
+
+    def test_walk_through_undecided_blocks(self, monkeypatch):
+        # The last block's rows sit at the origin.  Before them, four
+        # blocks of points 0.985 from it, alternating about a centre 0.9
+        # away: every point is inside eps = 1, but every ball straddles
+        # the sphere, so the walk visits all four, nearest first, before
+        # the first block, certainly outside, stops it.
+        rng = np.random.default_rng(23)
+        arcs = []
+        for angle in (0.3, 0.9, 1.5, 2.1):
+            turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+            arcs.append(np.tile([[0.9, 0.4], [0.9, -0.4]], (BLOCK // 2, 1)) @ turn.T)
+        xs = np.vstack([np.full((BLOCK, 2), 5.0), *arcs, np.zeros((BLOCK, 2))])
+        xs += 1e-4 * rng.standard_normal(xs.shape)
+        ys = rng.standard_normal((len(xs), 2))
+        visits = []
+        settle = averaging._settle
+
+        def spy(xs, centres, radii, eps, rows, blocks, own=False):
+            if not own:
+                visits.append(blocks[rows >= 5 * BLOCK].tolist())
+            return settle(xs, centres, radii, eps, rows, blocks, own)
+
+        monkeypatch.setattr(averaging, "_settle", spy)
+        starts = _assert_matches_scan(xs, ys, 1.0)
+        assert [set(blocks) for blocks in visits if blocks] == [{4}, {3}, {2}, {1}]
+        assert np.all(starts[5 * BLOCK :] == BLOCK + 1)
+
+    def test_sparse_unsorted_and_repeated_rows(self):
+        rng = np.random.default_rng(24)
+        xs = np.cumsum(rng.standard_normal((12 * BLOCK + 5, 2)) * 0.1, axis=0)
+        ys = rng.standard_normal((len(xs), 3))
+        ks = rng.integers(1, len(xs) + 1, size=90)
+        ks = np.concatenate([ks, ks[:20], [len(xs), 1, 7 * BLOCK, 7 * BLOCK + 1]])
+        rng.shuffle(ks)
+        assert len(np.unique((ks - 1) // BLOCK)) >= 10
+        for eps in (0.05, 0.3, 1.0, 5.0):
+            _assert_matches_scan(xs, ys, eps, ks)
+
+    def test_pair_test_calls_do_not_grow_with_row_blocks(self, monkeypatch):
+        # A line walked at a steady pace: every row block's walk has the
+        # same depth, so 40 row blocks take the stacked passes of 4.  The
+        # cap is lifted so that it does not cut the passes.
+        counts = _spy_pair_tests(monkeypatch)
+        monkeypatch.setattr(averaging, "_PAIR_CAP", 1 << 20, raising=False)
+        calls = []
+        for blocks in (4, 40):
+            k = np.arange(blocks * BLOCK)
+            xs = np.column_stack([1e-2 * k, 1e-3 * np.sin(k), 1e-3 * np.cos(3.0 * k)])
+            ys = np.ones((len(xs), 1))
+            counts["gram_calls"] = 0
+            _assert_matches_scan(xs, ys, 1.5 * BLOCK * 1e-2, range(4, len(xs) + 1, 4))
+            calls.append(counts["gram_calls"])
+        assert 0 < calls[1] <= calls[0]
+
+    def test_long_history_with_shrinking_steps(self):
+        # 1e5 iterates whose steps shrink like 1/k, as a run damped with
+        # p = 1 moves: late windows span hundreds of blocks, nearly all
+        # certainly inside, before the sphere.  Sampled rows against the scan.
+        rng = np.random.default_rng(25)
+        count = 100_000
+        k = np.arange(1, count + 1)[:, None]
+        xs = np.cumsum(([0.03, 0.0, 0.0] + 0.02 * rng.standard_normal((count, 3))) / k, axis=0)
+        ys = rng.standard_normal((count, 2))
+        ks = np.unique(np.r_[np.geomspace(1, count, 100), np.linspace(1, count, 100)].astype(int))
+        for eps in (0.01, 0.1, 1.0):
+            starts = _assert_matches_scan(xs, ys, eps, ks)
+            assert np.any((ks - starts) > 10 * BLOCK)
 
     def test_validation(self):
         xs = np.zeros((4, 2))

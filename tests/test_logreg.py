@@ -34,8 +34,17 @@ class TestParse:
     def test_empty_stream_gives_empty_dataset(self):
         ds = parse_libsvm("")
         assert ds.n_samples == 0
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="dataset is empty"):
             build_instance(ds, m_lin=0, seed=0)
+
+    def test_an_instance_over_no_samples_is_refused(self):
+        # Built directly, not through build_instance: the instance itself
+        # refuses a dataset whose loss and gradient are undefined.
+        ds = Dataset(features=np.zeros((0, 3)), labels=np.zeros(0))
+        with pytest.raises(ConstructionError, match="dataset is empty"):
+            logreg.ConstrainedLogRegInstance(
+                dataset=ds, A=np.ones((1, 3)), b=np.zeros(1), x1=np.ones(3)
+            )
 
     def test_zero_one_labels_remapped(self):
         ds = parse_libsvm("0 1:1\n1 1:2")
