@@ -20,7 +20,7 @@ step ``u`` lies in the Jacobian null space.
   ``y = r^{-1}(-qg - w)`` with ``qg = q1' g``.  The normal step does
   not depend on ``g``, so the solver's shadow solve calls
   :func:`resolve` alone.  This is the loop's hot path, so it calls
-  LAPACK directly.
+  LAPACK directly and takes its products from ``ndarray.dot`` (README).
 * :func:`solve_kkt` takes any symmetric ``h``.  It also forms ``z``, an
   orthonormal basis of the Jacobian null space, from the full ``n x n``
   Q; ``u = z p`` solves the reduced system ``(z' h z) p = -z' (g + h v)``
@@ -72,16 +72,16 @@ class KktSolution(NamedTuple):
     w: Array
 
 
-def _check_info(routine: str, info: int):
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info={info}")
+def _lapack_error(routine: str, info: int) -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError(f"LAPACK {routine} returned info={info}")
 
 
 @lru_cache(maxsize=8)
 def _upper_mask(m: int) -> Array:
     # np.triu rebuilds its mask on every call, which at m ~ 10 costs
-    # more than the QR itself; the loop factors one shape per run.
-    mask = np.triu(np.ones((m, m)))
+    # more than the QR itself; the loop factors one shape per run.  In
+    # F order, like the factor it masks.
+    mask = np.asfortranarray(np.triu(np.ones((m, m))))
     mask.flags.writeable = False
     return mask
 
@@ -92,10 +92,11 @@ def _rank_certified(r: Array) -> bool:
     error of the computed inverse (``kappa <= 5e9`` where this accepts).
     A singular or non-finite ``r`` fails: ``NaN <= 1`` is false."""
     inv, info = dtrtri(r)
-    fro2 = ddot(r.ravel(order="K"), r.ravel(order="K"))
+    flat = r.ravel(order="K")  # both are F-contiguous, so these are views
+    fro2 = ddot(flat, flat)
     scale2 = 1.0 if fro2 <= 1.0 else fro2
-    inv2 = ddot(inv.ravel(order="K"), inv.ravel(order="K"))
-    return info == 0 and (2.0 * RANK_RTOL) ** 2 * scale2 * inv2 <= 1.0
+    flat = inv.ravel(order="K")
+    return info == 0 and (2.0 * RANK_RTOL) ** 2 * scale2 * ddot(flat, flat) <= 1.0
 
 
 def _factor(jac: Array, full: bool) -> tuple[Array, Array]:
@@ -110,13 +111,15 @@ def _factor(jac: Array, full: bool) -> tuple[Array, Array]:
     if m > n:
         raise RankError(f"jacobian is rank deficient: {m} rows but only {n} columns")
     qr, tau, _, info = dgeqrf(jac.T)
-    _check_info("dgeqrf", info)
+    if info:
+        raise _lapack_error("dgeqrf", info)
     r = np.multiply(qr[:m, :m], _upper_mask(m), order="F")
     if not _rank_certified(r):
         if not np.isfinite(r).all():
             raise RankError("jacobian has a non-finite entry")
         _, svals, _, info = dgesdd(r, compute_uv=0)
-        _check_info("dgesdd", info)
+        if info:
+            raise _lapack_error("dgesdd", info)
         if not svals[-1] >= RANK_RTOL * max(1.0, svals[0]):
             raise RankError(
                 f"jacobian is rank deficient: sigma_min={svals[-1]:.3e}, sigma_max={svals[0]:.3e}"
@@ -127,7 +130,8 @@ def _factor(jac: Array, full: bool) -> tuple[Array, Array]:
         q, _, info = dorgqr(q, tau, overwrite_a=1)
     else:
         q, _, info = dorgqr(qr, tau, overwrite_a=1)
-    _check_info("dorgqr", info)
+    if info:
+        raise _lapack_error("dorgqr", info)
     return q, r
 
 
@@ -149,9 +153,10 @@ def solve_with_factors(factors: JacobianFactors, grad: Array, c: Array) -> KktSo
     LAPACK is called without scipy's argument checks.
     """
     q1, r = factors
-    w, info = dtrtrs(r, -c, trans=1)
-    _check_info("dtrtrs", info)
-    return resolve(factors, grad, w, q1 @ w)
+    w, info = dtrtrs(r, -c, trans=1, overwrite_b=1)
+    if info:
+        raise _lapack_error("dtrtrs", info)
+    return resolve(factors, grad, w, q1.dot(w))
 
 
 def resolve(factors: JacobianFactors, grad: Array, w: Array, v: Array) -> KktSolution:
@@ -162,12 +167,18 @@ def resolve(factors: JacobianFactors, grad: Array, w: Array, v: Array) -> KktSol
     redoing its normal step.  The result shares ``w`` and ``v``.
     """
     q1, r = factors
-    qg = q1.T @ grad
-    # With m == n the null space is empty; keep u exactly zero.
-    u = q1 @ qg - grad if q1.shape[1] < q1.shape[0] else np.zeros_like(grad)
+    qg = q1.T.dot(grad)
+    if q1.shape[1] < q1.shape[0]:
+        u = q1.dot(qg)
+        u -= grad
+    else:  # with m == n the null space is empty; keep u exactly zero
+        u = np.zeros_like(grad)
     d = u + v
-    y, info = dtrtrs(r, -qg - w)
-    _check_info("dtrtrs", info)
+    np.negative(qg, out=qg)  # then -qg - w: -(qg + w) would flip an exact zero's sign
+    qg -= w
+    y, info = dtrtrs(r, qg, overwrite_b=1)
+    if info:
+        raise _lapack_error("dtrtrs", info)
     return KktSolution(d, y, u, v, w)
 
 

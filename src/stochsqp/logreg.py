@@ -291,24 +291,26 @@ class ConstrainedLogRegInstance:
     def gradient(self, x: Array) -> Array:
         """``(1/N) D' w`` with ``D`` the feature rows and ``w`` the
         per-sample loss weights, summed a block of samples at a time."""
-        (block, neg_labels), *rest = self._blocks
-        grad = _loss_weights(block, neg_labels, x) @ block
-        for block, neg_labels in rest:
-            grad += _loss_weights(block, neg_labels, x) @ block
+        blocks = iter(self._blocks)
+        block, neg_labels = next(blocks)
+        grad = _loss_weights(block, neg_labels, x).dot(block)
+        for block, neg_labels in blocks:
+            grad += _loss_weights(block, neg_labels, x).dot(block)
         grad /= self.dataset.n_samples
         return grad
 
     def constraints(self, x: Array) -> Array:
         c = np.empty(self.A.shape[0] + 1)
-        lin = np.matmul(self.A, x, out=c[:-1])
+        lin = self.A.dot(x, out=c[:-1])
         lin -= self.b
-        c[-1] = x @ x - 1.0
+        c[-1] = x.dot(x) - 1.0
         return c
 
     def jacobian(self, x: Array) -> Array:
-        jac = np.empty((self.A.shape[0] + 1, self.A.shape[1]))
-        jac[:-1] = self.A
-        np.multiply(2.0, x, out=jac[-1])
+        m_lin, n = self.A.shape
+        jac = np.empty((m_lin + 1, n))
+        jac[:m_lin] = self.A
+        np.multiply(2.0, x, out=jac[m_lin])
         return jac
 
     def lagrangian_hessian(self, x: Array, y: Array) -> Array:
@@ -412,8 +414,8 @@ def logistic_minibatch_gradient(instance: ConstrainedLogRegInstance, x: Array, i
 def _minibatch_gradient(features: Array, neg_labels: Array, x: Array, idx: Array) -> Array:
     """:func:`logistic_minibatch_gradient` on ``idx`` trusted to be a
     nonempty 1-d integer array in range, with the labels negated."""
-    rows = features[idx]
-    grad = _loss_weights(rows, neg_labels[idx], x) @ rows
+    rows = features.take(idx, axis=0)  # the copy features[idx] makes, in fewer steps
+    grad = _loss_weights(rows, neg_labels[idx], x).dot(rows)
     grad /= idx.size
     return grad
 
@@ -422,7 +424,7 @@ def _loss_weights(rows: Array, neg_labels: Array, x: Array) -> Array:
     """Per-sample weights ``-gamma_i * sigmoid(-gamma_i <d_i, x>)`` of the
     logistic gradient, from the feature ``rows`` and their labels
     ``gamma_i`` negated."""
-    weights = rows @ x  # a fresh array, so each step below works in place
+    weights = rows.dot(x)  # a fresh array, so each step below works in place
     weights *= neg_labels
     expit(weights, out=weights)
     weights *= neg_labels

@@ -16,6 +16,9 @@ step wherever it takes no Newton step.
 step it shares with the reference solve.  :func:`run` records a trace
 from it.  The step schedule is a function of ``k`` and the config, so
 :func:`iterate` computes it once and the trace once more, on first read.
+Call overhead sets the cost of an iteration (README, hot-path note), so
+:func:`iterate` steps with Python floats and :func:`run` takes the
+ledger's products from ``ndarray.dot``, the BLAS call of ``@``.
 
 In validation mode the loop additionally solves the subproblem with the
 exact gradient (the "shadow" solve).  Inside the loop :func:`run` keeps
@@ -334,7 +337,8 @@ def iterate(
     A mini-batch does not depend on the iterate, so the oracle draws the
     rows of :func:`rows_per_block` steps in one call, the last block
     trimmed to the steps left: the generator ends where one draw per
-    step would leave it, with the same rows.
+    step would leave it, with the same rows.  Each block's step lengths
+    are read as Python floats.
     The objective is never evaluated here; consumers that record it
     evaluate it themselves.  The schedule and step lengths are checked
     before the first step.  Errors from :func:`subproblem` propagate,
@@ -346,11 +350,14 @@ def iterate(
     batch, iters = config.batch_size, config.max_iters
     per_block = rows_per_block(batch)
     x = np.array(problem.x0, dtype=float)
-    for k, alpha_k in enumerate(alphas, start=1):
+    for k in range(1, iters + 1):
         if (k - 1) % per_block == 0:
-            rows = iter(oracle.draw(rng, batch, min(per_block, iters - k + 1)))
-        c, jac, g, factors, sol = subproblem(problem, oracle, next(rows), x, k)
-        x_next = x + alpha_k * sol.d
+            count = min(per_block, iters - k + 1)
+            steps = zip(oracle.draw(rng, batch, count), alphas[k - 1 : k - 1 + count].tolist())
+        row, alpha_k = next(steps)
+        c, jac, g, factors, sol = subproblem(problem, oracle, row, x, k)
+        x_next = alpha_k * sol.d
+        x_next += x  # x + alpha_k * d, in place
         yield Iteration(k, x, c, jac, g, factors, sol, alpha_k, x_next)
         if not all_finite(x_next):
             raise EvaluationError(f"iteration {k}: iterate became non-finite")
@@ -385,18 +392,20 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
     c(x))`` at the ``trace.x`` rows it needs.
     """
     trace = Trace(problem.n, problem.m, config)
+    xs, ys, ys_true = trace.x, trace.y, trace.y_true
     gd, dd, l1, cc, gd_true, dd_true = trace.ledger
     validate = config.validate
 
     start = time.perf_counter()
     for k, x, c, _jac, g, factors, sol, _alpha, x_next in iterate(problem, oracle, config):
         i = k - 1
-        trace.x[i] = x
-        trace.y[i] = sol.y
-        gd[i] = g @ sol.d
-        dd[i] = sol.d @ sol.d
-        l1[i] = np.abs(c).sum()
-        cc[i] = c @ c
+        d = sol.d
+        xs[i] = x
+        ys[i] = sol.y
+        gd[i] = g.dot(d)
+        dd[i] = d.dot(d)
+        l1[i] = np.add.reduce(np.abs(c))  # np.abs(c).sum() without its Python wrapper
+        cc[i] = c.dot(c)
 
         if validate:
             grad = np.asarray(problem.gradient(x), dtype=float)
@@ -405,13 +414,14 @@ def run(problem: Problem, oracle: StochasticGradientOracle, config: SolverConfig
             # the rank gate in iterate, and the identity model has no
             # curvature to fail.
             shadow = kkt.resolve(factors, grad, sol.w, sol.v)
-            gd_true[i] = grad @ shadow.d
-            dd_true[i] = shadow.d @ shadow.d
+            d_true = shadow.d
+            gd_true[i] = grad.dot(d_true)
+            dd_true[i] = norm2 = d_true.dot(d_true)
             # A non-finite gradient makes d_true non-finite, so the
             # gradient itself is checked only then.
-            if not math.isfinite(dd_true[i]) and not np.isfinite(grad).all():
+            if not math.isfinite(norm2) and not np.isfinite(grad).all():
                 raise EvaluationError(f"iteration {k}: exact gradient returned a non-finite value")
-            trace.y_true[i] = shadow.y
+            ys_true[i] = shadow.y
 
     trace.wall_time = time.perf_counter() - start
     trace.x_final = x_next

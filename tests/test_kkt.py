@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg.blas import ddot
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from stochsqp import kkt
 
@@ -480,6 +480,57 @@ def _random_sizes(rng, count):
         n = int(rng.integers(1, 31))
         sizes.append((n, int(rng.integers(1, n + 1))))
     return sizes + [(n, n) for n in range(1, 31)]
+
+
+def _identity_solve_with_matmul(factors, grad, c, w=None):
+    """The identity-model formulas of ``solve_with_factors`` (or, given
+    ``w``, of ``resolve``), every product written with ``@``."""
+    q1, r = factors
+    if w is None:
+        w = dtrtrs(r, -c, trans=1)[0]
+    v = q1 @ w
+    qg = q1.T @ grad
+    u = q1 @ qg - grad if q1.shape[1] < q1.shape[0] else np.zeros_like(grad)
+    y = dtrtrs(r, -qg - w)[0]
+    return kkt.KktSolution(u + v, y, u, v, w)
+
+
+class TestProductsPinnedToMatmul:
+    """The solves take their products from ``ndarray.dot``; they must give
+    the bits of ``@``, which tests and the ledger's oracle use, so that no
+    comparison comes to rest on two BLAS libraries agreeing.
+
+    The one exception is ``n = 1``: ``ndarray.dot`` multiplies two
+    one-element operands directly, where ``@`` adds the product to +0,
+    so an exact zero may carry the other sign there.
+    """
+
+    def test_solve_with_factors_and_resolve(self):
+        # Zero data makes exact zeros, whose signs are pinned too.
+        rng = np.random.default_rng(42)
+        for n, m in _random_sizes(rng, 100):
+            if n == 1:
+                continue
+            _, jac, grad, c = random_kkt_instance(rng, n, m)
+            factors = factor_jacobian(jac)
+            for grad, c in ((grad, c), (np.zeros(n), np.zeros(m))):
+                first = solve_with_factors(factors, grad, c)
+                want = _identity_solve_with_matmul(factors, grad, c)
+                other = rng.standard_normal(n)
+                again = resolve(factors, other, first.w, first.v)
+                want_again = _identity_solve_with_matmul(factors, other, c, w=want.w)
+                for got, ref in ((first, want), (again, want_again)):
+                    for name in kkt.KktSolution._fields:
+                        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), (
+                            n, m, name)
+
+    def test_one_variable_differs_at_most_in_the_sign_of_zero(self):
+        factors = factor_jacobian(np.array([[2.0]]))
+        for grad, c in ((np.array([0.0]), np.array([0.0])), (np.array([-0.0]), np.array([-0.0]))):
+            got = solve_with_factors(factors, grad, c)
+            want = _identity_solve_with_matmul(factors, grad, c)
+            for name in kkt.KktSolution._fields:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestResolve:

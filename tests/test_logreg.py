@@ -405,6 +405,48 @@ class TestMinibatchGradient:
             assert got.shape == (bundled_instance.n,)
 
 
+class TestProductsPinnedToMatmul:
+    """The evaluators take their products from ``ndarray.dot``; on at
+    least two features they must give the bits of the same formulas with
+    ``@``, which tests and the ledger's oracle use."""
+
+    @staticmethod
+    def _weights(rows, labels, x):
+        from scipy.special import expit
+
+        return -labels * expit(-labels * (rows @ x))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gradient_minibatch_gradient_and_constraints(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        chunk = int(rng.choice([1, 3, 7, 4096]))  # one block, or several
+        monkeypatch.setattr(logreg, "CHUNK_SAMPLES", chunk)
+        n_samples, n = int(rng.integers(1, 30)), int(rng.integers(2, 12))
+        labels = rng.choice([-1.0, 1.0], size=n_samples)
+        features = rng.standard_normal((n_samples, n)) * (rng.random((n_samples, n)) < 0.7)
+        inst = build_instance(Dataset(features=features, labels=labels),
+                              m_lin=int(rng.integers(0, n)), seed=seed)
+        for x in (3.0 * rng.standard_normal(n), np.zeros(n)):
+            want = np.zeros(n)
+            for start in range(0, n_samples, chunk):
+                rows = features[start:start + chunk]
+                block_grad = self._weights(rows, labels[start:start + chunk], x) @ rows
+                want = block_grad if start == 0 else want + block_grad
+            want /= n_samples
+            assert inst.gradient(x).tobytes() == want.tobytes()
+
+            for batch in (1, 2, 16):  # a one-row batch included
+                idx = rng.integers(0, n_samples, size=batch)
+                rows = features[idx]
+                want = self._weights(rows, labels[idx], x) @ rows
+                want /= batch
+                got = logreg._minibatch_gradient(features, inst._neg_labels, x, idx)
+                assert got.tobytes() == want.tobytes(), batch
+
+            want = np.append(inst.A @ x - inst.b, x @ x - 1.0)
+            assert inst.constraints(x).tobytes() == want.tobytes()
+
+
 def assert_oracle_draw_is_the_checked_gradient(inst, x, batch, seed):
     """The oracle's unchecked kernel gives the bits of the public function
     on the indices a twin generator draws, one row per call, both for a
