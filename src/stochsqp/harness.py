@@ -702,7 +702,10 @@ def main(argv=None) -> int:
         path = flags.pop("config", None)
         settings = {} if path is None else parse_config_file(path)
         config = ExperimentConfig(**{**settings, **flags})
-        result = run_experiment(config)
+        # A diverging run overflows before the loop's finiteness guards
+        # turn it into an EvaluationError; only that error line is printed.
+        with np.errstate(over="ignore"):
+            result = run_experiment(config)
     except (StochSqpError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 1

@@ -46,7 +46,10 @@ _BUNDLED_NAME = "synthetic200.libsvm"
 #: the lines per block in :func:`parse_libsvm`.
 CHUNK_SAMPLES = 1024
 
-_COLON, _SPACE = ord(":"), ord(" ")
+_COLON, _SPACE, _ZERO = ord(":"), ord(" "), ord("0")
+#: Digits :func:`_read_digits` reads: 10**15 < 2**53, so every such
+#: token is exact as an int64 and as a float.
+_MAX_DIGITS = 15
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -90,11 +93,16 @@ def parse_libsvm(source: str | TextIO) -> Dataset:
     later rejects.
 
     The text is read ``CHUNK_SAMPLES`` lines at a time.  Each block's
-    ``idx:val`` tokens are split in one pass, converted by numpy with
-    the accept set of ``int()`` and ``float()``, and checked as whole
-    arrays; one scatter puts them into the feature matrix.  Only the
-    current block's tokens are held as strings, so the parse needs
-    about the final matrix plus 16 bytes per nonzero entry.
+    ``idx:val`` tokens are located in one pass over its bytes and
+    checked as whole arrays; one scatter puts them into the feature
+    matrix.  If every index of the block, or every value, is a run of
+    1 to 15 ASCII digits (all of a binary set like a9a), that kind is
+    read by place value straight from the bytes: below 10**15 < 2**53
+    the result is exactly ``int(token)`` and ``float(token)``.  A kind
+    with any other token is converted by numpy with the accept set of
+    ``int()`` and ``float()``; only such a block's tokens are held as
+    strings, and then only while it is parsed.  Either way the parse
+    needs about the final matrix plus 16 bytes per nonzero entry.
 
     A block that fails a check is scanned again line by line, only to
     raise the :class:`ParseError` of its first bad line (``line N:
@@ -146,21 +154,30 @@ def _parse_block(lines: list[str]) -> tuple[Array, Array, Array, Array]:
             rests.append(parts[1] if len(parts) == 2 else "")
     raw_labels = np.array(label_texts, dtype=float)
     joined = " ".join(" ".join(rests).split())
-    pieces = []
+    idx, val = np.zeros(0, dtype=np.int64), np.zeros(0)
     if joined:
         # One space between tokens and none inside one, so every token
         # holds exactly one colon iff the colons and spaces read ": : ... :".
         codes = np.frombuffer(joined.encode(), dtype=np.uint8)
-        separators = codes[(codes == _COLON) | (codes == _SPACE)]
+        positions = np.flatnonzero((codes == _COLON) | (codes == _SPACE))
+        separators = codes[positions]
         if (
             separators.size % 2 == 0
             or np.any(separators[::2] != _COLON)
             or np.any(separators[1::2] != _SPACE)
         ):
             raise ValueError("an entry does not hold exactly one ':'")
-        pieces = joined.replace(":", " ").split(" ")
-    idx = np.array(pieces[0::2], dtype=np.int64)
-    val = np.array(pieces[1::2], dtype=float)
+        # Token j runs from bounds[j] + 1 to bounds[j + 1]: indices at
+        # even j, values at odd j.
+        bounds = np.concatenate(([-1], positions, [codes.size]))
+        digits = codes - _ZERO
+        idx = _read_digits(digits, bounds[:-1:2] + 1, bounds[1::2])
+        val = _read_digits(digits, bounds[1::2] + 1, bounds[2::2])
+        if idx is None or val is None:
+            pieces = joined.replace(":", " ").split(" ")
+            idx = np.array(pieces[0::2], dtype=np.int64) if idx is None else idx
+            val = np.array(pieces[1::2], dtype=float) if val is None else val
+        val = val.astype(float, copy=False)
     counts = np.array([rest.count(":") for rest in rests], dtype=np.intp)
     # The first entry of each sample need not exceed the entry before it.
     increasing = np.diff(idx) > 0
@@ -174,6 +191,32 @@ def _parse_block(lines: list[str]) -> tuple[Array, Array, Array, Array]:
     ):
         raise ValueError("a label or an entry failed a check")
     return np.where(raw_labels > 0, 1.0, -1.0), idx, val, counts
+
+
+def _read_digits(digits: Array, starts: Array, ends: Array) -> Array | None:
+    """int64 values of the tokens ``digits[starts[j]:ends[j]]``, or
+    ``None`` unless each is 1 to ``_MAX_DIGITS`` ASCII digits.
+
+    ``digits`` holds the bytes minus ``ord("0")`` as uint8, so a byte is
+    a digit iff its entry is below 10.  The tokens are read right-aligned
+    by place value, one Horner step per digit column, so each value is
+    exactly ``int(token)``, and as a float ``float(token)``.  Any other
+    token (a sign, ``.``, an exponent, ``_``, a non-ASCII digit) is left
+    to ``int()`` and ``float()``.
+    """
+    lengths = ends - starts
+    width = int(lengths.max())
+    if lengths.min() < 1 or width > _MAX_DIGITS:
+        return None
+    values = np.zeros(starts.size, dtype=np.int64)
+    for shift in range(width, 0, -1):
+        column = digits.take(ends - shift, mode="clip")
+        column[lengths < shift] = 0  # the shorter tokens have no digit here
+        if np.any(column > 9):
+            return None
+        values *= 10
+        values += column
+    return values
 
 
 def _raise_first_bad_line(lines: list[str], first: int) -> None:

@@ -923,7 +923,7 @@ class TestCli:
          "nan-eps", "inf-eps", "flag-value", "unknown-flag", "libsvm-utf8", "inf-tau", "overflow-tau",
          "duplicate-seed", "config-duplicate-seed", "same-eps-label", "negative-seed",
          "config-negative-seed", "libsvm-too-wide", "removed-beta1", "huge-batch",
-         "noisy-constant-damping"],
+         "noisy-constant-damping", "diverging-xi"],
     )
     def test_bad_input_prints_one_error_line(self, tmp_path, capsys, case):
         cfg = tmp_path / "bad.cfg"
@@ -971,9 +971,13 @@ class TestCli:
             # Constant damping is the power schedule at p = 0, which only
             # exact gradients admit.
             "noisy-constant-damping": ["--beta-p", "0"],
+            # x grows until x'x overflows; the finiteness guard reports it
+            # without a numpy warning (pytest turns one into an error).
+            "diverging-xi": ["--xi", "1e300"],
         }[case]
         assert main(args + ["--iters", "5", "--out", str(tmp_path / "out")]) == 1
-        lines = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         if case == "libsvm-too-wide":
             assert lines[0].startswith(f"error: {wide_data}: line 2: feature index {2**63 - 1} ")
@@ -997,6 +1001,9 @@ class TestCli:
             assert lines[0] == "error: seeds must be >= 0, got [-2]"
         if case == "huge-batch":
             assert lines[0].startswith("error: out of memory: ")
+        if case == "diverging-xi":
+            assert lines[0].startswith("error: iteration ")
+            assert captured.err == ""
         assert not (tmp_path / "out").exists()
 
     def test_replicate_fits_reserves_the_draw_block(self):

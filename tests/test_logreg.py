@@ -102,11 +102,20 @@ def assert_parses_like_reference(text):
         assert have.tobytes() == want.tobytes()
 
 
-def random_libsvm_text(rng, n_lines):
-    """Valid LIBSVM text with the layout variations the format allows."""
+def random_libsvm_text(rng, n_lines, digits_only=False):
+    """Valid LIBSVM text with the layout variations the format allows.
+
+    The values mix decimal, exponent and digit-run tokens, the last
+    short, zero-padded, or of 15 or 16 digits; ``digits_only`` keeps the
+    runs of at most 15 digits, which the parser reads from the bytes.
+    """
     labels = ("+1", "-1", "1", "0", "-1.0", "1e0") if rng.random() < 0.5 else ("0", "1")
-    values = (lambda: "1", lambda: f"{rng.standard_normal():.17g}",
-              lambda: f"{rng.uniform(-1e3, 1e3):.3e}", lambda: "-0", lambda: "0")
+    values = (lambda: "1", lambda: "0", lambda: str(rng.integers(0, 1000)),
+              lambda: f"{rng.integers(0, 1000):05d}", lambda: str(rng.integers(10**14, 10**15)))
+    if not digits_only:
+        values += (lambda: str(rng.integers(10**15, 10**16)),
+                   lambda: f"{rng.standard_normal():.17g}",
+                   lambda: f"{rng.uniform(-1e3, 1e3):.3e}", lambda: "-0")
     lines = []
     for _ in range(n_lines):
         if rng.random() < 0.1:
@@ -132,6 +141,9 @@ HAND_CASES = [
     "+1 1_0:1", "+1 +3:1", "-1 01:1",
     "+1 1:nan", "+1 1:-Infinity", "nan 1:1",
     "+1 1:1\x0c2:3", "+1 1:1\r2:3", "-1 1:1 \r 3:1", "+1\x0c1:1",
+    # Digit runs around the 15 digits the byte path reads.
+    "+1 1:123456789012345", "+1 1:1234567890123456", "+1 1:9007199254740993",
+    "-1 007:0010", "+1 1:0", "-1 2:00",
 ]
 
 
@@ -142,8 +154,19 @@ class TestParseMatchesReference:
     def test_random_texts(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         monkeypatch.setattr(logreg, "CHUNK_SAMPLES", int(rng.choice([1, 3, 8, 4096])))
-        text = random_libsvm_text(rng, int(rng.integers(0, 30)))
+        read = []  # results of _read_digits: index then value, per block
+        real_read_digits = logreg._read_digits
+
+        def recording_read_digits(*args):
+            read.append(real_read_digits(*args))
+            return read[-1]
+
+        monkeypatch.setattr(logreg, "_read_digits", recording_read_digits)
+        assert_parses_like_reference(random_libsvm_text(rng, int(rng.integers(5, 30)), True))
+        text = random_libsvm_text(rng, int(rng.integers(5, 30)))
         assert_parses_like_reference(text)
+        # Every seed reads values both from the bytes and through float().
+        assert {value is None for value in read[1::2]} == {False, True}
         lines = text.split("\n")
         lines[rng.integers(len(lines))] = str(rng.choice(HAND_CASES))
         assert_parses_like_reference("\n".join(lines))
@@ -207,11 +230,59 @@ class TestParseMatchesReference:
         with pytest.raises(ParseError, match=rf"^line 6: feature index {widest} "):
             parse_libsvm(text)
 
+    @pytest.mark.parametrize("text", ["+1 1:\u0661", "+1 \u0661:1", "-1 2:\u0663\u0664 7:1"])
+    def test_non_ascii_digits_from_a_string(self, text):
+        # int() and float() accept any Unicode decimal digit; the byte path
+        # reads ASCII digits only, so these keep the str path.
+        assert_parses_like_reference(text)
+        assert_parses_like_reference(f"-1 1:1\n{text}\n+1 3:5\n")
+
+    def test_binary_data_round_trips(self, a9a_shaped_instance):
+        # Three blocks of integer tokens, all read from the bytes.
+        ds = a9a_shaped_instance.dataset
+        assert ds.n_samples > 2 * logreg.CHUNK_SAMPLES
+        again = parse_libsvm(serialize_libsvm(ds))
+        assert again.features.tobytes() == ds.features.tobytes()
+        assert again.labels.tobytes() == ds.labels.tobytes()
+
     def test_bundled_file_matches_reference(self):
         from importlib import resources
 
         text = resources.files("stochsqp.data").joinpath("synthetic200.libsvm").read_text()
         assert_parses_like_reference(text)
+
+
+def read_digit_tokens(tokens):
+    """``logreg._read_digits`` on byte strings joined by spaces."""
+    joined = b" ".join(tokens)
+    ends = np.cumsum([len(token) + 1 for token in tokens]) - 1
+    starts = ends - [len(token) for token in tokens]
+    return logreg._read_digits(np.frombuffer(joined, dtype=np.uint8) - ord("0"), starts, ends)
+
+
+class TestReadDigits:
+    def test_exact_on_one_to_fifteen_digits(self):
+        rng = np.random.default_rng(5)
+        tokens = [b"0", b"9", b"00", b"000000000000000", b"999999999999999"]
+        for width in range(1, 16):
+            tokens += [bytes(rng.integers(ord("0"), ord("9") + 1, size=width).astype(np.uint8))
+                       for _ in range(20)]
+        values = read_digit_tokens(tokens)
+        assert values.dtype == np.int64
+        assert values.tolist() == [int(token) for token in tokens]
+        as_float = values.astype(float)
+        assert as_float.tobytes() == np.array([float(token) for token in tokens]).tobytes()
+
+    @pytest.mark.parametrize("bad", [b"", b"1234567890123456", b"9007199254740993"])
+    def test_empty_and_sixteen_digits_take_the_str_path(self, bad):
+        assert read_digit_tokens([b"12", bad, b"3"]) is None
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_any_non_digit_byte_takes_the_str_path(self, position):
+        for byte in set(range(256)) - set(b"0123456789"):
+            token = bytearray(b"123")
+            token[position] = byte
+            assert read_digit_tokens([b"4", bytes(token), b"56"]) is None, byte
 
 
 class TestSpectralBound:

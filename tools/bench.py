@@ -30,9 +30,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 0
 
 
-def run_once(repo: Path, workload: str, trace: int, smoke: bool) -> dict:
+def run_once(repo: Path, workload: str, trace: int, smoke: bool, seed: int) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(SEED), "--trace", str(trace)]
+               "--seed", str(seed), "--trace", str(trace)]
     if smoke:
         command.append("--smoke")
     print("+ " + " ".join(command[1:]), file=sys.stderr, flush=True)
@@ -58,7 +58,8 @@ def main(argv=None) -> int:
     runs = {}
     for workload in (w["name"] for w in spec["workloads"]):
         runs[workload] = {
-            f"trace{trace}": run_once(args.repo, workload, trace, args.smoke) for trace in (0, 1)
+            f"trace{trace}": run_once(args.repo, workload, trace, args.smoke, SEED)
+            for trace in (0, 1)
         }
     snapshot = {
         "tag": args.tag,
