@@ -26,13 +26,13 @@ row block.  All row blocks go through three stages together:
    ball inside eps;
 2. the plan classes, for every row block still open, each earlier
    block whose ball is certainly inside or certainly outside eps of the
-   row block's ball.  The nearest outside block stops the walk: a row
-   that nothing above it settles starts right after it;
+   row block's ball.  The nearest outside block, the stopping block, is
+   the walk's last visit;
 3. the walk goes in rounds.  Round ``r`` takes each open row block's
-   ``r``-th block, nearest first, above the stop that is not certainly
-   inside.  A row that the block's ball puts certainly outside starts
-   right after the block, and a row that it cannot decide is tested
-   against each of the block's points.
+   ``r``-th block, nearest first, that is not certainly inside.  A row
+   that the block's ball puts certainly outside starts right after the
+   block, one that it cannot decide is tested against each of the
+   block's points, and one that no visit settles starts at 1.
 
 Each stage runs its ball tests over all its row blocks at once, and its
 point tests in stacked passes of at most :data:`_PAIR_CAP` pairs (the
@@ -159,31 +159,22 @@ def window_starts(xs: Array, eps: float, ks) -> Array:
     kprimes = _settle(xs, centres, radii, eps, rows, owners, own=True)
     live = np.flatnonzero(kprimes == 0)
     walkers = np.unique(owners[live])
-    stop, rounds = _plan(centres, radii, eps, walkers[walkers > 0])
-    for visitors, visited in rounds:
+    for visitors, visited in _plan(centres, radii, eps, walkers[walkers > 0]):
         # A row block that visits no block this round visits none later.
         block = np.full(centres.shape[0], -1)
         block[visitors] = visited
         live = live[block[owners[live]] >= 0]
         kprimes[live] = _settle(xs, centres, radii, eps, rows[live], block[owners[live]])
         live = live[kprimes[live] == 0]
-    # A row that no visited block settles starts right after its row
-    # block's stop: ``-1 * 64 + 65 == 1`` where there is none.
-    unsettled = kprimes == 0
-    kprimes[unsettled] = stop[owners[unsettled]] * _BLOCK_SIZE + _BLOCK_SIZE + 1
+    kprimes[kprimes == 0] = 1  # nothing before the row is beyond eps
     starts = np.empty(ks.size, dtype=int)
     starts[order] = kprimes
     return starts
 
 
-def _norms(diffs: Array) -> Array:
-    """``np.linalg.norm(diffs, axis=-1)`` bit for bit, minus its copies."""
-    return np.sqrt(np.add.reduce(diffs * diffs, axis=-1))
-
-
 def _lengths(diffs: Array) -> Array:
     """Euclidean lengths along the last axis, for the ball tests, whose
-    margin covers their rounding; the scan's own norms are :func:`_norms`."""
+    margin covers their rounding; the pair tests keep the scan's own norm."""
     return np.sqrt(np.einsum("...n,...n->...", diffs, diffs))
 
 
@@ -201,13 +192,12 @@ def _sides(dist, radius, eps):
 def _plan(centres, radii, eps, owners):
     """The walk of every row block in ``owners`` (sorted block numbers).
 
-    Returns ``(stop, rounds)``.  ``stop[o]`` is the nearest earlier
-    block whose ball is certainly outside eps of row block ``o``'s ball
-    (-1 where there is none, or where ``o`` is not in ``owners``), so
-    every row of ``o`` that the blocks above it leave open starts right
-    after it.  Round ``r``, a pair ``(visitors, visited)`` of arrays,
-    pairs each row block with the ``r``-th block, nearest first, above
-    its stop that is not certainly inside; the others are skipped.
+    Returns the rounds.  Round ``r``, a pair ``(visitors, visited)`` of
+    arrays, pairs each row block with its ``r``-th block, nearest first,
+    that is not certainly inside eps of the row block's ball; the others
+    are skipped.  A row block's last visit is its stopping block, the
+    nearest earlier block whose ball is certainly outside, which settles
+    every row that reaches it; with none, the walk goes down to block 0.
 
     The ball classes are :func:`_sides` on distance bounds read from
     one Gram product of the centres per pass, as in :func:`_gram_beyond`:
@@ -217,7 +207,6 @@ def _plan(centres, radii, eps, owners):
     lies between ``sqrt(d2 - slack)`` and ``sqrt(d2 + slack)``.  A NaN
     bound leaves a block in neither class, so it is walked.
     """
-    stop = np.full(centres.shape[0], -1)
     visitors, visited, ranks = [], [], []
     per = max(1, _PAIR_CAP // max(int(owners.max(initial=1)), 1))
     for lo in range(0, owners.size, per):
@@ -236,19 +225,18 @@ def _plan(centres, radii, eps, owners):
             outside = _sides(near, reach, eps)[1] & (earlier < chunk[:, None])
         hit = outside.any(axis=1)
         last = np.where(hit, chunk[-1] - 1 - np.argmax(outside[:, ::-1], axis=1), -1)
-        stop[chunk] = last
-        row, col = np.nonzero(~inside & (earlier > last[:, None]) & (earlier < chunk[:, None]))
+        row, col = np.nonzero(~inside & (earlier >= last[:, None]) & (earlier < chunk[:, None]))
         # ``nonzero`` lists each row block's blocks in ascending order.
         counts = np.bincount(row, minlength=chunk.size)
         visitors.append(chunk[row])
         visited.append(col)
         ranks.append((np.cumsum(counts) - 1)[row] - np.arange(row.size))
     if not ranks:
-        return stop, []
+        return []
     ranks = np.concatenate(ranks)
     order = np.argsort(ranks, kind="stable")
     cuts = np.searchsorted(ranks[order], np.arange(1, ranks.max(initial=-1) + 1))
-    return stop, zip(
+    return zip(
         np.split(np.concatenate(visitors)[order], cuts),
         np.split(np.concatenate(visited)[order], cuts),
     )
@@ -348,8 +336,8 @@ def _gram_beyond(points, centres, here, eps):
 
 
 def _exact_beyond(points, here, eps):
-    """The scan's own test, ``norm(points - here) > eps``, row by row."""
-    return _norms(points - here) > eps
+    """The scan's own test, ``np.linalg.norm(points - here, axis=-1) > eps``."""
+    return np.linalg.norm(points - here, axis=-1) > eps
 
 
 class MultiplierTrace:

@@ -64,6 +64,10 @@ _CSV_CHUNK_ROWS = 1024
 
 #: Iterations the reference solve takes before it gives up.
 REFERENCE_MAX_ITERS = 50_000
+#: The reference solve stalls, and gives up, once its best residual has
+#: not fallen by ``_STALL_DROP`` of itself in ``_STALL_ITERS`` iterates.
+_STALL_ITERS = 1000
+_STALL_DROP = 1e-3
 #: First-order residual the reference solve stops at.
 REFERENCE_TOL = 1e-8
 #: Fraction of the predicted merit reduction a Newton step must achieve
@@ -102,7 +106,10 @@ def compute_reference(
     ``batch_size``, ``max_iters``, ``seed`` and ``validate``.
 
     Returns the first iterate, of at most ``REFERENCE_MAX_ITERS``, whose
-    first-order residual is at most ``tol`` (finite and positive).  Each
+    first-order residual is at most ``tol`` (finite and positive); the
+    solve gives up sooner once its best residual stalls, having fallen
+    by less than ``_STALL_DROP`` of itself in ``_STALL_ITERS`` iterates,
+    as it does on a problem without a feasible point.  Each
     iterate is evaluated by :func:`stochsqp.solver.subproblem` with the
     exact oracle.  With a ``lagrangian_hessian``, each step from ``x0``
     on is a Newton step on the KKT system, globalized by a backtracking
@@ -127,6 +134,7 @@ def compute_reference(
     x = np.array(problem.x0, dtype=float)
     y = f = None  # after a Newton step, its multiplier and the objective at x
     tau, newton_steps, best = config.tau, 0, math.inf
+    mark, marked_at = math.inf, 0  # the best residual as of its last real drop
     for k in range(1, REFERENCE_MAX_ITERS + 1):
         c, jac, grad, _, identity = subproblem(problem, oracle, row, x, k)
         if y is None:
@@ -136,6 +144,13 @@ def compute_reference(
             _check_second_order(problem, x, y, jac, grad)
             return ReferenceSolution(x, y, residual, k, newton_steps)
         best = min(best, residual)
+        if best < (1 - _STALL_DROP) * mark:
+            mark, marked_at = best, k
+        elif k - marked_at >= _STALL_ITERS:
+            raise ReferenceSolveError(
+                f"reference solve stalled at iteration {k}: the best residual "
+                f"{best:.3e} fell by less than {_STALL_DROP:.1%} in {_STALL_ITERS} iterations"
+            )
 
         step = _newton_step(problem, config.nu, tau, x, y, f, grad, jac, c)
         if step is None:

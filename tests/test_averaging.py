@@ -319,8 +319,8 @@ class TestWindowedAverages:
         # The last block's rows sit at the origin.  Before them, four
         # blocks of points 0.985 from it, alternating about a centre 0.9
         # away: every point is inside eps = 1, but every ball straddles
-        # the sphere, so the walk visits all four, nearest first, before
-        # the first block, certainly outside, stops it.
+        # the sphere, so the walk visits all four, nearest first, and
+        # last the first block, certainly outside, which settles them.
         rng = np.random.default_rng(23)
         arcs = []
         for angle in (0.3, 0.9, 1.5, 2.1):
@@ -339,8 +339,30 @@ class TestWindowedAverages:
 
         monkeypatch.setattr(averaging, "_settle", spy)
         starts = _assert_matches_scan(xs, ys, 1.0)
-        assert [set(blocks) for blocks in visits if blocks] == [{4}, {3}, {2}, {1}]
+        assert [set(blocks) for blocks in visits if blocks] == [{4}, {3}, {2}, {1}, {0}]
         assert np.all(starts[5 * BLOCK :] == BLOCK + 1)
+
+    def test_stopping_block_is_the_last_visit(self, monkeypatch):
+        # One block at (5, 5), then four blocks within 1e-3 of the
+        # origin: the three between the last block and the first are
+        # certainly inside eps = 1 and skipped, so the last block's rows
+        # visit only the first, certainly outside, which settles them.
+        rng = np.random.default_rng(26)
+        xs = np.vstack([np.full((BLOCK, 2), 5.0), np.zeros((4 * BLOCK, 2))])
+        xs[BLOCK:] += 1e-4 * rng.uniform(-1.0, 1.0, (4 * BLOCK, 2))
+        ys = rng.standard_normal((len(xs), 2))
+        visits = []
+        settle = averaging._settle
+
+        def spy(xs, centres, radii, eps, rows, blocks, own=False):
+            if not own:
+                visits.append(blocks[rows >= 4 * BLOCK].tolist())
+            return settle(xs, centres, radii, eps, rows, blocks, own)
+
+        monkeypatch.setattr(averaging, "_settle", spy)
+        starts = _assert_matches_scan(xs, ys, 1.0)
+        assert [set(blocks) for blocks in visits if blocks] == [{0}]
+        assert np.all(starts[4 * BLOCK :] == BLOCK + 1)
 
     def test_sparse_unsorted_and_repeated_rows(self):
         rng = np.random.default_rng(24)

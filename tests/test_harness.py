@@ -27,7 +27,7 @@ from stochsqp import (
 )
 import stochsqp
 from stochsqp import averaging, harness, solver
-from stochsqp.logreg import ConstrainedLogRegInstance
+from stochsqp.logreg import INSTANCE_SEED, ConstrainedLogRegInstance, build_instance
 from stochsqp.harness import (
     ExperimentConfig,
     ReferenceSolution,
@@ -70,6 +70,34 @@ class TestComputeReference:
         monkeypatch.setattr(harness, "REFERENCE_MAX_ITERS", 5)
         with pytest.raises(ReferenceSolveError, match="in 5 iterations .best residual"):
             compute_reference(sphere_problem(), SPHERE, tol=1e-16)
+
+    def test_stalled_residual_stops_the_solve(self, monkeypatch, bundled_dataset):
+        # m = n = 30 leaves no feasible point: the residual stalls near 5
+        # while Newton steps are still accepted.  The lowered budget
+        # bounds the solve if the stall goes unseen.
+        instance = build_instance(bundled_dataset, m_lin=29, seed=INSTANCE_SEED)
+        problem, calls = instance.problem(), []
+
+        def jacobian(x):
+            calls.append(1)
+            return problem.jacobian(x)
+
+        monkeypatch.setattr(harness, "REFERENCE_MAX_ITERS", 5000)
+        lip_gradf, lip_jac = instance.lipschitz_bounds()
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac)
+        with pytest.raises(ReferenceSolveError, match="stalled .* best residual 5"):
+            compute_reference(dataclasses.replace(problem, jacobian=jacobian), config)
+        assert len(calls) <= 2000
+
+    def test_slow_steady_solve_outlasts_the_stall_window(self, bundled_instance):
+        # Without a Hessian at xi = 1/2 the bundled solve takes more
+        # iterates than the stall window, its residual falling throughout.
+        lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
+        problem = dataclasses.replace(bundled_instance.problem(), lagrangian_hessian=None)
+        ref = compute_reference(problem, SolverConfig(xi=0.5, lip_gradf=lip_gradf,
+                                                      lip_jac=lip_jac))
+        assert ref.residual <= harness.REFERENCE_TOL
+        assert ref.iterations > harness._STALL_ITERS
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_tol_must_be_finite_and_positive(self, tol):

@@ -58,3 +58,23 @@ def test_higher_is_better_and_the_bound(pairs):
 def test_one_pair(pairs):
     s = pairs.summarize([2.0], [1.0], "lower", 0.25)
     assert s["parent"] == (2.0, 2.0, 2.0) and s["wins"] == 1 and s["gain"]
+
+
+def test_smoke_runs_take_a_one_second_budget(pairs, monkeypatch, tmp_path):
+    import bench
+
+    commands = []
+
+    def fake_run(command, **kwargs):
+        commands.append(command)
+        stdout = 'env {"host": 1}\n{"metrics": {}}\n'
+        return bench.subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    for smoke in (True, False):
+        run = bench.run_once(tmp_path, "bundled-emit", 0, smoke, 3)
+        assert run == {"result": {"metrics": {}}, "env": {"host": 1}}
+    smoked, full = commands
+    assert smoked[1:] == ["perfbench/run.py", "--workload", "bundled-emit", "--seed", "3",
+                          "--trace", "0", "--smoke", "--seconds", "1"]
+    assert full[1:] == smoked[1:-3]

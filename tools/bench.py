@@ -13,8 +13,8 @@ Run from the repository root::
 
     python3 tools/bench.py TAG [--smoke] [--repo DIR]
 
-``--smoke`` passes ``--smoke`` on (shortened inputs, for checking the
-tool).  ``--repo`` benchmarks another checkout, for example a copy of
+``--smoke`` passes ``--smoke --seconds 1`` on (shortened inputs and a
+1-second budget, for checking the tool).  ``--repo`` benchmarks another checkout, for example a copy of
 the parent commit, with that checkout's own ``perfbench/``; the file
 is still written here.  A run that fails stops the tool with its exit
 status and writes no file.
@@ -34,7 +34,7 @@ def run_once(repo: Path, workload: str, trace: int, smoke: bool, seed: int) -> d
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", str(trace)]
     if smoke:
-        command.append("--smoke")
+        command += ["--smoke", "--seconds", "1"]
     print("+ " + " ".join(command[1:]), file=sys.stderr, flush=True)
     proc = subprocess.run(command, cwd=repo, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     snapshot = {
         "tag": args.tag,
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} --trace {{0,1}}"
-                   + (" --smoke" if args.smoke else ""),
+                   + (" --smoke --seconds 1" if args.smoke else ""),
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.tag}.json"

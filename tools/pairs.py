@@ -16,8 +16,9 @@ Run from the repository root::
 
     python3 tools/pairs.py PARENT_DIR --workload W [--pairs 10] [--seed S] [--smoke]
 
-``--smoke`` passes ``--smoke`` on (shortened inputs, for checking the
-tool).  A run that fails stops the tool with its exit status.
+``--smoke`` passes ``--smoke --seconds 1`` on (shortened inputs and a
+1-second budget, for checking the tool).  A run that fails stops the
+tool with its exit status.
 """
 
 import argparse
