@@ -123,6 +123,15 @@ def compute_reference(
     iterates of :func:`~stochsqp.solver.iterate` bit for bit: both take
     the same step function.
 
+    The Lagrangian Hessian is evaluated once per iterate, as soon as its
+    multiplier is known: after a Newton step before the subproblem,
+    otherwise right after it.  The Newton step and the second-order
+    check both take that one.  On the logistic-regression instances the
+    Hessian's pass reuses the margins that the line search's objective
+    left at the accepted point and also sums the gradient that the
+    subproblem then takes, so an iterate reached by a Newton step reads
+    the features twice, not five times.
+
     The candidate must then pass :func:`_check_second_order`, which
     rejects saddle points and constrained maxima.
     """
@@ -136,12 +145,16 @@ def compute_reference(
     tau, newton_steps, best = config.tau, 0, math.inf
     mark, marked_at = math.inf, 0  # the best residual as of its last real drop
     for k in range(1, REFERENCE_MAX_ITERS + 1):
+        # The multiplier is known only after a Newton step, and then the
+        # Hessian comes first: its pass sums the gradient the subproblem takes.
+        hess = None if y is None else _lagrangian_hessian(problem, x, y)
         c, jac, grad, _, identity = subproblem(problem, oracle, row, x, k)
         if y is None:
             y = identity.y
+            hess = _lagrangian_hessian(problem, x, y)
         residual = kkt_residual(grad, jac, c, y)
         if residual <= tol:
-            _check_second_order(problem, x, y, jac, grad)
+            _check_second_order(problem, x, y, jac, grad, hess)
             return ReferenceSolution(x, y, residual, k, newton_steps)
         best = min(best, residual)
         if best < (1 - _STALL_DROP) * mark:
@@ -152,7 +165,7 @@ def compute_reference(
                 f"{best:.3e} fell by less than {_STALL_DROP:.1%} in {_STALL_ITERS} iterations"
             )
 
-        step = _newton_step(problem, config.nu, tau, x, y, f, grad, jac, c)
+        step = _newton_step(problem, config.nu, tau, x, f, grad, jac, c, hess)
         if step is None:
             x, y, f = x + alpha * identity.d, None, None
             if not all_finite(x):
@@ -166,23 +179,27 @@ def compute_reference(
     )
 
 
-def _newton_step(problem, nu, tau, x, y, f, grad, jac, c):
-    """One Newton step from ``(x, y)`` with a backtracking line search.
-
-    The subproblem is solved with the symmetric part of the Lagrangian
-    Hessian ``H`` at ``(x, y)``.  The merit parameter is lowered to
-    ``min(tau, tau_trial)``, and the step length halves from 1 until
-    ``phi`` falls by ``_ARMIJO`` times the length times the model
-    reduction.  Returns ``(x_new, y_new, f(x_new), tau)``, or ``None``
-    when the problem has no ``lagrangian_hessian``, ``H`` is not finite,
-    ``z' H z`` is not positive definite or the length falls below
-    ``_MIN_STEP``.  ``f`` is the objective at ``x``,
-    ``None`` if not evaluated yet.
-    """
+def _lagrangian_hessian(problem: Problem, x: Array, y: Array) -> Array | None:
+    """The Lagrangian Hessian at ``(x, y)``, or ``None`` without one."""
     if problem.lagrangian_hessian is None:
         return None
-    hess = np.asarray(problem.lagrangian_hessian(x, y), dtype=float)
-    if not np.isfinite(hess).all():
+    return np.asarray(problem.lagrangian_hessian(x, y), dtype=float)
+
+
+def _newton_step(problem, nu, tau, x, f, grad, jac, c, hess):
+    """One Newton step from ``x`` with a backtracking line search.
+
+    The subproblem is solved with the symmetric part of ``hess``, the
+    Lagrangian Hessian ``H`` at ``x`` and its multiplier.  The merit
+    parameter is lowered to ``min(tau, tau_trial)``, and the step length
+    halves from 1 until ``phi`` falls by ``_ARMIJO`` times the length
+    times the model reduction.  Returns ``(x_new, y_new, f(x_new),
+    tau)``, or ``None`` when ``hess`` is ``None`` (the problem has no
+    ``lagrangian_hessian``), ``H`` is not finite, ``z' H z`` is not
+    positive definite or the length falls below ``_MIN_STEP``.  ``f``
+    is the objective at ``x``, ``None`` if not evaluated yet.
+    """
+    if hess is None or not np.isfinite(hess).all():
         return None
     hess = 0.5 * (hess + hess.T)
     try:
@@ -203,14 +220,17 @@ def _newton_step(problem, nu, tau, x, y, f, grad, jac, c):
     return None
 
 
-def _check_second_order(problem: Problem, x: Array, y: Array, jac: Array, grad: Array) -> Array:
+def _check_second_order(
+    problem: Problem, x: Array, y: Array, jac: Array, grad: Array, hess: Array | None
+) -> Array:
     """Require ``z' H z`` to be positive semidefinite at ``(x, y)``.
 
-    ``H`` is the Hessian of the Lagrangian and ``z`` an orthonormal basis
-    of the null space of ``jac`` (the Jacobian at ``x``; ``grad`` is the
-    gradient there): the second-order condition on the whole tangent space
-    (Nocedal & Wright, *Numerical Optimization*, 2nd ed., Thms 12.5, 12.6).
-    Without ``lagrangian_hessian``, ``H z`` comes from forward
+    ``H`` is ``hess``, the Hessian of the Lagrangian at ``(x, y)``, and
+    ``z`` an orthonormal basis of the null space of ``jac`` (the
+    Jacobian at ``x``; ``grad`` is the gradient there): the second-order
+    condition on the whole tangent space (Nocedal & Wright, *Numerical
+    Optimization*, 2nd ed., Thms 12.5, 12.6).  With ``hess`` ``None``
+    (no ``lagrangian_hessian``), ``H z`` comes from forward
     differences of ``grad f + jac' y`` along the columns of ``z``.  The
     eigenvalue floor ``-1e-6 max(1, max|lambda|)`` leaves room for the
     difference error, about 1e-8.  Returns the eigenvalues of the
@@ -219,8 +239,8 @@ def _check_second_order(problem: Problem, x: Array, y: Array, jac: Array, grad: 
     z = null_space_basis(jac)
     if z.shape[1] == 0:
         return np.empty(0)
-    if problem.lagrangian_hessian is not None:
-        reduced = z.T @ np.asarray(problem.lagrangian_hessian(x, y), dtype=float) @ z
+    if hess is not None:
+        reduced = z.T @ hess @ z
     else:
         h = math.sqrt(np.finfo(float).eps) * max(1.0, float(np.linalg.norm(x)))
         base, hz = grad + jac.T @ y, []

@@ -10,8 +10,14 @@ initial point are standard-normal draws from a seed and are fixed for
 the lifetime of the instance, so every replicate of an experiment sees
 the same geometry and only the gradient noise varies.
 
-Instances are immutable after construction and safe for shared
-concurrent evaluation.
+Instances are immutable after construction, apart from one slot, and
+safe for shared concurrent evaluation.  The slot is a record of the last
+point evaluated over all samples: its products ``D x`` and, once a
+Hessian pass has summed it, its gradient, keyed by the bytes of ``x``
+and replaced whole.  Results never depend on it: a record serves only
+the bytes it was computed from, is never written after it is stored,
+and hands out a copy of its gradient, so concurrent callers at most
+recompute.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from importlib import resources
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 from scipy.special import expit
@@ -281,6 +287,14 @@ def load_bundled_dataset() -> Dataset:
     return parse_libsvm(text)
 
 
+class _Evaluated(NamedTuple):
+    """One point evaluated over all samples, a block at a time."""
+
+    key: bytes  # x.tobytes()
+    products: Array  # D x, (n_samples,)
+    gradient: Array | None  # grad f(x), once a Hessian pass has summed it
+
+
 @dataclass(frozen=True)
 class ConstrainedLogRegInstance:
     """Logistic loss with seeded affine constraints plus the unit sphere.
@@ -315,30 +329,59 @@ class ConstrainedLogRegInstance:
         """``-labels``, negated once per instance for the loss weights."""
         return -self.dataset.labels
 
+    #: The record of the last point evaluated over all samples (see the
+    #: module docstring); not a field, so :func:`dataclasses.replace`
+    #: starts without one.
+    _last = None
+
     @cached_property
-    def _blocks(self) -> list[tuple[Array, Array]]:
-        """``(features, -labels)`` of ``CHUNK_SAMPLES`` samples each, as
-        views built on first use, so that a full pass slices nothing."""
+    def _blocks(self) -> list[tuple[Array, Array, slice]]:
+        """``(features, -labels, rows)`` of ``CHUNK_SAMPLES`` samples each,
+        as views built on first use, so that a full pass slices nothing."""
         features, neg_labels = self.dataset.features, self._neg_labels
+        starts = range(0, self.dataset.n_samples, CHUNK_SAMPLES)
         return [
-            (features[start : start + CHUNK_SAMPLES], neg_labels[start : start + CHUNK_SAMPLES])
-            for start in range(0, self.dataset.n_samples, CHUNK_SAMPLES)
+            (features[rows], neg_labels[rows], rows)
+            for rows in (slice(start, start + CHUNK_SAMPLES) for start in starts)
         ]
+
+    def _evaluated(self, x: Array) -> _Evaluated:
+        """The record of ``x``: the last one if it holds the bytes of
+        ``x``, else a new one with the products ``D x``, computed a block
+        at a time as the other full passes compute them, which replaces it."""
+        key = x.tobytes()
+        last = self._last
+        if last is not None and last.key == key:
+            return last
+        products = np.empty(self.dataset.n_samples)
+        for block, _, rows in self._blocks:
+            block.dot(x, out=products[rows])
+        record = _Evaluated(key, products, None)
+        object.__setattr__(self, "_last", record)
+        return record
 
     # -- evaluators ----------------------------------------------------
     def objective(self, x: Array) -> float:
         # log(1 + exp(-z)) = logaddexp(0, -z) of the margins z, stable for large |z|.
-        margins = self.dataset.labels * (self.dataset.features @ x)
+        margins = self.dataset.labels * self._evaluated(np.asarray(x, dtype=float)).products
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
     def gradient(self, x: Array) -> Array:
         """``(1/N) D' w`` with ``D`` the feature rows and ``w`` the
-        per-sample loss weights, summed a block of samples at a time."""
+        per-sample loss weights, summed a block of samples at a time.
+
+        A copy of the one the last Hessian pass summed, if that was at
+        the bytes of ``x``.
+        """
+        x = np.asarray(x, dtype=float)
+        last = self._last
+        if last is not None and last.gradient is not None and last.key == x.tobytes():
+            return last.gradient.copy()
         blocks = iter(self._blocks)
-        block, neg_labels = next(blocks)
-        grad = _loss_weights(block, neg_labels, x).dot(block)
-        for block, neg_labels in blocks:
-            grad += _loss_weights(block, neg_labels, x).dot(block)
+        block, neg_labels, _ = next(blocks)
+        grad = _loss_weights(block.dot(x), neg_labels).dot(block)
+        for block, neg_labels, _ in blocks:
+            grad += _loss_weights(block.dot(x), neg_labels).dot(block)
         grad /= self.dataset.n_samples
         return grad
 
@@ -363,14 +406,38 @@ class ConstrainedLogRegInstance:
         on the label sign.  Each block of samples adds ``G' G`` with
         ``G = diag(sqrt(s(1-s))) D_block``, so the result is exactly
         symmetric and no second copy of the features is made.
+
+        The margins are the products of the record of ``x``, left by an
+        :meth:`objective` there or else computed first.  The same pass
+        over the blocks sums the gradient into the record, for
+        :meth:`gradient` at ``x`` to return, so a point whose objective,
+        Hessian and gradient are evaluated in that order reads the
+        features twice.  Each ``G`` is written into one buffer that every
+        block reuses.
         """
+        x = np.asarray(x, dtype=float)
+        record = self._evaluated(x)
         hess = np.zeros((self.n, self.n))
-        for block, _ in self._blocks:
-            s = expit(block @ x)
-            scaled = block * np.sqrt(s * (1.0 - s))[:, None]
+        grad = None
+        scaled_rows = np.empty_like(self._blocks[0][0])
+        for block, neg_labels, rows in self._blocks:
+            products = record.products[rows]
+            s = expit(products)
+            scaled = np.einsum(
+                "ij,i->ij", block, np.sqrt(s * (1.0 - s)), out=scaled_rows[: block.shape[0]]
+            )
             hess += scaled.T @ scaled
+            if record.gradient is None:
+                block_grad = _loss_weights(products.copy(), neg_labels).dot(block)
+                if grad is None:
+                    grad = block_grad
+                else:
+                    grad += block_grad
         hess /= self.dataset.n_samples
         hess[np.diag_indices(self.n)] += 2.0 * y[-1]
+        if record.gradient is None:
+            grad /= self.dataset.n_samples
+            object.__setattr__(self, "_last", record._replace(gradient=grad))
         return hess
 
     def problem(self) -> Problem:
@@ -394,10 +461,10 @@ class ConstrainedLogRegInstance:
         gradients (the rows of ``diag(w) D``).
         """
         n_samples = self.dataset.n_samples
-        weights = [_loss_weights(block, neg_labels, x) for block, neg_labels in self._blocks]
-        mean = sum(w @ block for w, (block, _) in zip(weights, self._blocks)) / n_samples
+        weights = [_loss_weights(block.dot(x), neg_labels) for block, neg_labels, _ in self._blocks]
+        mean = sum(w @ block for w, (block, _, _) in zip(weights, self._blocks)) / n_samples
         total = 0.0
-        for w, (block, _) in zip(weights, self._blocks):
+        for w, (block, _, _) in zip(weights, self._blocks):
             total += float(np.sum((block * w[:, None] - mean) ** 2))
         return total / n_samples
 
@@ -458,20 +525,19 @@ def _minibatch_gradient(features: Array, neg_labels: Array, x: Array, idx: Array
     """:func:`logistic_minibatch_gradient` on ``idx`` trusted to be a
     nonempty 1-d integer array in range, with the labels negated."""
     rows = features.take(idx, axis=0)  # the copy features[idx] makes, in fewer steps
-    grad = _loss_weights(rows, neg_labels[idx], x).dot(rows)
+    grad = _loss_weights(rows.dot(x), neg_labels[idx]).dot(rows)
     grad /= idx.size
     return grad
 
 
-def _loss_weights(rows: Array, neg_labels: Array, x: Array) -> Array:
+def _loss_weights(products: Array, neg_labels: Array) -> Array:
     """Per-sample weights ``-gamma_i * sigmoid(-gamma_i <d_i, x>)`` of the
-    logistic gradient, from the feature ``rows`` and their labels
-    ``gamma_i`` negated."""
-    weights = rows.dot(x)  # a fresh array, so each step below works in place
-    weights *= neg_labels
-    expit(weights, out=weights)
-    weights *= neg_labels
-    return weights
+    logistic gradient, written over the ``products`` ``<d_i, x>`` (a fresh
+    array), from them and the labels ``gamma_i`` negated."""
+    products *= neg_labels
+    expit(products, out=products)
+    products *= neg_labels
+    return products
 
 
 def _check_samples(dataset: Dataset) -> None:

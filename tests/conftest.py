@@ -7,14 +7,18 @@ solve, the least-squares multiplier, the slice mean that defines the
 running average, the local merit model, a Gaussian-noise gradient
 oracle, an empirical estimate of an oracle's variance, a
 central-difference check of declared derivatives, the per-token LIBSVM
-parser and the row-by-row diagnostics of a solver run.
+parser, the row-by-row diagnostics of a solver run and the logistic
+evaluators as each computed its own products, with no record of the
+last point.
 """
 
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from stochsqp import (
     ParseError,
@@ -26,6 +30,7 @@ from stochsqp import (
     solve_kkt,
     solve_with_factors,
 )
+from stochsqp import logreg
 from stochsqp.logreg import Dataset
 from stochsqp.merit import check_reduction_lbnd, reduction_delta_q, tau_trial_true, xi_trial
 from stochsqp.problem import sample_gradient
@@ -326,6 +331,59 @@ def constrained_quadratic(rng, n=6, m=2):
         x0=rng.standard_normal(n),
     )
     return problem, p_mat, x_star, y_star
+
+
+def oracle_objective(inst, x):
+    """The logistic loss from one product over all the features."""
+    margins = inst.dataset.labels * (inst.dataset.features @ x)
+    return float(np.mean(np.logaddexp(0.0, -margins)))
+
+
+def _oracle_blocks(inst):
+    """``(features, labels)`` of ``logreg.CHUNK_SAMPLES`` samples each."""
+    chunk = logreg.CHUNK_SAMPLES
+    features, labels = inst.dataset.features, inst.dataset.labels
+    return [(features[start : start + chunk], labels[start : start + chunk])
+            for start in range(0, inst.dataset.n_samples, chunk)]
+
+
+def oracle_gradient(inst, x):
+    """The logistic gradient, a block of samples at a time, each block
+    taking its own products."""
+    grad = None
+    for block, labels in _oracle_blocks(inst):
+        weights = block.dot(x)
+        weights *= -labels
+        expit(weights, out=weights)
+        weights *= -labels
+        block_grad = weights.dot(block)
+        grad = block_grad if grad is None else grad + block_grad
+    grad /= inst.dataset.n_samples
+    return grad
+
+
+def oracle_hessian(inst, x, y):
+    """The Lagrangian Hessian, a block of samples at a time, each block
+    taking its own products and scaled into a fresh array."""
+    hess = np.zeros((inst.n, inst.n))
+    for block, _ in _oracle_blocks(inst):
+        s = expit(block @ x)
+        scaled = block * np.sqrt(s * (1.0 - s))[:, None]
+        hess += scaled.T @ scaled
+    hess /= inst.dataset.n_samples
+    hess[np.diag_indices(inst.n)] += 2.0 * y[-1]
+    return hess
+
+
+def oracle_problem(inst):
+    """``inst.problem()`` with the oracle evaluators in place of the
+    record-backed objective, gradient and Hessian."""
+    return dataclasses.replace(
+        inst.problem(),
+        objective=lambda x: oracle_objective(inst, x),
+        gradient=lambda x: oracle_gradient(inst, x),
+        lagrangian_hessian=lambda x, y: oracle_hessian(inst, x, y),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -39,7 +39,7 @@ from stochsqp.harness import (
     write_trace_csv,
 )
 
-from conftest import constrained_quadratic, sphere_problem
+from conftest import constrained_quadratic, oracle_problem, sphere_problem
 
 #: The sphere toy's Lipschitz bounds and the default step rule.
 SPHERE = SolverConfig(lip_gradf=0.5, lip_jac=2.0)
@@ -328,6 +328,20 @@ class TestComputeReference:
         assert np.array_equal(fallback.y, plain.y)
         assert (fallback.residual, fallback.iterations) == (plain.residual, plain.iterations)
 
+    @pytest.mark.parametrize("name", ["bundled_instance", "a9a_shaped_instance"])
+    def test_record_backed_evaluators_keep_the_oracle_reference(self, request, name):
+        # One Hessian per iterate, its pass summing the gradient, against
+        # evaluators that each compute their own products.
+        inst = dataclasses.replace(request.getfixturevalue(name))
+        lip_gradf, lip_jac = inst.lipschitz_bounds()
+        config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac)
+        got = compute_reference(inst.problem(), config)
+        want = compute_reference(oracle_problem(inst), config)
+        assert got.newton_steps > 0
+        assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+        assert (got.residual, got.iterations, got.newton_steps) == (
+            want.residual, want.iterations, want.newton_steps)
+
     def test_a9a_shaped_reference_takes_newton_steps(self, a9a_shaped_instance):
         lip_gradf, lip_jac = a9a_shaped_instance.lipschitz_bounds()
         config = SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac)
@@ -358,9 +372,9 @@ class TestComputeReference:
         lip_gradf, lip_jac = bundled_instance.lipschitz_bounds()
         ref = compute_reference(problem, SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac))
         at_ref = ref.x, ref.y, problem.jacobian(ref.x), problem.gradient(ref.x)
-        analytic = harness._check_second_order(problem, *at_ref)
-        differences = harness._check_second_order(
-            dataclasses.replace(problem, lagrangian_hessian=None), *at_ref)
+        analytic = harness._check_second_order(
+            problem, *at_ref, problem.lagrangian_hessian(ref.x, ref.y))
+        differences = harness._check_second_order(problem, *at_ref, None)
         assert len(analytic) == problem.n - problem.m
         assert analytic[0] > 0
         assert differences[0] == pytest.approx(analytic[0], rel=1e-5)

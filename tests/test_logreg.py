@@ -1,7 +1,10 @@
 """LIBSVM parsing and the constrained logistic-regression instances."""
 
+import collections
 import dataclasses
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,11 +18,14 @@ from stochsqp import (
     parse_libsvm,
     serialize_libsvm,
 )
-from stochsqp import RankError, factor_jacobian, logreg
+from stochsqp import RankError, SolverConfig, factor_jacobian, logreg
+from stochsqp.harness import compute_reference
 from stochsqp.logreg import Dataset, logistic_minibatch_gradient
 from stochsqp.problem import sample_gradient
 
-from conftest import gaussian_oracle, reference_parse_libsvm
+from conftest import (
+    gaussian_oracle, oracle_gradient, oracle_hessian, oracle_objective, reference_parse_libsvm,
+)
 
 
 class TestParse:
@@ -621,3 +627,141 @@ class TestSecondOrder:
         mean = per_sample.mean(axis=0)
         dense = np.mean(np.sum((per_sample - mean) ** 2, axis=1))
         assert inst.per_sample_variance(x) == pytest.approx(dense, rel=1e-14)
+
+
+class _ProductSpy(np.ndarray):
+    """Features that log each product with a vector: the vector's bytes
+    and the rows it was multiplied by."""
+
+    log: list = []
+
+    def dot(self, other, out=None):
+        self._note(other)
+        return super().dot(other, out=out)
+
+    def __matmul__(self, other):
+        self._note(other)
+        return super().__matmul__(other)
+
+    def _note(self, other):
+        if np.ndim(other) == 1:
+            _ProductSpy.log.append((np.asarray(other).tobytes(), self.shape[0]))
+
+
+def spied(inst):
+    """A copy of ``inst`` whose features log their products with vectors."""
+    dataset = Dataset(features=inst.dataset.features, labels=inst.dataset.labels)
+    object.__setattr__(dataset, "features", dataset.features.view(_ProductSpy))
+    return dataclasses.replace(inst, dataset=dataset)
+
+
+class TestEvaluationRecord:
+    """The objective, gradient and Hessian share a record of the last
+    point evaluated; every value keeps the bits of the oracle evaluators,
+    which compute their own products at each call."""
+
+    @staticmethod
+    def assert_oracle_bits(inst, x, y, order):
+        for name in order:
+            if name == "objective":
+                assert inst.objective(x) == oracle_objective(inst, x)
+            elif name == "gradient":
+                assert inst.gradient(x).tobytes() == oracle_gradient(inst, x).tobytes()
+            else:
+                hess = inst.lagrangian_hessian(x, y)
+                assert hess.tobytes() == oracle_hessian(inst, x, y).tobytes()
+
+    @pytest.mark.parametrize("name", ["bundled_instance", "a9a_shaped_instance"])
+    @pytest.mark.parametrize("first", ["objective", "gradient", "hessian"])
+    def test_cold_record(self, request, name, first):
+        # 200 samples are one short block; 3000 end in a block of 952.
+        inst = dataclasses.replace(request.getfixturevalue(name))
+        rng = np.random.default_rng(8)
+        x, y = 0.3 * rng.standard_normal(inst.n), rng.standard_normal(inst.m)
+        assert inst._last is None
+        self.assert_oracle_bits(inst, x, y, [first])
+
+    @pytest.mark.parametrize("name", ["bundled_instance", "a9a_shaped_instance"])
+    def test_warm_record(self, request, name):
+        inst = dataclasses.replace(request.getfixturevalue(name))
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            x, y = 0.3 * rng.standard_normal(inst.n), rng.standard_normal(inst.m)
+            # A Newton iterate's order, then each evaluator again at the same point.
+            self.assert_oracle_bits(inst, x, y, ["objective", "hessian", "gradient"] * 2)
+            assert inst._last.gradient is not None
+            self.assert_oracle_bits(inst, x, -y, ["hessian", "objective", "gradient"])
+
+    def test_key_is_the_bytes_of_x(self, a9a_shaped_instance):
+        inst = dataclasses.replace(a9a_shaped_instance)
+        rng = np.random.default_rng(10)
+        x, y = 0.3 * rng.standard_normal(inst.n), rng.standard_normal(inst.m)
+        inst.objective(x)
+        inst.lagrangian_hessian(x, y)
+        x[0] += 0.5  # the same object, other values
+        self.assert_oracle_bits(inst, x, y, ["gradient", "objective", "hessian"])
+        x[3] -= 0.25
+        self.assert_oracle_bits(inst, x, y, ["objective", "gradient"])
+
+    def test_a_returned_gradient_is_a_copy(self, a9a_shaped_instance):
+        inst = dataclasses.replace(a9a_shaped_instance)
+        x = 0.3 * np.random.default_rng(11).standard_normal(inst.n)
+        inst.lagrangian_hessian(x, np.zeros(inst.m))
+        want = oracle_gradient(inst, x)
+        got = inst.gradient(x)
+        got[:] = 7.0
+        assert inst.gradient(x).tobytes() == want.tobytes()
+
+    def test_each_newton_iterate_computes_its_margins_once(self, a9a_shaped_instance):
+        # Every point the solve evaluates has its margins computed once:
+        # an objective at a trial point leaves them for the Hessian and
+        # the gradient there.  Only x0 and the iterates an identity-model
+        # step reaches take them twice, from the gradient that yields
+        # their multiplier and from the Hessian.
+        inst = spied(a9a_shaped_instance)
+        lip_gradf, lip_jac = a9a_shaped_instance.lipschitz_bounds()
+        _ProductSpy.log = []
+        ref = compute_reference(inst.problem(), SolverConfig(lip_gradf=lip_gradf, lip_jac=lip_jac))
+        rows = collections.Counter()
+        for key, block_rows in _ProductSpy.log:
+            rows[key] += block_rows
+        n_samples = inst.dataset.n_samples
+        passes = collections.Counter(total / n_samples for total in rows.values())
+        assert ref.newton_steps > 0
+        assert passes[2] == ref.iterations - ref.newton_steps
+        assert passes[1] >= ref.newton_steps
+        assert passes.keys() <= {1, 2}
+
+    def test_threads_sharing_one_instance_get_their_own_points(self, a9a_shaped_instance):
+        # Each thread evaluates its own points in a Newton iterate's
+        # order; a record used for another thread's point would show as a
+        # wrong value.  Four threads on short switch intervals interleave
+        # between every read and write of the record.
+        inst = dataclasses.replace(a9a_shaped_instance)
+        rng = np.random.default_rng(12)
+        points = [(0.3 * rng.standard_normal(inst.n), rng.standard_normal(inst.m))
+                  for _ in range(4)]
+        want = [(oracle_objective(inst, x), oracle_hessian(inst, x, y).tobytes(),
+                 oracle_gradient(inst, x).tobytes()) for x, y in points]
+        wrong = []
+
+        def work(i):
+            x, y = points[i]
+            for _ in range(10):
+                got = (inst.objective(x), inst.lagrangian_hessian(x, y).tobytes(),
+                       inst.gradient(x).tobytes())
+                if got != want[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(points))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
